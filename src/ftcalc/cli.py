@@ -234,8 +234,7 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    reports = verify_suite.run_all(filter=args.filter, seed=args.seed,
-                                   parallel=args.parallel)
+    reports = verify_suite.run_all(filter=args.filter, seed=args.seed)
     if not reports:
         print(f"no checks match filter {args.filter!r}", file=sys.stderr)
         return 1
@@ -298,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", help="glob over check names")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", help="also write the report list to this path")
-    p.add_argument("--parallel", action="store_true")
     p.set_defaults(fn=_cmd_verify)
     return ap
 

@@ -2,23 +2,27 @@
 
 A BasisPolynomial stores exact rational coefficients against one of three
 bases: monomial x^n, falling factorial (x)_n, rising factorial x^(rising n).
-Operators (derivative, forward/backward difference, shifts, the formal series
-log(1+d), e^D - 1, (1+d)^a, e^{aD}, a^{x nabla}) act exactly; every formal
-series terminates because d and D are nilpotent on polynomials.
+
+Operators act exactly. Every operator except scale_op is shift-invariant and
+is one row of a table: a work basis plus a weight series w, read as
+sum_j w_j L^j where L is d on the monomial basis and the forward difference D
+on the falling basis. The rows cover d^k, D^k, nabla^k, log(1+d)^k,
+(e^D - 1)^k, the shift e^{ad}, (1+d)^a and e^{aD}; the inverses of log(1+d)
+and e^D - 1 use reciprocal series. One routine applies every row, and every
+series terminates because d and D are nilpotent on polynomials. scale_op,
+a^{x nabla}, is diagonal on the falling basis instead.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Union
 
 from .combinatorics import (
-    binomial_general,
-    falling_factorial,
-    rising_factorial,
     stirling_first_signed,
     stirling_first_unsigned,
     stirling_second,
@@ -201,19 +205,7 @@ def negate_argument(p: BasisPolynomial) -> BasisPolynomial:
 
 def shift(p: BasisPolynomial, a: Scalar) -> BasisPolynomial:
     """q with q(x) = p(x+a), returned in the basis of p."""
-    a = Fraction(a)
-    if a == 0:
-        return p
-    mono = convert_basis(p, Basis.MONOMIAL)
-    d = mono.degree
-    out = [Fraction(0)] * (d + 1)
-    for n, c in enumerate(mono.coeffs):
-        if c:
-            pw = Fraction(1)
-            for k in range(n, -1, -1):
-                out[k] += c * math.comb(n, k) * pw
-                pw *= a
-    return convert_basis(BasisPolynomial(Basis.MONOMIAL, out), p.basis)
+    return apply_operator(shift_op(a), p)
 
 
 def scale_argument(p: BasisPolynomial, a: Scalar) -> BasisPolynomial:
@@ -270,6 +262,10 @@ def _multiply_falling(p: BasisPolynomial, q: BasisPolynomial) -> BasisPolynomial
 
 
 # --- operator calculus -----------------------------------------------------
+#
+# Every operator here except scale_op commutes with shifts, hence is a power
+# series in a lowering operator L (Rota, Kahaner & Odlyzko, "Finite operator
+# calculus", 1973): L b_n = n b_(n-1) holds for d on x^n and for D on (x)_n.
 
 
 class OperatorKind(str, Enum):
@@ -291,12 +287,6 @@ _POWER_KINDS = {
     OperatorKind.LOG1P_DERIVATIVE,
     OperatorKind.EXPDIFF_MINUS1,
 }
-_PARAM_KINDS = {
-    OperatorKind.SHIFT,
-    OperatorKind.BINOM_SHIFT,
-    OperatorKind.EXP_SHIFT,
-    OperatorKind.SCALE_OP,
-}
 
 
 @dataclass(frozen=True)
@@ -315,6 +305,8 @@ class OperatorExpr:
         else:
             if self.a is None:
                 raise ValueError(f"{self.kind.value} requires parameter a")
+            if self.k != 1:
+                raise ValueError(f"{self.kind.value} takes no power; fold it into a")
             object.__setattr__(self, "a", Fraction(self.a))
 
 
@@ -354,133 +346,134 @@ def scale_op(a: Scalar) -> OperatorExpr:
     return OperatorExpr(OperatorKind.SCALE_OP, a=Fraction(a))
 
 
-def _lower_once(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    # shared diagonal action: d(x^n) = n x^(n-1) and D((x)_n) = n (x)_(n-1)
-    return tuple(Fraction(n) * coeffs[n] for n in range(1, len(coeffs)))
+def _apply_weights(coeffs: tuple[Fraction, ...], weights: list) -> list[Fraction]:
+    """sum_j w_j L^j on coefficients in a basis with L b_n = n b_(n-1).
 
-
-def _apply_series(coeffs: tuple[Fraction, ...], weights: Callable[[int], Fraction],
-                  include_identity: Fraction | None) -> tuple[Fraction, ...]:
-    """sum_j weights(j) * D^j applied to coeffs in the diagonal basis.
-
-    include_identity, when given, is the j = 0 weight.
+    out_i = sum_j w_j (i+j)!/i! c_(i+j). The sum runs on integers: with
+    c_m = N_m/D and w_j = P_j/Q, i! D Q out_i = sum_j P_j (i+j)! N_(i+j).
+    Only the span of nonzero weights is multiplied, so d^k costs one
+    product per coefficient.
     """
-    acc = [Fraction(0)] * len(coeffs)
-    if include_identity is not None and include_identity != 0:
-        acc = [include_identity * c for c in coeffs]
-    cur = coeffs
-    j = 1
-    while len(cur) > 0 and j <= len(coeffs):
-        cur = _lower_once(cur)
-        w = weights(j)
-        if w:
-            for i, c in enumerate(cur):
-                acc[i] += w * c
-        j += 1
-    return tuple(acc)
+    nz = [j for j, w in enumerate(weights) if w]
+    if not nz:
+        return []
+    lo, hi = nz[0], nz[-1] + 1
+    ws = weights[lo:hi]
+    q = math.lcm(*(w.denominator for w in ws))
+    num = [w.numerator * (q // w.denominator) for w in ws]
+    d = math.lcm(*(c.denominator for c in coeffs))
+    scaled, fact = [], 1
+    for m, c in enumerate(coeffs):
+        fact *= m or 1
+        scaled.append(fact * c.numerator * (d // c.denominator))
+    out, fact = [], 1
+    for i in range(len(coeffs) - lo):
+        fact *= i or 1
+        out.append(Fraction(sum(map(operator.mul, num, scaled[i + lo:i + hi])) // fact, d * q))
+    return out
+
+
+def _t_power(k: int, n: int) -> list[int]:
+    return [int(j == k) for j in range(n)]
+
+
+def _nabla_power(k: int, n: int) -> list[int]:
+    # backward difference = D/(1+D): (t/(1+t))^k = sum_j (-1)^(j-k) C(j-1, k-1) t^j
+    return [(-1) ** (j - k) * math.comb(j - 1, k - 1) if j > k > 0 else int(j == k)
+            for j in range(n)]
+
+
+def _stirling_power(stirling: Callable[[int, int], int], k: int, n: int) -> list[Fraction]:
+    # log(1+t)^k and (e^t - 1)^k = k! sum_j s(j,k) t^j / j!, resp. S(j,k)
+    return [Fraction(math.factorial(k) * stirling(j, k), math.factorial(j)) for j in range(n)]
+
+
+def _ratio_series(n: int, ratio: Callable[[int], Fraction]) -> list[Fraction]:
+    # w_0 = 1, w_j = w_(j-1) * ratio(j)
+    out = [Fraction(1)]
+    for j in range(1, n):
+        out.append(out[-1] * ratio(j))
+    return out[:n]
+
+
+# kind -> (work basis, weight series of length n for op)
+_SERIES: dict[OperatorKind, tuple[Basis, Callable[[OperatorExpr, int], list]]] = {
+    OperatorKind.DERIVATIVE: (Basis.MONOMIAL, lambda op, n: _t_power(op.k, n)),
+    OperatorKind.FORWARD_DIFFERENCE: (Basis.FALLING, lambda op, n: _t_power(op.k, n)),
+    OperatorKind.BACKWARD_DIFFERENCE: (Basis.FALLING, lambda op, n: _nabla_power(op.k, n)),
+    OperatorKind.LOG1P_DERIVATIVE: (
+        Basis.MONOMIAL, lambda op, n: _stirling_power(stirling_first_signed, op.k, n)),
+    OperatorKind.EXPDIFF_MINUS1: (
+        Basis.FALLING, lambda op, n: _stirling_power(stirling_second, op.k, n)),
+    # e^{at} = sum_j a^j t^j / j! gives the shift E^a = e^{a d}, and e^{a D}
+    OperatorKind.SHIFT: (Basis.MONOMIAL, lambda op, n: _ratio_series(n, lambda j: op.a / j)),
+    OperatorKind.EXP_SHIFT: (Basis.FALLING, lambda op, n: _ratio_series(n, lambda j: op.a / j)),
+    # (1+t)^a = sum_j binom(a, j) t^j
+    OperatorKind.BINOM_SHIFT: (
+        Basis.MONOMIAL, lambda op, n: _ratio_series(n, lambda j: (op.a - j + 1) / j)),
+}
 
 
 def apply_operator(op: OperatorExpr, p: BasisPolynomial) -> BasisPolynomial:
     """Apply op to p exactly; the result is returned in the basis of p."""
-    source = p.basis
-    kind = op.kind
-    if kind is OperatorKind.SHIFT:
-        return shift(p, op.a)
-
-    if kind in (OperatorKind.DERIVATIVE, OperatorKind.LOG1P_DERIVATIVE,
-                OperatorKind.BINOM_SHIFT):
-        work = convert_basis(p, Basis.MONOMIAL)
-    else:
-        work = convert_basis(p, Basis.FALLING)
-    c = work.coeffs
-
-    if kind is OperatorKind.DERIVATIVE or kind is OperatorKind.FORWARD_DIFFERENCE:
-        for _ in range(op.k):
-            c = _lower_once(c)
-    elif kind is OperatorKind.BACKWARD_DIFFERENCE:
-        # nabla = forward difference composed with unit back-shift
-        q = BasisPolynomial(Basis.FALLING, c)
-        for _ in range(op.k):
-            q = shift(BasisPolynomial(Basis.FALLING, _lower_once(q.coeffs)), Fraction(-1))
-        c = q.coeffs
-    elif kind is OperatorKind.LOG1P_DERIVATIVE:
-        for _ in range(op.k):
-            c = _apply_series(c, lambda j: Fraction((-1) ** (j + 1), j), None)
-    elif kind is OperatorKind.EXPDIFF_MINUS1:
-        for _ in range(op.k):
-            c = _apply_series(c, lambda j: Fraction(1, math.factorial(j)), None)
-    elif kind is OperatorKind.BINOM_SHIFT:
-        a = op.a
-        c = _apply_series(c, lambda j: binomial_general(a, j), Fraction(1))
-    elif kind is OperatorKind.EXP_SHIFT:
-        a = op.a
-        c = _apply_series(c, lambda j: a ** j / math.factorial(j), Fraction(1))
-    elif kind is OperatorKind.SCALE_OP:
-        # a^{x nabla} = sum_k (a-1)^k / k! * (x)_k nabla^k  (finite on polynomials)
-        base = BasisPolynomial(Basis.FALLING, c)
-        acc = base
-        cur = base
-        for k in range(1, len(c)):
-            cur = apply_operator(backward_difference(1), cur)
-            if cur.is_zero():
-                break
-            w = (op.a - 1) ** k / math.factorial(k)
-            if w:
-                acc = acc + _multiply_falling(falling_unit(k), cur).scale(w)
-        c = acc.coeffs
-    else:  # pragma: no cover
-        raise ValueError(f"unknown operator kind {kind}")
-
-    out_basis = Basis.MONOMIAL if kind in (
-        OperatorKind.DERIVATIVE, OperatorKind.LOG1P_DERIVATIVE, OperatorKind.BINOM_SHIFT
-    ) else Basis.FALLING
-    return convert_basis(BasisPolynomial(out_basis, c), source)
+    if op.kind is OperatorKind.SCALE_OP:
+        # x nabla (x)_n = n (x)_n, so a^{x nabla} scales the n-th falling
+        # coefficient by a^n
+        fall = convert_basis(p, Basis.FALLING)
+        out = [c * op.a ** n for n, c in enumerate(fall.coeffs)]
+        return convert_basis(BasisPolynomial(Basis.FALLING, out), p.basis)
+    basis, weights = _SERIES[op.kind]
+    work = convert_basis(p, basis)
+    out = _apply_weights(work.coeffs, weights(op, len(work.coeffs)))
+    return convert_basis(BasisPolynomial(basis, out), p.basis)
 
 
 # --- indefinite (inverse) operators ----------------------------------------
 #
 # Used by the kernel-relative integration/summation checks. Each inverse
 # fixes the kernel ambiguity by choosing the preimage with zero constant term.
+# An operator t*g(L) with g(0) = 1 inverts as L^{-1} applied after the
+# reciprocal series 1/g(L), where L^{-1} lifts c_n to c_(n-1)/n.
+
+
+def _lift(coeffs: Iterable[Fraction], basis: Basis, target: Basis) -> BasisPolynomial:
+    out = [Fraction(0)] + [c / (n + 1) for n, c in enumerate(coeffs)]
+    return convert_basis(BasisPolynomial(basis, out), target)
+
+
+def _reciprocal(f: list[Fraction]) -> list[Fraction]:
+    # 1/f for a series with f_0 = 1
+    h = [Fraction(1)]
+    for m in range(1, len(f)):
+        h.append(-sum((f[j] * h[m - j] for j in range(1, m + 1)), Fraction(0)))
+    return h[:len(f)]
+
+
+def _series_inverse(p: BasisPolynomial, basis: Basis,
+                    ratio: Callable[[int], Fraction]) -> BasisPolynomial:
+    # the operator is L g(L); ratio generates g as in _ratio_series
+    work = convert_basis(p, basis)
+    h = _reciprocal(_ratio_series(len(work.coeffs), ratio))
+    return _lift(_apply_weights(work.coeffs, h), basis, p.basis)
 
 
 def antiderivative(p: BasisPolynomial) -> BasisPolynomial:
     """d^{-1} p with zero constant of integration."""
-    mono = convert_basis(p, Basis.MONOMIAL)
-    out = [Fraction(0)] + [c / (n + 1) for n, c in enumerate(mono.coeffs)]
-    return convert_basis(BasisPolynomial(Basis.MONOMIAL, out), p.basis)
+    return _lift(convert_basis(p, Basis.MONOMIAL).coeffs, Basis.MONOMIAL, p.basis)
 
 
 def indefinite_sum(p: BasisPolynomial) -> BasisPolynomial:
     """D^{-1} p (forward-difference preimage) vanishing at x = 0."""
-    fall = convert_basis(p, Basis.FALLING)
-    out = [Fraction(0)] + [c / (n + 1) for n, c in enumerate(fall.coeffs)]
-    return convert_basis(BasisPolynomial(Basis.FALLING, out), p.basis)
-
-
-def _solve_series_inverse(p: BasisPolynomial, weights: Callable[[int], Fraction],
-                          work_basis: Basis) -> BasisPolynomial:
-    """Solve L q = p for q with q(0-coefficient) = 0, L = sum_{j>=1} w_j D^j.
-
-    Triangular back-substitution using D^j(b_{m+j}) = (m+j)_j b_m in the
-    diagonal basis. Requires w_1 != 0.
-    """
-    src = convert_basis(p, work_basis)
-    d = src.degree
-    q = [Fraction(0)] * (d + 2)
-    w1 = weights(1)
-    for m in range(d, -1, -1):
-        acc = src.coeff(m)
-        for j in range(2, d + 2 - m):
-            acc -= weights(j) * falling_factorial(Fraction(m + j), j) * q[m + j]
-        q[m + 1] = acc / (w1 * (m + 1))
-    return convert_basis(BasisPolynomial(work_basis, q), p.basis)
+    return _lift(convert_basis(p, Basis.FALLING).coeffs, Basis.FALLING, p.basis)
 
 
 def log1p_derivative_inverse(p: BasisPolynomial) -> BasisPolynomial:
     """(log(1+d))^{-1} p, normalized to zero constant term."""
-    return _solve_series_inverse(p, lambda j: Fraction((-1) ** (j + 1), j), Basis.MONOMIAL)
+    # log(1+t)/t = sum_j (-1)^j t^j / (j+1)
+    return _series_inverse(p, Basis.MONOMIAL, lambda j: Fraction(-j, j + 1))
 
 
 def expdiff_minus1_inverse(p: BasisPolynomial) -> BasisPolynomial:
     """(e^D - 1)^{-1} p, normalized to zero constant term."""
-    return _solve_series_inverse(p, lambda j: Fraction(1, math.factorial(j)), Basis.FALLING)
+    # (e^t - 1)/t = sum_j t^j / (j+1)!
+    return _series_inverse(p, Basis.FALLING, lambda j: Fraction(1, j + 1))

@@ -16,7 +16,6 @@ from __future__ import annotations
 import fnmatch
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -1395,14 +1394,9 @@ def run_check(name: str, seed: int = 0) -> CheckReport:
                        informational=informational, detail=detail)
 
 
-def run_all(filter: Optional[str] = None, seed: int = 0,
-            parallel: bool = False) -> Sequence[CheckReport]:
-    names = [n for n in _REGISTRY
-             if filter is None or fnmatch.fnmatchcase(n, filter)]
-    if parallel and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            return list(pool.map(lambda n: run_check(n, seed), names))
-    return [run_check(n, seed) for n in names]
+def run_all(filter: Optional[str] = None, seed: int = 0) -> Sequence[CheckReport]:
+    return [run_check(n, seed) for n in _REGISTRY
+            if filter is None or fnmatch.fnmatchcase(n, filter)]
 
 
 def render_text(reports: Sequence[CheckReport]) -> str:

@@ -6,6 +6,7 @@ with eval. Everything here is exact Fraction arithmetic, so assertions are
 equalities, never tolerances.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from ftcalc.polynomial import (
     BasisPolynomial,
     OperatorExpr,
     OperatorKind,
+    _apply_weights,
     antiderivative,
     apply_operator,
     backward_difference,
@@ -176,14 +178,27 @@ def test_backward_difference_operator(coeffs, x):
     assert apply_operator(backward_difference(), p).eval(x) == p.eval(x) - p.eval(x - 1)
 
 
-@given(coeff_lists, st.integers(min_value=0, max_value=3), points)
-def test_operator_powers_iterate(coeffs, k, x):
-    """forward_difference(k) equals k single applications."""
-    p = monomial(coeffs)
+@given(coeff_lists, bases, st.integers(min_value=0, max_value=3),
+       st.sampled_from([derivative, forward_difference, backward_difference,
+                        log1p_derivative, expdiff_minus1]))
+def test_operator_powers_iterate(coeffs, basis, k, factory):
+    """The k-th power of every power kind equals k single applications."""
+    p = poly(basis, coeffs)
     q = p
     for _ in range(k):
-        q = apply_operator(forward_difference(), q)
-    assert apply_operator(forward_difference(k), p).eval(x) == q.eval(x)
+        q = apply_operator(factory(), q)
+    assert apply_operator(factory(k), p) == q
+
+
+@given(coeff_lists, coeff_lists)
+def test_apply_weights_matches_defining_sum(coeffs, weights):
+    """The integer kernel behind every operator row equals its defining sum
+    out_i = sum_j w_j (i+j)!/i! c_(i+j) taken in plain Fraction arithmetic."""
+    c = poly(Basis.MONOMIAL, coeffs).coeffs
+    w = (list(weights) + [Fraction(0)] * len(c))[:len(c)]
+    want = [sum((w[j] * math.perm(i + j, j) * c[i + j] for j in range(len(c) - i)),
+                Fraction(0)) for i in range(len(c))]
+    assert poly(Basis.MONOMIAL, _apply_weights(c, w)) == poly(Basis.MONOMIAL, want)
 
 
 @given(coeff_lists, points, points)
@@ -285,6 +300,11 @@ def test_operator_expr_validation():
         OperatorExpr(OperatorKind.SHIFT)  # parameter a is required
     with pytest.raises(ValueError):
         OperatorExpr(OperatorKind.DERIVATIVE, a=Fraction(1))  # power kinds take none
+    for kind in (OperatorKind.SHIFT, OperatorKind.BINOM_SHIFT, OperatorKind.EXP_SHIFT,
+                 OperatorKind.SCALE_OP):
+        with pytest.raises(ValueError):
+            OperatorExpr(kind, k=5, a=Fraction(1))  # parameter kinds take no power
+        assert OperatorExpr(kind, a=Fraction(1)).k == 1
 
 
 @given(coeff_lists, bases)

@@ -118,13 +118,6 @@ def test_run_all_filter_subset_matches_serial_runs():
     assert via_all.max_abs_error == direct.max_abs_error
 
 
-def test_run_all_parallel_matches_serial_order_and_status():
-    serial = run_all(filter="eq1*")
-    par = run_all(filter="eq1*", parallel=True)
-    assert [r.name for r in serial] == [r.name for r in par]
-    assert [r.status for r in serial] == [r.status for r in par]
-
-
 def test_report_to_dict_is_json_ready():
     r = run_check("eq3_rft_definition")
     blob = json.dumps(r.to_dict())
