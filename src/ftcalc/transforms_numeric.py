@@ -110,6 +110,9 @@ class QuadratureSpec:
             raise ValueError("nodes must be >= 2")
         if self.scheme not in ("gauss_laguerre", "adaptive_fallback", "tanh_sinh"):
             raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
+        if self.scheme != "tanh_sinh" and self.nodes > _MAX_NODES // 2:
+            raise ValueError(f"{self.scheme} needs nodes <= {_MAX_NODES // 2}: its n- and "
+                             f"2n-node rules must fit in {_MAX_NODES} nodes, got {self.nodes}")
 
 
 # Gauss-Laguerre rules become numerically unreliable (overflow in the node
@@ -120,7 +123,7 @@ _node_cache: dict = {}
 _node_lock = threading.Lock()
 
 # mpmath working precision is process-global state; serialize tanh_sinh use
-# so concurrent check runs cannot corrupt each other's precision context.
+# so concurrent callers cannot corrupt each other's precision context.
 _mp_lock = threading.Lock()
 
 
@@ -331,7 +334,7 @@ def rft_fn(f: Callable[[float], float], s: float,
             return NumericResult(float(val / mp.gamma(ss)), float(abs(err) / gamma_s))
 
     if quad.scheme == "gauss_laguerre":
-        n = min(quad.nodes, _MAX_NODES // 2)
+        n = quad.nodes
 
         def estimate(m: int) -> float:
             xs, ws = _gauss_laguerre_rule(m, s - 1.0)
@@ -347,7 +350,7 @@ def rft_fn(f: Callable[[float], float], s: float,
         return NumericResult(val, diff)
 
     # adaptive_fallback: plain Laguerre nodes on f(t) t^(s-1), doubling
-    n = max(quad.nodes, 2)
+    n = quad.nodes
     prev = None
     while n <= _MAX_NODES:
         xs, ws = _gauss_laguerre_rule(n, 0.0)

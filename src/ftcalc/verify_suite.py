@@ -3,12 +3,22 @@
 Each check validates one identity or table row of the transform calculus,
 either exactly (rational arithmetic, zero tolerance) or numerically
 (float evaluators against closed-form oracles). Checks are deterministic
-given a seed, never raise on mathematical failure (they report fail), and
-can run concurrently.
+given a seed and never raise on mathematical failure (they report fail).
+
+A check is a table row registered with ``_register``: name, layer,
+description, tolerance and config, plus a body that draws one trial's
+inputs from ``rng`` and yields the ``(lhs, rhs)`` pairs that must agree.
+The row's ``cases`` are its trials (``cfg["trials"]`` random draws, or a
+grid of fixed arguments). ``run_check`` alone loops over them, keeps the
+worst gap and gives the verdict. To add a check, register a body, or a
+family builder such as ``_commutation``, where it should run, and list it
+in ``COVERAGE``.
 
 Informational checks record measured discrepancies for identities whose
 stated form disagrees with independent derivation; they always pass and
 carry a null tolerance. Their findings live in the report detail field.
+They, eq69 and eq91 have custom bodies (``cases=None``) that return all
+pairs, the trial count and the detail at once.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from random import Random
 from typing import Callable, Optional, Sequence
 
@@ -128,19 +139,42 @@ class CheckReport:
         }
 
 
-_REGISTRY: dict = {}
+_REGISTRY: dict = {}  # name -> (spec, body, cases, note)
+
+
+def _repeat(cfg):
+    """Cases of a random-input row: cfg["trials"] independent draws."""
+    return [()] * cfg["trials"]
+
+
+def _each_nm(cfg):
+    return product(range(cfg["max_n"] + 1), repeat=2)
+
+
+def _each_nk(cfg):
+    return product(range(cfg["max_n"] + 1), range(1, cfg["max_k"] + 1))
+
+
+def _grid(*axes):
+    """Cases over the product of fixed argument axes."""
+    return lambda cfg: product(*axes)
 
 
 def _register(name: str, layer: str, description: str, tolerance: Optional[float],
-              informational: bool = False, **config):
-    def deco(fn):
+              cases=_repeat, note: Optional[str] = None, **config):
+    """Register a row; a None tolerance marks it informational.
+
+    The body takes (rng, cfg, *case) and yields the pairs of one trial; with
+    cases=None it takes (rng, cfg) and returns (pairs, trials, detail) for
+    the whole check. note is the report detail of a row with cases.
+    """
+    def deco(body):
         if name in _REGISTRY:
             raise ValueError(f"duplicate check name {name!r}")
-        cfg = dict(config)
-        cfg["tolerance"] = tolerance
-        spec = CheckSpec(name=name, layer=layer, config=cfg, description=description)
-        _REGISTRY[name] = (spec, fn, tolerance, informational)
-        return fn
+        spec = CheckSpec(name=name, layer=layer, config={**config, "tolerance": tolerance},
+                         description=description)
+        _REGISTRY[name] = (spec, body, cases, note)
+        return body
     return deco
 
 
@@ -153,6 +187,11 @@ def _rand_poly(rng: Random, max_degree: int, basis: Basis = Basis.MONOMIAL) -> B
     return poly(basis, [_rand_frac(rng) for _ in range(deg + 1)])
 
 
+def _power(n: int) -> BasisPolynomial:
+    """x^n in the monomial basis."""
+    return monomial([Fraction(0)] * n + [Fraction(1)])
+
+
 def _poly_gap(p: BasisPolynomial, q: BasisPolynomial) -> Fraction:
     """Largest absolute monomial-coefficient difference (exact)."""
     d = convert_basis(p, Basis.MONOMIAL) - convert_basis(q, Basis.MONOMIAL)
@@ -163,416 +202,279 @@ def _poly_gap(p: BasisPolynomial, q: BasisPolynomial) -> Fraction:
 
 # ---------------------------------------------------------------- exact layer
 
-@_register("eq1_fft_definition", "exact",
-           "falling transform carries each monomial coefficient onto the matching "
-           "falling-factorial term", 0.0, trials=100, degree=20)
-def _chk_eq1(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
+def _definition(transform, factorial):
+    """transform(p)(x0) equals sum_n p_n factorial(x0, n)."""
+    def body(rng, cfg):
         p = _rand_poly(rng, cfg["degree"])
         pm = convert_basis(p, Basis.MONOMIAL)
         x0 = _rand_frac(rng)
         direct = sum(
-            (pm.coeff(n) * falling_factorial(x0, n) for n in range(pm.degree + 1)),
+            (pm.coeff(n) * factorial(x0, n) for n in range(pm.degree + 1)),
             start=Fraction(0),
         )
-        worst = max(worst, abs(fft_poly(p).eval(x0) - direct))
-    return worst, cfg["trials"], None
+        yield transform(p).eval(x0), direct
+    return body
 
 
-@_register("eq2_ifft_roundtrip", "exact",
-           "inverse falling transform undoes the falling transform and vice versa",
-           0.0, trials=100, degree=20)
-def _chk_eq2(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
+def _roundtrip(fwd, inv):
+    """inv undoes fwd and fwd undoes inv, in every basis."""
+    def body(rng, cfg):
         p = _rand_poly(rng, cfg["degree"], rng.choice(list(Basis)))
-        worst = max(worst, _poly_gap(ifft_poly(fft_poly(p)), p))
-        worst = max(worst, _poly_gap(fft_poly(ifft_poly(p)), p))
-    return worst, cfg["trials"], None
+        yield inv(fwd(p)), p
+        yield fwd(inv(p)), p
+    return body
 
 
-@_register("eq3_rft_definition", "exact",
-           "rising transform carries each monomial coefficient onto the matching "
-           "rising-factorial term", 0.0, trials=100, degree=20)
-def _chk_eq3(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
+def _reflection(outer, inner):
+    """outer(p) at x equals inner of the reflected argument at -x."""
+    def body(rng, cfg):
         p = _rand_poly(rng, cfg["degree"])
-        pm = convert_basis(p, Basis.MONOMIAL)
-        x0 = _rand_frac(rng)
-        direct = sum(
-            (pm.coeff(n) * rising_factorial(x0, n) for n in range(pm.degree + 1)),
-            start=Fraction(0),
-        )
-        worst = max(worst, abs(rft_poly(p).eval(x0) - direct))
-    return worst, cfg["trials"], None
-
-
-@_register("eq4_irft_roundtrip", "exact",
-           "inverse rising transform undoes the rising transform and vice versa",
-           0.0, trials=100, degree=20)
-def _chk_eq4(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
-        p = _rand_poly(rng, cfg["degree"], rng.choice(list(Basis)))
-        worst = max(worst, _poly_gap(irft_poly(rft_poly(p)), p))
-        worst = max(worst, _poly_gap(rft_poly(irft_poly(p)), p))
-    return worst, cfg["trials"], None
-
-
-@_register("eq10_reflection", "exact",
-           "rising transform at x equals the falling transform of the reflected "
-           "argument evaluated at -x", 0.0, trials=100, degree=12, points=10)
-def _chk_eq10(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
-        p = _rand_poly(rng, cfg["degree"])
-        lhs = rft_poly(p)
-        rhs = fft_poly(negate_argument(p))
+        lhs = outer(p)
+        rhs = inner(negate_argument(p))
         for _ in range(cfg["points"]):
             x0 = _rand_frac(rng)
-            worst = max(worst, abs(lhs.eval(x0) - rhs.eval(-x0)))
-    return worst, cfg["trials"], None
+            yield lhs.eval(x0), rhs.eval(-x0)
+    return body
 
 
-@_register("eq11_dual_reflection", "exact",
-           "falling transform at x equals the rising transform of the reflected "
-           "argument evaluated at -x", 0.0, trials=100, degree=12, points=10)
-def _chk_eq11(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
-        p = _rand_poly(rng, cfg["degree"])
-        lhs = fft_poly(p)
-        rhs = rft_poly(negate_argument(p))
-        for _ in range(cfg["points"]):
-            x0 = _rand_frac(rng)
-            worst = max(worst, abs(lhs.eval(x0) - rhs.eval(-x0)))
-    return worst, cfg["trials"], None
+_register("eq1_fft_definition", "exact",
+          "falling transform carries each monomial coefficient onto the matching "
+          "falling-factorial term", 0.0, trials=100, degree=20)(
+    _definition(fft_poly, falling_factorial))
+_register("eq2_ifft_roundtrip", "exact",
+          "inverse falling transform undoes the falling transform and vice versa",
+          0.0, trials=100, degree=20)(_roundtrip(fft_poly, ifft_poly))
+_register("eq3_rft_definition", "exact",
+          "rising transform carries each monomial coefficient onto the matching "
+          "rising-factorial term", 0.0, trials=100, degree=20)(
+    _definition(rft_poly, rising_factorial))
+_register("eq4_irft_roundtrip", "exact",
+          "inverse rising transform undoes the rising transform and vice versa",
+          0.0, trials=100, degree=20)(_roundtrip(rft_poly, irft_poly))
+_register("eq10_reflection", "exact",
+          "rising transform at x equals the falling transform of the reflected "
+          "argument evaluated at -x", 0.0, trials=100, degree=12, points=10)(
+    _reflection(rft_poly, fft_poly))
+_register("eq11_dual_reflection", "exact",
+          "falling transform at x equals the rising transform of the reflected "
+          "argument evaluated at -x", 0.0, trials=100, degree=12, points=10)(
+    _reflection(fft_poly, rft_poly))
 
 
 @_register("eq12_13_linearity", "exact",
            "both transforms are linear over rational scalars", 0.0,
            trials=100, degree=12)
 def _chk_eq12(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
-        p, q = _rand_poly(rng, cfg["degree"]), _rand_poly(rng, cfg["degree"])
-        a, b = _rand_frac(rng), _rand_frac(rng)
-        combo = p.scale(a) + q.scale(b)
-        worst = max(worst, _poly_gap(fft_poly(combo), fft_poly(p).scale(a) + fft_poly(q).scale(b)))
-        worst = max(worst, _poly_gap(rft_poly(combo), rft_poly(p).scale(a) + rft_poly(q).scale(b)))
-    return worst, cfg["trials"], None
+    p, q = _rand_poly(rng, cfg["degree"]), _rand_poly(rng, cfg["degree"])
+    a, b = _rand_frac(rng), _rand_frac(rng)
+    combo = p.scale(a) + q.scale(b)
+    for transform in (fft_poly, rft_poly):
+        yield transform(combo), transform(p).scale(a) + transform(q).scale(b)
 
 
 @_register("eq14_15_monomial_action", "exact",
            "derivatives of monomials and differences of falling factorials share "
-           "the same diagonal coefficient action", 0.0, max_n=10, max_k=3)
-def _chk_eq14(rng, cfg):
-    worst = Fraction(0)
-    trials = 0
-    for n in range(cfg["max_n"] + 1):
-        for k in range(1, cfg["max_k"] + 1):
-            trials += 1
-            xs = monomial([Fraction(0)] * n + [Fraction(1)])
-            fu = falling_unit(n)
-            scale = falling_factorial(Fraction(n), k)
-            lhs = fft_poly(apply_operator(derivative(k), xs))
-            rhs = apply_operator(forward_difference(k), fu)
-            direct = falling_unit(n - k).scale(scale) if n >= k else poly(Basis.FALLING, [0])
-            worst = max(worst, _poly_gap(lhs, rhs), _poly_gap(lhs, direct))
-            lhs2 = ifft_poly(apply_operator(forward_difference(k), fu))
-            rhs2 = apply_operator(derivative(k), xs)
-            worst = max(worst, _poly_gap(lhs2, rhs2))
-    return worst, trials, None
+           "the same diagonal coefficient action", 0.0, cases=_each_nk, max_n=10, max_k=3)
+def _chk_eq14(rng, cfg, n, k):
+    xs = _power(n)
+    fu = falling_unit(n)
+    lhs = fft_poly(apply_operator(derivative(k), xs))
+    yield lhs, apply_operator(forward_difference(k), fu)
+    yield lhs, (falling_unit(n - k).scale(falling_factorial(Fraction(n), k)) if n >= k
+                else poly(Basis.FALLING, [0]))
+    yield (ifft_poly(apply_operator(forward_difference(k), fu)),
+           apply_operator(derivative(k), xs))
 
 
-@_register("eq16_fft_derivative_commutation", "exact",
-           "falling transform swaps k-fold derivatives for k-fold forward differences",
-           0.0, trials=100, degree=10, max_k=3)
-def _chk_eq16(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
+def _commutation(transform, op_in, op_out):
+    """transform(op_in^k p) equals op_out^k applied to transform(p)."""
+    def body(rng, cfg):
         p = _rand_poly(rng, cfg["degree"])
         k = rng.randint(1, cfg["max_k"])
-        worst = max(worst, _poly_gap(
-            fft_poly(apply_operator(derivative(k), p)),
-            apply_operator(forward_difference(k), fft_poly(p))))
-    return worst, cfg["trials"], None
+        yield (transform(apply_operator(op_in(k), p)),
+               apply_operator(op_out(k), transform(p)))
+    return body
 
 
-@_register("eq17_ifft_difference_commutation", "exact",
-           "inverse falling transform swaps k-fold forward differences for derivatives",
-           0.0, trials=100, degree=10, max_k=3)
-def _chk_eq17(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
-        p = _rand_poly(rng, cfg["degree"])
-        k = rng.randint(1, cfg["max_k"])
-        worst = max(worst, _poly_gap(
-            ifft_poly(apply_operator(forward_difference(k), p)),
-            apply_operator(derivative(k), ifft_poly(p))))
-    return worst, cfg["trials"], None
-
-
-@_register("eq18_ifft_derivative_log_operator", "exact",
-           "inverse falling transform turns derivatives into powers of log(1+D)",
-           0.0, trials=100, degree=10, max_k=3)
-def _chk_eq18(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
-        p = _rand_poly(rng, cfg["degree"])
-        k = rng.randint(1, cfg["max_k"])
-        worst = max(worst, _poly_gap(
-            ifft_poly(apply_operator(derivative(k), p)),
-            apply_operator(log1p_derivative(k), ifft_poly(p))))
-    return worst, cfg["trials"], None
-
-
-@_register("eq19_fft_difference_exp_operator", "exact",
-           "falling transform turns forward differences into powers of exp(D)-1",
-           0.0, trials=100, degree=10, max_k=3)
-def _chk_eq19(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
-        p = _rand_poly(rng, cfg["degree"])
-        k = rng.randint(1, cfg["max_k"])
-        worst = max(worst, _poly_gap(
-            fft_poly(apply_operator(forward_difference(k), p)),
-            apply_operator(expdiff_minus1(k), fft_poly(p))))
-    return worst, cfg["trials"], None
+_register("eq16_fft_derivative_commutation", "exact",
+          "falling transform swaps k-fold derivatives for k-fold forward differences",
+          0.0, trials=100, degree=10, max_k=3)(
+    _commutation(fft_poly, derivative, forward_difference))
+_register("eq17_ifft_difference_commutation", "exact",
+          "inverse falling transform swaps k-fold forward differences for derivatives",
+          0.0, trials=100, degree=10, max_k=3)(
+    _commutation(ifft_poly, forward_difference, derivative))
+_register("eq18_ifft_derivative_log_operator", "exact",
+          "inverse falling transform turns derivatives into powers of log(1+D)",
+          0.0, trials=100, degree=10, max_k=3)(
+    _commutation(ifft_poly, derivative, log1p_derivative))
+_register("eq19_fft_difference_exp_operator", "exact",
+          "falling transform turns forward differences into powers of exp(D)-1",
+          0.0, trials=100, degree=10, max_k=3)(
+    _commutation(fft_poly, forward_difference, expdiff_minus1))
 
 
 @_register("eq20_21_indefinite_kernel", "exact",
            "with zero-at-origin normalization the transforms swap antiderivatives "
            "and indefinite sums exactly", 0.0, trials=100, degree=10, max_k=2)
 def _chk_eq20(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
-        p = _rand_poly(rng, cfg["degree"])
-        k = rng.randint(1, cfg["max_k"])
-        ak, sk = p, fft_poly(p)
+    p = _rand_poly(rng, cfg["degree"])
+    k = rng.randint(1, cfg["max_k"])
+    for transform, inner, outer in ((fft_poly, antiderivative, indefinite_sum),
+                                    (ifft_poly, indefinite_sum, antiderivative)):
+        u, v = p, transform(p)
         for _ in range(k):
-            ak = antiderivative(ak)
-            sk = indefinite_sum(sk)
-        worst = max(worst, _poly_gap(fft_poly(ak), sk))
-        bk, tk = p, ifft_poly(p)
-        for _ in range(k):
-            bk = indefinite_sum(bk)
-            tk = antiderivative(tk)
-        worst = max(worst, _poly_gap(ifft_poly(bk), tk))
-    return worst, cfg["trials"], None
+            u, v = inner(u), outer(v)
+        yield transform(u), v
 
 
 @_register("eq22_23_series_inverse_kernel", "exact",
            "series inverses of log(1+D) and exp(D)-1 agree with the transformed "
            "antiderivative and indefinite sum", 0.0, trials=100, degree=10)
 def _chk_eq22(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
-        p = _rand_poly(rng, cfg["degree"])
-        q = ifft_poly(antiderivative(p))
-        r = log1p_derivative_inverse(ifft_poly(p))
-        worst = max(worst, _poly_gap(q, r))
-        worst = max(worst, _poly_gap(apply_operator(log1p_derivative(1), r), ifft_poly(p)))
-        u = fft_poly(indefinite_sum(p))
-        v = expdiff_minus1_inverse(fft_poly(p))
-        worst = max(worst, _poly_gap(u, v))
-        worst = max(worst, _poly_gap(apply_operator(expdiff_minus1(1), v), fft_poly(p)))
-    return worst, cfg["trials"], None
+    p = _rand_poly(rng, cfg["degree"])
+    r = log1p_derivative_inverse(ifft_poly(p))
+    yield ifft_poly(antiderivative(p)), r
+    yield apply_operator(log1p_derivative(1), r), ifft_poly(p)
+    v = expdiff_minus1_inverse(fft_poly(p))
+    yield fft_poly(indefinite_sum(p)), v
+    yield apply_operator(expdiff_minus1(1), v), fft_poly(p)
 
 
-@_register("eq25_operator_expansion", "exact",
-           "monomial coefficients of the falling transform are log(1+D) powers "
-           "at the origin over k factorial", 0.0, trials=100, degree=10)
-def _chk_eq25(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
+def _expansion(transform, basis, op):
+    """The basis coefficients of transform(p) are op^k p at the origin over k!."""
+    def body(rng, cfg):
         p = _rand_poly(rng, cfg["degree"])
-        F = convert_basis(fft_poly(p), Basis.MONOMIAL)
+        F = convert_basis(transform(p), basis)
         for k in range(F.degree + 1):
-            want = apply_operator(log1p_derivative(k), p).eval(Fraction(0)) / math.factorial(k)
-            worst = max(worst, abs(F.coeff(k) - want))
-    return worst, cfg["trials"], None
+            yield F.coeff(k), apply_operator(op(k), p).eval(Fraction(0)) / math.factorial(k)
+    return body
 
 
-@_register("eq26_dual_operator_expansion", "exact",
-           "falling coefficients of the inverse transform are exp(D)-1 powers "
-           "at the origin over k factorial", 0.0, trials=100, degree=10)
-def _chk_eq26(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
-        p = _rand_poly(rng, cfg["degree"])
-        G = convert_basis(ifft_poly(p), Basis.FALLING)
-        for k in range(G.degree + 1):
-            want = apply_operator(expdiff_minus1(k), p).eval(Fraction(0)) / math.factorial(k)
-            worst = max(worst, abs(G.coeff(k) - want))
-    return worst, cfg["trials"], None
+_register("eq25_operator_expansion", "exact",
+          "monomial coefficients of the falling transform are log(1+D) powers "
+          "at the origin over k factorial", 0.0, trials=100, degree=10)(
+    _expansion(fft_poly, Basis.MONOMIAL, log1p_derivative))
+_register("eq26_dual_operator_expansion", "exact",
+          "falling coefficients of the inverse transform are exp(D)-1 powers "
+          "at the origin over k factorial", 0.0, trials=100, degree=10)(
+    _expansion(ifft_poly, Basis.FALLING, expdiff_minus1))
 
 
 @_register("eq27_28_ladder", "exact",
            "log(1+D) lowers Touchard polynomials and exp(D)-1 lowers the dual "
-           "family with falling-factorial weights", 0.0, max_n=8, max_k=3)
-def _chk_eq27(rng, cfg):
-    worst = Fraction(0)
-    trials = 0
-    for n in range(cfg["max_n"] + 1):
-        for k in range(1, cfg["max_k"] + 1):
-            trials += 1
-            w = falling_factorial(Fraction(n), k)
-            wantT = touchard(n - k).scale(w) if n >= k else monomial([0])
-            worst = max(worst, _poly_gap(apply_operator(log1p_derivative(k), touchard(n)), wantT))
-            wantZ = z_poly(n - k).scale(w) if n >= k else poly(Basis.FALLING, [0])
-            worst = max(worst, _poly_gap(apply_operator(expdiff_minus1(k), z_poly(n)), wantZ))
-    return worst, trials, None
+           "family with falling-factorial weights", 0.0, cases=_each_nk, max_n=8, max_k=3)
+def _chk_eq27(rng, cfg, n, k):
+    w = falling_factorial(Fraction(n), k)
+    yield (apply_operator(log1p_derivative(k), touchard(n)),
+           touchard(n - k).scale(w) if n >= k else monomial([0]))
+    yield (apply_operator(expdiff_minus1(k), z_poly(n)),
+           z_poly(n - k).scale(w) if n >= k else poly(Basis.FALLING, [0]))
+
+
+def _reconstructions(p: BasisPolynomial, x0: Fraction, move) -> tuple:
+    """Touchard and dual expansions of p about x0; move re-centres each term."""
+    sumT = monomial([0])
+    sumZ = monomial([0])
+    for k in range(max(p.degree, 0) + 1):
+        ck = apply_operator(log1p_derivative(k), p).eval(x0) / math.factorial(k)
+        dk = apply_operator(expdiff_minus1(k), p).eval(x0) / math.factorial(k)
+        sumT = sumT + move(touchard(k)).scale(ck)
+        sumZ = sumZ + convert_basis(move(z_poly(k)), Basis.MONOMIAL).scale(dk)
+    return sumT, sumZ
 
 
 @_register("eq29_30_series_reconstruction", "exact",
            "polynomials are recovered from their Touchard and dual expansions "
            "about the origin", 0.0, trials=100, degree=10)
 def _chk_eq29(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
-        p = _rand_poly(rng, cfg["degree"])
-        deg = max(p.degree, 0)
-        sumT = monomial([0])
-        sumZ = monomial([0])
-        for k in range(deg + 1):
-            ck = apply_operator(log1p_derivative(k), p).eval(Fraction(0)) / math.factorial(k)
-            dk = apply_operator(expdiff_minus1(k), p).eval(Fraction(0)) / math.factorial(k)
-            sumT = sumT + touchard(k).scale(ck)
-            sumZ = sumZ + convert_basis(z_poly(k), Basis.MONOMIAL).scale(dk)
-        worst = max(worst, _poly_gap(sumT, p), _poly_gap(sumZ, p))
-    return worst, cfg["trials"], None
+    p = _rand_poly(rng, cfg["degree"])
+    for rebuilt in _reconstructions(p, Fraction(0), lambda q: q):
+        yield rebuilt, p
 
 
 @_register("eq31_32_shifted_reconstruction", "exact",
            "the Touchard and dual expansions also recover polynomials about "
            "shifted centers", 0.0, trials=40, degree=10)
 def _chk_eq31(rng, cfg):
-    worst = Fraction(0)
-    centers = [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2)]
-    for _ in range(cfg["trials"]):
-        p = _rand_poly(rng, cfg["degree"])
-        deg = max(p.degree, 0)
-        for x0 in centers:
-            sumT = monomial([0])
-            sumZ = monomial([0])
-            for k in range(deg + 1):
-                ck = apply_operator(log1p_derivative(k), p).eval(x0) / math.factorial(k)
-                dk = apply_operator(expdiff_minus1(k), p).eval(x0) / math.factorial(k)
-                sumT = sumT + shift(touchard(k), -x0).scale(ck)
-                sumZ = sumZ + convert_basis(shift(z_poly(k), -x0), Basis.MONOMIAL).scale(dk)
-            worst = max(worst, _poly_gap(sumT, p), _poly_gap(sumZ, p))
-    return worst, cfg["trials"], None
+    p = _rand_poly(rng, cfg["degree"])
+    for x0 in (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2)):
+        for rebuilt in _reconstructions(p, x0, lambda q: shift(q, -x0)):
+            yield rebuilt, p
+
+
+_SHIFTS = (Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(3, 4))
 
 
 @_register("eq33_34_shifting", "exact",
            "argument shifts become exp(aDelta) after the falling transform and "
            "(1+D)^a after its inverse", 0.0, trials=100, degree=8)
 def _chk_eq33(rng, cfg):
-    worst = Fraction(0)
-    shifts = [Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(3, 4)]
-    for _ in range(cfg["trials"]):
-        p = _rand_poly(rng, cfg["degree"])
-        a = rng.choice(shifts)
-        worst = max(worst, _poly_gap(fft_poly(shift(p, a)),
-                                     apply_operator(exp_shift(a), fft_poly(p))))
-        worst = max(worst, _poly_gap(ifft_poly(shift(p, a)),
-                                     apply_operator(binom_shift(a), ifft_poly(p))))
-    return worst, cfg["trials"], None
+    p = _rand_poly(rng, cfg["degree"])
+    a = rng.choice(_SHIFTS)
+    yield fft_poly(shift(p, a)), apply_operator(exp_shift(a), fft_poly(p))
+    yield ifft_poly(shift(p, a)), apply_operator(binom_shift(a), ifft_poly(p))
 
 
 @_register("eq35_36_outer_shift", "exact",
            "transforming the shift parameter itself turns the exponential shift "
            "series into a plain argument shift", 0.0, trials=60, degree=8)
 def _chk_eq35(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
-        p = _rand_poly(rng, cfg["degree"])
-        x0, a0 = _rand_frac(rng), _rand_frac(rng)
-        F = fft_poly(p)
+    p = _rand_poly(rng, cfg["degree"])
+    x0, a0 = _rand_frac(rng), _rand_frac(rng)
+    for transform, op, weight in ((fft_poly, forward_difference, falling_factorial),
+                                  (ifft_poly, derivative, lambda a, n: a ** n)):
+        F = transform(p)
         acc = Fraction(0)
         cur = F
         for n in range(F.degree + 2):
-            acc += falling_factorial(a0, n) * cur.eval(x0) / math.factorial(n)
-            cur = apply_operator(forward_difference(1), cur)
-        worst = max(worst, abs(acc - F.eval(x0 + a0)))
-        G = ifft_poly(p)
-        acc = Fraction(0)
-        cur = G
-        for n in range(G.degree + 2):
-            acc += a0 ** n * cur.eval(x0) / math.factorial(n)
-            cur = apply_operator(derivative(1), cur)
-        worst = max(worst, abs(acc - G.eval(x0 + a0)))
-    return worst, cfg["trials"], None
+            acc += weight(a0, n) * cur.eval(x0) / math.factorial(n)
+            cur = apply_operator(op(1), cur)
+        yield acc, F.eval(x0 + a0)
 
 
 @_register("eq37_charlier_laguerre_shift", "exact",
            "the transform of a shifted power matches its binomial expansion, a "
            "Laguerre value, and a sign-normalized Charlier value", 0.0,
-           trials=30, max_n=8)
+           note="Charlier leg uses prefactor a^n (holds for all n)", trials=30, max_n=8)
 def _chk_eq37(rng, cfg):
-    worst = Fraction(0)
-    shifts = [Fraction(1), Fraction(2), Fraction(1, 2)]
-    for _ in range(cfg["trials"]):
-        a = rng.choice(shifts)
-        n = rng.randint(0, cfg["max_n"])
-        xs = monomial([Fraction(0)] * n + [Fraction(1)])
-        lhs = fft_poly(shift(xs, a))
-        expanded = poly(Basis.FALLING,
-                        [math.comb(n, k) * a ** (n - k) for k in range(n + 1)])
-        worst = max(worst, _poly_gap(lhs, expanded))
-        x0 = _rand_frac(rng)
-        lag = math.factorial(n) * laguerre(n, x0 - n).eval(-a)
-        worst = max(worst, abs(lhs.eval(x0) - lag))
-        # sign-normalized: a^n c_n(x, -a); the (-a)^n prefactor printed in
-        # some statements of this identity only matches at even n
-        cha = a ** n * charlier(n, x0, -a)
-        worst = max(worst, abs(lhs.eval(x0) - cha))
-    return worst, cfg["trials"], "Charlier leg uses prefactor a^n (holds for all n)"
+    a = rng.choice([Fraction(1), Fraction(2), Fraction(1, 2)])
+    n = rng.randint(0, cfg["max_n"])
+    lhs = fft_poly(shift(_power(n), a))
+    yield lhs, poly(Basis.FALLING, [math.comb(n, k) * a ** (n - k) for k in range(n + 1)])
+    x0 = _rand_frac(rng)
+    yield lhs.eval(x0), math.factorial(n) * laguerre(n, x0 - n).eval(-a)
+    # sign-normalized: a^n c_n(x, -a); the (-a)^n prefactor printed in
+    # some statements of this identity only matches at even n
+    yield lhs.eval(x0), a ** n * charlier(n, x0, -a)
 
 
 @_register("eq38_charlier_laguerre_dual", "exact",
            "the inverse transform of a shifted falling factorial matches its "
            "expansion, a Laguerre polynomial, and a Charlier value", 0.0,
-           trials=30, max_n=8)
+           note="Charlier leg uses prefactor x^n (holds for all n)", trials=30, max_n=8)
 def _chk_eq38(rng, cfg):
-    worst = Fraction(0)
-    shifts = [Fraction(1), Fraction(2), Fraction(1, 2)]
-    for _ in range(cfg["trials"]):
-        a = rng.choice(shifts)
-        n = rng.randint(0, cfg["max_n"])
-        lhs = ifft_poly(shift(falling_unit(n), a))
-        expanded = monomial(
-            [math.comb(n, k) * falling_factorial(a, n - k) for k in range(n + 1)])
-        worst = max(worst, _poly_gap(lhs, expanded))
-        lag = negate_argument(laguerre(n, a - n)).scale(math.factorial(n))
-        worst = max(worst, _poly_gap(lhs, lag))
-        x0 = _rand_frac(rng)
-        if x0 != 0:
-            cha = x0 ** n * charlier(n, a, -x0)
-            worst = max(worst, abs(lhs.eval(x0) - cha))
-    return worst, cfg["trials"], "Charlier leg uses prefactor x^n (holds for all n)"
+    a = rng.choice([Fraction(1), Fraction(2), Fraction(1, 2)])
+    n = rng.randint(0, cfg["max_n"])
+    lhs = ifft_poly(shift(falling_unit(n), a))
+    yield lhs, monomial([math.comb(n, k) * falling_factorial(a, n - k) for k in range(n + 1)])
+    yield lhs, negate_argument(laguerre(n, a - n)).scale(math.factorial(n))
+    x0 = _rand_frac(rng)
+    if x0 != 0:
+        yield lhs.eval(x0), x0 ** n * charlier(n, a, -x0)
 
 
 @_register("eq40_41_basis_shift", "exact",
            "multiplying by a power or falling factorial shifts the transform "
            "argument", 0.0, trials=60, degree=6, max_n=5)
 def _chk_eq40(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
-        g = _rand_poly(rng, cfg["degree"])
-        n = rng.randint(0, cfg["max_n"])
-        xs = monomial([Fraction(0)] * n + [Fraction(1)])
-        lhs = fft_poly(multiply(xs, g))
-        rhs = multiply(falling_unit(n), shift(fft_poly(g), Fraction(-n)))
-        worst = max(worst, _poly_gap(lhs, rhs))
-        gf = convert_basis(g, Basis.FALLING)
-        lhs2 = ifft_poly(multiply(falling_unit(n), gf))
-        rhs2 = multiply(xs, ifft_poly(shift(g, Fraction(n))))
-        worst = max(worst, _poly_gap(lhs2, rhs2))
-    return worst, cfg["trials"], None
+    g = _rand_poly(rng, cfg["degree"])
+    n = rng.randint(0, cfg["max_n"])
+    xs = _power(n)
+    yield (fft_poly(multiply(xs, g)),
+           multiply(falling_unit(n), shift(fft_poly(g), Fraction(-n))))
+    yield (ifft_poly(multiply(falling_unit(n), convert_basis(g, Basis.FALLING))),
+           multiply(xs, ifft_poly(shift(g, Fraction(n)))))
 
 
 def _egf_weighted_newton(q: BasisPolynomial, k: int, sign: int) -> Fraction:
@@ -594,14 +496,9 @@ def _egf_weighted_newton(q: BasisPolynomial, k: int, sign: int) -> Fraction:
            "the exponential generating function route", 0.0, trials=40,
            degree=5, max_point=12)
 def _chk_eq43(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
-        p = _rand_poly(rng, cfg["degree"])
-        k = rng.randint(0, cfg["max_point"])
-        direct = binomial_transform(p, k)
-        routed = _egf_weighted_newton(ifft_poly(p), k, +1)
-        worst = max(worst, abs(direct - routed))
-    return worst, cfg["trials"], None
+    p = _rand_poly(rng, cfg["degree"])
+    k = rng.randint(0, cfg["max_point"])
+    yield binomial_transform(p, k), _egf_weighted_newton(ifft_poly(p), k, +1)
 
 
 @_register("eq45_46_bt_inverse", "exact",
@@ -609,56 +506,40 @@ def _chk_eq43(rng, cfg):
            "transform and matches its generating-function route", 0.0,
            trials=40, degree=5, max_point=10)
 def _chk_eq45(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
-        p = _rand_poly(rng, cfg["degree"])
-        k = rng.randint(0, cfg["max_point"])
-        bt = lambda n, p=p: binomial_transform(p, n)
-        worst = max(worst, abs(inverse_binomial_transform(bt, k) - p.eval(Fraction(k))))
-        direct = inverse_binomial_transform(p, k)
-        routed = _egf_weighted_newton(ifft_poly(p), k, -1)
-        worst = max(worst, abs(direct - routed))
-    return worst, cfg["trials"], None
+    p = _rand_poly(rng, cfg["degree"])
+    k = rng.randint(0, cfg["max_point"])
+    yield inverse_binomial_transform(lambda n: binomial_transform(p, n), k), p.eval(Fraction(k))
+    yield inverse_binomial_transform(p, k), _egf_weighted_newton(ifft_poly(p), k, -1)
 
 
 @_register("eq47_conv_commutes", "exact",
            "binomial convolution at integer points is symmetric in its arguments",
            0.0, trials=40, degree=5, max_point=12)
 def _chk_eq47(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
-        f = _rand_poly(rng, cfg["degree"])
-        g = _rand_poly(rng, cfg["degree"])
-        k = rng.randint(0, cfg["max_point"])
-        worst = max(worst, abs(binomial_convolution(f, g, k) - binomial_convolution(g, f, k)))
-    return worst, cfg["trials"], None
+    f = _rand_poly(rng, cfg["degree"])
+    g = _rand_poly(rng, cfg["degree"])
+    k = rng.randint(0, cfg["max_point"])
+    yield binomial_convolution(f, g, k), binomial_convolution(g, f, k)
 
 
 @_register("eq48_53_conv_egf_product", "exact",
            "binomial convolution values are the coefficients of the product of "
            "exponential generating functions", 0.0, trials=30, degree=5, terms=31)
 def _chk_eq48(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
-        f = _rand_poly(rng, cfg["degree"])
-        g = _rand_poly(rng, cfg["degree"])
-        prod = egf_product_coeffs(f, g, cfg["terms"])
-        for k in range(cfg["terms"]):
-            worst = max(worst, abs(prod[k] - binomial_convolution(f, g, k)))
-    return worst, cfg["trials"], None
+    f = _rand_poly(rng, cfg["degree"])
+    g = _rand_poly(rng, cfg["degree"])
+    prod = egf_product_coeffs(f, g, cfg["terms"])
+    for k in range(cfg["terms"]):
+        yield prod[k], binomial_convolution(f, g, k)
 
 
 @_register("eq50_conv_bt", "exact",
            "convolving with the constant sequence one reproduces the binomial "
            "transform", 0.0, trials=40, degree=5, max_point=20)
 def _chk_eq50(rng, cfg):
-    worst = Fraction(0)
-    one = lambda n: Fraction(1)
-    for _ in range(cfg["trials"]):
-        g = _rand_poly(rng, cfg["degree"])
-        k = rng.randint(0, cfg["max_point"])
-        worst = max(worst, abs(binomial_convolution(one, g, k) - binomial_transform(g, k)))
-    return worst, cfg["trials"], None
+    g = _rand_poly(rng, cfg["degree"])
+    k = rng.randint(0, cfg["max_point"])
+    yield binomial_convolution(lambda n: Fraction(1), g, k), binomial_transform(g, k)
 
 
 @_register("eq51_52_consecutive_conv", "exact",
@@ -666,82 +547,60 @@ def _chk_eq50(rng, cfg):
            "power of a series is recovered through the convolution chain", 0.0,
            trials=20, degree=3, max_point=9)
 def _chk_eq51(rng, cfg):
-    worst = Fraction(0)
     K = cfg["max_point"]
-    for _ in range(cfg["trials"]):
-        f = _rand_poly(rng, cfg["degree"])
-        conv1 = [binomial_convolution(f, f, k) for k in range(K + 1)]
-        conv2 = [binomial_convolution(lambda n: conv1[n], f, k) for k in range(K + 1)]
-        u = [f.eval(Fraction(j)) / math.factorial(j) for j in range(K + 1)]
-        pw = u[:]
-        for it in (conv1, conv2):
-            pw = [sum((pw[i] * u[k - i] for i in range(k + 1)), start=Fraction(0))
-                  for k in range(K + 1)]
-            for k in range(K + 1):
-                worst = max(worst, abs(it[k] - math.factorial(k) * pw[k]))
-        # power-of-series route: coefficients of f(x)^n from the chain
-        pm = convert_basis(f, Basis.MONOMIAL)
-        F = lambda k, pm=pm: math.factorial(k) * pm.coeff(k)
-        chain = [binomial_convolution(F, F, k) for k in range(K + 1)]
-        chain2 = [binomial_convolution(lambda n: chain[n], F, k) for k in range(K + 1)]
-        square = multiply(pm, pm)
-        cube = multiply(square, pm)
+    f = _rand_poly(rng, cfg["degree"])
+    conv1 = [binomial_convolution(f, f, k) for k in range(K + 1)]
+    conv2 = [binomial_convolution(lambda n: conv1[n], f, k) for k in range(K + 1)]
+    u = [f.eval(Fraction(j)) / math.factorial(j) for j in range(K + 1)]
+    pw = u[:]
+    for it in (conv1, conv2):
+        pw = [sum((pw[i] * u[k - i] for i in range(k + 1)), start=Fraction(0))
+              for k in range(K + 1)]
         for k in range(K + 1):
-            worst = max(worst, abs(chain[k] / math.factorial(k) - square.coeff(k)))
-            worst = max(worst, abs(chain2[k] / math.factorial(k) - cube.coeff(k)))
-    return worst, cfg["trials"], None
+            yield it[k], math.factorial(k) * pw[k]
+    # power-of-series route: coefficients of f(x)^n from the chain
+    pm = convert_basis(f, Basis.MONOMIAL)
+    F = lambda k: math.factorial(k) * pm.coeff(k)
+    chain = [binomial_convolution(F, F, k) for k in range(K + 1)]
+    chain2 = [binomial_convolution(lambda n: chain[n], F, k) for k in range(K + 1)]
+    square = multiply(pm, pm)
+    cube = multiply(square, pm)
+    for k in range(K + 1):
+        yield chain[k] / math.factorial(k), square.coeff(k)
+        yield chain2[k] / math.factorial(k), cube.coeff(k)
 
 
 @_register("eq55_scaling", "exact",
            "argument scaling becomes the backward-difference scaling operator "
            "after the falling transform", 0.0, trials=100, degree=8)
 def _chk_eq55(rng, cfg):
-    worst = Fraction(0)
-    scales = [Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(3, 4)]
-    for _ in range(cfg["trials"]):
-        p = _rand_poly(rng, cfg["degree"])
-        a = rng.choice(scales)
-        worst = max(worst, _poly_gap(fft_poly(scale_argument(p, a)),
-                                     apply_operator(scale_op(a), fft_poly(p))))
-    return worst, cfg["trials"], None
+    p = _rand_poly(rng, cfg["degree"])
+    a = rng.choice(_SHIFTS)
+    yield fft_poly(scale_argument(p, a)), apply_operator(scale_op(a), fft_poly(p))
 
 
 @_register("eq56_laguerre_product", "exact",
            "the inverse transform of a falling-factorial product is a power "
-           "times a generalized Laguerre polynomial", 0.0, max_n=5)
-def _chk_eq56(rng, cfg):
-    worst = Fraction(0)
-    trials = 0
-    for n in range(cfg["max_n"] + 1):
-        for m in range(cfg["max_n"] + 1):
-            trials += 1
-            lhs = ifft_poly(multiply(falling_unit(n), falling_unit(m)))
-            xs = monomial([Fraction(0)] * n + [Fraction(1)])
-            rhs = multiply(xs, negate_argument(laguerre(m, Fraction(n - m)))
-                           .scale(math.factorial(m)))
-            worst = max(worst, _poly_gap(lhs, rhs))
-    return worst, trials, None
+           "times a generalized Laguerre polynomial", 0.0, cases=_each_nm, max_n=5)
+def _chk_eq56(rng, cfg, n, m):
+    yield (ifft_poly(multiply(falling_unit(n), falling_unit(m))),
+           multiply(_power(n), negate_argument(laguerre(m, Fraction(n - m)))
+                    .scale(math.factorial(m))))
 
 
 @_register("eq57_falling_linearization", "exact",
            "products of falling factorials relinearize with binomial-weighted "
-           "falling factorials", 0.0, max_n=6)
-def _chk_eq57(rng, cfg):
-    worst = Fraction(0)
-    trials = 0
-    for n in range(cfg["max_n"] + 1):
-        for m in range(cfg["max_n"] + 1):
-            trials += 1
-            route1 = multiply(falling_unit(n), falling_unit(m))
-            mono = multiply(convert_basis(falling_unit(n), Basis.MONOMIAL),
-                            convert_basis(falling_unit(m), Basis.MONOMIAL))
-            route2 = convert_basis(mono, Basis.FALLING)
-            direct = poly(Basis.FALLING, [0])
-            for k in range(min(n, m) + 1):
-                w = math.comb(n, k) * math.comb(m, k) * math.factorial(k)
-                direct = direct + falling_unit(n + m - k).scale(Fraction(w))
-            worst = max(worst, _poly_gap(route1, route2), _poly_gap(route1, direct))
-    return worst, trials, None
+           "falling factorials", 0.0, cases=_each_nm, max_n=6)
+def _chk_eq57(rng, cfg, n, m):
+    route1 = multiply(falling_unit(n), falling_unit(m))
+    mono = multiply(convert_basis(falling_unit(n), Basis.MONOMIAL),
+                    convert_basis(falling_unit(m), Basis.MONOMIAL))
+    yield route1, convert_basis(mono, Basis.FALLING)
+    direct = poly(Basis.FALLING, [0])
+    for k in range(min(n, m) + 1):
+        w = math.comb(n, k) * math.comb(m, k) * math.factorial(k)
+        direct = direct + falling_unit(n + m - k).scale(Fraction(w))
+    yield route1, direct
 
 
 def _theta_sum(u: BasisPolynomial, v: BasisPolynomial) -> BasisPolynomial:
@@ -761,18 +620,12 @@ def _theta_sum(u: BasisPolynomial, v: BasisPolynomial) -> BasisPolynomial:
            "the derivative-pairing sum computes the inverse transform of a "
            "product and the product of transforms", 0.0, trials=60, degree=8)
 def _chk_eq58(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
-        f = _rand_poly(rng, cfg["degree"])
-        g = _rand_poly(rng, cfg["degree"])
-        worst = max(worst, _poly_gap(hadamard_ifft(f, g), ifft_poly(multiply(f, g))))
-        worst = max(worst, _poly_gap(ifft_poly(multiply(f, g)),
-                                     _theta_sum(ifft_poly(f), ifft_poly(g))))
-        # the pairing sum runs over the pre-images of the two factors
-        worst = max(worst, _poly_gap(
-            multiply(fft_poly(f), fft_poly(g)),
-            fft_poly(_theta_sum(f, g))))
-    return worst, cfg["trials"], None
+    f = _rand_poly(rng, cfg["degree"])
+    g = _rand_poly(rng, cfg["degree"])
+    yield hadamard_ifft(f, g), ifft_poly(multiply(f, g))
+    yield ifft_poly(multiply(f, g)), _theta_sum(ifft_poly(f), ifft_poly(g))
+    # the pairing sum runs over the pre-images of the two factors
+    yield multiply(fft_poly(f), fft_poly(g)), fft_poly(_theta_sum(f, g))
 
 
 @_register("eq60_61_integer_chain", "exact",
@@ -780,56 +633,50 @@ def _chk_eq58(rng, cfg):
            "convolution of transforms at integer points", 0.0, trials=30,
            degree=5, max_point=12)
 def _chk_eq60(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
-        F = _rand_poly(rng, cfg["degree"])
-        G = _rand_poly(rng, cfg["degree"])
-        lhs_poly = fft_poly(multiply(F, G))
-        fF, fG = fft_poly(F), fft_poly(G)
-        conv = lambda n, fF=fF, fG=fG: binomial_convolution(
-            lambda i: fF.eval(Fraction(i)), lambda j: fG.eval(Fraction(j)), n)
-        for k in range(cfg["max_point"] + 1):
-            worst = max(worst, abs(lhs_poly.eval(Fraction(k))
-                                   - inverse_binomial_transform(conv, k)))
-    return worst, cfg["trials"], None
+    F = _rand_poly(rng, cfg["degree"])
+    G = _rand_poly(rng, cfg["degree"])
+    lhs_poly = fft_poly(multiply(F, G))
+    fF, fG = fft_poly(F), fft_poly(G)
+    conv = lambda n: binomial_convolution(
+        lambda i: fF.eval(Fraction(i)), lambda j: fG.eval(Fraction(j)), n)
+    for k in range(cfg["max_point"] + 1):
+        yield lhs_poly.eval(Fraction(k)), inverse_binomial_transform(conv, k)
 
 
 @_register("eq62_63_coefficient_extraction", "exact",
            "power series coefficients come out of the weighted Newton sum and "
            "rebuild the polynomial", 0.0, trials=60, degree=10)
 def _chk_eq62(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
-        p = _rand_poly(rng, cfg["degree"])
-        pm = convert_basis(p, Basis.MONOMIAL)
-        rebuilt = [Fraction(0)] * (pm.degree + 3)
-        for n in range(pm.degree + 3):
-            got = coefficient_extract(p, n)
-            worst = max(worst, abs(got - pm.coeff(n)))
-            rebuilt[n] = got
-        worst = max(worst, _poly_gap(monomial(rebuilt), pm))
-    return worst, cfg["trials"], None
+    p = _rand_poly(rng, cfg["degree"])
+    pm = convert_basis(p, Basis.MONOMIAL)
+    rebuilt = [coefficient_extract(p, n) for n in range(pm.degree + 3)]
+    for n, got in enumerate(rebuilt):
+        yield got, pm.coeff(n)
+    yield monomial(rebuilt), pm
+
+
+def _weighted_sum(family, weight, n: int, zero: BasisPolynomial) -> BasisPolynomial:
+    """sum_k weight(n, k) family(k) for k = 0..n."""
+    out = zero
+    for k in range(n + 1):
+        out = out + family(k).scale(weight(n, k))
+    return out
 
 
 @_register("eq78_79_theta_representation", "exact",
            "the inverse transform replaces monomials by Touchard polynomials, "
            "and the transform undoes it", 0.0, trials=60, degree=10)
 def _chk_eq78(rng, cfg):
-    worst = Fraction(0)
-    for _ in range(cfg["trials"]):
-        p = _rand_poly(rng, cfg["degree"])
-        pm = convert_basis(p, Basis.MONOMIAL)
-        theta = monomial([0])
-        for k in range(pm.degree + 1):
-            theta = theta + touchard(k).scale(pm.coeff(k))
-        worst = max(worst, _poly_gap(ifft_poly(p), theta))
-        worst = max(worst, _poly_gap(fft_poly(theta), pm))
-    return worst, cfg["trials"], None
+    p = _rand_poly(rng, cfg["degree"])
+    pm = convert_basis(p, Basis.MONOMIAL)
+    theta = _weighted_sum(touchard, lambda _n, k: pm.coeff(k), pm.degree, monomial([0]))
+    yield ifft_poly(p), theta
+    yield fft_poly(theta), pm
 
 
 @_register("eq91_bernoulli_structure", "exact",
            "series division of exp(x) by exp(x)-1 reproduces the signed "
-           "Bernoulli coefficient pattern", 0.0, terms=12)
+           "Bernoulli coefficient pattern", 0.0, cases=None, terms=12)
 def _chk_eq91(rng, cfg):
     N = cfg["terms"]
     # C(x) = x e^x/(e^x - 1): ordinary division by B(x) = (e^x - 1)/x
@@ -839,114 +686,62 @@ def _chk_eq91(rng, cfg):
     for n in range(N + 2):
         acc = e[n] - sum((c[j] * b[n - j] for j in range(n)), start=Fraction(0))
         c.append(acc / b[0])
-    worst = Fraction(0)
-    # Laurent coefficient of x^n in e^x/(e^x-1) is c[n+1]
-    worst = max(worst, abs(c[0] - 1))  # the 1/x coefficient
-    for n in range(N + 1):
-        want = bernoulli(n + 1) * Fraction((-1) ** (n + 1), math.factorial(n + 1))
-        worst = max(worst, abs(c[n + 1] - want))
-    return worst, N + 1, None
+    # Laurent coefficient of x^n in e^x/(e^x-1) is c[n+1]; c[0] is the 1/x one
+    pairs = [(c[0], 1)] + [
+        (c[n + 1], bernoulli(n + 1) * Fraction((-1) ** (n + 1), math.factorial(n + 1)))
+        for n in range(N + 1)]
+    return pairs, N + 1, None
 
 
-@_register("table3_monomial_row", "exact",
-           "powers map to falling factorials", 0.0, max_n=8)
-def _chk_t3_monomial(rng, cfg):
-    worst = Fraction(0)
-    for n in range(cfg["max_n"] + 1):
-        xs = monomial([Fraction(0)] * n + [Fraction(1)])
-        worst = max(worst, _poly_gap(fft_poly(xs), falling_unit(n)))
-    return worst, cfg["max_n"] + 1, None
+def _grid_row(name: str, description: str, *routes):
+    """Register an exact row over n = 0..max_n; each route (lhs, rhs) maps n to a pair."""
+    _register(name, "exact", description, 0.0,
+              cases=lambda cfg: product(range(cfg["max_n"] + 1)), max_n=8)(
+        lambda rng, cfg, n: [(lhs(n), rhs(n)) for lhs, rhs in routes])
 
 
-@_register("table3_falling_row", "exact",
-           "falling factorials map to the signed-Stirling dual polynomials", 0.0,
-           max_n=8)
-def _chk_t3_falling(rng, cfg):
-    worst = Fraction(0)
-    for n in range(cfg["max_n"] + 1):
-        direct = poly(Basis.FALLING,
-                      [stirling_first_signed(n, k) for k in range(n + 1)])
-        worst = max(worst, _poly_gap(fft_poly(falling_unit(n)), z_poly(n)))
-        worst = max(worst, _poly_gap(z_poly(n), direct))
-    return worst, cfg["max_n"] + 1, None
-
-
-@_register("table3_z_image_row", "exact",
-           "the dual polynomials transform into their own signed-Stirling "
-           "recombination", 0.0, max_n=8)
-def _chk_t3_zimage(rng, cfg):
-    worst = Fraction(0)
-    for n in range(cfg["max_n"] + 1):
-        rhs = poly(Basis.FALLING, [0])
-        for k in range(n + 1):
-            rhs = rhs + z_poly(k).scale(stirling_first_signed(n, k))
-        worst = max(worst, _poly_gap(fft_poly(z_poly(n)), rhs))
-    return worst, cfg["max_n"] + 1, None
-
-
-@_register("table3_touchard_row", "exact",
-           "Touchard polynomials transform back to powers", 0.0, max_n=8)
-def _chk_t3_touchard(rng, cfg):
-    worst = Fraction(0)
-    for n in range(cfg["max_n"] + 1):
-        xs = monomial([Fraction(0)] * n + [Fraction(1)])
-        worst = max(worst, _poly_gap(fft_poly(touchard(n)), xs))
-        worst = max(worst, _poly_gap(ifft_poly(xs), touchard(n)))
-    return worst, cfg["max_n"] + 1, None
-
-
-@_register("table3_touchard_sum_row", "exact",
-           "Stirling-weighted Touchard sums transform to the next Touchard "
-           "polynomial", 0.0, max_n=8)
-def _chk_t3_touchard_sum(rng, cfg):
-    worst = Fraction(0)
-    for n in range(cfg["max_n"] + 1):
-        s = monomial([0])
-        for k in range(n + 1):
-            s = s + touchard(k).scale(stirling_second(n, k))
-        worst = max(worst, _poly_gap(fft_poly(s), touchard(n)))
-    return worst, cfg["max_n"] + 1, None
+_grid_row("table3_monomial_row", "powers map to falling factorials",
+          (lambda n: fft_poly(_power(n)), falling_unit))
+_grid_row("table3_falling_row",
+          "falling factorials map to the signed-Stirling dual polynomials",
+          (lambda n: fft_poly(falling_unit(n)), z_poly),
+          (z_poly, lambda n: poly(Basis.FALLING,
+                                  [stirling_first_signed(n, k) for k in range(n + 1)])))
+_grid_row("table3_z_image_row",
+          "the dual polynomials transform into their own signed-Stirling recombination",
+          (lambda n: fft_poly(z_poly(n)),
+           lambda n: _weighted_sum(z_poly, stirling_first_signed, n, poly(Basis.FALLING, [0]))))
+_grid_row("table3_touchard_row", "Touchard polynomials transform back to powers",
+          (lambda n: fft_poly(touchard(n)), _power),
+          (lambda n: ifft_poly(_power(n)), touchard))
+_grid_row("table3_touchard_sum_row",
+          "Stirling-weighted Touchard sums transform to the next Touchard polynomial",
+          (lambda n: fft_poly(_weighted_sum(touchard, stirling_second, n, monomial([0]))),
+           touchard))
 
 
 @_register("table3_power_exp_row", "exact",
            "the damped power row is a scaled Kronecker delta at integer "
-           "arguments", 0.0, max_n=8)
-def _chk_t3_power_exp(rng, cfg):
-    worst = Fraction(0)
-    trials = 0
-    M = cfg["max_n"]
-    for n in range(M + 1):
-        # Taylor coefficients of x^n e^{-x}
-        coeffs = [Fraction(0)] * n + [
-            Fraction((-1) ** j, math.factorial(j)) for j in range(M + 1 - n + 8)
-        ]
-        for m in range(M + 1):
-            trials += 1
-            total = sum(
-                (math.comb(m, k) * math.factorial(k) * coeffs[k]
-                 for k in range(m + 1)),
-                start=Fraction(0),
-            )
-            want = Fraction(math.factorial(n)) if m == n else Fraction(0)
-            worst = max(worst, abs(total - want))
-    return worst, trials, None
+           "arguments", 0.0, cases=_each_nm, max_n=8)
+def _chk_t3_power_exp(rng, cfg, n, m):
+    # Taylor coefficients of x^n e^{-x}
+    coeffs = [Fraction(0)] * n + [
+        Fraction((-1) ** j, math.factorial(j)) for j in range(cfg["max_n"] + 1 - n + 8)
+    ]
+    total = sum((math.comb(m, k) * math.factorial(k) * coeffs[k] for k in range(m + 1)),
+                start=Fraction(0))
+    yield total, Fraction(math.factorial(n)) if m == n else Fraction(0)
 
 
 @_register("table3_laguerre_row", "exact",
            "power-times-Laguerre inputs map to normalized falling-factorial "
-           "products (indices as forced by the product identity)", 0.0, max_n=5)
-def _chk_t3_laguerre(rng, cfg):
-    worst = Fraction(0)
-    trials = 0
-    for n in range(cfg["max_n"] + 1):
-        for m in range(cfg["max_n"] + 1):
-            trials += 1
-            xs = monomial([Fraction(0)] * (n + m) + [Fraction(1)])
-            lhs = fft_poly(multiply(xs, negate_argument(laguerre(n, Fraction(m)))))
-            rhs = multiply(falling_unit(n + m), falling_unit(n)).scale(
-                Fraction(1, math.factorial(n)))
-            worst = max(worst, _poly_gap(lhs, rhs))
-    return worst, trials, "second factor carries index n (not m) with 1/n! weight"
+           "products (indices as forced by the product identity)", 0.0,
+           cases=_each_nm, note="second factor carries index n (not m) with 1/n! weight",
+           max_n=5)
+def _chk_t3_laguerre(rng, cfg, n, m):
+    yield (fft_poly(multiply(_power(n + m), negate_argument(laguerre(n, Fraction(m))))),
+           multiply(falling_unit(n + m), falling_unit(n)).scale(
+               Fraction(1, math.factorial(n))))
 
 
 # --------------------------------------------------------------- numeric layer
@@ -956,152 +751,112 @@ def _exp_taylor(base: Fraction) -> Callable[[int], Fraction]:
     return lambda n: b ** n / math.factorial(n)
 
 
-def _sin_taylor(w: float) -> Callable[[int], Fraction]:
+def _trig_taylor(w: float, odd: bool) -> Callable[[int], Fraction]:
+    """Taylor coefficients of sin(w t) (odd) or cos(w t)."""
     wf = Fraction(w)
-    return lambda n: (Fraction(0) if n % 2 == 0
-                      else (-1) ** ((n - 1) // 2) * wf ** n / math.factorial(n))
-
-
-def _cos_taylor(w: float) -> Callable[[int], Fraction]:
-    wf = Fraction(w)
-    return lambda n: (Fraction(0) if n % 2
+    return lambda n: (Fraction(0) if n % 2 != odd
                       else (-1) ** (n // 2) * wf ** n / math.factorial(n))
 
 
+def _relative(got, want) -> tuple:
+    """A pair whose gap is the relative error |got - want| / max(1, |want|)."""
+    return abs(got - want) / max(1.0, abs(want)), 0.0
+
+
 _SERIES_CFG = NumericConfig(truncation_N=256, tolerance=1e-12)
+_TANH_SINH = QuadratureSpec(scheme="tanh_sinh")
 
 
 @_register("eq5_newton_sum_duality", "numeric",
            "the Newton sum at integer arguments matches exact transform "
            "evaluation to float rounding", 1e-12, trials=25, degree=10)
 def _chk_eq5(rng, cfg):
-    worst = 0.0
-    for _ in range(cfg["trials"]):
-        p = _rand_poly(rng, cfg["degree"])
-        pm = convert_basis(p, Basis.MONOMIAL)
-        F = fft_poly(p)
-        for si in (0, 1, 2, 5, 8):
-            got = fft_fn(taylor_source(pm.coeff), float(si))
-            want = float(F.eval(si))
-            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-    return worst, cfg["trials"], None
+    p = _rand_poly(rng, cfg["degree"])
+    pm = convert_basis(p, Basis.MONOMIAL)
+    F = fft_poly(p)
+    for si in (0, 1, 2, 5, 8):
+        yield _relative(fft_fn(taylor_source(pm.coeff), float(si)), float(F.eval(si)))
 
 
 @_register("eq6_ifft_series", "numeric",
            "the damped series evaluator agrees with the exact inverse transform "
            "of polynomial samples", 1e-8, trials=30, degree=6)
 def _chk_eq6(rng, cfg):
-    worst = 0.0
-    for _ in range(cfg["trials"]):
-        p = _rand_poly(rng, cfg["degree"])
-        q = ifft_poly(p)
-        x = rng.uniform(0.2, 4.0)
-        got = ifft_fn(samples_source(lambda n, p=p: p.eval(Fraction(n))), x, _SERIES_CFG)
-        want = q.eval(x)
-        worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-    return worst, cfg["trials"], None
+    p = _rand_poly(rng, cfg["degree"])
+    q = ifft_poly(p)
+    x = rng.uniform(0.2, 4.0)
+    got = ifft_fn(samples_source(lambda n: p.eval(Fraction(n))), x, _SERIES_CFG)
+    yield _relative(got, q.eval(x))
 
 
 @_register("eq7_quadrature_monomials", "numeric",
            "quadrature of monomials reproduces rising factorials of the "
-           "transform argument", 1e-7, max_n=8)
-def _chk_eq7(rng, cfg):
-    worst = 0.0
-    trials = 0
-    for n in range(cfg["max_n"] + 1):
-        for s in (0.5, 1.5, 2.5, 3.7):
-            trials += 1
-            got = rft_fn(lambda t, n=n: t ** n, s)
-            worst = max(worst, abs(got - rising_factorial(s, n)))
-    return worst, trials, None
+           "transform argument", 1e-7,
+           cases=lambda cfg: product(range(cfg["max_n"] + 1), (0.5, 1.5, 2.5, 3.7)),
+           max_n=8)
+def _chk_eq7(rng, cfg, n, s):
+    yield rft_fn(lambda t: t ** n, s), rising_factorial(s, n)
 
 
 @_register("eq8_mellin_consistency", "numeric",
            "the normalized quadrature agrees with an independent adaptive "
-           "integration of the same weighted integral", 1e-8)
-def _chk_eq8(rng, cfg):
-    worst = 0.0
-    cases = [(lambda t: math.exp(-t), "exp"), (lambda t: 1.0 / (1.0 + t), "rational")]
-    trials = 0
-    for f, _tag in cases:
-        for s in (0.6, 1.5):
-            trials += 1
-            lhs = rft_fn(f, s) * gamma_support(s)
-            rhs, _err = integrate.quad(
-                lambda t, f=f, s=s: f(t) * t ** (s - 1.0) * math.exp(-t),
-                0.0, math.inf, epsabs=1e-12, epsrel=1e-12, limit=300)
-            worst = max(worst, abs(lhs - rhs))
-    return worst, trials, None
+           "integration of the same weighted integral", 1e-8,
+           cases=_grid((lambda t: math.exp(-t), lambda t: 1.0 / (1.0 + t)), (0.6, 1.5)))
+def _chk_eq8(rng, cfg, f, s):
+    lhs = rft_fn(f, s) * gamma_support(s)
+    rhs, _err = integrate.quad(
+        lambda t: f(t) * t ** (s - 1.0) * math.exp(-t),
+        0.0, math.inf, epsabs=1e-12, epsrel=1e-12, limit=300)
+    yield lhs, rhs
 
 
 @_register("eq9_irft_series", "numeric",
            "the growing series evaluator inverts the exact rising transform of "
            "polynomials", 1e-8, trials=30, degree=6)
 def _chk_eq9(rng, cfg):
-    worst = 0.0
-    for _ in range(cfg["trials"]):
-        p = _rand_poly(rng, cfg["degree"])
-        R = rft_poly(p)
-        x = rng.uniform(0.2, 3.0)
-        got = irft_fn(callable_source(lambda s, R=R: R.eval(Fraction(s))), x, _SERIES_CFG)
-        want = p.eval(x)
-        worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-    return worst, cfg["trials"], None
+    p = _rand_poly(rng, cfg["degree"])
+    R = rft_poly(p)
+    x = rng.uniform(0.2, 3.0)
+    got = irft_fn(callable_source(lambda s: R.eval(Fraction(s))), x, _SERIES_CFG)
+    yield _relative(got, p.eval(x))
 
 
 @_register("eq24_summation_integral", "numeric",
            "integrating the damped series evaluator over the half line "
-           "reproduces the sum of the samples", 1e-8)
-def _chk_eq24(rng, cfg):
-    worst = 0.0
-    for r, T in ((Fraction(1, 2), 56.0), (Fraction(1, 3), 42.0)):
-        f = lambda n, r=r: r ** n
-        integrand = lambda t, f=f: float(ifft_fn(samples_source(f), t, _SERIES_CFG))
-        val, _err = integrate.quad(integrand, 0.0, T, epsabs=1e-11, epsrel=1e-11, limit=200)
-        worst = max(worst, abs(val - 1.0 / (1.0 - float(r))))
-    return worst, 2, None
+           "reproduces the sum of the samples", 1e-8,
+           cases=lambda cfg: ((Fraction(1, 2), 56.0), (Fraction(1, 3), 42.0)))
+def _chk_eq24(rng, cfg, r, T):
+    integrand = lambda t: float(ifft_fn(samples_source(lambda n: r ** n), t, _SERIES_CFG))
+    val, _err = integrate.quad(integrand, 0.0, T, epsabs=1e-11, epsrel=1e-11, limit=200)
+    yield val, 1.0 / (1.0 - float(r))
 
 
 @_register("eq39_charlier_orthogonality", "numeric",
            "Poisson-weighted Charlier sums are diagonal with the factorial "
-           "normalization", 1e-8, max_n=5, terms=60, a=1.0)
-def _chk_eq39(rng, cfg):
-    worst = 0.0
-    a, K = cfg["a"], cfg["terms"]
-    trials = 0
-    for n in range(cfg["max_n"] + 1):
-        for m in range(cfg["max_n"] + 1):
-            trials += 1
-            got = charlier_orthogonality_sum(n, m, a, K)
-            want = math.exp(a) * math.factorial(n) / a ** n if n == m else 0.0
-            worst = max(worst, abs(got - want))
-    return worst, trials, None
+           "normalization", 1e-8, cases=_each_nm, max_n=5, terms=60, a=1.0)
+def _chk_eq39(rng, cfg, n, m):
+    a = cfg["a"]
+    want = math.exp(a) * math.factorial(n) / a ** n if n == m else 0.0
+    yield charlier_orthogonality_sum(n, m, a, cfg["terms"]), want
 
 
 @_register("eq67_laplace_rft", "numeric",
            "the rising transform of the exponentially weighted Laplace image "
-           "reproduces the reflected gamma value", 1e-6)
-def _chk_eq67(rng, cfg):
-    worst = 0.0
-    spec = QuadratureSpec(scheme="tanh_sinh")
-    for s in (0.25, 0.5, 0.75):
-        got = rft_fn(lambda t: mp.e ** t / (1 + t), s, spec)
-        worst = max(worst, abs(got - gamma_support(1.0 - s)))
-    return worst, 3, None
+           "reproduces the reflected gamma value", 1e-6, cases=_grid((0.25, 0.5, 0.75)))
+def _chk_eq67(rng, cfg, s):
+    yield rft_fn(lambda t: mp.e ** t / (1 + t), s, _TANH_SINH), gamma_support(1.0 - s)
 
 
 @_register("eq69_fractional_derivative", "numeric",
            "half and fractional derivatives of exponentials match their closed "
-           "forms and the half-twice ladder", 1e-8)
+           "forms and the half-twice ladder", 1e-8, cases=None)
 def _chk_eq69(rng, cfg):
-    worst = 0.0
-    e2 = taylor_source(_exp_taylor(Fraction(2)))
-    worst = max(worst, abs(fractional_derivative(e2, 0.5) - math.sqrt(2)))
-    e1 = taylor_source(_exp_taylor(Fraction(1)))
-    worst = max(worst, abs(fractional_derivative(e1, 1.0, t=1) - math.e))
-    e3 = taylor_source(_exp_taylor(Fraction(3)))
-    worst = max(worst, abs(fractional_derivative(e3, 0.5, t=Fraction(1, 5))
-                           - math.sqrt(3) * math.exp(0.6)))
+    e1, e2, e3 = (taylor_source(_exp_taylor(Fraction(b))) for b in (1, 2, 3))
+    pairs = [
+        (fractional_derivative(e2, 0.5), math.sqrt(2)),
+        (fractional_derivative(e1, 1.0, t=1), math.e),
+        (fractional_derivative(e3, 0.5, t=Fraction(1, 5)), math.sqrt(3) * math.exp(0.6)),
+    ]
     # half applied twice against the plain first derivative; the inner calls
     # supply the Taylor coefficients of the half-derivative as a function of
     # the expansion point, so their absolute noise is amplified by the outer
@@ -1113,205 +868,138 @@ def _chk_eq69(rng, cfg):
     twice = fractional_derivative(
         taylor_source(lambda m: half[m] if m < M else 0.0), 0.5,
         cfg=NumericConfig(truncation_N=M, tolerance=1e-7))
-    worst = max(worst, abs(twice - fractional_derivative(e2, 1.0)))
-    return worst, 4, None
+    pairs.append((twice, fractional_derivative(e2, 1.0)))
+    return pairs, 4, None
 
 
 @_register("eq70_fractional_difference", "numeric",
            "half and integer fractional differences of exponentials match their "
-           "closed forms", 1e-8)
-def _chk_eq70(rng, cfg):
-    worst = 0.0
-    worst = max(worst, abs(fractional_difference(lambda u: 2.0 ** u, 0.5) - 1.0))
-    worst = max(worst, abs(fractional_difference(lambda u: 3.0 ** u, 1.0) - 2.0))
-    worst = max(worst, abs(fractional_difference(lambda u: 2.0 ** u, 2.0, t=1.0) - 2.0))
-    return worst, 3, None
+           "closed forms", 1e-8,
+           cases=lambda cfg: ((2.0, 0.5, 0.0, 1.0), (3.0, 1.0, 0.0, 2.0), (2.0, 2.0, 1.0, 2.0)))
+def _chk_eq70(rng, cfg, base, order, t, want):
+    yield fractional_difference(lambda u: base ** u, order, t=t), want
 
 
-@_register("eq80_incomplete_gamma", "numeric",
-           "the damped series of reciprocal shifted factorials matches the "
-           "incomplete-gamma closed form", 1e-9)
-def _chk_eq80(rng, cfg):
-    worst = 0.0
-    trials = 0
-    for n in (1, 2, 3):
-        f = lambda k, n=n: Fraction(math.factorial(k), math.factorial(k + n))
-        for x in (0.5, 1.0, 2.0):
-            trials += 1
-            got = ifft_fn(samples_source(f), x, _SERIES_CFG)
-            want = x ** (-n) * (1.0 - incomplete_gamma_upper(n, x) / math.factorial(n - 1))
-            worst = max(worst, abs(got - want))
-    return worst, trials, None
+def _incomplete_gamma(evaluate, sign: float):
+    """evaluate(n, x) equals x^-n (1 - Gamma(n, sign*x) / (n-1)!)."""
+    def body(rng, cfg, n, x):
+        want = x ** (-n) * (1.0 - incomplete_gamma_upper(n, sign * x) / math.factorial(n - 1))
+        yield evaluate(n, x), want
+    return body
 
 
-@_register("eq84_irft_incomplete_gamma", "numeric",
-           "the growing series of negative-index rising factorials matches the "
-           "reflected incomplete-gamma closed form", 1e-9)
-def _chk_eq84(rng, cfg):
-    worst = 0.0
-    trials = 0
-    for n in (1, 2, 3):
-        f = lambda s, n=n: rising_factorial(Fraction(s), -n)
-        for x in (0.5, 1.0, 2.0):
-            trials += 1
-            got = irft_fn(callable_source(f), x, _SERIES_CFG)
-            want = x ** (-n) * (1.0 - incomplete_gamma_upper(n, -x) / math.factorial(n - 1))
-            worst = max(worst, abs(got - want))
-    return worst, trials, None
+_register("eq80_incomplete_gamma", "numeric",
+          "the damped series of reciprocal shifted factorials matches the "
+          "incomplete-gamma closed form", 1e-9, cases=_grid((1, 2, 3), (0.5, 1.0, 2.0)))(
+    _incomplete_gamma(lambda n, x: ifft_fn(samples_source(
+        lambda k: Fraction(math.factorial(k), math.factorial(k + n))), x, _SERIES_CFG), 1.0))
+_register("eq84_irft_incomplete_gamma", "numeric",
+          "the growing series of negative-index rising factorials matches the "
+          "reflected incomplete-gamma closed form", 1e-9,
+          cases=_grid((1, 2, 3), (0.5, 1.0, 2.0)))(
+    _incomplete_gamma(lambda n, x: irft_fn(callable_source(
+        lambda s: rising_factorial(Fraction(s), -n)), x, _SERIES_CFG), -1.0))
 
 
 @_register("table2_row1_power_shift", "numeric",
            "multiplying by a fractional power shifts the transform argument "
-           "with a gamma ratio", 1e-7, a=1.3)
-def _chk_t2_row1(rng, cfg):
-    worst = 0.0
+           "with a gamma ratio", 1e-7, cases=_grid((0.7, 1.9)), a=1.3)
+def _chk_t2_row1(rng, cfg, s):
     a = cfg["a"]
-    spec = QuadratureSpec(scheme="tanh_sinh")  # t^a has a branch point at 0
-    for s in (0.7, 1.9):
-        lhs = rft_fn(lambda t: t ** a * mp.e ** (-t), s, spec)
-        rhs = gamma_support(s + a) / gamma_support(s) * rft_fn(
-            lambda t: mp.e ** (-t), s + a, spec)
-        worst = max(worst, abs(lhs - rhs))
-    return worst, 2, None
+    # tanh_sinh because t^a has a branch point at 0
+    lhs = rft_fn(lambda t: t ** a * mp.e ** (-t), s, _TANH_SINH)
+    yield lhs, gamma_support(s + a) / gamma_support(s) * rft_fn(
+        lambda t: mp.e ** (-t), s + a, _TANH_SINH)
 
 
 @_register("table2_row2_scaling", "numeric",
            "argument scaling becomes a power prefactor with an exponential "
-           "reweighting", 1e-7, a=2.0)
-def _chk_t2_row2(rng, cfg):
-    worst = 0.0
+           "reweighting", 1e-7, cases=_grid((0.7, 1.9)), a=2.0)
+def _chk_t2_row2(rng, cfg, s):
     a = cfg["a"]
-    for s in (0.7, 1.9):
-        lhs = rft_fn(lambda t: math.exp(-a * t), s)
-        rhs = a ** (-s) * rft_fn(lambda t: math.exp((1.0 - 1.0 / a) * t) * math.exp(-t), s)
-        worst = max(worst, abs(lhs - rhs), abs(lhs - (1.0 + a) ** (-s)))
-    return worst, 2, None
+    lhs = rft_fn(lambda t: math.exp(-a * t), s)
+    yield lhs, a ** (-s) * rft_fn(lambda t: math.exp((1.0 - 1.0 / a) * t) * math.exp(-t), s)
+    yield lhs, (1.0 + a) ** (-s)
 
 
 @_register("table3_gamma_row", "numeric",
-           "factorial samples sum to the damped geometric closed form", 1e-9)
-def _chk_t3_gamma(rng, cfg):
-    worst = 0.0
-    cfg_n = NumericConfig(truncation_N=512, tolerance=1e-12)
-    for x in [k / 10 for k in range(1, 10)]:
-        got = ifft_fn(samples_source(math.factorial), x, cfg_n)
-        worst = max(worst, abs(got - math.exp(-x) / (1.0 - x)))
-    return worst, 9, None
+           "factorial samples sum to the damped geometric closed form", 1e-9,
+           cases=_grid([k / 10 for k in range(1, 10)]))
+def _chk_t3_gamma(rng, cfg, x):
+    got = ifft_fn(samples_source(math.factorial), x,
+                  NumericConfig(truncation_N=512, tolerance=1e-12))
+    yield got, math.exp(-x) / (1.0 - x)
 
 
 @_register("table3_gamma_y_row", "numeric",
            "shifted-factorial samples sum to the damped power closed form "
-           "(target gamma argument offset by one)", 1e-9)
-def _chk_t3_gamma_y(rng, cfg):
-    worst = 0.0
-    trials = 0
-    for y, f in ((0.5, lambda n: math.gamma(n + 1.5)),
-                 (2, lambda n: math.factorial(n + 2))):
-        for x in (0.2, 0.5, 0.8):
-            trials += 1
-            got = ifft_fn(samples_source(f), x, _SERIES_CFG)
-            want = gamma_support(y + 1.0) * math.exp(-x) / (1.0 - x) ** (y + 1.0)
-            worst = max(worst, abs(got - want))
-    return worst, trials, "samples f(n)=Gamma(n+y+1) force the image Gamma(x+y+1)"
+           "(target gamma argument offset by one)", 1e-9,
+           cases=lambda cfg: ((y, f, x)
+                              for y, f in ((0.5, lambda n: math.gamma(n + 1.5)),
+                                           (2, lambda n: math.factorial(n + 2)))
+                              for x in (0.2, 0.5, 0.8)),
+           note="samples f(n)=Gamma(n+y+1) force the image Gamma(x+y+1)")
+def _chk_t3_gamma_y(rng, cfg, y, f, x):
+    got = ifft_fn(samples_source(f), x, _SERIES_CFG)
+    yield got, gamma_support(y + 1.0) * math.exp(-x) / (1.0 - x) ** (y + 1.0)
 
 
 @_register("table3_exponential_row", "numeric",
-           "exponential Taylor sources produce the power closed form", 1e-9)
-def _chk_t3_exp(rng, cfg):
-    worst = 0.0
-    trials = 0
-    for a in (Fraction(2), Fraction(3, 2)):
-        src = taylor_source(_exp_taylor(a - 1))
-        for s in (0.5, 1.0, 2.3):
-            trials += 1
-            got = fft_fn(src, s, _SERIES_CFG)
-            worst = max(worst, abs(got - float(a) ** s))
-    return worst, trials, None
+           "exponential Taylor sources produce the power closed form", 1e-9,
+           cases=_grid((Fraction(2), Fraction(3, 2)), (0.5, 1.0, 2.3)))
+def _chk_t3_exp(rng, cfg, a, s):
+    yield fft_fn(taylor_source(_exp_taylor(a - 1)), s, _SERIES_CFG), float(a) ** s
 
 
-@_register("table3_sin_row", "numeric",
-           "sine Taylor sources produce the polar-form closed expression", 1e-6)
-def _chk_t3_sin(rng, cfg):
-    worst = 0.0
-    trials = 0
-    for w in (0.5, 1.0):
-        src = taylor_source(_sin_taylor(w))
-        for s in (0.5, 1.0, 2.3):
-            trials += 1
-            got = fft_fn(src, s, _SERIES_CFG)
-            want = (w * w + 1.0) ** (s / 2) * math.sin(s * math.atan(w))
-            worst = max(worst, abs(got - want))
-    return worst, trials, None
+def _trig_row(trig, tan_scaled: bool):
+    """fft of the Taylor source of trig(w t) against its polar closed form;
+    a tan-scaled row feeds trig(tan(w) t) and expects trig(w s) / cos(w)^s."""
+    odd = trig is math.sin
+
+    def body(rng, cfg, w, s):
+        if tan_scaled:
+            src, want = _trig_taylor(math.tan(w), odd), trig(w * s) / math.cos(w) ** s
+        else:
+            src, want = _trig_taylor(w, odd), (w * w + 1.0) ** (s / 2) * trig(s * math.atan(w))
+        yield fft_fn(taylor_source(src), s, _SERIES_CFG), want
+    return body
 
 
-@_register("table3_cos_row", "numeric",
-           "cosine Taylor sources produce the polar-form closed expression", 1e-6)
-def _chk_t3_cos(rng, cfg):
-    worst = 0.0
-    trials = 0
-    for w in (0.5, 1.0):
-        src = taylor_source(_cos_taylor(w))
-        for s in (0.5, 1.0, 2.3):
-            trials += 1
-            got = fft_fn(src, s, _SERIES_CFG)
-            want = (w * w + 1.0) ** (s / 2) * math.cos(s * math.atan(w))
-            worst = max(worst, abs(got - want))
-    return worst, trials, None
-
-
-@_register("table3_sin_tan_row", "numeric",
-           "tangent-scaled sine sources produce the secant-power closed form "
-           "(series converges for tan w below one)", 1e-6)
-def _chk_t3_sin_tan(rng, cfg):
-    worst = 0.0
-    trials = 0
-    for w in (0.3, 0.5, 0.7):
-        src = taylor_source(_sin_taylor(math.tan(w)))
-        for s in (0.5, 1.0, 2.3):
-            trials += 1
-            got = fft_fn(src, s, _SERIES_CFG)
-            want = math.sin(w * s) / math.cos(w) ** s
-            worst = max(worst, abs(got - want))
-    return worst, trials, None
-
-
-@_register("table3_cos_tan_row", "numeric",
-           "tangent-scaled cosine sources produce the secant-power closed form "
-           "(series converges for tan w below one)", 1e-6)
-def _chk_t3_cos_tan(rng, cfg):
-    worst = 0.0
-    trials = 0
-    for w in (0.3, 0.5, 0.7):
-        src = taylor_source(_cos_taylor(math.tan(w)))
-        for s in (0.5, 1.0, 2.3):
-            trials += 1
-            got = fft_fn(src, s, _SERIES_CFG)
-            want = math.cos(w * s) / math.cos(w) ** s
-            worst = max(worst, abs(got - want))
-    return worst, trials, None
+_register("table3_sin_row", "numeric",
+          "sine Taylor sources produce the polar-form closed expression", 1e-6,
+          cases=_grid((0.5, 1.0), (0.5, 1.0, 2.3)))(_trig_row(math.sin, False))
+_register("table3_cos_row", "numeric",
+          "cosine Taylor sources produce the polar-form closed expression", 1e-6,
+          cases=_grid((0.5, 1.0), (0.5, 1.0, 2.3)))(_trig_row(math.cos, False))
+_register("table3_sin_tan_row", "numeric",
+          "tangent-scaled sine sources produce the secant-power closed form "
+          "(series converges for tan w below one)", 1e-6,
+          cases=_grid((0.3, 0.5, 0.7), (0.5, 1.0, 2.3)))(_trig_row(math.sin, True))
+_register("table3_cos_tan_row", "numeric",
+          "tangent-scaled cosine sources produce the secant-power closed form "
+          "(series converges for tan w below one)", 1e-6,
+          cases=_grid((0.3, 0.5, 0.7), (0.5, 1.0, 2.3)))(_trig_row(math.cos, True))
 
 
 # ------------------------------------------------------- informational checks
 
 @_register("eq67_last_argument_info", "numeric",
            "records which Mellin argument convention matches the quadrature "
-           "value of the weighted Laplace image", None, informational=True)
+           "value of the weighted Laplace image", None, cases=None)
 def _chk_eq67_info(rng, cfg):
-    spec = QuadratureSpec(scheme="tanh_sinh")
     printed = corrected = 0.0
     for s in (0.25, 0.5):
-        q = float(rft_fn(lambda t: mp.e ** t / (1 + t), s, spec))
+        q = float(rft_fn(lambda t: mp.e ** t / (1 + t), s, _TANH_SINH))
         printed = max(printed, abs(q - gamma_support(-s - 1.0)))
         corrected = max(corrected, abs(q - gamma_support(1.0 - s)))
     detail = (f"argument -s-1 misses by {printed:.3e}; "
               f"argument 1-s agrees within {corrected:.3e}")
-    return 0.0, 2, detail
+    return [], 2, detail
 
 
 @_register("eq89_expansion_info", "numeric",
            "records how the alternating product-expansion sum compares with the "
-           "diagonal difference form under both shift readings", None,
-           informational=True)
+           "diagonal difference form under both shift readings", None, cases=None)
 def _chk_eq89_info(rng, cfg):
     d_shift_first = d_transform_first = 0.0
     for _ in range(10):
@@ -1339,16 +1027,14 @@ def _chk_eq89_info(rng, cfg):
             d_transform_first = max(d_transform_first, abs(lhs_b - rhs))
     detail = (f"shift-then-transform reading agrees within {d_shift_first:.3e}; "
               f"transform-then-shift reading misses by {d_transform_first:.3e}")
-    return 0.0, 10, detail
+    return [], 10, detail
 
 
 @_register("eq90_91_zeta_info", "numeric",
            "records the quadrature value of the zeta integrand against the "
-           "divergent behavior of the formal Bernoulli series", None,
-           informational=True)
+           "divergent behavior of the formal Bernoulli series", None, cases=None)
 def _chk_zeta_info(rng, cfg):
-    spec = QuadratureSpec(scheme="tanh_sinh")
-    quad_val = float(rft_fn(lambda t: mp.e ** t / (mp.e ** t - 1), 2.0, spec))
+    quad_val = float(rft_fn(lambda t: mp.e ** t / (mp.e ** t - 1), 2.0, _TANH_SINH))
     zeta2 = float(mp.zeta(2))
     _partial, terms = zeta_formal_series(2.0, 24)
     k_min = min(range(1, len(terms)), key=lambda i: abs(terms[i]) or math.inf)
@@ -1356,7 +1042,7 @@ def _chk_zeta_info(rng, cfg):
     detail = (f"integral form gives {quad_val:.9f} (zeta(2)={zeta2:.9f}, "
               f"gap {abs(quad_val - zeta2):.2e}); formal series truncated at its "
               f"smallest term gives {best_partial:.4f}, gap {abs(best_partial - zeta2):.2e}")
-    return 0.0, 1, detail
+    return [], 1, detail
 
 
 # ------------------------------------------------------------------ public API
@@ -1368,29 +1054,34 @@ def list_checks() -> Sequence[CheckSpec]:
 def run_check(name: str, seed: int = 0) -> CheckReport:
     if name not in _REGISTRY:
         raise KeyError(f"unknown check {name!r}")
-    spec, fn, tolerance, informational = _REGISTRY[name]
+    spec, body, cases, note = _REGISTRY[name]
+    tolerance = spec.config["tolerance"]
+    informational = tolerance is None
     rng = Random(f"{name}:{seed}")
     t0 = time.perf_counter()
     try:
-        err, trials, detail = fn(rng, spec.config)
+        if cases is None:  # custom body: all pairs, trial count and detail at once
+            pairs, trials, detail = body(rng, spec.config)
+        else:
+            trial_cases = list(cases(spec.config))
+            pairs = (pair for case in trial_cases for pair in body(rng, spec.config, *case))
+            trials, detail = len(trial_cases), note
+        worst = 0
+        for lhs, rhs in pairs:
+            worst = max(worst, _poly_gap(lhs, rhs) if isinstance(lhs, BasisPolynomial)
+                        else abs(lhs - rhs))
+        err = float(worst)
+        if informational:
+            status = "pass"
+        elif spec.layer == "exact":
+            status = "pass" if worst == 0 else "fail"  # the exact value, not its float
+        else:
+            status = "pass" if err <= tolerance else "fail"
     except Exception as exc:  # infrastructure failure, not a math verdict
-        elapsed = int((time.perf_counter() - t0) * 1000)
-        return CheckReport(name=name, status="error", max_abs_error=math.inf,
-                           tolerance=tolerance, trials=0, seed=seed,
-                           elapsed_ms=elapsed, layer=spec.layer,
-                           informational=informational,
-                           detail=f"{type(exc).__name__}: {exc}")
-    elapsed = int((time.perf_counter() - t0) * 1000)
-    err_f = float(err)
-    if informational:
-        status = "pass"
-    elif spec.layer == "exact":
-        status = "pass" if err == 0 else "fail"
-    else:
-        status = "pass" if err_f <= tolerance else "fail"
-    return CheckReport(name=name, status=status, max_abs_error=err_f,
+        status, err, trials, detail = "error", math.inf, 0, f"{type(exc).__name__}: {exc}"
+    return CheckReport(name=name, status=status, max_abs_error=err,
                        tolerance=tolerance, trials=trials, seed=seed,
-                       elapsed_ms=elapsed, layer=spec.layer,
+                       elapsed_ms=int((time.perf_counter() - t0) * 1000), layer=spec.layer,
                        informational=informational, detail=detail)
 
 

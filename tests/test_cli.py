@@ -101,6 +101,15 @@ def test_transform_numeric_rft_scheme_flag(capsys):
     assert abs(json.loads(out)["value"] - 2.0 ** -1.5) < 1e-7
 
 
+def test_transform_numeric_rft_nodes_over_limit_is_error(capsys):
+    """--nodes past what two Gauss-Laguerre rules can use is refused, not clipped."""
+    code, out, err = run(capsys, "transform", "--numeric", "--op", "rft",
+                         "--source", "exp(-1)", "--at", "1.5", "--nodes", "200")
+    assert code == 1
+    assert out == ""
+    assert "nodes <= 128" in err
+
+
 def test_transform_numeric_needs_source_and_at(capsys):
     code, _, err = run(capsys, "transform", "--numeric", "--op", "fft")
     assert code == 1

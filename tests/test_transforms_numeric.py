@@ -112,6 +112,19 @@ def test_rft_fn_unknown_scheme():
         rft_fn(lambda t: 1.0, 1.0, QuadratureSpec(nodes=10, scheme="simpson"))
 
 
+@pytest.mark.parametrize("scheme", ["gauss_laguerre", "adaptive_fallback"])
+def test_quadrature_spec_rejects_nodes_past_two_rules(scheme):
+    """Both node schemes pair an n-node rule with a 2n-node one within 256
+    nodes, so n = 128 is the largest count they can honour."""
+    assert abs(rft_fn(lambda t: math.exp(-t), 2.0, QuadratureSpec(128, scheme)) - 0.25) < 1e-9
+    with pytest.raises(ValueError, match="nodes <= 128"):
+        QuadratureSpec(nodes=129, scheme=scheme)
+
+
+def test_quadrature_spec_tanh_sinh_ignores_nodes():
+    assert QuadratureSpec(nodes=200, scheme="tanh_sinh").nodes == 200
+
+
 @pytest.mark.parametrize("a,x", [(0.5, 0.7), (0.25, 1.3), (-1.0, 0.4)])
 def test_irft_fn_binomial_family(a, x):
     """IRFT of s -> (1-a)^{-s} recovers e^{ax}."""

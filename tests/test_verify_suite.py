@@ -8,10 +8,12 @@ never-raise error channel, filtering and rendering.
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from ftcalc import verify_suite
+from ftcalc.polynomial import monomial
 from ftcalc.verify_suite import (
     COVERAGE,
     CheckReport,
@@ -24,11 +26,16 @@ from ftcalc.verify_suite import (
 
 
 def test_registry_is_substantial():
+    """Every row is registered: a row dropped from the table fails here."""
     specs = list_checks()
-    assert len(specs) >= 30
+    assert len(specs) == 69
     assert all(isinstance(s, CheckSpec) for s in specs)
     names = [s.name for s in specs]
     assert len(names) == len(set(names))
+    assert sum(s.layer == "exact" for s in specs) == 45
+    assert sum(s.layer == "numeric" for s in specs) == 24
+    info = {s.name for s in specs if s.config["tolerance"] is None}
+    assert info == {"eq67_last_argument_info", "eq89_expansion_info", "eq90_91_zeta_info"}
 
 
 def test_every_coverage_entry_is_registered():
@@ -89,11 +96,48 @@ def test_run_check_routes_exceptions_to_error_status(monkeypatch):
     def boom(rng, cfg):
         raise ArithmeticError("synthetic blowup")
 
-    monkeypatch.setitem(verify_suite._REGISTRY, "boom_check", (spec, boom, 0.0, False))
+    monkeypatch.setitem(verify_suite._REGISTRY, "boom_check",
+                        (spec, boom, lambda cfg: [()], None))
     r = run_check("boom_check")
     assert r.status == "error"
     assert r.max_abs_error == math.inf
     assert "ArithmeticError" in r.detail
+
+
+def _run_synthetic(monkeypatch, layer, tolerance, lhs, rhs):
+    """Register a one-trial row whose sides are lhs and rhs, and run it."""
+    spec = CheckSpec(name="synthetic_row", layer=layer, config={"tolerance": tolerance},
+                     description="synthetic disagreement")
+    body = lambda rng, cfg: [(lhs, rhs)]
+    monkeypatch.setitem(verify_suite._REGISTRY, "synthetic_row",
+                        (spec, body, lambda cfg: [()], None))
+    return run_check("synthetic_row")
+
+
+def test_exact_row_with_a_gap_fails(monkeypatch):
+    p = monomial([Fraction(1), Fraction(2, 3)])
+    q = monomial([Fraction(1), Fraction(1, 3)])
+    r = _run_synthetic(monkeypatch, "exact", 0.0, p, q)
+    assert r.status == "fail"
+    assert r.max_abs_error == 1 / 3
+    assert r.trials == 1
+
+
+def test_exact_verdict_uses_the_exact_gap(monkeypatch):
+    """A gap whose float is 0.0 still fails: the verdict reads the Fraction."""
+    tiny = Fraction(1, 10 ** 400)
+    assert float(tiny) == 0.0
+    r = _run_synthetic(monkeypatch, "exact", 0.0, Fraction(1) + tiny, Fraction(1))
+    assert r.status == "fail"
+    assert r.max_abs_error == 0.0
+
+
+def test_numeric_row_over_tolerance_fails(monkeypatch):
+    r = _run_synthetic(monkeypatch, "numeric", 1e-9, 1.0, 1.0 + 1e-6)
+    assert r.status == "fail"
+    assert r.tolerance == 1e-9
+    assert abs(r.max_abs_error - 1e-6) < 1e-12
+    assert _run_synthetic(monkeypatch, "numeric", 1e-9, 1.0, 1.0).status == "pass"
 
 
 def test_informational_checks_never_fail():
