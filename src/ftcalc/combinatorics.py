@@ -1,4 +1,4 @@
-"""Exact combinatorial kernel: Stirling numbers, Bernoulli numbers, factorials.
+"""Exact combinatorial kernel: Stirling, Lah and Bernoulli numbers, factorials.
 
 All values are exact (Python ints / fractions.Fraction), memoized in
 row-complete tables so concurrent readers never observe a torn row.
@@ -27,30 +27,28 @@ _stirling2_rows: list[list[int]] = [[1]]
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
 
 
-def _grow_stirling1(n: int) -> None:
+def _grow(rows: list[list[int]], n: int, first_kind: bool) -> None:
+    # c(m+1, k) = c(m, k-1) + m c(m, k) and S(m+1, k) = S(m, k-1) + k S(m, k)
     with _lock:
-        while len(_stirling1_rows) <= n:
-            m = len(_stirling1_rows) - 1
-            prev = _stirling1_rows[m]
-            row = [0] * (m + 2)
-            for k in range(m + 2):
-                left = prev[k - 1] if 1 <= k <= m + 1 else 0
-                right = prev[k] if k <= m else 0
-                row[k] = left + m * right
-            _stirling1_rows.append(row)
+        while len(rows) <= n:
+            m = len(rows) - 1
+            prev = rows[m] + [0]
+            rows.append([(prev[k - 1] if k else 0) + (m if first_kind else k) * prev[k]
+                         for k in range(m + 2)])
 
 
-def _grow_stirling2(n: int) -> None:
-    with _lock:
-        while len(_stirling2_rows) <= n:
-            m = len(_stirling2_rows) - 1
-            prev = _stirling2_rows[m]
-            row = [0] * (m + 2)
-            for k in range(m + 2):
-                left = prev[k - 1] if 1 <= k <= m + 1 else 0
-                right = prev[k] if k <= m else 0
-                row[k] = left + k * right
-            _stirling2_rows.append(row)
+def stirling_row(first_kind: bool, n: int) -> list[int]:
+    """Row n, k = 0..n, of the unsigned first-kind table c(n, k) or, with
+    first_kind False, of the second-kind table S(n, k).
+
+    The row is the cached list itself: read it, never mutate it.
+    """
+    if n < 0:
+        raise ValueError("indices must be nonnegative")
+    rows = _stirling1_rows if first_kind else _stirling2_rows
+    if n >= len(rows):
+        _grow(rows, n, first_kind)
+    return rows[n]
 
 
 def stirling_first_unsigned(n: int, k: int) -> int:
@@ -59,13 +57,10 @@ def stirling_first_unsigned(n: int, k: int) -> int:
     Counts permutations of n elements with k cycles; satisfies
     c(n+1, k) = c(n, k-1) + n*c(n, k) with c(0, 0) = 1.
     """
-    if n < 0 or k < 0:
+    if k < 0:
         raise ValueError("indices must be nonnegative")
-    if k > n:
-        return 0
-    if n >= len(_stirling1_rows):
-        _grow_stirling1(n)
-    return _stirling1_rows[n][k]
+    row = stirling_row(True, n)
+    return row[k] if k <= n else 0
 
 
 def stirling_first_signed(n: int, k: int) -> int:
@@ -79,13 +74,36 @@ def stirling_second(n: int, k: int) -> int:
 
     Satisfies S(n+1, k) = k*S(n, k) + S(n, k-1) with S(0, 0) = 1.
     """
-    if n < 0 or k < 0:
+    if k < 0:
         raise ValueError("indices must be nonnegative")
-    if k > n:
-        return 0
-    if n >= len(_stirling2_rows):
-        _grow_stirling2(n)
-    return _stirling2_rows[n][k]
+    row = stirling_row(False, n)
+    return row[k] if k <= n else 0
+
+
+def lah_row(n: int) -> list[int]:
+    """Row n, k = 0..n, of the unsigned Lah numbers L(n,k) = C(n-1,k-1) n!/k!,
+    the coefficients of x^(rising n) = sum_k L(n,k) (x)_k."""
+    row = [1] * (n + 1)
+    for k in range(n, 0, -1):
+        # L(n,k-1) = L(n,k) k(k-1)/(n-k+1), an exact division
+        row[k - 1] = row[k] * k * (k - 1) // (n - k + 1)
+    return row
+
+
+def _bernoulli_numbers(n: int) -> list[Fraction]:
+    # B_0..B_n from the tangent numbers T_1..T_(n/2) (Brent & Harvey 2011,
+    # Algorithm TangentNumbers): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))
+    m = n // 2
+    t = [0, 1] + [0] * max(m - 1, 0)
+    for k in range(2, m + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    out = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (n - 1)
+    for k in range(1, m + 1):
+        out[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t[k], 4 ** k * (4 ** k - 1))
+    return out[:n + 1]
 
 
 def bernoulli(n: int) -> Fraction:
@@ -94,14 +112,9 @@ def bernoulli(n: int) -> Fraction:
         raise ValueError("index must be nonnegative")
     if n >= len(_bernoulli_cache):
         with _lock:
-            while len(_bernoulli_cache) <= n:
-                m = len(_bernoulli_cache)
-                # sum_{k=0}^{m} binom(m+1, k) B_k = 0 for m >= 1
-                acc = sum(
-                    (Fraction(math.comb(m + 1, k)) * _bernoulli_cache[k] for k in range(m)),
-                    start=Fraction(0),
-                )
-                _bernoulli_cache.append(-acc / (m + 1))
+            if n >= len(_bernoulli_cache):
+                # at least doubling keeps callers that step n by one linear
+                _bernoulli_cache[:] = _bernoulli_numbers(max(n, 2 * len(_bernoulli_cache)))
     return _bernoulli_cache[n]
 
 

@@ -3,6 +3,12 @@
 A BasisPolynomial stores exact rational coefficients against one of three
 bases: monomial x^n, falling factorial (x)_n, rising factorial x^(rising n).
 
+Conversions and products run on integers: each kernel turns its input into
+integer numerators over their lcm denominator once, loops on Python ints and
+builds one Fraction per output coefficient. A conversion is one pass over a
+triangle of Stirling numbers to or from the monomial basis, and of Lah
+numbers between the falling and rising bases.
+
 Operators act exactly. Every operator except scale_op is shift-invariant and
 is one row of a table: a work basis plus a weight series w, read as
 sum_j w_j L^j where L is d on the monomial basis and the forward difference D
@@ -20,13 +26,11 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from functools import partial
+from itertools import repeat
+from typing import Callable, Iterable, Sequence, Union
 
-from .combinatorics import (
-    stirling_first_signed,
-    stirling_first_unsigned,
-    stirling_second,
-)
+from .combinatorics import lah_row, stirling_first_signed, stirling_row, stirling_second
 
 Scalar = Union[Fraction, int, float]
 
@@ -142,52 +146,34 @@ def falling_unit(n: int) -> BasisPolynomial:
     return BasisPolynomial(Basis.FALLING, [0] * n + [1])
 
 
+def _integers(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Numerators of coeffs over their lcm denominator, and that denominator."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def convert_basis(p: BasisPolynomial, target: Basis | str) -> BasisPolynomial:
-    """Re-express p in the target basis; exact, round trips are identities."""
+    """Re-express p in the target basis; exact, round trips are identities.
+
+    Each source element expands as b_n = sum_k (+-1)^(n-k) T(n,k) b'_k with a
+    triangle T of nonnegative integers: S(n,k) for x^n in either factorial
+    basis, c(n,k) for either factorial in x^k, and the Lah numbers between
+    the factorial bases: x^(rising n) = sum_k L(n,k) (x)_k. The sign is
+    alternating exactly when the source is falling or the target is rising.
+    """
     target = Basis(target)
     if p.basis is target:
         return p
-    if p.basis is Basis.MONOMIAL:
-        return _from_monomial(p, target)
-    mono = _to_monomial(p)
-    return mono if target is Basis.MONOMIAL else _from_monomial(mono, target)
-
-
-def _to_monomial(p: BasisPolynomial) -> BasisPolynomial:
-    d = p.degree
-    out = [Fraction(0)] * (d + 1)
-    if p.basis is Basis.FALLING:
-        # (x)_n = sum_k s(n,k) x^k with signed Stirling numbers
-        for n, a in enumerate(p.coeffs):
-            if a:
-                for k in range(n + 1):
-                    out[k] += a * stirling_first_signed(n, k)
-    else:
-        # x^(rising n) = sum_k c(n,k) x^k
-        for n, a in enumerate(p.coeffs):
-            if a:
-                for k in range(n + 1):
-                    out[k] += a * stirling_first_unsigned(n, k)
-    return BasisPolynomial(Basis.MONOMIAL, out)
-
-
-def _from_monomial(p: BasisPolynomial, target: Basis) -> BasisPolynomial:
-    d = p.degree
-    out = [Fraction(0)] * (d + 1)
-    if target is Basis.FALLING:
-        # x^n = sum_k S(n,k) (x)_k
-        for n, a in enumerate(p.coeffs):
-            if a:
-                for k in range(n + 1):
-                    out[k] += a * stirling_second(n, k)
-    else:
-        # x^n = sum_k (-1)^(n-k) S(n,k) x^(rising k)
-        for n, a in enumerate(p.coeffs):
-            if a:
-                for k in range(n + 1):
-                    s = stirling_second(n, k)
-                    out[k] += a * (s if (n - k) % 2 == 0 else -s)
-    return BasisPolynomial(target, out)
+    row = (partial(stirling_row, False) if p.basis is Basis.MONOMIAL
+           else partial(stirling_row, True) if target is Basis.MONOMIAL else lah_row)
+    # (-1)^(n-k) = (-1)^n (-1)^k: sign the input by n, the output by k
+    sign = -1 if p.basis is Basis.FALLING or target is Basis.RISING else 1
+    nums, den = _integers(p.coeffs)
+    out = [0] * len(nums)
+    for n, a in enumerate(nums):
+        if a:
+            out[:n + 1] = map(operator.add, out, map(operator.mul, row(n), repeat(a * sign ** n)))
+    return BasisPolynomial(target, [Fraction(c * sign ** k, den) for k, c in enumerate(out)])
 
 
 def negate_argument(p: BasisPolynomial) -> BasisPolynomial:
@@ -225,20 +211,20 @@ def multiply(p: BasisPolynomial, q: BasisPolynomial) -> BasisPolynomial:
 
     Monomial: coefficient convolution. Falling: the linearization
     (x)_n (x)_m = sum_k binom(n,k) binom(m,k) k! (x)_{n+m-k}. Rising: by
-    reflection through the falling rule.
+    reflection through the falling rule. Products run on integer numerators.
     """
     if p.basis is not q.basis:
         raise BasisMismatchError("multiply requires operands in the same basis")
     if p.is_zero() or q.is_zero():
         return BasisPolynomial(p.basis, [])
     if p.basis is Basis.MONOMIAL:
-        out = [Fraction(0)] * (p.degree + q.degree + 1)
-        for i, a in enumerate(p.coeffs):
+        pn, dp = _integers(p.coeffs)
+        qn, dq = _integers(q.coeffs)
+        out = [0] * (len(pn) + len(qn) - 1)
+        for i, a in enumerate(pn):
             if a:
-                for j, b in enumerate(q.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return BasisPolynomial(Basis.MONOMIAL, out)
+                out[i:i + len(qn)] = map(operator.add, out[i:], map(operator.mul, qn, repeat(a)))
+        return BasisPolynomial(Basis.MONOMIAL, [Fraction(c, dp * dq) for c in out])
     if p.basis is Basis.FALLING:
         return _multiply_falling(p, q)
     pf = negate_argument(p)
@@ -247,18 +233,21 @@ def multiply(p: BasisPolynomial, q: BasisPolynomial) -> BasisPolynomial:
 
 
 def _multiply_falling(p: BasisPolynomial, q: BasisPolynomial) -> BasisPolynomial:
-    out = [Fraction(0)] * (p.degree + q.degree + 1)
-    for n, a in enumerate(p.coeffs):
+    pn, dp = _integers(p.coeffs)
+    qn, dq = _integers(q.coeffs)
+    out = [0] * (len(pn) + len(qn) - 1)
+    for n, a in enumerate(pn):
         if not a:
             continue
-        for m, b in enumerate(q.coeffs):
+        for m, b in enumerate(qn):
             if not b:
                 continue
-            ab = a * b
+            # w = a b binom(n,k) binom(m,k) k!, stepped by its ratio in k
+            w = a * b
             for k in range(min(n, m) + 1):
-                w = math.comb(n, k) * math.comb(m, k) * math.factorial(k)
-                out[n + m - k] += ab * w
-    return BasisPolynomial(Basis.FALLING, out)
+                out[n + m - k] += w
+                w = w * (n - k) * (m - k) // (k + 1)
+    return BasisPolynomial(Basis.FALLING, [Fraction(c, dp * dq) for c in out])
 
 
 # --- operator calculus -----------------------------------------------------
@@ -359,13 +348,12 @@ def _apply_weights(coeffs: tuple[Fraction, ...], weights: list) -> list[Fraction
         return []
     lo, hi = nz[0], nz[-1] + 1
     ws = weights[lo:hi]
-    q = math.lcm(*(w.denominator for w in ws))
-    num = [w.numerator * (q // w.denominator) for w in ws]
-    d = math.lcm(*(c.denominator for c in coeffs))
+    num, q = _integers(ws)
+    nums, d = _integers(coeffs)
     scaled, fact = [], 1
-    for m, c in enumerate(coeffs):
+    for m, c in enumerate(nums):
         fact *= m or 1
-        scaled.append(fact * c.numerator * (d // c.denominator))
+        scaled.append(fact * c)
     out, fact = [], 1
     for i in range(len(coeffs) - lo):
         fact *= i or 1

@@ -1,9 +1,9 @@
 """Named polynomial families: Touchard, Z_n, generalized Laguerre, Charlier.
 
 Touchard T_n collects Stirling-second numbers, Z_n collects signed
-Stirling-first numbers over the falling basis. Laguerre uses the
-generalized-binomial definition so rational (including negative) alpha is
-exact. Charlier follows the 2F0 normalization
+Stirling-first numbers over the falling basis. Laguerre steps its
+generalized-binomial coefficients by their ratio, so rational (including
+negative) alpha is exact. Charlier follows the 2F0 normalization
 c_n(x, a) = sum_k binom(n,k) binom(x,k) k! (-a)^(-k).
 """
 
@@ -42,11 +42,11 @@ def laguerre(n: int, alpha: Scalar) -> BasisPolynomial:
     if n < 0:
         raise ValueError("index must be nonnegative")
     alpha = Fraction(alpha)
-    coeffs = []
-    for k in range(n + 1):
-        c = binomial_general(n + alpha, n - k) * Fraction((-1) ** k, math.factorial(k))
-        coeffs.append(c)
-    return BasisPolynomial(Basis.MONOMIAL, coeffs)
+    # c_n = (-1)^n/n!, c_(k-1) = c_k (-k)(alpha+k)/(n-k+1); the divisor is never 0
+    coeffs = [Fraction((-1) ** n, math.factorial(n))]
+    for k in range(n, 0, -1):
+        coeffs.append(coeffs[-1] * (-k) * (alpha + k) / (n - k + 1))
+    return BasisPolynomial(Basis.MONOMIAL, coeffs[::-1])
 
 
 def charlier(n: int, x: Scalar, a: Scalar):

@@ -2,19 +2,24 @@
 
 Oracles are the defining recurrences plus a handful of table values; the
 Stirling/Bernoulli cross-checks use independent summation identities rather
-than the implementation's own recursions.
+than the implementation's own recursions. The tables are also compared
+with sympy.functions.combinatorial, which shares no code with ftcalc.
 """
 
 import math
 from fractions import Fraction
 
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.functions.combinatorial import factorials as sp_factorials
+from sympy.functions.combinatorial import numbers as sp_numbers
 
 from ftcalc.combinatorics import (
     bernoulli,
     binomial_general,
     falling_factorial,
+    lah_row,
     rising_factorial,
     stirling_first_signed,
     stirling_first_unsigned,
@@ -157,3 +162,37 @@ def test_negative_inputs_rejected():
         pass
     else:
         raise AssertionError("negative index should raise")
+
+
+def _fraction(r) -> Fraction:
+    return Fraction(int(r.p), int(r.q))
+
+
+def test_stirling_tables_match_sympy():
+    for n in range(61):
+        for k in range(n + 1):
+            assert stirling_first_signed(n, k) == sp_numbers.stirling(n, k, kind=1, signed=True)
+            assert stirling_first_unsigned(n, k) == sp_numbers.stirling(n, k, kind=1)
+            assert stirling_second(n, k) == sp_numbers.stirling(n, k, kind=2)
+
+
+def test_bernoulli_matches_sympy():
+    # sympy 1.14 uses B_1 = +1/2; ftcalc uses B_1 = -1/2
+    for n in range(301):
+        want = Fraction(-1, 2) if n == 1 else _fraction(sp_numbers.bernoulli(n))
+        assert bernoulli(n) == want
+
+
+@given(rationals, small_n)
+def test_factorials_match_sympy(x, n):
+    sx = sp.Rational(x.numerator, x.denominator)
+    assert falling_factorial(x, n) == _fraction(sp_factorials.ff(sx, n))
+    assert rising_factorial(x, n) == _fraction(sp_factorials.rf(sx, n))
+
+
+def test_lah_rows_match_closed_form():
+    """L(n,k) = C(n-1,k-1) n!/k!, with L(0,0) = 1 and L(n,0) = 0 for n > 0."""
+    for n in range(61):
+        want = [int(n == 0)] + [math.comb(n - 1, k - 1) * math.factorial(n) // math.factorial(k)
+                                for k in range(1, n + 1)]
+        assert lah_row(n) == want

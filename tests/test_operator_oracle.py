@@ -22,6 +22,7 @@ from ftcalc.polynomial import (
     apply_operator,
     backward_difference,
     binom_shift,
+    convert_basis,
     derivative,
     exp_shift,
     expdiff_minus1,
@@ -169,3 +170,16 @@ def test_expdiff_inverse_matches_series_oracle():
             sums.append(sums[-1] + r.subs(x, n))
         want = sp.expand(sp.interpolate(list(enumerate(sums)), x))
         assert_matches(expdiff_minus1_inverse(p), p, want)
+
+
+def test_falling_rising_conversion_matches_sympy():
+    """Falling <-> rising skips the monomial basis (Lah numbers), so compare
+    both directions with sympy's own factorial expansions."""
+    rng = Random(4)
+    for degree in range(13):
+        for source, target in ((Basis.FALLING, Basis.RISING), (Basis.RISING, Basis.FALLING)):
+            p = poly(source, [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                              for _ in range(degree)] + [Fraction(1, 3)])
+            q = convert_basis(p, target)
+            assert q.basis is target
+            assert to_expr(q) == to_expr(p)

@@ -10,10 +10,15 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ftcalc.combinatorics import falling_factorial
+from ftcalc.combinatorics import (
+    falling_factorial,
+    stirling_first_signed,
+    stirling_first_unsigned,
+    stirling_second,
+)
 from ftcalc.polynomial import (
     Basis,
     BasisMismatchError,
@@ -271,6 +276,78 @@ def test_indefinite_sum_inverts_forward_difference(coeffs, x):
     S = indefinite_sum(p)
     assert apply_operator(forward_difference(), S).eval(x) == p.eval(x)
     assert S.eval(Fraction(0)) == 0
+
+
+# --- plain-Fraction references for the integer kernels ----------------------
+
+
+def _ref_to_monomial(p: BasisPolynomial) -> list[Fraction]:
+    # (x)_n = sum_k s(n,k) x^k and x^(rising n) = sum_k c(n,k) x^k
+    stirling = stirling_first_signed if p.basis is Basis.FALLING else stirling_first_unsigned
+    out = [Fraction(0)] * len(p.coeffs)
+    for n, a in enumerate(p.coeffs):
+        for k in range(n + 1):
+            out[k] += a * stirling(n, k)
+    return out
+
+
+def _ref_from_monomial(coeffs: list[Fraction], target: Basis) -> list[Fraction]:
+    # x^n = sum_k S(n,k) (x)_k = sum_k (-1)^(n-k) S(n,k) x^(rising k)
+    out = [Fraction(0)] * len(coeffs)
+    for n, a in enumerate(coeffs):
+        for k in range(n + 1):
+            sign = -1 if target is Basis.RISING and (n - k) % 2 else 1
+            out[k] += a * sign * stirling_second(n, k)
+    return out
+
+
+def _ref_convert(p: BasisPolynomial, target: Basis) -> BasisPolynomial:
+    if p.basis is target:
+        return p
+    mono = list(p.coeffs) if p.basis is Basis.MONOMIAL else _ref_to_monomial(p)
+    return poly(target, mono if target is Basis.MONOMIAL else _ref_from_monomial(mono, target))
+
+
+def _ref_multiply(p: BasisPolynomial, q: BasisPolynomial) -> BasisPolynomial:
+    # monomial: convolution; falling: (x)_n (x)_m = sum_k C(n,k) C(m,k) k! (x)_(n+m-k);
+    # rising: the same with (-1)^k, from x^(rising n) = (-1)^n (-x)_n
+    sign = -1 if p.basis is Basis.RISING else 1
+    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs))
+    for n, a in enumerate(p.coeffs):
+        for m, b in enumerate(q.coeffs):
+            if p.basis is Basis.MONOMIAL:
+                out[n + m] += a * b
+                continue
+            for k in range(min(n, m) + 1):
+                w = math.comb(n, k) * math.comb(m, k) * math.factorial(k)
+                out[n + m - k] += sign ** k * a * b * w
+    return poly(p.basis, out)
+
+
+# zeros inside the vector, small rationals, and large numerators over
+# pairwise coprime denominators, at every degree -1..40
+kernel_coeffs = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.sampled_from([1, 7, 11, 13, 1024, 6561])),
+)
+kernel_polys = st.integers(min_value=-1, max_value=40).flatmap(
+    lambda d: st.lists(kernel_coeffs, min_size=d + 1, max_size=d + 1))
+
+
+@settings(deadline=None)
+@given(kernel_polys, bases, bases)
+def test_convert_basis_matches_reference(coeffs, b1, b2):
+    """All nine basis pairs equal the Fraction loops through the monomial basis."""
+    p = poly(b1, coeffs)
+    assert convert_basis(p, b2) == _ref_convert(p, b2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(kernel_polys, kernel_polys, bases)
+def test_multiply_matches_reference(a, b, basis):
+    p, q = poly(basis, a), poly(basis, b)
+    assert multiply(p, q) == _ref_multiply(p, q)
 
 
 @given(coeff_lists, st.integers(min_value=0, max_value=12))
