@@ -143,12 +143,25 @@ def _gauss_laguerre_rule(n: int, alpha: float):
     return rule
 
 
+# Relative distance at which two epsilon-table entries count as equal up to
+# roundoff. Aitken's step on 12 partial sums of r^n, |r| <= 0.8, leaves its
+# exact entries up to 31 machine epsilons apart relative to their size; 128
+# leaves a factor of 4 of margin and is still far below the default
+# NumericConfig tolerance of 1e-10.
+_ROUNDOFF = 128 * 2.0 ** -52
+
+
 def wynn_epsilon(partial_sums: Sequence[complex]) -> tuple[complex, float]:
     """Accelerate a sequence of partial sums with Wynn's epsilon algorithm.
 
     Returns (best_estimate, agreement) where agreement is the distance
     between the two best even-column diagonal entries; columns are truncated
-    at the first degenerate (zero-difference or overflowing) cell.
+    at the first degenerate (zero-difference or overflowing) cell. Once the
+    last two entries of an even column past the partial sums agree to
+    roundoff, that column's last entry is returned with their distance: the
+    next odd column would divide by roundoff, and the even columns after it
+    are noise whose diagonal entries can agree with each other more closely
+    than correct ones do.
     """
     sums = list(partial_sums)
     if not sums:
@@ -174,6 +187,10 @@ def wynn_epsilon(partial_sums: Sequence[complex]) -> tuple[complex, float]:
         col += 1
         if col % 2 == 0:
             diag.append(cur[-1])
+            if len(cur) > 1:
+                gap = abs(cur[-1] - cur[-2])
+                if gap <= _ROUNDOFF * max(abs(cur[-1]), abs(cur[-2])):
+                    return cur[-1], gap
     best, err = diag[-1], math.inf
     for a, b in zip(diag, diag[1:]):
         d = abs(b - a)
