@@ -9,6 +9,10 @@ Polynomial input is either inline JSON or a path to a JSON file; rational
 values print as strings so exact output survives a round trip. Exit codes:
 0 success (verify: all checks passed), 1 mathematical failure or failing
 checks, 2 usage errors.
+
+The numeric layer (scipy, mpmath) and the check suite are imported by the
+subcommands that use them, so convert, exact transform and special start
+without them.
 """
 
 from __future__ import annotations
@@ -25,21 +29,6 @@ from .combinatorics import bernoulli, stirling_first_signed, stirling_second
 from .polynomial import Basis, BasisPolynomial, convert_basis
 from .special_polynomials import charlier, laguerre, touchard, z_poly
 from .transforms_exact import fft_poly, ifft_poly, irft_poly, rft_poly
-from .transforms_numeric import (
-    NumericConfig,
-    QuadratureSpec,
-    callable_source,
-    fft_fn,
-    fractional_derivative,
-    fractional_difference,
-    ifft_fn,
-    irft_fn,
-    rft_fn,
-    samples_source,
-    taylor_source,
-    zeta_formal_series,
-)
-from . import verify_suite
 
 _EXACT_OPS = {"fft": fft_poly, "ifft": ifft_poly, "rft": rft_poly, "irft": irft_poly}
 
@@ -158,6 +147,11 @@ def _cmd_transform(args) -> int:
 
     if args.source is None or args.at is None:
         raise ValueError("--numeric requires --source and --at")
+    from .transforms_numeric import (
+        NumericConfig, QuadratureSpec, callable_source, fft_fn, ifft_fn, irft_fn, rft_fn,
+        samples_source, taylor_source,
+    )
+
     src = NamedSource(args.source)
     cfg = NumericConfig(truncation_N=args.truncation)
     s = float(Fraction(args.at))
@@ -208,6 +202,10 @@ def _cmd_special(args) -> int:
 
 
 def _cmd_fractional(args) -> int:
+    from .transforms_numeric import (
+        NumericConfig, fractional_derivative, fractional_difference, taylor_source,
+    )
+
     src = NamedSource(args.source)
     cfg = NumericConfig(truncation_N=args.truncation)
     order = float(Fraction(args.order))
@@ -224,6 +222,8 @@ def _cmd_fractional(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
+    from .transforms_numeric import zeta_formal_series
+
     s = float(Fraction(args.s))
     partial, terms = zeta_formal_series(s, args.terms)
     _emit({"s": s, "terms_requested": args.terms, "partial_sum": partial,
@@ -234,6 +234,8 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify_suite
+
     reports = verify_suite.run_all(filter=args.filter, seed=args.seed)
     if not reports:
         print(f"no checks match filter {args.filter!r}", file=sys.stderr)

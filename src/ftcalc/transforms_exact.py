@@ -4,16 +4,25 @@ The four transforms are coefficient reinterpretations between the monomial
 and factorial bases. Binomial transform / convolution are finite sums at
 nonnegative integer arguments (the infinite-argument versions live in the
 numeric layer). All arithmetic is rational.
+
+Every sequence function is one identity, the EGF product
+h_k = sum_n binom(k,n) u_(k-n) v_n, run by one integer kernel: the binomial
+transform pairs a sequence with 1s, its inverse with (-1)^n; Newton
+interpolation is the inverse transform over j!; coefficient extraction is
+FFT(e^{-x} f)(n) / n! on EGF coefficients. Each source is sampled once at
+0..m-1, a polynomial through its falling coefficients c as
+p(n) = sum_j binom(n,j) j! c_j, the same kernel against 1s.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
-from .combinatorics import binomial_general
-from .polynomial import Basis, BasisPolynomial, apply_operator, convert_basis, derivative, multiply
+from .polynomial import (
+    Basis, BasisPolynomial, _integers, apply_operator, convert_basis, derivative, multiply,
+)
 
 SequenceSource = Union[BasisPolynomial, Callable[[int], Fraction]]
 
@@ -42,18 +51,46 @@ def irft_poly(p: BasisPolynomial) -> BasisPolynomial:
     return BasisPolynomial(Basis.MONOMIAL, ris.coeffs)
 
 
-def _seq(f: SequenceSource) -> Callable[[int], Fraction]:
-    if isinstance(f, BasisPolynomial):
-        return lambda n: f.eval(Fraction(n))
-    return f
+def _binomial(u: Sequence[Fraction], v: Sequence[Fraction], ks: Iterable[int]) -> list[Fraction]:
+    """h_k = sum_n binom(k,n) u_(k-n) v_n for each k in ks.
+
+    u covers 0..max(ks); v may stop early, its missing terms are zero. The
+    sums run on integer numerators over each input's lcm denominator, with
+    binom(k,n) stepped by its ratio, and build one Fraction per output.
+    """
+    nu, du = _integers(u)
+    nv, dv = _integers(v)
+    out = []
+    for k in ks:
+        acc, c = 0, 1
+        for n in range(min(k + 1, len(nv))):
+            acc += c * nu[k - n] * nv[n]
+            c = c * (k - n) // (n + 1)
+        out.append(Fraction(acc, du * dv))
+    return out
+
+
+def _signs(m: int) -> list[int]:
+    return [(-1) ** n for n in range(m)]
+
+
+def _samples(f: SequenceSource, m: int) -> list[Fraction]:
+    """f(0), ..., f(m-1), evaluating the source once per index.
+
+    A polynomial is read from its falling coefficients c as
+    p(n) = sum_j binom(n,j) j! c_j.
+    """
+    if not isinstance(f, BasisPolynomial):
+        return [Fraction(f(n)) for n in range(m)]
+    c = convert_basis(f, Basis.FALLING).coeffs
+    return _binomial([1] * m, [math.factorial(j) * a for j, a in enumerate(c)], range(m))
 
 
 def binomial_transform(f: SequenceSource, x: int) -> Fraction:
     """BT(f)(x) = sum_{n=0}^{x} binom(x,n) f(n) at nonnegative integer x."""
     if x < 0:
         raise ValueError("argument must be a nonnegative integer")
-    g = _seq(f)
-    return sum((Fraction(math.comb(x, n)) * g(n) for n in range(x + 1)), start=Fraction(0))
+    return _binomial([1] * (x + 1), _samples(f, x + 1), [x])[0]
 
 
 def inverse_binomial_transform(f: SequenceSource, x: int) -> Fraction:
@@ -63,23 +100,14 @@ def inverse_binomial_transform(f: SequenceSource, x: int) -> Fraction:
     """
     if x < 0:
         raise ValueError("argument must be a nonnegative integer")
-    g = _seq(f)
-    acc = Fraction(0)
-    for n in range(x + 1):
-        term = Fraction(math.comb(x, n)) * g(n)
-        acc += -term if (x - n) % 2 else term
-    return acc
+    return _binomial(_signs(x + 1), _samples(f, x + 1), [x])[0]
 
 
 def binomial_convolution(f: SequenceSource, g: SequenceSource, x: int) -> Fraction:
     """conv(f,g)(x) = sum_{n=0}^{x} binom(x,n) f(x-n) g(n); commutative."""
     if x < 0:
         raise ValueError("argument must be a nonnegative integer")
-    ff, gg = _seq(f), _seq(g)
-    return sum(
-        (Fraction(math.comb(x, n)) * ff(x - n) * gg(n) for n in range(x + 1)),
-        start=Fraction(0),
-    )
+    return _binomial(_samples(f, x + 1), _samples(g, x + 1), [x])[0]
 
 
 def egf_product_coeffs(F: SequenceSource, G: SequenceSource, K: int) -> list[Fraction]:
@@ -89,7 +117,7 @@ def egf_product_coeffs(F: SequenceSource, G: SequenceSource, K: int) -> list[Fra
     """
     if K < 1:
         raise ValueError("order K must be >= 1")
-    return [binomial_convolution(F, G, k) for k in range(K)]
+    return _binomial(_samples(F, K), _samples(G, K), range(K))
 
 
 def hadamard_ifft(f: BasisPolynomial, g: BasisPolynomial) -> BasisPolynomial:
@@ -112,43 +140,34 @@ def hadamard_ifft(f: BasisPolynomial, g: BasisPolynomial) -> BasisPolynomial:
     return acc
 
 
-def coefficient_extract(f: Union[BasisPolynomial, Callable[[int], Fraction]], n: int) -> Fraction:
+def coefficient_extract(f: SequenceSource, n: int) -> Fraction:
     """n-th power-series coefficient of f via the e^{-x}-weighted Newton sum.
 
     f supplies Taylor coefficients (a BasisPolynomial or a callable j -> a_j);
     at integer n the chain a(n) = FFT(e^{-x} f(x))(n) / n! is a finite exact
-    sum.
+    sum. On EGF coefficients j! a_j, e^{-x} is the inverse binomial transform
+    and FFT at n the binomial transform.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
     if isinstance(f, BasisPolynomial):
-        mono = convert_basis(f, Basis.MONOMIAL)
-        a = mono.coeff
+        a = convert_basis(f, Basis.MONOMIAL).coeffs[:n + 1]
     else:
-        a = f
-    acc = Fraction(0)
-    for k in range(n + 1):
-        # Cauchy coefficient of e^{-x} f(x)
-        c = sum(
-            (Fraction((-1) ** (k - j), math.factorial(k - j)) * Fraction(a(j)) for j in range(k + 1)),
-            start=Fraction(0),
-        )
-        acc += Fraction(math.comb(n, k)) * math.factorial(k) * c
-    return acc / math.factorial(n)
+        a = _samples(f, n + 1)
+    egf = [math.factorial(j) * c for j, c in enumerate(a)]
+    weighted = _binomial(_signs(n + 1), egf, range(n + 1))
+    return _binomial([1] * (n + 1), weighted, [n])[0] / math.factorial(n)
 
 
 def newton_from_samples(f: SequenceSource, degree: int) -> BasisPolynomial:
     """Falling-basis polynomial interpolating f on 0..degree (Newton series).
 
-    Coefficient of (x)_j is the forward difference D^j f(0) / j!. Exact for
+    Coefficient of (x)_j is the forward difference D^j f(0) / j!, the
+    inverse binomial transform of the samples at j. Exact for
     polynomial-sampled sequences of the given degree.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    g = _seq(f)
-    row = [Fraction(g(n)) for n in range(degree + 1)]
-    coeffs = [row[0]]
-    for j in range(1, degree + 1):
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-        coeffs.append(row[0] / math.factorial(j))
-    return BasisPolynomial(Basis.FALLING, coeffs)
+    m = degree + 1
+    diffs = _binomial(_signs(m), _samples(f, m), range(m))
+    return BasisPolynomial(Basis.FALLING, [d / math.factorial(j) for j, d in enumerate(diffs)])

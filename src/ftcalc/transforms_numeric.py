@@ -5,7 +5,8 @@ transforms of integer samples), Gauss-Laguerre quadrature for the rising
 transform, fractional derivatives/differences, and the gamma-function
 support used by the verification checks.
 
-Numeric policy: series follow the NumericConfig tail policy. When direct
+Numeric policy: a series stops once three successive terms fall below the
+NumericConfig tolerance relative to its partial sum. When direct
 summation misses the stop criterion within truncation_N, the Newton-sum
 evaluator applies Wynn's epsilon extrapolation to the partial sums before
 giving up; slowly converging Newton series (binom(s,n) tails decay only like
@@ -89,15 +90,12 @@ def callable_source(provider: Callable[[float], float]) -> SeriesSource:
 class NumericConfig:
     truncation_N: int = 64
     tolerance: float = 1e-10
-    tail_policy: str = "stop_when_term_below"  # or "fixed_N"
 
     def __post_init__(self):
         if self.truncation_N < 1:
             raise ValueError("truncation_N must be >= 1")
         if not (self.tolerance > 0):
             raise ValueError("tolerance must be positive")
-        if self.tail_policy not in ("fixed_N", "stop_when_term_below"):
-            raise ValueError(f"unknown tail policy {self.tail_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -208,16 +206,12 @@ def _sum_with_policy(term_at: Callable[[int], float], cfg: NumericConfig,
                      accelerate: bool, what: str) -> tuple[float, float]:
     """Sum term_at(0..) under cfg; returns (sum, error_estimate).
 
-    stop_when_term_below stops after _CONSECUTIVE_SMALL successive terms fall
-    below tolerance * max(1, |partial sum|); fixed_N always consumes exactly
-    truncation_N terms. When the stop criterion is unmet and accelerate is
-    set, epsilon extrapolation of the partial sums is attempted before
-    raising NonConvergenceError.
+    Stops after _CONSECUTIVE_SMALL successive terms fall below
+    tolerance * max(1, |partial sum|) within truncation_N terms. When the
+    stop criterion is unmet and accelerate is set, epsilon extrapolation of
+    the partial sums is attempted before raising NonConvergenceError.
     """
     N = cfg.truncation_N
-    if cfg.tail_policy == "fixed_N":
-        acc = math.fsum(term_at(n) for n in range(N))
-        return acc, abs(term_at(N))
     acc = 0.0
     small = 0
     seen_nonzero = False
@@ -275,18 +269,16 @@ def fft_fn(src: SeriesSource, s: float, cfg: NumericConfig = NumericConfig()) ->
     return NumericResult(val, est)
 
 
-def ifft_fn(src: SeriesSource, x: float, cfg: NumericConfig = NumericConfig()) -> NumericResult:
-    """Inverse falling transform e^{-x} sum_n f(n) x^n / n! of integer samples.
+def _egf_series(sample: Callable[[int], Number], x: float, cfg: NumericConfig,
+                what: str) -> NumericResult:
+    """e^{-x} sum_n sample(n) x^n / n!, with the damping applied to the sum.
 
-    The error estimate is the magnitude of the first omitted weighted term
-    (meaningful for eventually monotone decaying terms).
+    x^n/n! underflows to exact zero long before factorial-scale samples stop
+    mattering; each term is formed exactly and rounded once. The error
+    estimate is the magnitude of the first omitted weighted term (meaningful
+    for eventually monotone decaying terms).
     """
-    if src.kind != "integer_samples":
-        raise ValueError("ifft_fn requires an 'integer_samples' SeriesSource")
-    f = src.provider
     damp = math.exp(-x)
-    # x^n/n! underflows to exact zero long before factorial-scale samples
-    # stop mattering; form each term exactly and round once.
     x_frac = Fraction(x)
     pw = [Fraction(1)]
 
@@ -294,33 +286,29 @@ def ifft_fn(src: SeriesSource, x: float, cfg: NumericConfig = NumericConfig()) -
         while len(pw) <= n:
             m = len(pw)
             pw.append(pw[-1] * x_frac / m)
-        return float(pw[n] * Fraction(f(n)))
+        return float(pw[n] * Fraction(sample(n)))
 
-    val, est = _sum_with_policy(term, cfg, accelerate=False, what="ifft_fn EGF series")
+    val, est = _sum_with_policy(term, cfg, accelerate=False, what=what)
     return NumericResult(damp * val, damp * est)
+
+
+def ifft_fn(src: SeriesSource, x: float, cfg: NumericConfig = NumericConfig()) -> NumericResult:
+    """Inverse falling transform e^{-x} sum_n f(n) x^n / n! of integer samples."""
+    if src.kind != "integer_samples":
+        raise ValueError("ifft_fn requires an 'integer_samples' SeriesSource")
+    return _egf_series(src.provider, x, cfg, "ifft_fn EGF series")
 
 
 def irft_fn(src: SeriesSource, x: float, cfg: NumericConfig = NumericConfig()) -> NumericResult:
     """Inverse rising transform e^{x} sum_n (-1)^n f(-n) x^n / n!.
 
-    The source must be callable at the nonpositive integers -n.
+    This is the EGF series of the reflected samples n -> f(-n) at -x, so
+    the source must be callable at the nonpositive integers -n.
     """
     if src.kind != "callable":
         raise ValueError("irft_fn requires a 'callable' SeriesSource")
     f = src.provider
-    grow = math.exp(x)
-    x_frac = Fraction(x)
-    pw = [Fraction(1)]
-
-    def term(n: int) -> float:
-        while len(pw) <= n:
-            m = len(pw)
-            pw.append(pw[-1] * x_frac / m)
-        v = pw[n] * Fraction(f(-n))
-        return float(-v if n % 2 else v)
-
-    val, est = _sum_with_policy(term, cfg, accelerate=False, what="irft_fn EGF series")
-    return NumericResult(grow * val, grow * est)
+    return _egf_series(lambda n: f(-n), -x, cfg, "irft_fn EGF series")
 
 
 def rft_fn(f: Callable[[float], float], s: float,

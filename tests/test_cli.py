@@ -7,9 +7,13 @@ verification failure, 2 usage error.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ftcalc
 from ftcalc.cli import main
 
 X_SQUARED = '{"basis":"monomial","coeffs":["0","0","1"]}'
@@ -233,3 +237,22 @@ def test_console_entry_point_importable():
     from ftcalc import cli
 
     assert callable(cli.main)
+
+
+def test_exact_subcommands_load_no_numeric_layer():
+    """convert, exact transform and special import neither scipy, mpmath nor the suite."""
+    code = (
+        "import sys\n"
+        "from ftcalc.cli import main\n"
+        f"assert main(['convert', {X_SQUARED!r}, '--to', 'falling']) == 0\n"
+        f"assert main(['transform', {X_SQUARED!r}, '--op', 'rft']) == 0\n"
+        "assert main(['special', '--family', 'touchard', '--n', '3']) == 0\n"
+        "print(sorted(m for m in ('scipy', 'mpmath', 'ftcalc.verify_suite',\n"
+        "                         'ftcalc.transforms_numeric') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(ftcalc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -3,11 +3,14 @@
 The four polynomial transforms are coefficient reinterpretations, so the
 tests pin down both the coefficient contract and the induced functional
 identities (round trips, reflection, transported scaling). Sequence-level
-transforms are checked at integer points against direct sums.
+transforms are checked at integer points against direct sums: the
+``_ref_*`` helpers sum the defining formulas term by term over sampled values
+p.eval(n), independently of the binomial kernel the module runs on.
 """
 
 import math
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 
 from ftcalc.polynomial import (
     Basis,
+    BasisPolynomial,
     apply_operator,
     convert_basis,
     monomial,
@@ -206,3 +210,112 @@ def test_sequence_argument_validation():
         coefficient_extract(one, -1)
     with pytest.raises(ValueError):
         newton_from_samples(one, -1)
+
+
+def _ref_seq(f):
+    if isinstance(f, BasisPolynomial):
+        return lambda n: f.eval(Fraction(n))
+    return f
+
+
+def _ref_binomial_transform(f, x):
+    g = _ref_seq(f)
+    return sum((Fraction(math.comb(x, n)) * g(n) for n in range(x + 1)), Fraction(0))
+
+
+def _ref_inverse_binomial_transform(f, x):
+    g = _ref_seq(f)
+    return sum((Fraction(math.comb(x, n) * (-1) ** (x - n)) * g(n) for n in range(x + 1)),
+               Fraction(0))
+
+
+def _ref_binomial_convolution(f, g, x):
+    ff, gg = _ref_seq(f), _ref_seq(g)
+    return sum((Fraction(math.comb(x, n)) * ff(x - n) * gg(n) for n in range(x + 1)), Fraction(0))
+
+
+def _ref_egf_product_coeffs(F, G, K):
+    return [_ref_binomial_convolution(F, G, k) for k in range(K)]
+
+
+def _ref_newton_from_samples(f, degree):
+    """Forward-difference table: the (x)_j coefficient is D^j f(0) / j!."""
+    g = _ref_seq(f)
+    row = [Fraction(g(n)) for n in range(degree + 1)]
+    coeffs = [row[0]]
+    for j in range(1, degree + 1):
+        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
+        coeffs.append(row[0] / math.factorial(j))
+    return poly(Basis.FALLING, coeffs)
+
+
+def _ref_coefficient_extract(f, n):
+    """FFT(e^{-x} f)(n) / n! with the Cauchy product of e^{-x} and f spelled out."""
+    a = convert_basis(f, Basis.MONOMIAL).coeff if isinstance(f, BasisPolynomial) else f
+    acc = Fraction(0)
+    for k in range(n + 1):
+        c = sum((Fraction((-1) ** (k - j), math.factorial(k - j)) * Fraction(a(j))
+                 for j in range(k + 1)), Fraction(0))
+        acc += Fraction(math.comb(n, k)) * math.factorial(k) * c
+    return acc / math.factorial(n)
+
+
+def _rand_coeffs(rng, degree):
+    """Rationals over coprime denominators, with zeros inside the vector."""
+    out = [Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3, 5, 7, 11, 13]))
+           if rng.random() > 0.25 else Fraction(0) for _ in range(degree + 1)]
+    if out:
+        out[-1] = out[-1] or Fraction(1, 17)
+    return out
+
+
+def _assert_matches_reference(f, g, rng):
+    for x in {0, 1, rng.randint(0, 30)}:
+        assert binomial_transform(f, x) == _ref_binomial_transform(f, x)
+        assert inverse_binomial_transform(f, x) == _ref_inverse_binomial_transform(f, x)
+        assert binomial_convolution(f, g, x) == _ref_binomial_convolution(f, g, x)
+    for K in {1, rng.randint(1, 14)}:
+        assert egf_product_coeffs(f, g, K) == _ref_egf_product_coeffs(f, g, K)
+    for degree in {0, rng.randint(0, 33)}:
+        assert newton_from_samples(f, degree) == _ref_newton_from_samples(f, degree)
+    for n in {0, rng.randint(0, 33)}:
+        assert coefficient_extract(f, n) == _ref_coefficient_extract(f, n)
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_sequence_functions_match_direct_sums_on_polynomials(basis):
+    """All six sequence functions equal their defining sums, degrees -1..30."""
+    rng = Random(f"sequence-{basis.value}")
+    for degree in range(-1, 31):
+        f = poly(basis, _rand_coeffs(rng, degree))
+        g = poly(rng.choice(list(Basis)), _rand_coeffs(rng, rng.randint(-1, 12)))
+        assert f.degree == degree
+        _assert_matches_reference(f, g, rng)
+
+
+def test_sequence_functions_match_direct_sums_on_callables():
+    rng = Random("sequence-callables")
+    fact = lambda n: math.factorial(n)  # int-valued samples
+    values = _rand_coeffs(rng, 40)
+    table = lambda n: values[n]
+    recip = lambda n: Fraction(1, n + 1)
+    for f, g in [(fact, table), (table, recip), (recip, fact), (table, table)]:
+        _assert_matches_reference(f, g, rng)
+
+
+def test_sequence_functions_edge_cases():
+    """x = 0, K = 1 and the zero polynomial, against the direct sums."""
+    zero = poly(Basis.RISING, [])
+    one = poly(Basis.FALLING, [1])
+    for f, g in [(zero, zero), (zero, one), (one, zero)]:
+        for x in range(4):
+            assert binomial_transform(f, x) == _ref_binomial_transform(f, x)
+            assert inverse_binomial_transform(f, x) == _ref_inverse_binomial_transform(f, x)
+            assert binomial_convolution(f, g, x) == _ref_binomial_convolution(f, g, x)
+            assert egf_product_coeffs(f, g, x + 1) == _ref_egf_product_coeffs(f, g, x + 1)
+            assert newton_from_samples(f, x) == _ref_newton_from_samples(f, x)
+            assert coefficient_extract(f, x) == _ref_coefficient_extract(f, x)
+    assert binomial_transform(zero, 0) == 0
+    assert type(binomial_transform(zero, 0)) is Fraction
+    assert egf_product_coeffs(one, one, 1) == [Fraction(1)]
+    assert newton_from_samples(zero, 0).is_zero()

@@ -133,6 +133,16 @@ def test_irft_fn_binomial_family(a, x):
     assert abs(r - math.exp(a * x)) < 1e-9
 
 
+@pytest.mark.parametrize("f", [lambda s: 0.5 ** s, lambda s: (1 + s) ** 2,
+                               lambda s: Fraction(3, 4) ** s])
+@pytest.mark.parametrize("x", [0.0, 0.7, -1.3, 2.5, 1 / 3])
+def test_irft_fn_is_ifft_fn_of_reflected_samples(f, x):
+    """IRFT(f)(x) is IFFT(n -> f(-n))(-x), value and estimate to the bit."""
+    r = irft_fn(callable_source(f), x)
+    q = ifft_fn(samples_source(lambda n: f(-n)), -x)
+    assert (float(r), r.error_estimate) == (float(q), q.error_estimate)
+
+
 def test_irft_fn_requires_callable_source():
     """The series needs f at negative arguments, so samples are rejected."""
     with pytest.raises(ValueError, match="callable"):
@@ -258,12 +268,6 @@ def test_ifft_outside_radius_raises():
     src = samples_source(lambda n: float(math.factorial(n)))
     with pytest.raises(NonConvergenceError):
         ifft_fn(src, 1.5, NumericConfig(truncation_N=64, tolerance=1e-10))
-
-
-def test_fixed_N_policy_never_raises():
-    cfg = NumericConfig(truncation_N=32, tolerance=1e-12, tail_policy="fixed_N")
-    r = fft_fn(exp_taylor(1.0), 2.0, cfg)
-    assert abs(r - 4.0) < 1e-10
 
 
 def test_numeric_result_shape():
