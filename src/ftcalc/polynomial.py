@@ -3,19 +3,20 @@
 A BasisPolynomial stores exact rational coefficients against one of three
 bases: monomial x^n, falling factorial (x)_n, rising factorial x^(rising n).
 
-Conversions and products run on integers: each kernel turns its input into
-integer numerators over their lcm denominator once, loops on Python ints and
-builds one Fraction per output coefficient. A conversion is one pass over a
-triangle of Stirling numbers to or from the monomial basis, and of Lah
-numbers between the falling and rising bases.
+Every kernel runs on integers: it turns its input into numerators over their
+lcm denominator once, loops on Python ints and builds one Fraction per output
+coefficient. A conversion is one pass over a triangle of Stirling numbers to
+or from the monomial basis, and of Lah numbers between the factorial bases.
 
-Operators act exactly. Every operator except scale_op is shift-invariant and
-is one row of a table: a work basis plus a weight series w, read as
-sum_j w_j L^j where L is d on the monomial basis and the forward difference D
-on the falling basis. The rows cover d^k, D^k, nabla^k, log(1+d)^k,
-(e^D - 1)^k, the shift e^{ad}, (1+d)^a and e^{aD}; the inverses of log(1+d)
-and e^D - 1 use reciprocal series. One routine applies every row, and every
-series terminates because d and D are nilpotent on polynomials. scale_op,
+Each basis is the basic sequence of its own lowering operator, L b_n =
+n b_(n-1): d on x^n, the forward difference D on (x)_n and the backward
+difference nabla on x^(rising n). Every operator except scale_op commutes
+with shifts, hence is a power series in each of them (Rota, Kahaner &
+Odlyzko, "Finite operator calculus", 1973), and is one row of a table: its
+EGF weights W, read as sum_j W_j L^j / j!, in every basis where they have a
+closed form. One binomial kernel applies a row in the input's own basis; an
+input in a basis the row lacks converts to the row's first basis and back.
+The series terminate because L is nilpotent on polynomials. scale_op,
 a^{x nabla}, is diagonal on the falling basis instead.
 """
 
@@ -27,10 +28,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Callable, Iterable, Sequence, Union
 
-from .combinatorics import lah_row, stirling_first_signed, stirling_row, stirling_second
+from .combinatorics import (
+    bernoulli, lah, lah_row, stirling_first_unsigned, stirling_row, stirling_second,
+)
 
 Scalar = Union[Fraction, int, float]
 
@@ -80,24 +83,23 @@ class BasisPolynomial:
 
     def eval(self, x: Scalar) -> Scalar:
         """Value at x; exact when x is Fraction/int, float when x is float."""
+        step = {Basis.MONOMIAL: 0, Basis.FALLING: -1, Basis.RISING: 1}[self.basis]
         if isinstance(x, float):
             acc, basis_val = 0.0, 1.0
-        else:
-            x = Fraction(x)
-            acc, basis_val = Fraction(0), Fraction(1)
-        for n, c in enumerate(self.coeffs):
-            if n > 0:
-                if self.basis is Basis.MONOMIAL:
-                    basis_val = basis_val * x
-                elif self.basis is Basis.FALLING:
-                    basis_val = basis_val * (x - (n - 1))
-                else:
-                    basis_val = basis_val * (x + (n - 1))
-            if isinstance(x, float):
+            for n, c in enumerate(self.coeffs):
                 acc += float(c) * basis_val
-            else:
-                acc += c * basis_val
-        return acc
+                basis_val = basis_val * (x + step * n)
+            return acc
+        # Horner on integers over D q^deg, for x = u/q and c_n = N_n/D:
+        # acc_n = N_n q^(deg-n) + (u + step n q) acc_(n+1)
+        x = Fraction(x)
+        u, q = x.numerator, x.denominator
+        nums, den = _integers(self.coeffs)
+        acc, qn = 0, 1
+        for n in reversed(range(len(nums))):
+            acc = acc * (u + step * n * q) + nums[n] * qn
+            qn *= q
+        return Fraction(acc * q, den * qn)
 
     def __add__(self, other: "BasisPolynomial") -> "BasisPolynomial":
         if self.basis is not other.basis:
@@ -194,16 +196,16 @@ def shift(p: BasisPolynomial, a: Scalar) -> BasisPolynomial:
     return apply_operator(shift_op(a), p)
 
 
+def _scale_coeffs(p: BasisPolynomial, basis: Basis, a: Fraction) -> BasisPolynomial:
+    # the n-th coefficient of p in basis times a^n, returned in the basis of p
+    work = convert_basis(p, basis)
+    return convert_basis(BasisPolynomial(basis, [c * a ** n for n, c in enumerate(work.coeffs)]),
+                         p.basis)
+
+
 def scale_argument(p: BasisPolynomial, a: Scalar) -> BasisPolynomial:
     """q with q(x) = p(a*x), returned in the basis of p."""
-    a = Fraction(a)
-    mono = convert_basis(p, Basis.MONOMIAL)
-    out = []
-    pw = Fraction(1)
-    for c in mono.coeffs:
-        out.append(c * pw)
-        pw *= a
-    return convert_basis(BasisPolynomial(Basis.MONOMIAL, out), p.basis)
+    return _scale_coeffs(p, Basis.MONOMIAL, Fraction(a))
 
 
 def multiply(p: BasisPolynomial, q: BasisPolynomial) -> BasisPolynomial:
@@ -251,10 +253,6 @@ def _multiply_falling(p: BasisPolynomial, q: BasisPolynomial) -> BasisPolynomial
 
 
 # --- operator calculus -----------------------------------------------------
-#
-# Every operator here except scale_op commutes with shifts, hence is a power
-# series in a lowering operator L (Rota, Kahaner & Odlyzko, "Finite operator
-# calculus", 1973): L b_n = n b_(n-1) holds for d on x^n and for D on (x)_n.
 
 
 class OperatorKind(str, Enum):
@@ -286,6 +284,8 @@ class OperatorExpr:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", OperatorKind(self.kind))
+        if not isinstance(self.k, int):
+            raise ValueError(f"{self.kind.value} power must be an int, got {self.k!r}")
         if self.kind in _POWER_KINDS:
             if self.k < 0:
                 raise ValueError(f"{self.kind.value} power must be nonnegative")
@@ -335,84 +335,79 @@ def scale_op(a: Scalar) -> OperatorExpr:
     return OperatorExpr(OperatorKind.SCALE_OP, a=Fraction(a))
 
 
-def _apply_weights(coeffs: tuple[Fraction, ...], weights: list) -> list[Fraction]:
-    """sum_j w_j L^j on coefficients in a basis with L b_n = n b_(n-1).
+def _apply_weights(coeffs: tuple[Fraction, ...], weights: Sequence[int], q: int) -> list[Fraction]:
+    """sum_j (W_j / j!) L^j on coefficients in a basis with L b_n = n b_(n-1).
 
-    out_i = sum_j w_j (i+j)!/i! c_(i+j). The sum runs on integers: with
-    c_m = N_m/D and w_j = P_j/Q, i! D Q out_i = sum_j P_j (i+j)! N_(i+j).
-    Only the span of nonzero weights is multiplied, so d^k costs one
-    product per coefficient.
+    The EGF weights are W_j = weights[j] / q, so the sum is the correlation
+    out_i = sum_j binom(i+j, j) W_j c_(i+j). It runs on integers over the
+    lcm denominator of coeffs: a row holds binom(i+j, j) weights[j] and steps
+    in i by the exact ratio (i+j)/i. Only the span of nonzero weights is
+    stepped and multiplied, so d^k costs O(1) per coefficient.
     """
     nz = [j for j, w in enumerate(weights) if w]
     if not nz:
         return []
-    lo, hi = nz[0], nz[-1] + 1
-    ws = weights[lo:hi]
-    num, q = _integers(ws)
+    lo, hi, n = nz[0], nz[-1] + 1, len(coeffs)
+    row = weights[lo:hi]
     nums, d = _integers(coeffs)
-    scaled, fact = [], 1
-    for m, c in enumerate(nums):
-        fact *= m or 1
-        scaled.append(fact * c)
-    out, fact = [], 1
-    for i in range(len(coeffs) - lo):
-        fact *= i or 1
-        out.append(Fraction(sum(map(operator.mul, num, scaled[i + lo:i + hi])) // fact, d * q))
+    out = []
+    for i in range(1, n - lo + 1):
+        out.append(Fraction(sum(map(operator.mul, row, nums[i - 1 + lo:i - 1 + hi])), d * q))
+        row = list(map(operator.floordiv, map(operator.mul, row, range(i + lo, min(i + hi, n))),
+                       repeat(i)))
     return out
 
 
-def _t_power(k: int, n: int) -> list[int]:
-    return [int(j == k) for j in range(n)]
+def _column(table: Callable[[int, int], int], sign: int, op: OperatorExpr,
+            n: int) -> tuple[list[int], int]:
+    # k! T(j,k) are the EGF weights of f(t)^k for f = -log(1-t), e^t - 1 and
+    # t/(1-t) (T = c, S, L), and of L^k itself for T = operator.eq, the
+    # identity table; the factor sign^(j-k) with sign -1 gives -f(-t)
+    k, f = op.k, math.factorial(op.k)
+    return [f * sign ** (j - k) * table(j, k) if j >= k else 0 for j in range(n)], 1
 
 
-def _nabla_power(k: int, n: int) -> list[int]:
-    # backward difference = D/(1+D): (t/(1+t))^k = sum_j (-1)^(j-k) C(j-1, k-1) t^j
-    return [(-1) ** (j - k) * math.comb(j - 1, k - 1) if j > k > 0 else int(j == k)
-            for j in range(n)]
+def _powers(step: int, op: OperatorExpr, n: int) -> tuple[list[int], int]:
+    # a^j, (a)_j or a^(rising j) for step 0, -1 or 1: the EGF weights of
+    # e^{at}, (1+t)^a and (1-t)^(-a), over q^n for a = p/q
+    p, q = op.a.numerator, op.a.denominator
+    out = accumulate((p + step * j * q for j in range(n - 1)), operator.mul, initial=1)
+    return [w * q ** (n - j) for j, w in zip(range(n), out)], q ** n
 
 
-def _stirling_power(stirling: Callable[[int, int], int], k: int, n: int) -> list[Fraction]:
-    # log(1+t)^k and (e^t - 1)^k = k! sum_j s(j,k) t^j / j!, resp. S(j,k)
-    return [Fraction(math.factorial(k) * stirling(j, k), math.factorial(j)) for j in range(n)]
-
-
-def _ratio_series(n: int, ratio: Callable[[int], Fraction]) -> list[Fraction]:
-    # w_0 = 1, w_j = w_(j-1) * ratio(j)
-    out = [Fraction(1)]
-    for j in range(1, n):
-        out.append(out[-1] * ratio(j))
-    return out[:n]
-
-
-# kind -> (work basis, weight series of length n for op)
-_SERIES: dict[OperatorKind, tuple[Basis, Callable[[OperatorExpr, int], list]]] = {
-    OperatorKind.DERIVATIVE: (Basis.MONOMIAL, lambda op, n: _t_power(op.k, n)),
-    OperatorKind.FORWARD_DIFFERENCE: (Basis.FALLING, lambda op, n: _t_power(op.k, n)),
-    OperatorKind.BACKWARD_DIFFERENCE: (Basis.FALLING, lambda op, n: _nabla_power(op.k, n)),
-    OperatorKind.LOG1P_DERIVATIVE: (
-        Basis.MONOMIAL, lambda op, n: _stirling_power(stirling_first_signed, op.k, n)),
-    OperatorKind.EXPDIFF_MINUS1: (
-        Basis.FALLING, lambda op, n: _stirling_power(stirling_second, op.k, n)),
-    # e^{at} = sum_j a^j t^j / j! gives the shift E^a = e^{a d}, and e^{a D}
-    OperatorKind.SHIFT: (Basis.MONOMIAL, lambda op, n: _ratio_series(n, lambda j: op.a / j)),
-    OperatorKind.EXP_SHIFT: (Basis.FALLING, lambda op, n: _ratio_series(n, lambda j: op.a / j)),
-    # (1+t)^a = sum_j binom(a, j) t^j
-    OperatorKind.BINOM_SHIFT: (
-        Basis.MONOMIAL, lambda op, n: _ratio_series(n, lambda j: (op.a - j + 1) / j)),
+# kind -> {basis: builder of the n EGF weights of op in that basis, as integers
+# over a common denominator}. The rows follow from d = log(1+D) =
+# -log(1-nabla), D = e^d - 1 = nabla/(1-nabla), nabla = 1 - e^(-d) =
+# D/(1+D) and E^a = e^{ad} = (1+D)^a = (1-nabla)^(-a).
+_POWER = partial(_column, operator.eq, 1)
+_SERIES: dict[OperatorKind, dict[Basis, Callable[[OperatorExpr, int], tuple[list[int], int]]]] = {
+    OperatorKind.DERIVATIVE: {Basis.MONOMIAL: _POWER,
+                              Basis.FALLING: partial(_column, stirling_first_unsigned, -1),
+                              Basis.RISING: partial(_column, stirling_first_unsigned, 1)},
+    OperatorKind.FORWARD_DIFFERENCE: {Basis.FALLING: _POWER,
+                                      Basis.MONOMIAL: partial(_column, stirling_second, 1),
+                                      Basis.RISING: partial(_column, lah, 1)},
+    OperatorKind.BACKWARD_DIFFERENCE: {Basis.RISING: _POWER,
+                                       Basis.FALLING: partial(_column, lah, -1),
+                                       Basis.MONOMIAL: partial(_column, stirling_second, -1)},
+    OperatorKind.LOG1P_DERIVATIVE: {Basis.MONOMIAL: partial(_column, stirling_first_unsigned, -1)},
+    OperatorKind.EXPDIFF_MINUS1: {Basis.FALLING: partial(_column, stirling_second, 1)},
+    OperatorKind.SHIFT: {Basis.MONOMIAL: partial(_powers, 0), Basis.FALLING: partial(_powers, -1),
+                         Basis.RISING: partial(_powers, 1)},
+    OperatorKind.EXP_SHIFT: {Basis.FALLING: partial(_powers, 0)},
+    OperatorKind.BINOM_SHIFT: {Basis.MONOMIAL: partial(_powers, -1)},
 }
 
 
 def apply_operator(op: OperatorExpr, p: BasisPolynomial) -> BasisPolynomial:
     """Apply op to p exactly; the result is returned in the basis of p."""
     if op.kind is OperatorKind.SCALE_OP:
-        # x nabla (x)_n = n (x)_n, so a^{x nabla} scales the n-th falling
-        # coefficient by a^n
-        fall = convert_basis(p, Basis.FALLING)
-        out = [c * op.a ** n for n, c in enumerate(fall.coeffs)]
-        return convert_basis(BasisPolynomial(Basis.FALLING, out), p.basis)
-    basis, weights = _SERIES[op.kind]
+        # x nabla (x)_n = n (x)_n, so a^{x nabla} scales (x)_n by a^n
+        return _scale_coeffs(p, Basis.FALLING, op.a)
+    rows = _SERIES[op.kind]
+    basis = p.basis if p.basis in rows else next(iter(rows))
     work = convert_basis(p, basis)
-    out = _apply_weights(work.coeffs, weights(op, len(work.coeffs)))
+    out = _apply_weights(work.coeffs, *rows[basis](op, len(work.coeffs)))
     return convert_basis(BasisPolynomial(basis, out), p.basis)
 
 
@@ -429,20 +424,11 @@ def _lift(coeffs: Iterable[Fraction], basis: Basis, target: Basis) -> BasisPolyn
     return convert_basis(BasisPolynomial(basis, out), target)
 
 
-def _reciprocal(f: list[Fraction]) -> list[Fraction]:
-    # 1/f for a series with f_0 = 1
-    h = [Fraction(1)]
-    for m in range(1, len(f)):
-        h.append(-sum((f[j] * h[m - j] for j in range(1, m + 1)), Fraction(0)))
-    return h[:len(f)]
-
-
 def _series_inverse(p: BasisPolynomial, basis: Basis,
-                    ratio: Callable[[int], Fraction]) -> BasisPolynomial:
-    # the operator is L g(L); ratio generates g as in _ratio_series
+                    weights: Callable[[int], tuple[list[int], int]]) -> BasisPolynomial:
+    # the operator is L g(L); weights builds the EGF weights of 1/g(L)
     work = convert_basis(p, basis)
-    h = _reciprocal(_ratio_series(len(work.coeffs), ratio))
-    return _lift(_apply_weights(work.coeffs, h), basis, p.basis)
+    return _lift(_apply_weights(work.coeffs, *weights(len(work.coeffs))), basis, p.basis)
 
 
 def antiderivative(p: BasisPolynomial) -> BasisPolynomial:
@@ -455,13 +441,20 @@ def indefinite_sum(p: BasisPolynomial) -> BasisPolynomial:
     return _lift(convert_basis(p, Basis.FALLING).coeffs, Basis.FALLING, p.basis)
 
 
+def _log1p_reciprocal(n: int) -> tuple[list[int], int]:
+    # t/log(1+t) is (e^u - 1)/u, with EGF weights 1/(k+1), at u = log(1+t):
+    # W_j = sum_k s(j,k)/(k+1)
+    den = math.lcm(*range(1, n + 1))
+    return [sum((-1) ** (j - k) * c * (den // (k + 1)) for k, c in enumerate(stirling_row(True, j)))
+            for j in range(n)], den
+
+
 def log1p_derivative_inverse(p: BasisPolynomial) -> BasisPolynomial:
     """(log(1+d))^{-1} p, normalized to zero constant term."""
-    # log(1+t)/t = sum_j (-1)^j t^j / (j+1)
-    return _series_inverse(p, Basis.MONOMIAL, lambda j: Fraction(-j, j + 1))
+    return _series_inverse(p, Basis.MONOMIAL, _log1p_reciprocal)
 
 
 def expdiff_minus1_inverse(p: BasisPolynomial) -> BasisPolynomial:
     """(e^D - 1)^{-1} p, normalized to zero constant term."""
-    # (e^t - 1)/t = sum_j t^j / (j+1)!
-    return _series_inverse(p, Basis.FALLING, lambda j: Fraction(1, j + 1))
+    # t/(e^t - 1) = sum_j B_j t^j / j!
+    return _series_inverse(p, Basis.FALLING, lambda n: _integers([bernoulli(j) for j in range(n)]))

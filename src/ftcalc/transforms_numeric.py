@@ -27,6 +27,8 @@ import mpmath as mp
 from scipy.special import roots_genlaguerre, roots_laguerre
 
 from .combinatorics import bernoulli, rising_factorial
+from .polynomial import Basis, BasisPolynomial, shift
+from .transforms_exact import _binomial, _signs
 
 Number = Union[int, float, Fraction]
 
@@ -373,39 +375,37 @@ def _shifted_taylor(a: Callable[[int], Number], t: Number, count: int, extra: in
     """Taylor coefficients of u -> f(u + t) from those of f, truncated.
 
     a'_k = sum_{i >= k} binom(i, k) a_i t^(i-k), cut at count + extra source
-    terms; exact when a yields Fractions and t is rational.
+    terms. When a yields ints or Fractions and t is rational this is the
+    exact monomial shift of the truncated jet, padded back to count.
     """
     M = count + extra
     src = [a(i) for i in range(M)]
-    exact = not isinstance(t, float) and all(not isinstance(v, float) for v in src)
-    tt = Fraction(t) if exact else float(t)
+    if not isinstance(t, float) and all(not isinstance(v, float) for v in src):
+        out = list(shift(BasisPolynomial(Basis.MONOMIAL, src), t).coeffs[:count])
+        return out + [Fraction(0)] * (count - len(out))
+    tt = float(t)
     out = []
     for k in range(count):
-        acc = Fraction(0) if exact else 0.0
-        pw = Fraction(1) if exact else 1.0
+        acc, pw = 0.0, 1.0
         for i in range(k, M):
-            acc += math.comb(i, k) * (src[i] if exact else float(src[i])) * pw
+            acc += math.comb(i, k) * float(src[i]) * pw
             pw *= tt
         out.append(acc)
     return out
 
 
 def _exp_neg_convolve(coeffs: Sequence) -> list:
-    """Cauchy product of e^{-x} with the given coefficient sequence."""
-    exact = all(not isinstance(v, float) for v in coeffs)
-    out = []
-    for k in range(len(coeffs)):
-        if exact:
-            acc = sum(
-                (Fraction((-1) ** m, math.factorial(m)) * coeffs[k - m] for m in range(k + 1)),
-                start=Fraction(0),
-            )
-        else:
-            acc = math.fsum(
-                ((-1) ** m / math.factorial(m)) * float(coeffs[k - m]) for m in range(k + 1)
-            )
-        out.append(acc)
-    return out
+    """Cauchy product of e^{-x} with the given coefficient sequence.
+
+    Exact on ints and Fractions, as the inverse binomial transform of the EGF
+    coefficients n! c_n; any float input makes the whole product float.
+    """
+    if all(not isinstance(v, float) for v in coeffs):
+        egf = [math.factorial(n) * c for n, c in enumerate(coeffs)]
+        return [h / math.factorial(k)
+                for k, h in enumerate(_binomial(egf, _signs(len(egf)), range(len(egf))))]
+    return [math.fsum(((-1) ** m / math.factorial(m)) * float(coeffs[k - m]) for m in range(k + 1))
+            for k in range(len(coeffs))]
 
 
 def fractional_derivative(src: SeriesSource, order: float, t: Number = 0,

@@ -26,6 +26,7 @@ from ftcalc.polynomial import (
     OperatorExpr,
     OperatorKind,
     _apply_weights,
+    _integers,
     antiderivative,
     apply_operator,
     backward_difference,
@@ -91,6 +92,37 @@ def test_eval_semantics_per_basis():
     assert poly(Basis.MONOMIAL, c).eval(x) == 2 - x + 3 * x * x
     assert poly(Basis.FALLING, c).eval(x) == 2 - x + 3 * x * (x - 1)
     assert poly(Basis.RISING, c).eval(x) == 2 - x + 3 * x * (x + 1)
+
+
+def _ref_eval(p, x):
+    """The direct basis-product loop eval used before its integer Horner form."""
+    x = Fraction(x)
+    acc, basis_val = Fraction(0), Fraction(1)
+    for n, c in enumerate(p.coeffs):
+        if n > 0:
+            if p.basis is Basis.MONOMIAL:
+                basis_val = basis_val * x
+            elif p.basis is Basis.FALLING:
+                basis_val = basis_val * (x - (n - 1))
+            else:
+                basis_val = basis_val * (x + (n - 1))
+        acc += c * basis_val
+    return acc
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_eval_matches_reference_loop(basis):
+    """Exact eval equals the direct loop, as a Fraction, at x = 0, negative
+    integers (zeros of the rising basis) and non-integer rationals."""
+    xs = [0, Fraction(0), -1, -4, Fraction(-17), 3, Fraction(7, 2), Fraction(-5, 3),
+          Fraction(2, 9), Fraction(-1, 12)]
+    for d in range(-1, 31):
+        p = poly(basis, [Fraction((-1) ** n * (n % 5 + 1), n % 7 + 1) for n in range(d)]
+                 + [Fraction(3, 8)] * (d >= 0))
+        for x in xs:
+            got = p.eval(x)
+            assert type(got) is Fraction
+            assert got == _ref_eval(p, x), (d, x)
 
 
 def test_falling_unit_is_basis_element():
@@ -198,12 +230,36 @@ def test_operator_powers_iterate(coeffs, basis, k, factory):
 @given(coeff_lists, coeff_lists)
 def test_apply_weights_matches_defining_sum(coeffs, weights):
     """The integer kernel behind every operator row equals its defining sum
-    out_i = sum_j w_j (i+j)!/i! c_(i+j) taken in plain Fraction arithmetic."""
+    out_i = sum_j W_j / j! (i+j)!/i! c_(i+j), with EGF weights W_j = j! w_j,
+    taken in plain Fraction arithmetic."""
     c = poly(Basis.MONOMIAL, coeffs).coeffs
     w = (list(weights) + [Fraction(0)] * len(c))[:len(c)]
+    egf = [math.factorial(j) * wj for j, wj in enumerate(w)]
     want = [sum((w[j] * math.perm(i + j, j) * c[i + j] for j in range(len(c) - i)),
                 Fraction(0)) for i in range(len(c))]
-    assert poly(Basis.MONOMIAL, _apply_weights(c, w)) == poly(Basis.MONOMIAL, want)
+    assert poly(Basis.MONOMIAL, _apply_weights(c, *_integers(egf))) == poly(Basis.MONOMIAL, want)
+
+
+_ROWS = [OperatorExpr(kind, k=k) for kind in ("derivative", "forward_difference",
+                                              "backward_difference", "log1p_derivative",
+                                              "expdiff_minus1") for k in range(4)]
+_ROWS += [OperatorExpr(kind, a=a) for kind in ("shift", "binom_shift", "exp_shift")
+          for a in (Fraction(0), Fraction(1), Fraction(-1), Fraction(-7, 3), Fraction(5, 2))]
+
+
+@pytest.mark.parametrize("op", _ROWS, ids=lambda op: f"{op.kind.value}-{op.k}-{op.a}")
+def test_operator_in_own_basis_matches_round_trip(op):
+    """Every row weight applied in the input's own basis equals converting to
+    each other basis, applying there and converting back; a wrong sign or index
+    in a Stirling or Lah row breaks this."""
+    for d in (-1, 0, 1, 2, 5, 9):
+        for basis in Basis:
+            p = poly(basis, [Fraction((-1) ** n * (n + 2), n % 4 + 1) for n in range(d + 1)])
+            got = apply_operator(op, p)
+            assert got.basis is basis
+            for other in Basis:
+                via = convert_basis(apply_operator(op, convert_basis(p, other)), basis)
+                assert got == via, (basis.value, other.value, d)
 
 
 @given(coeff_lists, points, points)
@@ -382,6 +438,10 @@ def test_operator_expr_validation():
         with pytest.raises(ValueError):
             OperatorExpr(kind, k=5, a=Fraction(1))  # parameter kinds take no power
         assert OperatorExpr(kind, a=Fraction(1)).k == 1
+    with pytest.raises(ValueError):
+        OperatorExpr(OperatorKind.DERIVATIVE, k=1.5)  # used to give the zero polynomial
+    with pytest.raises(ValueError):
+        OperatorExpr(OperatorKind.LOG1P_DERIVATIVE, k=2.0)  # used to raise TypeError
 
 
 @given(coeff_lists, bases)

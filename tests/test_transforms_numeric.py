@@ -34,6 +34,7 @@ from ftcalc.transforms_numeric import (
     wynn_epsilon,
     zeta_formal_series,
 )
+from ftcalc.transforms_numeric import _exp_neg_convolve, _shifted_taylor
 
 
 def exp_taylor(a):
@@ -167,6 +168,43 @@ def test_fractional_derivative_integer_orders():
     src = exp_taylor(0.5)
     assert abs(fractional_derivative(src, 0.0) - 1.0) < 1e-10
     assert abs(fractional_derivative(src, 1.0) - 0.5) < 1e-10
+
+
+def _ref_exp_neg_convolve(coeffs):
+    """The direct Fraction Cauchy product with e^{-x}."""
+    return [sum((Fraction((-1) ** m, math.factorial(m)) * coeffs[k - m] for m in range(k + 1)),
+                start=Fraction(0)) for k in range(len(coeffs))]
+
+
+def _ref_shifted_taylor(a, t, count, extra=32):
+    """The direct Fraction sum a'_k = sum_{i >= k} binom(i, k) a_i t^(i-k)."""
+    src = [a(i) for i in range(count + extra)]
+    return [sum((math.comb(i, k) * src[i] * Fraction(t) ** (i - k) for i in range(k, len(src))),
+                start=Fraction(0)) for k in range(count)]
+
+
+_EXACT_SEQUENCES = {
+    "int": lambda n: (-1) ** n * (n % 7 + 1),
+    "fraction": lambda n: Fraction(2) ** n / math.factorial(n) - Fraction(n % 3, n + 1),
+    # a cubic: its shifted jet ends early and is padded back to count
+    "polynomial": lambda n: Fraction(n + 1, 2) if n < 4 else 0,
+}
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 65, 161])
+@pytest.mark.parametrize("kind", sorted(_EXACT_SEQUENCES))
+def test_exact_preparation_matches_direct_sums(K, kind):
+    """The exact branches of the fractional-derivative preparation equal
+    their defining sums, value and type."""
+    a = _EXACT_SEQUENCES[kind]
+    coeffs = [a(n) for n in range(K)]
+    got = _exp_neg_convolve(coeffs)
+    assert got == _ref_exp_neg_convolve(coeffs)
+    assert all(type(v) is Fraction for v in got)
+    for t in (1, Fraction(1, 5)):
+        got = _shifted_taylor(a, t, K)
+        assert got == _ref_shifted_taylor(a, t, K)
+        assert all(type(v) is Fraction for v in got)
 
 
 @pytest.mark.parametrize("a,t,want", [
