@@ -10,9 +10,9 @@ values print as strings so exact output survives a round trip. Exit codes:
 0 success (verify: all checks passed), 1 mathematical failure or failing
 checks, 2 usage errors.
 
-The numeric layer (scipy, mpmath) and the check suite are imported by the
-subcommands that use them, so convert, exact transform and special start
-without them.
+The numeric layer and the check suite are imported by the subcommands that
+use them, so convert, exact transform and special start without them. Only
+the check suite and tanh-sinh quadrature load mpmath.
 """
 
 from __future__ import annotations

@@ -23,9 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-import mpmath as mp
-from scipy.special import roots_genlaguerre, roots_laguerre
-
 from .combinatorics import bernoulli, rising_factorial
 from .polynomial import Basis, BasisPolynomial, shift
 from .transforms_exact import _binomial, _signs
@@ -115,8 +112,10 @@ class QuadratureSpec:
                              f"2n-node rules must fit in {_MAX_NODES} nodes, got {self.nodes}")
 
 
-# Gauss-Laguerre rules become numerically unreliable (overflow in the node
-# solver / weight recurrences) beyond a few hundred nodes.
+# Largest Gauss-Laguerre rule built. A rule costs O(n^2) float steps in
+# Python: about 10 ms at n = 160 and 30 ms at n = 256 on a 2-core Xeon VM.
+# Its largest nodes lie near 4n, and weights of nodes far past x = 700
+# underflow to 0.
 _MAX_NODES = 256
 
 _node_cache: dict = {}
@@ -126,6 +125,14 @@ _node_lock = threading.Lock()
 # so concurrent callers cannot corrupt each other's precision context.
 _mp_lock = threading.Lock()
 
+# Halley steps allowed per node. From the starting guesses in
+# _laguerre_rule a node takes two, rarely three or four; the cap only ends a
+# search that has gone wrong.
+_HALLEY_STEPS = 50
+# Stands in for an exact zero in the ratio recurrence, whose next step
+# divides by it.
+_TINY = 1e-300
+
 
 def _gauss_laguerre_rule(n: int, alpha: float):
     key = (n, alpha)
@@ -134,13 +141,95 @@ def _gauss_laguerre_rule(n: int, alpha: float):
         with _node_lock:
             rule = _node_cache.get(key)
             if rule is None:
-                if alpha == 0.0:
-                    x, w = roots_laguerre(n)
-                else:
-                    x, w = roots_genlaguerre(n, alpha)
-                rule = (tuple(float(v) for v in x), tuple(float(v) for v in w))
-                _node_cache[key] = rule
+                rule = _node_cache[key] = _laguerre_rule(n, alpha)
     return rule
+
+
+def _laguerre_rule(n: int, alpha: float):
+    """Nodes and weights of the n-point Gauss rule for x^alpha e^(-x) on [0, inf).
+
+    Each node is polished by Halley steps on L_n^(alpha), taking L_n / L_n'
+    from the ratio form of the monic three-term recurrence and L'' from the
+    Laguerre ODE x y'' = (x - alpha - 1) y' - n y. Zero suppression (dividing
+    out the nodes already found) keeps each search off them, so the n nodes
+    are distinct. Starting guesses: the `gaulag` formula (Press et al.,
+    Numerical Recipes, 4.5) for the first node when alpha <= 1, else the
+    left turning point of the Laguerre ODE plus the first Airy zero; each
+    later node lies one WKB half-wave past the previous one.
+
+    The weights are the Christoffel numbers Gamma(alpha+1) / sum_{j<n} h_j(x)^2
+    of the normalized polynomials h_j = L_j^(alpha) / sqrt(C(j+alpha, j))
+    (Gautschi, Orthogonal Polynomials, 2004). Each step of their recurrence
+    is scaled by e^(-x/(2n)), which keeps the values in range. Raises
+    QuadratureError unless the nodes come out finite, converged and distinct.
+    """
+    monic = [(2 * j + alpha + 1, j * (j + alpha)) for j in range(n)]
+    normal = [(a, math.sqrt(b2), 1.0 / math.sqrt((j + 1) * (j + 1 + alpha)))
+              for j, (a, b2) in enumerate(monic)]
+    log_gamma = math.lgamma(alpha + 1.0)
+    kappa, mu = 2 * n + alpha + 1, 1 - alpha * alpha
+
+    def wave(x: float) -> float:
+        """Squared local frequency of x^((alpha+1)/2) e^(-x/2) L_n(x)."""
+        return kappa / (2 * x) + mu / (4 * x * x) - 0.25
+
+    def newton_step(z: float) -> float:
+        """L_n / L_n' at z, from r_j = p_j / p_(j-1) of the monic p_j."""
+        r = 1.0
+        for a, b2 in monic:
+            r = z - a - b2 / r or _TINY
+        return z * r / (n * (r + n + alpha))
+
+    def weight(z: float) -> float:
+        c = math.exp(-z / (2 * n))
+        c2 = c * c
+        h, hp, t = 1.0, 0.0, 0.0
+        for a, b, ib in normal:
+            t = t * c2 + h * h
+            h, hp = ((a - z) * h - b * hp) * ib * c, h * c
+        return math.exp(log_gamma - math.log(t) + 2 * (n - 1) * math.log(c))
+
+    if alpha > 1:
+        turn = -mu / (kappa + math.sqrt(kappa * kappa + mu))
+        # turn + |a_1| / wave'(turn)^(1/3), with a_1 = -2.338 the first Airy zero
+        z = turn + 2.338 * (2 * turn * turn / (kappa - turn)) ** (1 / 3)
+    else:
+        z = (1 + alpha) * (3 + 0.92 * alpha) / (1 + 2.4 * n + 1.8 * alpha)
+    nodes: list[float] = []
+    for i in range(n):
+        if i:
+            z = nodes[-1]
+            half = math.pi / math.sqrt(wave(z))
+            q = wave(z + half / 2)
+            z += math.pi / math.sqrt(q) if q > 0 else half
+        for _ in range(_HALLEY_STEPS):
+            u = newton_step(z)
+            r = (z - alpha - 1 - n * u) / z  # L'' / L'
+            # Halley's step on L_n / prod_j (z - x_j) over the nodes found,
+            # with s1, s2 the sums of 1/(z - x_j) and 1/(z - x_j)^2.
+            s1 = s2 = 0.0
+            for x in nodes:
+                e = 1.0 / (z - x)
+                s1 += e
+                s2 += e * e
+            d = 1.0 - u * s1
+            delta = 2 * u * d / (d * d - u * r + 1 - u * u * s2)
+            z -= delta
+            # Halley triples the correct digits: after a step this small
+            # the node is at roundoff.
+            if abs(delta) <= 1e-8 * z:
+                break
+        else:
+            raise QuadratureError(f"Gauss-Laguerre node {i} of n={n}, alpha={alpha} "
+                                  f"did not converge in {_HALLEY_STEPS} Halley steps")
+        nodes.append(z)
+    xs = tuple(sorted(nodes))
+    ws = tuple(map(weight, xs))
+    if not (all(map(math.isfinite, xs + ws)) and xs[0] > 0 and min(ws) >= 0
+            and all(a < b for a, b in zip(xs, xs[1:]))):
+        raise QuadratureError(f"Gauss-Laguerre rule n={n}, alpha={alpha} came out "
+                              "non-finite or with repeated nodes")
+    return xs, ws
 
 
 # Relative distance at which two epsilon-table entries count as equal up to
@@ -332,6 +421,8 @@ def rft_fn(f: Callable[[float], float], s: float,
     gamma_s = math.gamma(s)
 
     if quad.scheme == "tanh_sinh":
+        import mpmath as mp
+
         with _mp_lock, mp.workdps(25):
             ss = mp.mpf(s)
             val, err = mp.quad(
@@ -404,7 +495,8 @@ def _exp_neg_convolve(coeffs: Sequence) -> list:
         egf = [math.factorial(n) * c for n, c in enumerate(coeffs)]
         return [h / math.factorial(k)
                 for k, h in enumerate(_binomial(egf, _signs(len(egf)), range(len(egf))))]
-    return [math.fsum(((-1) ** m / math.factorial(m)) * float(coeffs[k - m]) for m in range(k + 1))
+    signed = [(-1) ** m / math.factorial(m) for m in range(len(coeffs))]
+    return [math.fsum(signed[m] * float(coeffs[k - m]) for m in range(k + 1))
             for k in range(len(coeffs))]
 
 

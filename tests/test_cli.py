@@ -239,20 +239,37 @@ def test_console_entry_point_importable():
     assert callable(cli.main)
 
 
-def test_exact_subcommands_load_no_numeric_layer():
-    """convert, exact transform and special import neither scipy, mpmath nor the suite."""
-    code = (
-        "import sys\n"
-        "from ftcalc.cli import main\n"
-        f"assert main(['convert', {X_SQUARED!r}, '--to', 'falling']) == 0\n"
-        f"assert main(['transform', {X_SQUARED!r}, '--op', 'rft']) == 0\n"
-        "assert main(['special', '--family', 'touchard', '--n', '3']) == 0\n"
-        "print(sorted(m for m in ('scipy', 'mpmath', 'ftcalc.verify_suite',\n"
-        "                         'ftcalc.transforms_numeric') if m in sys.modules))\n"
-    )
+def _loaded_after(argvs, modules):
+    """Run each argv through main() in one fresh interpreter; return which
+    of the named modules are then loaded."""
+    code = "import sys\nfrom ftcalc.cli import main\n"
+    code += "".join(f"assert main({argv!r}) == 0\n" for argv in argvs)
+    code += f"print(sorted(m for m in {modules!r} if m in sys.modules))\n"
     src = os.path.dirname(os.path.dirname(ftcalc.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_exact_subcommands_load_no_numeric_layer():
+    """convert, exact transform and special import neither scipy, mpmath nor the suite."""
+    argvs = [["convert", X_SQUARED, "--to", "falling"],
+             ["transform", X_SQUARED, "--op", "rft"],
+             ["special", "--family", "touchard", "--n", "3"]]
+    modules = ("scipy", "mpmath", "ftcalc.verify_suite", "ftcalc.transforms_numeric")
+    assert _loaded_after(argvs, modules) == "[]"
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["transform", "--numeric", "--op", "fft", "--source", "exp(1/2)", "--at", "0.3"], "[]"),
+    (["transform", "--numeric", "--op", "rft", "--source", "exp(-1/2)", "--at", "1.5"], "[]"),
+    (["fractional", "--kind", "derivative", "--order", "1/2", "--source", "exp(2)"], "[]"),
+    (["zeta", "--s", "2", "--terms", "3"], "[]"),
+    (["verify", "--filter", "table3_monomial_row"], "['mpmath']"),
+])
+def test_numeric_subcommands_load_no_scipy(argv, loaded):
+    """Numeric subcommands never load scipy or numpy; only the check suite
+    loads mpmath (the default Gauss-Laguerre scheme does not)."""
+    assert _loaded_after([argv], ("mpmath", "numpy", "scipy")) == loaded

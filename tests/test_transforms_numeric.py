@@ -9,7 +9,9 @@ tested separately from accuracy.
 
 import math
 from fractions import Fraction
+from itertools import product
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from ftcalc.transforms_numeric import (
     NonConvergenceError,
     NumericConfig,
     NumericResult,
+    QuadratureError,
     QuadratureSpec,
     callable_source,
     fft_fn,
@@ -34,7 +37,8 @@ from ftcalc.transforms_numeric import (
     wynn_epsilon,
     zeta_formal_series,
 )
-from ftcalc.transforms_numeric import _exp_neg_convolve, _shifted_taylor
+from ftcalc.transforms_numeric import _exp_neg_convolve, _laguerre_rule, _shifted_taylor
+from ftcalc import transforms_numeric
 
 
 def exp_taylor(a):
@@ -102,8 +106,6 @@ def test_rft_fn_schemes_agree():
 
 def test_adaptive_fallback_rejects_endpoint_kink():
     """Plain Laguerre nodes cannot resolve the t^{s-1} kink for fractional s."""
-    from ftcalc.transforms_numeric import QuadratureError
-
     with pytest.raises(QuadratureError):
         rft_fn(lambda t: math.exp(-t), 1.5, QuadratureSpec(nodes=16, scheme="adaptive_fallback"))
 
@@ -124,6 +126,46 @@ def test_quadrature_spec_rejects_nodes_past_two_rules(scheme):
 
 def test_quadrature_spec_tanh_sinh_ignores_nodes():
     assert QuadratureSpec(nodes=200, scheme="tanh_sinh").nodes == 200
+
+
+@pytest.mark.parametrize("n,alpha", [*product((8, 32), (0.0, -0.5, -0.99, 1.7, 49.0)), (64, -0.5)])
+def test_laguerre_rule_matches_mpmath(n, alpha):
+    """Nodes and weights agree with mpmath's 30-digit generalized Gauss-Laguerre rule."""
+    xs, ws = _laguerre_rule(n, alpha)
+    with mp.workdps(30):
+        want_x, want_w = mp.gauss_quadrature(n, "glaguerre", alpha=alpha)
+        assert max(abs(x - wx) / wx for x, wx in zip(xs, want_x)) <= 1e-13
+        assert max(abs(w - ww) / ww for w, ww in zip(ws, want_w)) <= 2e-13
+
+
+@pytest.mark.parametrize("n", [2, 80, 160, 256])
+@pytest.mark.parametrize("alpha", [-0.99, -0.7, 0.0, 2.7, 19.0, 99.0])
+def test_laguerre_rule_integrates_moments(n, alpha):
+    """n finite, strictly increasing nodes; weights positive unless they
+    underflow past x = 700; sum w x^k = Gamma(alpha+k+1) for k < min(17, 2n)."""
+    xs, ws = _laguerre_rule(n, alpha)
+    assert len(xs) == len(ws) == n
+    assert all(map(math.isfinite, xs + ws))
+    assert all(a < b for a, b in zip(xs, xs[1:]))
+    assert all(w > 0 or (w == 0 and x > 700) for x, w in zip(xs, ws))
+    for k in range(min(17, 2 * n)):
+        want = mp.gamma(alpha + k + 1)
+        got = math.fsum(w * x ** k for x, w in zip(xs, ws))
+        assert abs(got - want) <= 1e-13 * want
+
+
+def test_laguerre_rule_refuses_unconverged_nodes(monkeypatch):
+    monkeypatch.setattr(transforms_numeric, "_HALLEY_STEPS", 0)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        _laguerre_rule(4, 0.5)
+
+
+@pytest.mark.parametrize("s", [0.01, 20.0, 100.0, 150.0])
+def test_rft_fn_monomials_at_far_arguments(s):
+    """The default rule stays exact on low monomials for s near 0 and large s."""
+    for n in range(4):
+        want = rising_factorial(s, n)
+        assert abs(rft_fn(lambda t: t ** n, s) - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("a,x", [(0.5, 0.7), (0.25, 1.3), (-1.0, 0.4)])
@@ -171,7 +213,11 @@ def test_fractional_derivative_integer_orders():
 
 
 def _ref_exp_neg_convolve(coeffs):
-    """The direct Fraction Cauchy product with e^{-x}."""
+    """The direct Cauchy product with e^{-x}: in Fractions, or in floats, with
+    each signed reciprocal factorial formed per term, when any input is a float."""
+    if any(isinstance(v, float) for v in coeffs):
+        return [math.fsum(((-1) ** m / math.factorial(m)) * float(coeffs[k - m])
+                          for m in range(k + 1)) for k in range(len(coeffs))]
     return [sum((Fraction((-1) ** m, math.factorial(m)) * coeffs[k - m] for m in range(k + 1)),
                 start=Fraction(0)) for k in range(len(coeffs))]
 
@@ -205,6 +251,18 @@ def test_exact_preparation_matches_direct_sums(K, kind):
         got = _shifted_taylor(a, t, K)
         assert got == _ref_shifted_taylor(a, t, K)
         assert all(type(v) is Fraction for v in got)
+
+
+@pytest.mark.parametrize("K", [1, 2, 65, 161])
+def test_float_convolution_matches_direct_sums(K):
+    """The float branch of the e^{-x} product is bit-identical to its defining
+    sum, on float and on mixed int/float input."""
+    floats = [math.sin(n + 1) * 2.0 ** (n % 5 - 2) for n in range(K)]
+    mixed = [n % 4 - 1 if n % 2 else 1.0 / (n + 1) for n in range(K)]
+    for coeffs in (floats, mixed):
+        got = _exp_neg_convolve(coeffs)
+        assert got == _ref_exp_neg_convolve(coeffs)
+        assert all(type(v) is float for v in got)
 
 
 @pytest.mark.parametrize("a,t,want", [
