@@ -16,8 +16,10 @@ Odlyzko, "Finite operator calculus", 1973), and is one row of a table: its
 EGF weights W, read as sum_j W_j L^j / j!, in every basis where they have a
 closed form. One binomial kernel applies a row in the input's own basis; an
 input in a basis the row lacks converts to the row's first basis and back.
-The series terminate because L is nilpotent on polynomials. scale_op,
-a^{x nabla}, is diagonal on the falling basis instead.
+The shift on x^n and e^{aD} on (x)_n have weights a^j in their own basis,
+a Taylor shift of the coefficient vector, and run as integer Horner passes
+instead. The series terminate because L is nilpotent on polynomials.
+scale_op, a^{x nabla}, is diagonal on the falling basis instead.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class BasisMismatchError(ValueError):
 
 
 def _normalize(coeffs: Iterable) -> tuple[Fraction, ...]:
-    out = [Fraction(c) for c in coeffs]
+    out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -67,7 +69,8 @@ class BasisPolynomial:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", Basis(self.basis))
+        if not isinstance(self.basis, Basis):
+            object.__setattr__(self, "basis", Basis(self.basis))
         object.__setattr__(self, "coeffs", _normalize(self.coeffs))
 
     @property
@@ -359,28 +362,58 @@ def _apply_weights(coeffs: tuple[Fraction, ...], weights: Sequence[int], q: int)
 
 
 def _column(table: Callable[[int, int], int], sign: int, op: OperatorExpr,
-            n: int) -> tuple[list[int], int]:
+            coeffs: tuple[Fraction, ...]) -> list[Fraction]:
     # k! T(j,k) are the EGF weights of f(t)^k for f = -log(1-t), e^t - 1 and
     # t/(1-t) (T = c, S, L), and of L^k itself for T = operator.eq, the
     # identity table; the factor sign^(j-k) with sign -1 gives -f(-t)
     k, f = op.k, math.factorial(op.k)
-    return [f * sign ** (j - k) * table(j, k) if j >= k else 0 for j in range(n)], 1
+    return _apply_weights(coeffs, [f * sign ** (j - k) * table(j, k) if j >= k else 0
+                                   for j in range(len(coeffs))], 1)
 
 
-def _powers(step: int, op: OperatorExpr, n: int) -> tuple[list[int], int]:
-    # a^j, (a)_j or a^(rising j) for step 0, -1 or 1: the EGF weights of
-    # e^{at}, (1+t)^a and (1-t)^(-a), over q^n for a = p/q
-    p, q = op.a.numerator, op.a.denominator
+def _powers(step: int, op: OperatorExpr, coeffs: tuple[Fraction, ...]) -> list[Fraction]:
+    # (a)_j or a^(rising j) for step -1 or 1: the EGF weights of (1+t)^a and
+    # (1-t)^(-a), over q^n for a = p/q
+    p, q, n = op.a.numerator, op.a.denominator, len(coeffs)
     out = accumulate((p + step * j * q for j in range(n - 1)), operator.mul, initial=1)
-    return [w * q ** (n - j) for j, w in zip(range(n), out)], q ** n
+    return _apply_weights(coeffs, [w * q ** (n - j) for j, w in zip(range(n), out)], q ** n)
 
 
-# kind -> {basis: builder of the n EGF weights of op in that basis, as integers
-# over a common denominator}. The rows follow from d = log(1+D) =
-# -log(1-nabla), D = e^d - 1 = nabla/(1-nabla), nabla = 1 - e^(-d) =
-# D/(1+D) and E^a = e^{ad} = (1+D)^a = (1-nabla)^(-a).
+def _taylor_shift(op: OperatorExpr, coeffs: tuple[Fraction, ...]) -> Sequence[Fraction]:
+    """e^{aL} for a = op.a on coefficients in a basis with L b_n = n b_(n-1):
+    out_i = sum_j binom(i+j, j) a^j c_(i+j), the coefficients of p(x + a)
+    for p = sum_j c_j x^j.
+
+    For a = u/q, p(x + a) q^(n-1) = sum_j r_j (y + u)^j at y = q x, with
+    integers r_j = c_j q^(n-1-j) over the lcm denominator of coeffs. Horner's
+    Taylor shift by u (von zur Gathen & Gerhard, "Fast algorithms for Taylor
+    shifts and certain difference equations", ISSAC 1997, method H) takes
+    r_j += u r_(j+1) over the Pascal triangle; its updates on one
+    antidiagonal are independent, so each antidiagonal is one slice step.
+    """
+    if not op.a:
+        return coeffs
+    n = len(coeffs)
+    u, q = op.a.numerator, op.a.denominator
+    qpow = list(accumulate(repeat(q, n - 1), operator.mul, initial=1))
+    nums, den = _integers(coeffs)
+    r = list(map(operator.mul, nums, reversed(qpow)))
+    for lo in reversed(range(n - 1)):
+        r[lo:n - 1] = map(operator.add, r[lo:n - 1], map(operator.mul, r[lo + 1:], repeat(u)))
+    den *= qpow[-1]
+    return [Fraction(c * w, den) for c, w in zip(r, qpow)]
+
+
+# kind -> {basis: the op applied to coefficients in that basis}. Every entry
+# but the Taylor shifts is the binomial kernel on the op's EGF weights in
+# that basis, as integers over a common denominator. The rows follow from
+# d = log(1+D) = -log(1-nabla), D = e^d - 1 = nabla/(1-nabla), nabla =
+# 1 - e^(-d) = D/(1+D) and E^a = e^{ad} = (1+D)^a = (1-nabla)^(-a); E^a on
+# x^n and e^{aD} on (x)_n both have weights a^j in their own basis, a
+# Taylor shift of the coefficient vector.
 _POWER = partial(_column, operator.eq, 1)
-_SERIES: dict[OperatorKind, dict[Basis, Callable[[OperatorExpr, int], tuple[list[int], int]]]] = {
+_SERIES: dict[OperatorKind, dict[Basis, Callable[[OperatorExpr, tuple[Fraction, ...]],
+                                                 Sequence[Fraction]]]] = {
     OperatorKind.DERIVATIVE: {Basis.MONOMIAL: _POWER,
                               Basis.FALLING: partial(_column, stirling_first_unsigned, -1),
                               Basis.RISING: partial(_column, stirling_first_unsigned, 1)},
@@ -392,9 +425,9 @@ _SERIES: dict[OperatorKind, dict[Basis, Callable[[OperatorExpr, int], tuple[list
                                        Basis.MONOMIAL: partial(_column, stirling_second, -1)},
     OperatorKind.LOG1P_DERIVATIVE: {Basis.MONOMIAL: partial(_column, stirling_first_unsigned, -1)},
     OperatorKind.EXPDIFF_MINUS1: {Basis.FALLING: partial(_column, stirling_second, 1)},
-    OperatorKind.SHIFT: {Basis.MONOMIAL: partial(_powers, 0), Basis.FALLING: partial(_powers, -1),
+    OperatorKind.SHIFT: {Basis.MONOMIAL: _taylor_shift, Basis.FALLING: partial(_powers, -1),
                          Basis.RISING: partial(_powers, 1)},
-    OperatorKind.EXP_SHIFT: {Basis.FALLING: partial(_powers, 0)},
+    OperatorKind.EXP_SHIFT: {Basis.FALLING: _taylor_shift},
     OperatorKind.BINOM_SHIFT: {Basis.MONOMIAL: partial(_powers, -1)},
 }
 
@@ -407,8 +440,7 @@ def apply_operator(op: OperatorExpr, p: BasisPolynomial) -> BasisPolynomial:
     rows = _SERIES[op.kind]
     basis = p.basis if p.basis in rows else next(iter(rows))
     work = convert_basis(p, basis)
-    out = _apply_weights(work.coeffs, *rows[basis](op, len(work.coeffs)))
-    return convert_basis(BasisPolynomial(basis, out), p.basis)
+    return convert_basis(BasisPolynomial(basis, rows[basis](op, work.coeffs)), p.basis)
 
 
 # --- indefinite (inverse) operators ----------------------------------------

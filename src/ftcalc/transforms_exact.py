@@ -3,7 +3,8 @@
 The four transforms are coefficient reinterpretations between the monomial
 and factorial bases. Binomial transform / convolution are finite sums at
 nonnegative integer arguments (the infinite-argument versions live in the
-numeric layer). All arithmetic is rational.
+numeric layer). All arithmetic is rational. hadamard_ifft, the inverse
+transform of a product, is one monomial product and one reinterpretation.
 
 Every sequence function is one identity, the EGF product
 h_k = sum_n binom(k,n) u_(k-n) v_n, run by one integer kernel: the binomial
@@ -20,9 +21,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
-from .polynomial import (
-    Basis, BasisPolynomial, _integers, apply_operator, convert_basis, derivative, multiply,
-)
+from .polynomial import Basis, BasisPolynomial, _integers, convert_basis, multiply
 
 SequenceSource = Union[BasisPolynomial, Callable[[int], Fraction]]
 
@@ -121,23 +120,13 @@ def egf_product_coeffs(F: SequenceSource, G: SequenceSource, K: int) -> list[Fra
 
 
 def hadamard_ifft(f: BasisPolynomial, g: BasisPolynomial) -> BasisPolynomial:
-    """FFT^{-1}(f*g) computed as sum_k d^k(FFT^{-1} f) d^k(FFT^{-1} g) x^k/k!.
+    """FFT^{-1}(f*g), the inverse falling transform of the product f*g.
 
-    Equals ifft_poly(multiply(f, g)) exactly; the sum stops at the smaller
-    degree.
+    The paper computes it as sum_k d^k(FFT^{-1} f) d^k(FFT^{-1} g) x^k/k!
+    (eq58); here it is one integer convolution of the monomial coefficients
+    and one conversion, O(d^2). f and g may be given in any bases.
     """
-    F = ifft_poly(f)
-    G = ifft_poly(g)
-    kmax = min(F.degree, G.degree)
-    acc = BasisPolynomial(Basis.MONOMIAL, [])
-    for k in range(kmax + 1):
-        dF = apply_operator(derivative(k), F)
-        dG = apply_operator(derivative(k), G)
-        if dF.is_zero() or dG.is_zero():
-            break
-        xk = BasisPolynomial(Basis.MONOMIAL, [0] * k + [Fraction(1, math.factorial(k))])
-        acc = acc + multiply(multiply(dF, dG), xk)
-    return acc
+    return ifft_poly(multiply(convert_basis(f, Basis.MONOMIAL), convert_basis(g, Basis.MONOMIAL)))
 
 
 def coefficient_extract(f: SequenceSource, n: int) -> Fraction:

@@ -224,7 +224,12 @@ def _laguerre_rule(n: int, alpha: float):
                                   f"did not converge in {_HALLEY_STEPS} Halley steps")
         nodes.append(z)
     xs = tuple(sorted(nodes))
-    ws = tuple(map(weight, xs))
+    try:
+        ws = tuple(map(weight, xs))
+    except OverflowError:
+        # the weights sum to Gamma(alpha + 1), which overflows past alpha = 170.6
+        raise QuadratureError(f"Gauss-Laguerre rule n={n}, alpha={alpha}: a weight "
+                              "overflows a float") from None
     if not (all(map(math.isfinite, xs + ws)) and xs[0] > 0 and min(ws) >= 0
             and all(a < b for a, b in zip(xs, xs[1:]))):
         raise QuadratureError(f"Gauss-Laguerre rule n={n}, alpha={alpha} came out "
@@ -414,11 +419,12 @@ def rft_fn(f: Callable[[float], float], s: float,
     Gauss-Laguerre, at the cost of needing an mpmath-safe callable).
 
     Raises QuadratureError when refinement moves the result by more than
-    tolerance * max(1, |value|).
+    tolerance * max(1, |value|) or a float overflows in a rule or its
+    integrand, and ValueError past s = 171.62 for the two Gauss-Laguerre
+    schemes, which normalize by a float Gamma(s).
     """
     if not (s > 0):
         raise ValueError("rft_fn requires s > 0")
-    gamma_s = math.gamma(s)
 
     if quad.scheme == "tanh_sinh":
         import mpmath as mp
@@ -429,7 +435,14 @@ def rft_fn(f: Callable[[float], float], s: float,
                 lambda t: f(t) * t ** (ss - 1) * mp.e ** (-t),
                 [0, 1, mp.inf], error=True,
             )
-            return NumericResult(float(val / mp.gamma(ss)), float(abs(err) / gamma_s))
+            gamma_s = mp.gamma(ss)
+            return NumericResult(float(val / gamma_s), float(abs(err) / gamma_s))
+
+    try:
+        gamma_s = math.gamma(s)
+    except OverflowError:
+        raise ValueError(f"rft_fn scheme {quad.scheme!r} needs Gamma(s) to fit a float, "
+                         f"s <= 171.62, got s = {s}; use 'tanh_sinh'") from None
 
     if quad.scheme == "gauss_laguerre":
         n = quad.nodes
@@ -452,7 +465,12 @@ def rft_fn(f: Callable[[float], float], s: float,
     prev = None
     while n <= _MAX_NODES:
         xs, ws = _gauss_laguerre_rule(n, 0.0)
-        cur = math.fsum(w * f(x) * x ** (s - 1.0) for x, w in zip(xs, ws))
+        try:
+            cur = math.fsum(w * f(x) * x ** (s - 1.0) for x, w in zip(xs, ws))
+        except OverflowError:
+            raise QuadratureError(f"adaptive_fallback: t^(s-1) overflows a float at the "
+                                  f"largest of {n} nodes, t = {xs[-1]:.4g}, for s = {s}; "
+                                  "use 'tanh_sinh'") from None
         if prev is not None and math.isfinite(cur):
             diff = abs(cur - prev) / gamma_s
             if diff <= tolerance * max(1.0, abs(cur) / gamma_s):

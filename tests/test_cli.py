@@ -114,6 +114,16 @@ def test_transform_numeric_rft_nodes_over_limit_is_error(capsys):
     assert "nodes <= 128" in err
 
 
+def test_transform_numeric_rft_past_gamma_range_is_error(capsys):
+    """Gamma(200) overflows a float: a named limit, not a bare math range error."""
+    code, out, err = run(capsys, "transform", "--numeric", "--op", "rft",
+                         "--source", "exp(-1/2)", "--at", "200")
+    assert code == 1
+    assert out == ""
+    assert "math range error" not in err
+    assert "171.62" in err
+
+
 def test_transform_numeric_needs_source_and_at(capsys):
     code, _, err = run(capsys, "transform", "--numeric", "--op", "fft")
     assert code == 1

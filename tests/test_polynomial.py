@@ -391,6 +391,40 @@ kernel_polys = st.integers(min_value=-1, max_value=40).flatmap(
     lambda d: st.lists(kernel_coeffs, min_size=d + 1, max_size=d + 1))
 
 
+def _ref_taylor(coeffs, a: Fraction) -> list[Fraction]:
+    # E^a on x^n and e^{aD} on (x)_n: out_i = sum_j C(i+j, j) a^j c_(i+j)
+    n = len(coeffs)
+    return [sum((math.comb(i + j, j) * a ** j * coeffs[i + j] for j in range(n - i)),
+                Fraction(0)) for i in range(n)]
+
+
+_KERNEL_DENS = (1, 7, 11, 13, 1024, 6561)
+
+
+def _kernel_poly(basis: Basis, d: int) -> BasisPolynomial:
+    """Degree d, every fifth coefficient zero, numerators up to 10^6 over
+    pairwise coprime denominators."""
+    return poly(basis, [0 if n % 5 == 2 else Fraction((-1) ** n * (n * 7919 % 10 ** 6 + 1),
+                                                      _KERNEL_DENS[n % 6]) for n in range(d)]
+                + [Fraction(3, 8)] * (d >= 0))
+
+
+@pytest.mark.parametrize("a", [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+                               Fraction(-7, 5), 10 ** 6 + Fraction(1, 3)], ids=str)
+@pytest.mark.parametrize("basis,apply", [
+    (Basis.MONOMIAL, shift), (Basis.FALLING, lambda p, a: apply_operator(exp_shift(a), p))],
+    ids=["shift-monomial", "exp_shift-falling"])
+def test_taylor_shift_matches_defining_sum(basis, apply, a):
+    """shift on monomial input and exp_shift on falling input, each a Taylor
+    shift of the coefficient vector, equal the defining sum in Fractions."""
+    for d in (*range(-1, 41), 100, 300):
+        p = _kernel_poly(basis, d)
+        got = apply(p, a)
+        assert got.basis is basis
+        assert all(type(c) is Fraction for c in got.coeffs)
+        assert got == poly(basis, _ref_taylor(p.coeffs, a)), d
+
+
 @settings(deadline=None)
 @given(kernel_polys, bases, bases)
 def test_convert_basis_matches_reference(coeffs, b1, b2):

@@ -21,6 +21,7 @@ from ftcalc.polynomial import (
     BasisPolynomial,
     apply_operator,
     convert_basis,
+    derivative,
     monomial,
     multiply,
     negate_argument,
@@ -159,6 +160,38 @@ def test_hadamard_ifft_matches_multiply_route(a, b, x):
     """hadamard_ifft(f,g) = ifft(f * g) with the product in the falling basis."""
     f, g = poly(Basis.FALLING, a), poly(Basis.FALLING, b)
     assert hadamard_ifft(f, g).eval(x) == ifft_poly(multiply(f, g)).eval(x)
+
+
+def _ref_hadamard(f: BasisPolynomial, g: BasisPolynomial) -> BasisPolynomial:
+    """The paper's pairing sum sum_k d^k F d^k G x^k / k!, F and G the
+    inverse falling transforms of f and g."""
+    F, G = ifft_poly(f), ifft_poly(g)
+    acc = monomial([])
+    for k in range(min(F.degree, G.degree) + 1):
+        dF, dG = apply_operator(derivative(k), F), apply_operator(derivative(k), G)
+        xk = monomial([0] * k + [Fraction(1, math.factorial(k))])
+        acc = acc + multiply(multiply(dF, dG), xk)
+    return acc
+
+
+@pytest.mark.parametrize("bf", list(Basis), ids=lambda b: b.value)
+@pytest.mark.parametrize("bg", list(Basis), ids=lambda b: b.value)
+def test_hadamard_ifft_matches_pairing_sum(bf, bg):
+    """Equal to the derivative-pairing sum at degrees -1..30, in every pair
+    of input bases, with zeros inside and coprime denominators."""
+    rng = Random(f"{bf.value}-{bg.value}")
+    dens = (1, 7, 11, 13, 1024, 6561)
+
+    def draw(basis, d):
+        return poly(basis, [rng.choice((0, 1)) * Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                                                          rng.choice(dens)) for _ in range(d)]
+                    + [Fraction(rng.randint(1, 9), rng.choice(dens))] * (d >= 0))
+
+    for d in range(-1, 31):
+        f, g = draw(bf, d), draw(bg, rng.randint(-1, 30))
+        got = hadamard_ifft(f, g)
+        assert got.basis is Basis.MONOMIAL
+        assert got == _ref_hadamard(f, g), (d, g.degree)
 
 
 def test_hadamard_ifft_basis():

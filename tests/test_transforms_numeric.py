@@ -168,6 +168,38 @@ def test_rft_fn_monomials_at_far_arguments(s):
         assert abs(rft_fn(lambda t: t ** n, s) - want) <= 1e-12 * want
 
 
+# (scheme, s) -> what rft_fn of e^(-t/2) gives past the float range of
+# Gamma(s) = Gamma(171.62...): tanh_sinh normalizes in mpmath and returns
+# 1.5^(-s); the Gauss-Laguerre schemes raise a documented error.
+_LARGE_S = {
+    ("tanh_sinh", 171): None, ("tanh_sinh", 172): None, ("tanh_sinh", 200): None,
+    ("gauss_laguerre", 171): None,
+    ("gauss_laguerre", 172): ValueError, ("gauss_laguerre", 200): ValueError,
+    # t^(s-1) overflows at the largest node long before Gamma(s) does
+    ("adaptive_fallback", 171): QuadratureError,
+    ("adaptive_fallback", 172): ValueError, ("adaptive_fallback", 200): ValueError,
+}
+
+
+@pytest.mark.parametrize("scheme,s", sorted(_LARGE_S))
+def test_rft_fn_large_s_returns_or_raises_documented_error(scheme, s):
+    f = lambda t: math.exp(-t / 2)
+    spec = QuadratureSpec(scheme=scheme)
+    error = _LARGE_S[scheme, s]
+    if error is None:
+        want = 1.5 ** -s
+        assert abs(rft_fn(f, s, spec) - want) <= 1e-12 * want
+    else:
+        with pytest.raises(error, match="171.62" if error is ValueError else "overflows"):
+            rft_fn(f, s, spec)
+
+
+def test_laguerre_rule_refuses_overflowing_weights():
+    """The weights sum to Gamma(alpha + 1), past the float range at alpha = 175."""
+    with pytest.raises(QuadratureError, match="overflows"):
+        _laguerre_rule(8, 175.0)
+
+
 @pytest.mark.parametrize("a,x", [(0.5, 0.7), (0.25, 1.3), (-1.0, 0.4)])
 def test_irft_fn_binomial_family(a, x):
     """IRFT of s -> (1-a)^{-s} recovers e^{ax}."""
