@@ -21,7 +21,8 @@ import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from itertools import count
+from typing import Callable, Iterator, Sequence, Union
 
 from .combinatorics import bernoulli, rising_factorial
 from .polynomial import Basis, BasisPolynomial, shift
@@ -298,27 +299,29 @@ def wynn_epsilon(partial_sums: Sequence[complex]) -> tuple[complex, float]:
 _CONSECUTIVE_SMALL = 3
 
 
-def _sum_with_policy(term_at: Callable[[int], float], cfg: NumericConfig,
+def _sum_with_policy(terms: Iterator[float], cfg: NumericConfig,
                      accelerate: bool, what: str) -> tuple[float, float]:
-    """Sum term_at(0..) under cfg; returns (sum, error_estimate).
+    """Sum the terms, in order, under cfg; returns (sum, error_estimate).
 
     Stops after _CONSECUTIVE_SMALL successive terms fall below
     tolerance * max(1, |partial sum|) within truncation_N terms. When the
     stop criterion is unmet and accelerate is set, epsilon extrapolation of
-    the partial sums is attempted before raising NonConvergenceError.
+    the partial sums is attempted before raising NonConvergenceError, which
+    is also raised for a term or partial sum outside the float range.
     """
     N = cfg.truncation_N
     acc = 0.0
     small = 0
     seen_nonzero = False
-    sums: list[float] = []
     nonzero_sums: list[float] = []
     for n in range(N):
-        t = term_at(n)
-        if not math.isfinite(t):
-            raise NonConvergenceError(f"{what}: term {n} is not finite")
+        try:
+            t = next(terms)
+        except OverflowError:
+            raise NonConvergenceError(f"{what}: term {n} overflows a float") from None
         acc += t
-        sums.append(acc)
+        if not math.isfinite(acc):
+            raise NonConvergenceError(f"{what}: term {n} or the sum through it is not finite")
         if t != 0.0:
             seen_nonzero = True
             nonzero_sums.append(acc)
@@ -339,6 +342,52 @@ def _sum_with_policy(term_at: Callable[[int], float], cfg: NumericConfig,
     )
 
 
+def _ratio(v: Number) -> tuple[int, int]:
+    """v as an exact (numerator, positive denominator) pair of ints.
+
+    Raises OverflowError for an infinite float, which _sum_with_policy
+    reports as a term outside the float range.
+    """
+    if not isinstance(v, (int, float, Fraction)):
+        v = Fraction(v)
+    return v.as_integer_ratio()
+
+
+def _argument_ratio(x: Number, what: str) -> tuple[int, int]:
+    try:
+        return Fraction(x).as_integer_ratio()
+    except (OverflowError, ValueError):
+        raise ValueError(f"{what} needs a finite argument, got {x!r}") from None
+
+
+# Both series below form term n as one exact rational U*c / (D*d): c/d is
+# the coefficient or sample, and U/D is the argument's factor, kept as a
+# running pair of ints over the argument's ratio u/q (q a power of two for
+# a float). Python's int true division rounds that rational correctly, so
+# each term is the float of its exact value, as a Fraction product would
+# give, without a gcd per step. Factors like (s)_n and x^n/n! leave the
+# float range long before the terms do, so they are never rounded alone.
+
+def _newton_terms(a: Callable[[int], Number], u: int, q: int) -> Iterator[float]:
+    """(s)_n a(n) for s = u/q: U = prod_{j<n} (u - j q), D = q^n."""
+    U, D = 1, 1
+    for n in count():
+        c, d = _ratio(a(n))
+        yield U * c / (D * d)
+        U *= u - n * q
+        D *= q
+
+
+def _egf_terms(sample: Callable[[int], Number], u: int, q: int) -> Iterator[float]:
+    """sample(n) x^n / n! for x = u/q: U = u^n, D = q^n n!."""
+    U, D = 1, 1
+    for n in count():
+        c, d = _ratio(sample(n))
+        yield U * c / (D * d)
+        U *= u
+        D *= q * (n + 1)
+
+
 def fft_fn(src: SeriesSource, s: float, cfg: NumericConfig = NumericConfig()) -> NumericResult:
     """Newton-sum falling transform of a Taylor source at s.
 
@@ -349,19 +398,9 @@ def fft_fn(src: SeriesSource, s: float, cfg: NumericConfig = NumericConfig()) ->
     """
     if src.kind != "taylor":
         raise ValueError("fft_fn requires a 'taylor' SeriesSource")
-    a = src.provider
-    # (s)_n overflows float64 near n = 171 even when the full term is tiny,
-    # so each term is formed as an exact Fraction product and rounded once.
-    s_frac = Fraction(s)
-    ff_cache = [Fraction(1)]
-
-    def term(n: int) -> float:
-        while len(ff_cache) <= n:
-            m = len(ff_cache)
-            ff_cache.append(ff_cache[-1] * (s_frac - (m - 1)))
-        return float(ff_cache[n] * Fraction(a(n)))
-
-    val, est = _sum_with_policy(term, cfg, accelerate=True, what="fft_fn Newton sum")
+    what = "fft_fn Newton sum"
+    terms = _newton_terms(src.provider, *_argument_ratio(s, what))
+    val, est = _sum_with_policy(terms, cfg, accelerate=True, what=what)
     return NumericResult(val, est)
 
 
@@ -369,22 +408,18 @@ def _egf_series(sample: Callable[[int], Number], x: float, cfg: NumericConfig,
                 what: str) -> NumericResult:
     """e^{-x} sum_n sample(n) x^n / n!, with the damping applied to the sum.
 
-    x^n/n! underflows to exact zero long before factorial-scale samples stop
-    mattering; each term is formed exactly and rounded once. The error
-    estimate is the magnitude of the first omitted weighted term (meaningful
-    for eventually monotone decaying terms).
+    The error estimate is the magnitude of the first omitted weighted term
+    (meaningful for eventually monotone decaying terms).
     """
-    damp = math.exp(-x)
-    x_frac = Fraction(x)
-    pw = [Fraction(1)]
-
-    def term(n: int) -> float:
-        while len(pw) <= n:
-            m = len(pw)
-            pw.append(pw[-1] * x_frac / m)
-        return float(pw[n] * Fraction(sample(n)))
-
-    val, est = _sum_with_policy(term, cfg, accelerate=False, what=what)
+    terms = _egf_terms(sample, *_argument_ratio(x, what))
+    val, est = _sum_with_policy(terms, cfg, accelerate=False, what=what)
+    try:
+        damp = math.exp(-x)
+    except OverflowError:
+        damp = math.inf
+    if not math.isfinite(damp * val):
+        raise NonConvergenceError(f"{what}: e^(-x) times the sum {val:.3e} leaves the "
+                                  f"float range at x = {x}")
     return NumericResult(damp * val, damp * est)
 
 
@@ -432,7 +467,7 @@ def rft_fn(f: Callable[[float], float], s: float,
         with _mp_lock, mp.workdps(25):
             ss = mp.mpf(s)
             val, err = mp.quad(
-                lambda t: f(t) * t ** (ss - 1) * mp.e ** (-t),
+                lambda t: f(t) * mp.exp((ss - 1) * mp.ln(t) - t),
                 [0, 1, mp.inf], error=True,
             )
             gamma_s = mp.gamma(ss)
@@ -460,17 +495,20 @@ def rft_fn(f: Callable[[float], float], s: float,
             )
         return NumericResult(val, diff)
 
-    # adaptive_fallback: plain Laguerre nodes on f(t) t^(s-1), doubling
+    # adaptive_fallback: plain Laguerre nodes on f(t) t^(s-1), doubling. The
+    # weight w t^(s-1) is formed in log space: t^(s-1) alone overflows at the
+    # largest nodes from s = 112 on, where w has underflowed or nearly so.
+    # A node whose w underflowed to 0 adds nothing and is skipped.
     n = quad.nodes
     prev = None
     while n <= _MAX_NODES:
         xs, ws = _gauss_laguerre_rule(n, 0.0)
         try:
-            cur = math.fsum(w * f(x) * x ** (s - 1.0) for x, w in zip(xs, ws))
+            cur = math.fsum(f(x) * math.exp(math.log(w) + (s - 1.0) * math.log(x))
+                            for x, w in zip(xs, ws) if w > 0)
         except OverflowError:
-            raise QuadratureError(f"adaptive_fallback: t^(s-1) overflows a float at the "
-                                  f"largest of {n} nodes, t = {xs[-1]:.4g}, for s = {s}; "
-                                  "use 'tanh_sinh'") from None
+            raise QuadratureError(f"adaptive_fallback: the integrand overflows a float on "
+                                  f"the {n}-node rule for s = {s}; use 'tanh_sinh'") from None
         if prev is not None and math.isfinite(cur):
             diff = abs(cur - prev) / gamma_s
             if diff <= tolerance * max(1.0, abs(cur) / gamma_s):

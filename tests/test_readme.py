@@ -1,0 +1,46 @@
+"""The README's Python examples run as written and give what their comments say."""
+
+import math
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+TOUR = next(block for block in BLOCKS if "fft_fn" in block)
+
+
+def _comment(expr: str) -> str:
+    """The comment on the quick-tour line whose code is expr."""
+    for line in TOUR.splitlines():
+        code, _, comment = line.partition("#")
+        if code.strip() == expr:
+            return comment.strip()
+    raise AssertionError(f"the README quick tour has no line {expr!r}")
+
+
+def test_readme_python_blocks_run(capsys):
+    assert len(BLOCKS) >= 2
+    for block in BLOCKS:
+        exec(compile(block, str(README), "exec"), {})
+    assert "checks passed" in capsys.readouterr().out
+
+
+def test_readme_quick_tour_results():
+    ns: dict = {}
+    exec(compile(TOUR, str(README), "exec"), ns)
+    p = ns["p"]
+
+    assert _comment("p = monomial([0, 0, 1])") == "x^2"
+    assert p.coeffs == (0, 0, 1) and p.basis.value == "monomial"
+
+    assert _comment("fft_poly(p)").startswith("(x)_2 with the same coefficient list")
+    q = eval("fft_poly(p)", ns)
+    assert q.coeffs == p.coeffs and q.basis.value == "falling"
+
+    assert _comment("ifft_poly(fft_poly(p)) == p").startswith("True")
+    assert eval("ifft_poly(fft_poly(p)) == p", ns) is True
+
+    stated = float(_comment("float(fft_fn(src, 0.5))").rpartition("=")[2])
+    got = eval("float(fft_fn(src, 0.5))", ns)
+    assert abs(got - math.sqrt(2.0)) <= 1e-12
+    assert abs(got - stated) <= 1e-12

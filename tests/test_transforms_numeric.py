@@ -9,13 +9,14 @@ tested separately from accuracy.
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
 import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ftcalc.cli import NamedSource
 from ftcalc.combinatorics import rising_factorial
 from ftcalc.transforms_numeric import (
     NonConvergenceError,
@@ -168,15 +169,17 @@ def test_rft_fn_monomials_at_far_arguments(s):
         assert abs(rft_fn(lambda t: t ** n, s) - want) <= 1e-12 * want
 
 
-# (scheme, s) -> what rft_fn of e^(-t/2) gives past the float range of
-# Gamma(s) = Gamma(171.62...): tanh_sinh normalizes in mpmath and returns
-# 1.5^(-s); the Gauss-Laguerre schemes raise a documented error.
+# (scheme, s) -> what rft_fn of e^(-t/2) gives at large s and past the float
+# range of Gamma(s) = Gamma(171.62...): tanh_sinh normalizes in mpmath and
+# returns 1.5^(-s); the Gauss-Laguerre schemes raise a documented error.
 _LARGE_S = {
-    ("tanh_sinh", 171): None, ("tanh_sinh", 172): None, ("tanh_sinh", 200): None,
-    ("gauss_laguerre", 171): None,
+    ("tanh_sinh", 115): None, ("tanh_sinh", 171): None,
+    ("tanh_sinh", 172): None, ("tanh_sinh", 200): None,
+    ("gauss_laguerre", 115): None, ("gauss_laguerre", 171): None,
     ("gauss_laguerre", 172): ValueError, ("gauss_laguerre", 200): ValueError,
-    # t^(s-1) overflows at the largest node long before Gamma(s) does
-    ("adaptive_fallback", 171): QuadratureError,
+    # t^(s-1) alone overflows at the largest nodes from s = 112; the weight
+    # w t^(s-1) does not
+    ("adaptive_fallback", 115): None, ("adaptive_fallback", 171): None,
     ("adaptive_fallback", 172): ValueError, ("adaptive_fallback", 200): ValueError,
 }
 
@@ -190,8 +193,14 @@ def test_rft_fn_large_s_returns_or_raises_documented_error(scheme, s):
         want = 1.5 ** -s
         assert abs(rft_fn(f, s, spec) - want) <= 1e-12 * want
     else:
-        with pytest.raises(error, match="171.62" if error is ValueError else "overflows"):
+        with pytest.raises(error, match="171.62"):
             rft_fn(f, s, spec)
+
+
+def test_adaptive_fallback_reports_integrand_overflow():
+    """e^(2t) overflows a float at the largest nodes: the integral diverges."""
+    with pytest.raises(QuadratureError, match="integrand overflows"):
+        rft_fn(lambda t: math.exp(2 * t), 1.5, QuadratureSpec(scheme="adaptive_fallback"))
 
 
 def test_laguerre_rule_refuses_overflowing_weights():
@@ -405,3 +414,173 @@ def test_numeric_result_shape():
     assert math.isfinite(r.error_estimate)
     assert r.error_estimate >= 0.0
     assert "error_estimate" in repr(r)
+
+
+# ---- the series term route
+
+def _ref_fft_fn(src, s, cfg=NumericConfig()):
+    """The Fraction route for the Newton sum: (s)_n as a cached Fraction
+    product, each term rounded once by float(Fraction)."""
+    s_frac = Fraction(s)
+    ff = [Fraction(1)]
+
+    def term(n):
+        while len(ff) <= n:
+            ff.append(ff[-1] * (s_frac - (len(ff) - 1)))
+        return float(ff[n] * Fraction(src.provider(n)))
+
+    val, est = transforms_numeric._sum_with_policy(map(term, count()), cfg, True,
+                                                   "fft_fn Newton sum")
+    return NumericResult(val, est)
+
+
+def _ref_egf_series(sample, x, cfg, what):
+    """The Fraction route for e^{-x} sum_n sample(n) x^n / n!."""
+    x_frac = Fraction(x)
+    pw = [Fraction(1)]
+
+    def term(n):
+        while len(pw) <= n:
+            pw.append(pw[-1] * x_frac / len(pw))
+        return float(pw[n] * Fraction(sample(n)))
+
+    val, est = transforms_numeric._sum_with_policy(map(term, count()), cfg, False, what)
+    damp = math.exp(-x)
+    return NumericResult(damp * val, damp * est)
+
+
+def _ref_ifft_fn(src, x, cfg=NumericConfig()):
+    return _ref_egf_series(src.provider, x, cfg, "ifft_fn EGF series")
+
+
+def _ref_irft_fn(src, x, cfg=NumericConfig()):
+    f = src.provider
+    return _ref_egf_series(lambda n: f(-n), -x, cfg, "irft_fn EGF series")
+
+
+def _outcome(call):
+    """The value and estimate as float.hex, or the NonConvergenceError text."""
+    try:
+        r = call()
+    except NonConvergenceError as exc:
+        return "NonConvergenceError", str(exc)
+    return float(r).hex(), r.error_estimate.hex()
+
+
+# op -> provider type -> (source, reference-route op)
+_ROUTES = {
+    "fft_fn": (fft_fn, _ref_fft_fn, taylor_source, {
+        # finitely many terms: a Newton sum of non-decaying ints diverges
+        "int": lambda n: (n % 3 - 1) * 2 ** n if n < 10 else 0,
+        "fraction": lambda n: Fraction(-1, 3) ** n / math.factorial(n),
+        "float": lambda n: 0.5 ** n / math.factorial(n),
+    }),
+    "ifft_fn": (ifft_fn, _ref_ifft_fn, samples_source, {
+        "int": lambda n: (-2) ** n + n,
+        "fraction": lambda n: Fraction(3, 4) ** n,
+        "float": lambda n: math.cos(0.5 * n),
+    }),
+    "irft_fn": (irft_fn, _ref_irft_fn, callable_source, {
+        "int": lambda t: (1 + t) ** 2,
+        "fraction": lambda t: Fraction(3, 4) ** t,
+        "float": lambda t: 0.5 ** t,
+    }),
+}
+_ARGUMENTS = (0.3, 1 / 3, 0.5, 2.7, -1.5)
+
+
+@pytest.mark.parametrize("x", _ARGUMENTS)
+@pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+@pytest.mark.parametrize("op", sorted(_ROUTES))
+def test_series_terms_match_fraction_route(op, kind, x):
+    """Each term is the correctly rounded float of the same rational the
+    Fraction route rounds, so value and estimate agree to the bit."""
+    fn, ref, make_source, providers = _ROUTES[op]
+    src = make_source(providers[kind])
+    got = _outcome(lambda: fn(src, x))
+    assert got == _outcome(lambda: ref(src, x))
+    assert got[0] != "NonConvergenceError"
+
+
+# e^{t/2} for Fraction and float coefficients. An int jet is a polynomial,
+# whose series here decays too slowly for the default config: both routes
+# must then raise the same error.
+_FRACTIONAL_PROVIDERS = {
+    "int": lambda n: (3, -2)[n] if n < 2 else 0,
+    "fraction": lambda n: Fraction(1, 2) ** n / math.factorial(n),
+    "float": lambda n: 0.5 ** n / math.factorial(n),
+}
+
+
+@pytest.mark.parametrize("order", _ARGUMENTS)
+@pytest.mark.parametrize("kind", sorted(_FRACTIONAL_PROVIDERS))
+def test_fractional_derivative_matches_fraction_route(monkeypatch, kind, order):
+    src = taylor_source(_FRACTIONAL_PROVIDERS[kind])
+    got = _outcome(lambda: fractional_derivative(src, order))
+    monkeypatch.setattr(transforms_numeric, "fft_fn", _ref_fft_fn)
+    assert got == _outcome(lambda: fractional_derivative(src, order))
+    assert (got[0] == "NonConvergenceError") == (kind == "int")
+
+
+def test_known_overflow_cases_raise_nonconvergence():
+    """A Newton sum whose terms leave the float range, and an EGF series whose
+    partial sums do before the damping brings them back, raise the documented
+    error naming the term instead of a raw OverflowError."""
+    half = Fraction(1, 2)
+    with pytest.raises(NonConvergenceError, match="term 199 overflows"):
+        fft_fn(taylor_source(lambda n: half ** n), 0.3, NumericConfig(truncation_N=256))
+    with pytest.raises(NonConvergenceError, match="term 458"):
+        ifft_fn(samples_source(lambda n: 1), 800.0, NumericConfig(truncation_N=512))
+
+
+def test_infinite_taylor_coefficient_raises_nonconvergence():
+    src = taylor_source(lambda n: math.inf if n == 3 else 1.0 / math.factorial(n))
+    with pytest.raises(NonConvergenceError, match="term 3 overflows"):
+        fft_fn(src, 0.5)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_series_reject_non_finite_arguments(x):
+    with pytest.raises(ValueError, match="finite argument"):
+        fft_fn(exp_taylor(0.5), x)
+    with pytest.raises(ValueError, match="finite argument"):
+        ifft_fn(samples_source(math.factorial), x)
+
+
+def test_egf_damping_out_of_range_raises_nonconvergence():
+    """The series of 0^n sums to 1, but e^1000 times it is no float."""
+    with pytest.raises(NonConvergenceError, match="float range"):
+        ifft_fn(samples_source(lambda n: 0 ** n), -1000.0)
+
+
+_SOURCE_SPECS = st.one_of(
+    st.just("gamma-samples"),
+    st.builds("{}({})".format, st.sampled_from(["exp", "sin", "cos", "geometric"]),
+              st.fractions(min_value=-4, max_value=4, max_denominator=8)),
+)
+_POINTS = st.one_of(
+    st.integers(-4000, 4000).map(lambda k: k / 4),   # dyadic
+    st.integers(-3000, 3000).map(lambda k: k / 3),   # non-dyadic
+    st.floats(min_value=-1000, max_value=1000),
+)
+
+
+@given(op=st.sampled_from(["fft", "ifft", "irft"]), spec=_SOURCE_SPECS, at=_POINTS,
+       N=st.integers(1, 512))
+@settings(max_examples=40, deadline=None)
+def test_series_evaluators_keep_their_contract(op, spec, at, N):
+    """On the CLI's named sources, each series evaluator returns a finite
+    NumericResult or raises NonConvergenceError or ValueError."""
+    src = NamedSource(spec)
+    cfg = NumericConfig(truncation_N=N)
+    try:
+        if op == "fft":
+            r = fft_fn(taylor_source(src.taylor(), src.taylor_radius()), at, cfg)
+        elif op == "ifft":
+            r = ifft_fn(samples_source(src.samples()), at, cfg)
+        else:
+            r = irft_fn(callable_source(src.callable()), at, cfg)
+    except (NonConvergenceError, ValueError):
+        return
+    assert isinstance(r, NumericResult)
+    assert math.isfinite(r) and math.isfinite(r.error_estimate)
