@@ -13,6 +13,8 @@ giving up; slowly converging Newton series (binom(s,n) tails decay only like
 n^(-s-1)) are routine and direct summation alone cannot reach practical
 tolerances. The returned error estimate is then the extrapolation's internal
 agreement, otherwise the magnitude of the first omitted weighted term.
+The fractional operators prepare their series exactly for every input, a
+float read as its dyadic value, and Newton-sum it with fft_fn.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable, Iterator, Sequence, Union
 
 from .combinatorics import bernoulli, rising_factorial
 from .polynomial import Basis, BasisPolynomial, shift
-from .transforms_exact import _binomial, _signs
+from .transforms_exact import _binomial
 
 Number = Union[int, float, Fraction]
 
@@ -162,8 +164,11 @@ def _laguerre_rule(n: int, alpha: float):
     of the normalized polynomials h_j = L_j^(alpha) / sqrt(C(j+alpha, j))
     (Gautschi, Orthogonal Polynomials, 2004). Each step of their recurrence
     is scaled by e^(-x/(2n)), which keeps the values in range. Raises
-    QuadratureError unless the nodes come out finite, converged and distinct.
+    QuadratureError unless alpha > -1, where the weight is integrable, and the
+    nodes come out finite, converged and distinct.
     """
+    if not alpha > -1:  # as rft_fn's s - 1 is for s below 2^-53
+        raise QuadratureError(f"Gauss-Laguerre rule n={n} needs alpha > -1, got {alpha}")
     monic = [(2 * j + alpha + 1, j * (j + alpha)) for j in range(n)]
     normal = [(a, math.sqrt(b2), 1.0 / math.sqrt((j + 1) * (j + 1 + alpha)))
               for j, (a, b2) in enumerate(monic)]
@@ -306,14 +311,16 @@ def _sum_with_policy(terms: Iterator[float], cfg: NumericConfig,
     Stops after _CONSECUTIVE_SMALL successive terms fall below
     tolerance * max(1, |partial sum|) within truncation_N terms. When the
     stop criterion is unmet and accelerate is set, epsilon extrapolation of
-    the partial sums is attempted before raising NonConvergenceError, which
-    is also raised for a term or partial sum outside the float range.
+    the partial sums, then of those through the smallest term, is attempted
+    before raising NonConvergenceError, which is also raised for a term or
+    partial sum outside the float range.
     """
     N = cfg.truncation_N
     acc = 0.0
     small = 0
     seen_nonzero = False
     nonzero_sums: list[float] = []
+    least, least_at = math.inf, 0  # smallest |term|, and the sums through it
     for n in range(N):
         try:
             t = next(terms)
@@ -325,6 +332,8 @@ def _sum_with_policy(terms: Iterator[float], cfg: NumericConfig,
         if t != 0.0:
             seen_nonzero = True
             nonzero_sums.append(acc)
+            if abs(t) < least:
+                least, least_at = abs(t), len(nonzero_sums)
         if seen_nonzero and abs(t) <= cfg.tolerance * max(1.0, abs(acc)):
             small += 1
             if small >= _CONSECUTIVE_SMALL:
@@ -337,6 +346,14 @@ def _sum_with_policy(terms: Iterator[float], cfg: NumericConfig,
         best, agree = wynn_epsilon(nonzero_sums)
         if agree <= cfg.tolerance * max(1.0, abs(best)):
             return best.real, agree
+        # Past its smallest term a series may show its inputs' rounding noise,
+        # amplified, instead of its sum: retry on the sums through that term,
+        # accepted when it agrees with itself and with epsilon on all sums.
+        if 8 <= least_at < len(nonzero_sums):
+            cut, cut_agree = wynn_epsilon(nonzero_sums[:least_at])
+            gap = max(cut_agree, abs(cut - best))
+            if gap <= cfg.tolerance * max(1.0, abs(cut)):
+                return cut.real, gap
     raise NonConvergenceError(
         f"{what}: tail policy unmet after {N} terms (last |term| = {abs(t):.3e})"
     )
@@ -479,14 +496,18 @@ def rft_fn(f: Callable[[float], float], s: float,
         raise ValueError(f"rft_fn scheme {quad.scheme!r} needs Gamma(s) to fit a float, "
                          f"s <= 171.62, got s = {s}; use 'tanh_sinh'") from None
 
+    def node_sum(m: int, alpha: float, weight: Callable[[float, float], float]) -> float:
+        """sum_i weight(x_i, w_i) f(x_i) over the m-node rule, skipping w_i = 0."""
+        xs, ws = _gauss_laguerre_rule(m, alpha)
+        try:
+            return math.fsum(weight(x, w) * f(x) for x, w in zip(xs, ws) if w > 0)
+        except OverflowError:
+            raise QuadratureError(f"{quad.scheme}: the integrand overflows a float on the "
+                                  f"{m}-node rule for s = {s}") from None
+
     if quad.scheme == "gauss_laguerre":
         n = quad.nodes
-
-        def estimate(m: int) -> float:
-            xs, ws = _gauss_laguerre_rule(m, s - 1.0)
-            return math.fsum(w * f(x) for x, w in zip(xs, ws))
-
-        coarse, fine = estimate(n), estimate(2 * n)
+        coarse, fine = (node_sum(m, s - 1.0, lambda x, w: w) for m in (n, 2 * n))
         val = fine / gamma_s
         diff = abs(fine - coarse) / gamma_s
         if not math.isfinite(val) or diff > tolerance * max(1.0, abs(val)):
@@ -498,17 +519,10 @@ def rft_fn(f: Callable[[float], float], s: float,
     # adaptive_fallback: plain Laguerre nodes on f(t) t^(s-1), doubling. The
     # weight w t^(s-1) is formed in log space: t^(s-1) alone overflows at the
     # largest nodes from s = 112 on, where w has underflowed or nearly so.
-    # A node whose w underflowed to 0 adds nothing and is skipped.
     n = quad.nodes
     prev = None
     while n <= _MAX_NODES:
-        xs, ws = _gauss_laguerre_rule(n, 0.0)
-        try:
-            cur = math.fsum(f(x) * math.exp(math.log(w) + (s - 1.0) * math.log(x))
-                            for x, w in zip(xs, ws) if w > 0)
-        except OverflowError:
-            raise QuadratureError(f"adaptive_fallback: the integrand overflows a float on "
-                                  f"the {n}-node rule for s = {s}; use 'tanh_sinh'") from None
+        cur = node_sum(n, 0.0, lambda x, w: math.exp(math.log(w) + (s - 1.0) * math.log(x)))
         if prev is not None and math.isfinite(cur):
             diff = abs(cur - prev) / gamma_s
             if diff <= tolerance * max(1.0, abs(cur) / gamma_s):
@@ -518,42 +532,34 @@ def rft_fn(f: Callable[[float], float], s: float,
     raise QuadratureError(f"adaptive_fallback did not stabilize within {_MAX_NODES} nodes")
 
 
-def _shifted_taylor(a: Callable[[int], Number], t: Number, count: int, extra: int = 32):
-    """Taylor coefficients of u -> f(u + t) from those of f, truncated.
-
-    a'_k = sum_{i >= k} binom(i, k) a_i t^(i-k), cut at count + extra source
-    terms. When a yields ints or Fractions and t is rational this is the
-    exact monomial shift of the truncated jet, padded back to count.
-    """
-    M = count + extra
-    src = [a(i) for i in range(M)]
-    if not isinstance(t, float) and all(not isinstance(v, float) for v in src):
-        out = list(shift(BasisPolynomial(Basis.MONOMIAL, src), t).coeffs[:count])
-        return out + [Fraction(0)] * (count - len(out))
-    tt = float(t)
-    out = []
-    for k in range(count):
-        acc, pw = 0.0, 1.0
-        for i in range(k, M):
-            acc += math.comb(i, k) * float(src[i]) * pw
-            pw *= tt
-        out.append(acc)
-    return out
+_JET_EXTRA = 32  # Taylor coefficients read past the truncation for the shift to t
 
 
-def _exp_neg_convolve(coeffs: Sequence) -> list:
-    """Cauchy product of e^{-x} with the given coefficient sequence.
+def _exact_inputs(value_at: Callable[[int], Number], m: int, what: str) -> list[Fraction]:
+    """value_at(0), ..., value_at(m-1) as exact rationals, a float as its dyadic
+    value; a call that overflows or a non-finite value raises
+    NonConvergenceError naming its index."""
+    values = []
+    for n in range(m):
+        try:
+            v = value_at(n)
+        except OverflowError:
+            raise NonConvergenceError(f"{what}: input {n} overflows a float") from None
+        try:
+            values.append(Fraction(v))
+        except (OverflowError, ValueError):
+            raise NonConvergenceError(f"{what}: input {n} is {v!r}, not a finite number") from None
+    return values
 
-    Exact on ints and Fractions, as the inverse binomial transform of the EGF
-    coefficients n! c_n; any float input makes the whole product float.
-    """
-    if all(not isinstance(v, float) for v in coeffs):
-        egf = [math.factorial(n) * c for n, c in enumerate(coeffs)]
-        return [h / math.factorial(k)
-                for k, h in enumerate(_binomial(egf, _signs(len(egf)), range(len(egf))))]
-    signed = [(-1) ** m / math.factorial(m) for m in range(len(coeffs))]
-    return [math.fsum(signed[m] * float(coeffs[k - m]) for m in range(k + 1))
-            for k in range(len(coeffs))]
+
+def _damped_newton_sum(egf: Sequence[Fraction], rate: int, order: float,
+                       cfg: NumericConfig) -> NumericResult:
+    """fft_fn at s = order of e^{-rate x} g(x), g given by its EGF coefficients
+    (missing ones are zero); the product is one binomial pass against (-rate)^n."""
+    count = cfg.truncation_N + 1
+    damped = _binomial([(-rate) ** n for n in range(count)], egf, range(count))
+    taylor = [h / math.factorial(k) for k, h in enumerate(damped)]
+    return fft_fn(taylor_source(taylor.__getitem__), order, cfg)
 
 
 def fractional_derivative(src: SeriesSource, order: float, t: Number = 0,
@@ -561,32 +567,29 @@ def fractional_derivative(src: SeriesSource, order: float, t: Number = 0,
     """Liouville-type fractional derivative of f at t from its Taylor source.
 
     Realized as the falling transform of e^{-x} f(x + t): shift the Taylor
-    coefficients to t, convolve with e^{-x}, Newton-sum at s = order.
+    coefficients to t, multiply by e^{-x}, Newton-sum at s = order.
     """
     if src.kind != "taylor":
         raise ValueError("fractional_derivative requires a 'taylor' SeriesSource")
+    what = "fractional_derivative"
+    at = Fraction(*_argument_ratio(t, what))
     count = cfg.truncation_N + 1
-    if t == 0:
-        base = [src.provider(i) for i in range(count)]
-    else:
-        base = _shifted_taylor(src.provider, t, count)
-    weighted = _exp_neg_convolve(base)
-    return fft_fn(taylor_source(lambda n: weighted[n]), order, cfg)
+    jet = _exact_inputs(src.provider, count + _JET_EXTRA, what)
+    shifted = shift(BasisPolynomial(Basis.MONOMIAL, jet), at).coeffs[:count]
+    return _damped_newton_sum([math.factorial(n) * c for n, c in enumerate(shifted)], 1,
+                              order, cfg)
 
 
 def fractional_difference(f: Callable[[float], float], order: float, t: float = 0.0,
                           cfg: NumericConfig = NumericConfig()) -> NumericResult:
     """Fractional forward difference of f at t via the inverse-BT chain.
 
-    Chain: samples n -> f(n + t) form an EGF; multiplying twice by e^{-x}
-    (coefficient convolution) realizes e^{-x} FFT^{-1}(f(x+t)); the Newton
-    sum at s = order finishes BT^{-1}.
+    Chain: the samples n -> f(n + t) are the EGF coefficients of
+    FFT^{-1}(f(x+t)) e^{x}; multiplying by e^{-2x} realizes
+    e^{-x} FFT^{-1}(f(x+t)), and the Newton sum at s = order finishes BT^{-1}.
     """
-    count = cfg.truncation_N + 1
-    egf = [f(t + n) / math.factorial(n) for n in range(count)]
-    inner = _exp_neg_convolve(egf)   # Taylor of FFT^{-1}(f(x+t))
-    outer = _exp_neg_convolve(inner)  # times e^{-x} again
-    return fft_fn(taylor_source(lambda n: outer[n]), order, cfg)
+    egf = _exact_inputs(lambda n: f(t + n), cfg.truncation_N + 1, "fractional_difference")
+    return _damped_newton_sum(egf, 2, order, cfg)
 
 
 def gamma_support(x: float) -> float:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import fnmatch
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -124,18 +124,7 @@ class CheckReport:
     detail: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "max_abs_error": self.max_abs_error,
-            "tolerance": self.tolerance,
-            "trials": self.trials,
-            "seed": self.seed,
-            "elapsed_ms": self.elapsed_ms,
-            "layer": self.layer,
-            "informational": self.informational,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 _REGISTRY: dict = {}  # name -> (spec, body, cases, note)
@@ -1003,12 +992,13 @@ def _chk_eq89_info(rng, cfg):
         fm = convert_basis(f, Basis.MONOMIAL)
         gm = convert_basis(g, Basis.MONOMIAL)
         If, Ig = ifft_poly(fm), ifft_poly(gm)
+        shifted = [(ifft_poly(shift(fm, Fraction(k))), ifft_poly(shift(gm, Fraction(k))))
+                   for k in range(90)]
         for x in (0.3, 1.0, 2.0):
             lhs_a = lhs_b = 0.0
-            for k in range(90):
+            for k, (Sf, Sg) in enumerate(shifted):
                 wk = (-x) ** k / math.factorial(k)
-                lhs_a += (wk * ifft_poly(shift(fm, Fraction(k))).eval(x)
-                          * ifft_poly(shift(gm, Fraction(k))).eval(x))
+                lhs_a += wk * Sf.eval(x) * Sg.eval(x)
                 lhs_b += wk * If.eval(x + k) * Ig.eval(x + k)
             rhs = 0.0
             cf, cg = fm, gm

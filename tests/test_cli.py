@@ -124,6 +124,15 @@ def test_transform_numeric_rft_past_gamma_range_is_error(capsys):
     assert "171.62" in err
 
 
+def test_transform_numeric_rft_divergent_integrand_is_error(capsys):
+    """e^(2t) overflows a float at the large nodes of the default scheme."""
+    code, out, err = run(capsys, "transform", "--numeric", "--op", "rft",
+                         "--source", "exp(2)", "--at", "1.5")
+    assert code == 1
+    assert out == ""
+    assert "gauss_laguerre: the integrand overflows" in err
+
+
 def test_transform_numeric_needs_source_and_at(capsys):
     code, _, err = run(capsys, "transform", "--numeric", "--op", "fft")
     assert code == 1
@@ -199,6 +208,23 @@ def test_fractional_difference_unit(capsys):
                        "--order", "0.5", "--source", "geometric(2)")
     assert code == 0
     assert abs(json.loads(out)["value"] - 1.0) < 1e-8
+
+
+def test_fractional_difference_long_truncation(capsys):
+    """Delta^(1/2) e^(u/2) at 0 is (e^(1/2) - 1)^(1/2), from 200 samples
+    whose n! lie far past the float range."""
+    code, out, _ = run(capsys, "fractional", "--kind", "difference", "--order", "0.5",
+                       "--source", "exp(1/2)", "--truncation", "200")
+    assert code == 0
+    assert abs(json.loads(out)["value"] - math.sqrt(math.exp(0.5) - 1.0)) < 1e-10
+
+
+def test_fractional_difference_overflowing_sample_is_error(capsys):
+    code, out, err = run(capsys, "fractional", "--kind", "difference", "--order", "0.5",
+                         "--source", "exp(20)")
+    assert code == 1
+    assert out == ""
+    assert "fractional_difference: input 36 overflows a float" in err
 
 
 def test_zeta_terms(capsys):

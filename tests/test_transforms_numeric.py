@@ -38,7 +38,7 @@ from ftcalc.transforms_numeric import (
     wynn_epsilon,
     zeta_formal_series,
 )
-from ftcalc.transforms_numeric import _exp_neg_convolve, _laguerre_rule, _shifted_taylor
+from ftcalc.transforms_numeric import _laguerre_rule
 from ftcalc import transforms_numeric
 
 
@@ -203,6 +203,18 @@ def test_adaptive_fallback_reports_integrand_overflow():
         rft_fn(lambda t: math.exp(2 * t), 1.5, QuadratureSpec(scheme="adaptive_fallback"))
 
 
+def test_gauss_laguerre_reports_integrand_overflow():
+    """The default scheme sums its nodes under the same guard as adaptive_fallback."""
+    with pytest.raises(QuadratureError, match="gauss_laguerre: the integrand overflows"):
+        rft_fn(lambda t: math.exp(2 * t), 1.5)
+
+
+def test_rft_fn_below_float_resolution_of_s_is_documented_error():
+    """Below s = 2^-53, s - 1 rounds to -1, where the rule's weight is not integrable."""
+    with pytest.raises(QuadratureError, match="alpha > -1"):
+        rft_fn(math.cos, 1e-300)
+
+
 def test_laguerre_rule_refuses_overflowing_weights():
     """The weights sum to Gamma(alpha + 1), past the float range at alpha = 175."""
     with pytest.raises(QuadratureError, match="overflows"):
@@ -254,11 +266,7 @@ def test_fractional_derivative_integer_orders():
 
 
 def _ref_exp_neg_convolve(coeffs):
-    """The direct Cauchy product with e^{-x}: in Fractions, or in floats, with
-    each signed reciprocal factorial formed per term, when any input is a float."""
-    if any(isinstance(v, float) for v in coeffs):
-        return [math.fsum(((-1) ** m / math.factorial(m)) * float(coeffs[k - m])
-                          for m in range(k + 1)) for k in range(len(coeffs))]
+    """The direct Cauchy product with e^{-x}, in Fractions."""
     return [sum((Fraction((-1) ** m, math.factorial(m)) * coeffs[k - m] for m in range(k + 1)),
                 start=Fraction(0)) for k in range(len(coeffs))]
 
@@ -270,40 +278,59 @@ def _ref_shifted_taylor(a, t, count, extra=32):
                 start=Fraction(0)) for k in range(count)]
 
 
-_EXACT_SEQUENCES = {
+_PREPARATION_INPUTS = {
     "int": lambda n: (-1) ** n * (n % 7 + 1),
     "fraction": lambda n: Fraction(2) ** n / math.factorial(n) - Fraction(n % 3, n + 1),
-    # a cubic: its shifted jet ends early and is padded back to count
+    # a cubic: its shifted jet ends early
     "polynomial": lambda n: Fraction(n + 1, 2) if n < 4 else 0,
+    "float": lambda n: math.sin(n + 1) * 2.0 ** (n % 5 - 2),
 }
 
 
+def _prepared(monkeypatch, operator, *args):
+    """The Taylor coefficients that a fractional operator hands to fft_fn."""
+    seen = []
+    monkeypatch.setattr(transforms_numeric, "fft_fn",
+                        lambda src, s, cfg: seen.append((src, cfg.truncation_N)))
+    operator(*args)
+    src, N = seen[0]
+    return [src.provider(n) for n in range(N + 1)]
+
+
 @pytest.mark.parametrize("K", [0, 1, 2, 65, 161])
-@pytest.mark.parametrize("kind", sorted(_EXACT_SEQUENCES))
-def test_exact_preparation_matches_direct_sums(K, kind):
-    """The exact branches of the fractional-derivative preparation equal
-    their defining sums, value and type."""
-    a = _EXACT_SEQUENCES[kind]
-    coeffs = [a(n) for n in range(K)]
-    got = _exp_neg_convolve(coeffs)
-    assert got == _ref_exp_neg_convolve(coeffs)
-    assert all(type(v) is Fraction for v in got)
-    for t in (1, Fraction(1, 5)):
-        got = _shifted_taylor(a, t, K)
-        assert got == _ref_shifted_taylor(a, t, K)
+@pytest.mark.parametrize("kind", sorted(_PREPARATION_INPUTS))
+def test_exact_preparation_matches_direct_sums(monkeypatch, K, kind):
+    """The exact preparation of both fractional operators equals its defining
+    sums on the inputs read as Fractions, value and type: e^{-x} times the
+    jet shifted to t, and e^{-x} twice times the EGF of the samples. The
+    truncation is N = K terms past the first, at least one."""
+    a = _PREPARATION_INPUTS[kind]
+    exact = lambda n: Fraction(a(n))
+    cfg = NumericConfig(truncation_N=max(K, 1))
+    count = cfg.truncation_N + 1
+    for t in (0, 1, Fraction(1, 5)):
+        got = _prepared(monkeypatch, fractional_derivative, taylor_source(a), 0.5, t, cfg)
+        assert got == _ref_exp_neg_convolve(_ref_shifted_taylor(exact, t, count))
         assert all(type(v) is Fraction for v in got)
+    egf = [exact(n) / math.factorial(n) for n in range(count)]
+    got = _prepared(monkeypatch, fractional_difference, a, 0.5, 0, cfg)
+    assert got == _ref_exp_neg_convolve(_ref_exp_neg_convolve(egf))
+    assert all(type(v) is Fraction for v in got)
 
 
-@pytest.mark.parametrize("K", [1, 2, 65, 161])
-def test_float_convolution_matches_direct_sums(K):
-    """The float branch of the e^{-x} product is bit-identical to its defining
-    sum, on float and on mixed int/float input."""
-    floats = [math.sin(n + 1) * 2.0 ** (n % 5 - 2) for n in range(K)]
-    mixed = [n % 4 - 1 if n % 2 else 1.0 / (n + 1) for n in range(K)]
-    for coeffs in (floats, mixed):
-        got = _exp_neg_convolve(coeffs)
-        assert got == _ref_exp_neg_convolve(coeffs)
-        assert all(type(v) is float for v in got)
+@pytest.mark.parametrize("t", [0.0, 0.3, -1.25])
+def test_float_inputs_read_as_their_fractions(t):
+    """Both operators read a float input as its dyadic value: floats and the
+    same inputs given as Fractions give the same value and estimate to the bit."""
+    coeff = lambda n: 0.5 ** n / math.factorial(n)
+    got = _outcome(lambda: fractional_derivative(taylor_source(coeff), 0.5, t))
+    assert got[0] != "NonConvergenceError"
+    assert got == _outcome(lambda: fractional_derivative(
+        taylor_source(lambda n: Fraction(coeff(n))), 0.5, Fraction(t)))
+    f = lambda u: math.exp(u / 3)
+    got = _outcome(lambda: fractional_difference(f, 0.5, t))
+    assert got[0] != "NonConvergenceError"
+    assert got == _outcome(lambda: fractional_difference(lambda u: Fraction(f(u)), 0.5, t))
 
 
 @pytest.mark.parametrize("a,t,want", [
@@ -399,6 +426,28 @@ def test_divergent_newton_sum_raises():
     """A constant Taylor sequence makes the Newton sum blow up."""
     with pytest.raises(NonConvergenceError):
         fft_fn(taylor_source(lambda n: 1.0), 2.5, NumericConfig(truncation_N=48, tolerance=1e-12))
+
+
+def test_newton_sum_retries_epsilon_up_to_its_smallest_term():
+    """e^{-x} times the float jet of e^{2x}: the rounding of the jet, amplified
+    about 3x per term, makes the Newton terms at s = 1.5 grow again past term
+    35, and epsilon on all 64 partial sums disagrees by 6e-5. On the sums
+    through the smallest term it gives 2^1.5, as epsilon on all sums does."""
+    jet = [Fraction(2.0 ** n / math.factorial(n)) for n in range(65)]
+    damped = _ref_exp_neg_convolve(jet)
+    r = fft_fn(taylor_source(damped.__getitem__), 1.5)
+    assert abs(r - 2.0 ** 1.5) < 1e-11
+    assert abs(r - 2.0 ** 1.5) <= 2 * r.error_estimate
+
+
+def test_newton_sum_retry_needs_agreement_with_all_sums():
+    """The order-2.7 derivative series of cos(u/2) at -3/2 is a binomial series
+    outside its radius. Epsilon on the sums through its smallest term (57)
+    agrees with itself to 6e-11 but is 5.7e-9 off, 5e-9 from epsilon on all
+    64 sums: the retry is refused."""
+    src = taylor_source(NamedSource("cos(1/2)").taylor())
+    with pytest.raises(NonConvergenceError, match="tail policy unmet"):
+        fractional_derivative(src, 2.7, Fraction(-3, 2))
 
 
 def test_ifft_outside_radius_raises():
@@ -565,12 +614,18 @@ _POINTS = st.one_of(
 )
 
 
-@given(op=st.sampled_from(["fft", "ifft", "irft"]), spec=_SOURCE_SPECS, at=_POINTS,
+@given(op=st.sampled_from(["fft", "ifft", "irft", "rft", "derivative", "difference"]),
+       spec=_SOURCE_SPECS, at=_POINTS, order=st.floats(min_value=-4, max_value=4),
        N=st.integers(1, 512))
+@example(op="rft", spec="exp(2)", at=1.5, order=0.5, N=64)
+@example(op="difference", spec="exp(20)", at=0.0, order=0.5, N=64)
+@example(op="difference", spec="exp(1/2)", at=0.0, order=0.5, N=200)
 @settings(max_examples=40, deadline=None)
-def test_series_evaluators_keep_their_contract(op, spec, at, N):
-    """On the CLI's named sources, each series evaluator returns a finite
-    NumericResult or raises NonConvergenceError or ValueError."""
+def test_series_evaluators_keep_their_contract(op, spec, at, order, N):
+    """On the CLI's named sources, each series evaluator, rft_fn on its
+    default scheme and both fractional operators (at the point at) return a
+    finite NumericResult or raise NonConvergenceError, QuadratureError or
+    ValueError."""
     src = NamedSource(spec)
     cfg = NumericConfig(truncation_N=N)
     try:
@@ -578,9 +633,19 @@ def test_series_evaluators_keep_their_contract(op, spec, at, N):
             r = fft_fn(taylor_source(src.taylor(), src.taylor_radius()), at, cfg)
         elif op == "ifft":
             r = ifft_fn(samples_source(src.samples()), at, cfg)
-        else:
+        elif op == "irft":
             r = irft_fn(callable_source(src.callable()), at, cfg)
-    except (NonConvergenceError, ValueError):
+        elif op == "rft":
+            r = rft_fn(src.callable(), at)
+        elif op == "derivative":
+            # the point as the CLI passes it, a rational; the exact shift by a
+            # float with a 2^-1000 denominator takes minutes at N = 512
+            t = Fraction(at).limit_denominator(1000)
+            r = fractional_derivative(taylor_source(src.taylor(), src.taylor_radius()),
+                                      order, t, cfg)
+        else:
+            r = fractional_difference(src.callable(), order, at, cfg)
+    except (NonConvergenceError, QuadratureError, ValueError):
         return
     assert isinstance(r, NumericResult)
     assert math.isfinite(r) and math.isfinite(r.error_estimate)
