@@ -127,6 +127,15 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+def _float_flag(text: str, flag: str) -> float:
+    """The float of a rational or decimal flag value; the error names the flag."""
+    try:
+        return float(Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"{flag} needs a rational or decimal within the float range, "
+                         f"got {text!r}") from None
+
+
 def _frac_str(v) -> str:
     return str(Fraction(v)) if not isinstance(v, float) else repr(v)
 
@@ -154,12 +163,15 @@ def _cmd_transform(args) -> int:
 
     src = NamedSource(args.source)
     cfg = NumericConfig(truncation_N=args.truncation)
-    s = float(Fraction(args.at))
+    s = _float_flag(args.at, "--at")
     if args.op == "fft":
         value = fft_fn(taylor_source(src.taylor(), src.taylor_radius()), s, cfg)
     elif args.op == "ifft":
         value = ifft_fn(samples_source(src.samples()), s, cfg)
     elif args.op == "irft":
+        if src.kind == "gamma-samples":
+            raise ValueError("irft reads its source at t = -1, -2, ...; gamma-samples is "
+                             "Gamma(t+1), which has a pole at t = -1")
         value = irft_fn(callable_source(src.callable()), s, cfg)
     else:
         spec = QuadratureSpec(nodes=args.nodes, scheme=args.scheme)
@@ -208,14 +220,14 @@ def _cmd_fractional(args) -> int:
 
     src = NamedSource(args.source)
     cfg = NumericConfig(truncation_N=args.truncation)
-    order = float(Fraction(args.order))
-    at = Fraction(args.at)
+    order = _float_flag(args.order, "--order")
+    at = _float_flag(args.at, "--at")
     if args.kind == "derivative":
         value = fractional_derivative(
-            taylor_source(src.taylor(), src.taylor_radius()), order, at, cfg)
+            taylor_source(src.taylor(), src.taylor_radius()), order, Fraction(args.at), cfg)
     else:
-        value = fractional_difference(src.callable(), order, float(at), cfg)
-    _emit({"kind": args.kind, "order": order, "at": float(at),
+        value = fractional_difference(src.callable(), order, at, cfg)
+    _emit({"kind": args.kind, "order": order, "at": at,
            "source": args.source, "value": float(value),
            "error_estimate": value.error_estimate})
     return 0
@@ -224,7 +236,7 @@ def _cmd_fractional(args) -> int:
 def _cmd_zeta(args) -> int:
     from .transforms_numeric import zeta_formal_series
 
-    s = float(Fraction(args.s))
+    s = _float_flag(args.s, "--s")
     partial, terms = zeta_formal_series(s, args.terms)
     _emit({"s": s, "terms_requested": args.terms, "partial_sum": partial,
            "terms": terms,

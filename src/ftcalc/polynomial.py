@@ -1,12 +1,18 @@
 """Multi-basis polynomial arithmetic and the finite operator calculus.
 
-A BasisPolynomial stores exact rational coefficients against one of three
-bases: monomial x^n, falling factorial (x)_n, rising factorial x^(rising n).
+A BasisPolynomial is an exact rational coefficient vector against one of
+three bases: monomial x^n, falling factorial (x)_n, rising factorial
+x^(rising n). It stores the vector as integer numerators over one positive
+denominator, in lowest terms, and builds Fraction coefficients only when
+they are read.
 
-Every kernel runs on integers: it turns its input into numerators over their
-lcm denominator once, loops on Python ints and builds one Fraction per output
-coefficient. A conversion is one pass over a triangle of Stirling numbers to
-or from the monomial basis, and of Lah numbers between the factorial bases.
+Every kernel reads and writes that integer vector: it loops on Python ints
+over the denominator its caller tracks, and hands the numerators to the
+next kernel. A public operation reduces once, when it builds its result. A
+conversion is one pass over a triangle of Stirling numbers to or from the
+monomial basis, and of Lah numbers between the factorial bases; the
+triangles are unimodular, so a conversion keeps the denominator and lowest
+terms.
 
 Each basis is the basic sequence of its own lowering operator, L b_n =
 n b_(n-1): d on x^n, the forward difference D on (x)_n and the backward
@@ -29,8 +35,8 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
-from itertools import accumulate, repeat
+from functools import cached_property, partial
+from itertools import accumulate, repeat, zip_longest
 from typing import Callable, Iterable, Sequence, Union
 
 from .combinatorics import (
@@ -50,54 +56,59 @@ class BasisMismatchError(ValueError):
     pass
 
 
-def _normalize(coeffs: Iterable) -> tuple[Fraction, ...]:
-    out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class BasisPolynomial:
     """Finite coefficient vector tagged with a basis; canonical form.
 
-    coeffs[n] multiplies the n-th basis element; trailing zeros are stripped
+    coeffs[n] = nums[n] / den multiplies the n-th basis element. The vector
+    is in lowest terms: den > 0, gcd(den, *nums) = 1 and no trailing zero,
     so equality is structural equality. The zero polynomial has no coeffs.
     """
 
     basis: Basis
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        if not isinstance(self.basis, Basis):
-            object.__setattr__(self, "basis", Basis(self.basis))
-        object.__setattr__(self, "coeffs", _normalize(self.coeffs))
+    def __init__(self, basis: Basis | str, coeffs: Iterable):
+        # numerators of reduced fractions over their lcm are in lowest terms
+        nums, den = _integers(coeffs)
+        while nums and not nums[-1]:
+            nums.pop()
+        _init(self, Basis(basis), nums, den)
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.nums)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(basis={self.basis!r}, coeffs={self.coeffs!r})"
 
     @property
     def degree(self) -> int:
         # degree of the zero polynomial is -1 by convention here
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coeff(self, n: int) -> Fraction:
-        return self.coeffs[n] if 0 <= n < len(self.coeffs) else Fraction(0)
+        return self.coeffs[n] if 0 <= n < len(self.nums) else Fraction(0)
 
     def eval(self, x: Scalar) -> Scalar:
         """Value at x; exact when x is Fraction/int, float when x is float."""
         step = {Basis.MONOMIAL: 0, Basis.FALLING: -1, Basis.RISING: 1}[self.basis]
+        nums, den = self.nums, self.den
         if isinstance(x, float):
+            # an int true division rounds nums[n]/den as float(coeffs[n]) does
             acc, basis_val = 0.0, 1.0
-            for n, c in enumerate(self.coeffs):
-                acc += float(c) * basis_val
+            for n, c in enumerate(nums):
+                acc += c / den * basis_val
                 basis_val = basis_val * (x + step * n)
             return acc
-        # Horner on integers over D q^deg, for x = u/q and c_n = N_n/D:
-        # acc_n = N_n q^(deg-n) + (u + step n q) acc_(n+1)
+        # Horner on integers over den q^deg, for x = u/q:
+        # acc_n = nums_n q^(deg-n) + (u + step n q) acc_(n+1)
         x = Fraction(x)
         u, q = x.numerator, x.denominator
-        nums, den = _integers(self.coeffs)
         acc, qn = 0, 1
         for n in reversed(range(len(nums))):
             acc = acc * (u + step * n * q) + nums[n] * qn
@@ -107,15 +118,18 @@ class BasisPolynomial:
     def __add__(self, other: "BasisPolynomial") -> "BasisPolynomial":
         if self.basis is not other.basis:
             raise BasisMismatchError("cannot add polynomials in different bases")
-        n = max(len(self.coeffs), len(other.coeffs))
-        return BasisPolynomial(self.basis, [self.coeff(i) + other.coeff(i) for i in range(n)])
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return _reduced(self.basis, [x * a + y * b for x, y in
+                                     zip_longest(self.nums, other.nums, fillvalue=0)], den)
 
     def __sub__(self, other: "BasisPolynomial") -> "BasisPolynomial":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def scale(self, c: Scalar) -> "BasisPolynomial":
         c = Fraction(c)
-        return BasisPolynomial(self.basis, [c * a for a in self.coeffs])
+        return _reduced(self.basis, [c.numerator * a for a in self.nums],
+                        c.denominator * self.den)
 
     def to_json(self) -> dict:
         return {"basis": self.basis.value, "coeffs": [str(c) for c in self.coeffs]}
@@ -138,6 +152,35 @@ class BasisPolynomial:
         return cls(basis, parsed)
 
 
+def _init(p: BasisPolynomial, basis: Basis, nums: Sequence[int], den: int) -> BasisPolynomial:
+    object.__setattr__(p, "basis", basis)
+    object.__setattr__(p, "nums", tuple(nums))
+    object.__setattr__(p, "den", den)
+    return p
+
+
+def _canonical(basis: Basis, nums: Sequence[int], den: int) -> BasisPolynomial:
+    """The polynomial of a vector already in lowest terms, no trailing zero."""
+    return _init(object.__new__(BasisPolynomial), basis, nums, den)
+
+
+def _reduced(basis: Basis, nums: Sequence[int], den: int) -> BasisPolynomial:
+    """The polynomial sum_n nums[n]/den b_n for den > 0, in lowest terms.
+
+    The gcd reads both ends first: a common factor rarely survives them, and
+    once the running gcd is 1 math.gcd only scans the other arguments.
+    """
+    n = len(nums)
+    while n and not nums[n - 1]:
+        n -= 1
+    if not n:
+        return _canonical(basis, (), 1)
+    g = math.gcd(den, nums[0], nums[n - 1], *nums)
+    if g == 1:
+        return _canonical(basis, nums[:n], den)
+    return _canonical(basis, [a // g for a in nums[:n]], den // g)
+
+
 def poly(basis: Basis | str, coeffs: Iterable) -> BasisPolynomial:
     return BasisPolynomial(Basis(basis), coeffs)
 
@@ -148,37 +191,58 @@ def monomial(coeffs: Iterable) -> BasisPolynomial:
 
 def falling_unit(n: int) -> BasisPolynomial:
     """The basis element (x)_n as a falling-basis polynomial."""
-    return BasisPolynomial(Basis.FALLING, [0] * n + [1])
+    return _canonical(Basis.FALLING, [0] * n + [1], 1)
 
 
-def _integers(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Numerators of coeffs over their lcm denominator, and that denominator."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _integers(values: Iterable) -> tuple[list[int], int]:
+    """Numerators of rationals over their lcm denominator, and that denominator.
+
+    An int or Fraction is read as it is, anything else through Fraction(),
+    a float as its dyadic value.
+    """
+    rs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = math.lcm(*(r.denominator for r in rs))
+    return [r.numerator * (den // r.denominator) for r in rs], den
 
 
-def convert_basis(p: BasisPolynomial, target: Basis | str) -> BasisPolynomial:
-    """Re-express p in the target basis; exact, round trips are identities.
+def _convert(nums: Sequence[int], source: Basis, target: Basis) -> Sequence[int]:
+    """Numerators of the same polynomial in the target basis, same denominator.
 
     Each source element expands as b_n = sum_k (+-1)^(n-k) T(n,k) b'_k with a
-    triangle T of nonnegative integers: S(n,k) for x^n in either factorial
-    basis, c(n,k) for either factorial in x^k, and the Lah numbers between
-    the factorial bases: x^(rising n) = sum_k L(n,k) (x)_k. The sign is
-    alternating exactly when the source is falling or the target is rising.
+    triangle T of nonnegative integers and T(n,n) = 1: S(n,k) for x^n in
+    either factorial basis, c(n,k) for either factorial in x^k, and the Lah
+    numbers between the factorial bases: x^(rising n) = sum_k L(n,k) (x)_k.
+    The sign is alternating exactly when the source is falling or the target
+    is rising.
     """
-    target = Basis(target)
-    if p.basis is target:
-        return p
-    row = (partial(stirling_row, False) if p.basis is Basis.MONOMIAL
+    if source is target:
+        return nums
+    row = (partial(stirling_row, False) if source is Basis.MONOMIAL
            else partial(stirling_row, True) if target is Basis.MONOMIAL else lah_row)
     # (-1)^(n-k) = (-1)^n (-1)^k: sign the input by n, the output by k
-    sign = -1 if p.basis is Basis.FALLING or target is Basis.RISING else 1
-    nums, den = _integers(p.coeffs)
+    sign = -1 if source is Basis.FALLING or target is Basis.RISING else 1
     out = [0] * len(nums)
     for n, a in enumerate(nums):
         if a:
             out[:n + 1] = map(operator.add, out, map(operator.mul, row(n), repeat(a * sign ** n)))
-    return BasisPolynomial(target, [Fraction(c * sign ** k, den) for k, c in enumerate(out)])
+    return out if sign == 1 else _flip(out)
+
+
+def _flip(nums: Sequence[int]) -> list[int]:
+    return [-a if n % 2 else a for n, a in enumerate(nums)]
+
+
+def convert_basis(p: BasisPolynomial, target: Basis | str) -> BasisPolynomial:
+    """Re-express p in the target basis; exact, round trips are identities."""
+    target = Basis(target)
+    if p.basis is target:
+        return p
+    # a unimodular triangle keeps the vector in lowest terms
+    return _canonical(target, _convert(p.nums, p.basis, target), p.den)
+
+
+_MIRROR = {Basis.MONOMIAL: Basis.MONOMIAL, Basis.FALLING: Basis.RISING,
+           Basis.RISING: Basis.FALLING}
 
 
 def negate_argument(p: BasisPolynomial) -> BasisPolynomial:
@@ -187,11 +251,7 @@ def negate_argument(p: BasisPolynomial) -> BasisPolynomial:
     Monomial stays monomial; falling input yields a rising-basis result and
     vice versa, via x^(rising n) = (-1)^n (-x)_n.
     """
-    flipped = [(-1) ** n * c for n, c in enumerate(p.coeffs)]
-    if p.basis is Basis.MONOMIAL:
-        return BasisPolynomial(Basis.MONOMIAL, flipped)
-    other = Basis.RISING if p.basis is Basis.FALLING else Basis.FALLING
-    return BasisPolynomial(other, flipped)
+    return _canonical(_MIRROR[p.basis], _flip(p.nums), p.den)
 
 
 def shift(p: BasisPolynomial, a: Scalar) -> BasisPolynomial:
@@ -200,10 +260,11 @@ def shift(p: BasisPolynomial, a: Scalar) -> BasisPolynomial:
 
 
 def _scale_coeffs(p: BasisPolynomial, basis: Basis, a: Fraction) -> BasisPolynomial:
-    # the n-th coefficient of p in basis times a^n, returned in the basis of p
-    work = convert_basis(p, basis)
-    return convert_basis(BasisPolynomial(basis, [c * a ** n for n, c in enumerate(work.coeffs)]),
-                         p.basis)
+    # the n-th coefficient of p in basis times a^n = u^n q^(deg-n) / q^deg,
+    # returned in the basis of p
+    u, q, deg = a.numerator, a.denominator, max(p.degree, 0)
+    scaled = [c * u ** n * q ** (deg - n) for n, c in enumerate(_convert(p.nums, p.basis, basis))]
+    return _reduced(p.basis, _convert(scaled, basis, p.basis), p.den * q ** deg)
 
 
 def scale_argument(p: BasisPolynomial, a: Scalar) -> BasisPolynomial:
@@ -221,25 +282,23 @@ def multiply(p: BasisPolynomial, q: BasisPolynomial) -> BasisPolynomial:
     if p.basis is not q.basis:
         raise BasisMismatchError("multiply requires operands in the same basis")
     if p.is_zero() or q.is_zero():
-        return BasisPolynomial(p.basis, [])
+        return _canonical(p.basis, (), 1)
     if p.basis is Basis.MONOMIAL:
-        pn, dp = _integers(p.coeffs)
-        qn, dq = _integers(q.coeffs)
-        out = [0] * (len(pn) + len(qn) - 1)
-        for i, a in enumerate(pn):
-            if a:
-                out[i:i + len(qn)] = map(operator.add, out[i:], map(operator.mul, qn, repeat(a)))
-        return BasisPolynomial(Basis.MONOMIAL, [Fraction(c, dp * dq) for c in out])
+        return _reduced(p.basis, _convolve(p.nums, q.nums), p.den * q.den)
     if p.basis is Basis.FALLING:
-        return _multiply_falling(p, q)
-    pf = negate_argument(p)
-    qf = negate_argument(q)
-    return negate_argument(_multiply_falling(pf, qf))
+        return _reduced(p.basis, _linearize(p.nums, q.nums), p.den * q.den)
+    return _reduced(p.basis, _flip(_linearize(_flip(p.nums), _flip(q.nums))), p.den * q.den)
 
 
-def _multiply_falling(p: BasisPolynomial, q: BasisPolynomial) -> BasisPolynomial:
-    pn, dp = _integers(p.coeffs)
-    qn, dq = _integers(q.coeffs)
+def _convolve(pn: Sequence[int], qn: Sequence[int]) -> list[int]:
+    out = [0] * (len(pn) + len(qn) - 1)
+    for i, a in enumerate(pn):
+        if a:
+            out[i:i + len(qn)] = map(operator.add, out[i:], map(operator.mul, qn, repeat(a)))
+    return out
+
+
+def _linearize(pn: Sequence[int], qn: Sequence[int]) -> list[int]:
     out = [0] * (len(pn) + len(qn) - 1)
     for n, a in enumerate(pn):
         if not a:
@@ -252,7 +311,7 @@ def _multiply_falling(p: BasisPolynomial, q: BasisPolynomial) -> BasisPolynomial
             for k in range(min(n, m) + 1):
                 out[n + m - k] += w
                 w = w * (n - k) * (m - k) // (k + 1)
-    return BasisPolynomial(Basis.FALLING, [Fraction(c, dp * dq) for c in out])
+    return out
 
 
 # --- operator calculus -----------------------------------------------------
@@ -338,73 +397,77 @@ def scale_op(a: Scalar) -> OperatorExpr:
     return OperatorExpr(OperatorKind.SCALE_OP, a=Fraction(a))
 
 
-def _apply_weights(coeffs: tuple[Fraction, ...], weights: Sequence[int], q: int) -> list[Fraction]:
-    """sum_j (W_j / j!) L^j on coefficients in a basis with L b_n = n b_(n-1).
+def _apply_weights(nums: Sequence[int], weights: Sequence[int]) -> list[int]:
+    """sum_j (weights[j] / j!) L^j on numerators in a basis with L b_n = n b_(n-1).
 
-    The EGF weights are W_j = weights[j] / q, so the sum is the correlation
-    out_i = sum_j binom(i+j, j) W_j c_(i+j). It runs on integers over the
-    lcm denominator of coeffs: a row holds binom(i+j, j) weights[j] and steps
-    in i by the exact ratio (i+j)/i. Only the span of nonzero weights is
-    stepped and multiplied, so d^k costs O(1) per coefficient.
+    The sum is the correlation out_i = sum_j binom(i+j, j) weights[j] c_(i+j),
+    over the product of the two vectors' denominators. A row holds
+    binom(i+j, j) weights[j] and steps in i by the exact ratio (i+j)/i. Only
+    the span of nonzero weights is stepped and multiplied, so d^k costs O(1)
+    per coefficient.
     """
     nz = [j for j, w in enumerate(weights) if w]
     if not nz:
         return []
-    lo, hi, n = nz[0], nz[-1] + 1, len(coeffs)
+    lo, hi, n = nz[0], nz[-1] + 1, len(nums)
     row = weights[lo:hi]
-    nums, d = _integers(coeffs)
     out = []
     for i in range(1, n - lo + 1):
-        out.append(Fraction(sum(map(operator.mul, row, nums[i - 1 + lo:i - 1 + hi])), d * q))
+        out.append(sum(map(operator.mul, row, nums[i - 1 + lo:i - 1 + hi])))
         row = list(map(operator.floordiv, map(operator.mul, row, range(i + lo, min(i + hi, n))),
                        repeat(i)))
     return out
 
 
+# A row of the table below maps (op, numerators in the row's basis) to
+# (numerators, factor): the result is over the input's denominator times
+# that factor.
+_Row = Callable[[OperatorExpr, Sequence[int]], tuple[Sequence[int], int]]
+
+
 def _column(table: Callable[[int, int], int], sign: int, op: OperatorExpr,
-            coeffs: tuple[Fraction, ...]) -> list[Fraction]:
+            nums: Sequence[int]) -> tuple[list[int], int]:
     # k! T(j,k) are the EGF weights of f(t)^k for f = -log(1-t), e^t - 1 and
     # t/(1-t) (T = c, S, L), and of L^k itself for T = operator.eq, the
     # identity table; the factor sign^(j-k) with sign -1 gives -f(-t)
     k, f = op.k, math.factorial(op.k)
-    return _apply_weights(coeffs, [f * sign ** (j - k) * table(j, k) if j >= k else 0
-                                   for j in range(len(coeffs))], 1)
+    return _apply_weights(nums, [f * sign ** (j - k) * table(j, k) if j >= k else 0
+                                 for j in range(len(nums))]), 1
 
 
-def _powers(step: int, op: OperatorExpr, coeffs: tuple[Fraction, ...]) -> list[Fraction]:
+def _powers(step: int, op: OperatorExpr, nums: Sequence[int]) -> tuple[list[int], int]:
     # (a)_j or a^(rising j) for step -1 or 1: the EGF weights of (1+t)^a and
-    # (1-t)^(-a), over q^n for a = p/q
-    p, q, n = op.a.numerator, op.a.denominator, len(coeffs)
-    out = accumulate((p + step * j * q for j in range(n - 1)), operator.mul, initial=1)
-    return _apply_weights(coeffs, [w * q ** (n - j) for j, w in zip(range(n), out)], q ** n)
+    # (1-t)^(-a), over q^(n-1) for a = p/q
+    p, q, n = op.a.numerator, op.a.denominator, len(nums)
+    top = max(n - 1, 0)
+    out = accumulate((p + step * j * q for j in range(top)), operator.mul, initial=1)
+    return _apply_weights(nums, [w * q ** (top - j) for j, w in zip(range(n), out)]), q ** top
 
 
-def _taylor_shift(op: OperatorExpr, coeffs: tuple[Fraction, ...]) -> Sequence[Fraction]:
-    """e^{aL} for a = op.a on coefficients in a basis with L b_n = n b_(n-1):
+def _taylor_shift(op: OperatorExpr, nums: Sequence[int]) -> tuple[Sequence[int], int]:
+    """e^{aL} for a = op.a on numerators in a basis with L b_n = n b_(n-1):
     out_i = sum_j binom(i+j, j) a^j c_(i+j), the coefficients of p(x + a)
     for p = sum_j c_j x^j.
 
     For a = u/q, p(x + a) q^(n-1) = sum_j r_j (y + u)^j at y = q x, with
-    integers r_j = c_j q^(n-1-j) over the lcm denominator of coeffs. Horner's
-    Taylor shift by u (von zur Gathen & Gerhard, "Fast algorithms for Taylor
-    shifts and certain difference equations", ISSAC 1997, method H) takes
-    r_j += u r_(j+1) over the Pascal triangle; its updates on one
-    antidiagonal are independent, so each antidiagonal is one slice step.
+    r_j = c_j q^(n-1-j). Horner's Taylor shift by u (von zur Gathen &
+    Gerhard, "Fast algorithms for Taylor shifts and certain difference
+    equations", ISSAC 1997, method H) takes r_j += u r_(j+1) over the Pascal
+    triangle; its updates on one antidiagonal are independent, so each
+    antidiagonal is one slice step. The result r_i q^i is over q^(n-1).
     """
     if not op.a:
-        return coeffs
-    n = len(coeffs)
+        return nums, 1
+    n = len(nums)
     u, q = op.a.numerator, op.a.denominator
     qpow = list(accumulate(repeat(q, n - 1), operator.mul, initial=1))
-    nums, den = _integers(coeffs)
     r = list(map(operator.mul, nums, reversed(qpow)))
     for lo in reversed(range(n - 1)):
         r[lo:n - 1] = map(operator.add, r[lo:n - 1], map(operator.mul, r[lo + 1:], repeat(u)))
-    den *= qpow[-1]
-    return [Fraction(c * w, den) for c, w in zip(r, qpow)]
+    return list(map(operator.mul, r, qpow)), qpow[-1]
 
 
-# kind -> {basis: the op applied to coefficients in that basis}. Every entry
+# kind -> {basis: the op applied to numerators in that basis}. Every entry
 # but the Taylor shifts is the binomial kernel on the op's EGF weights in
 # that basis, as integers over a common denominator. The rows follow from
 # d = log(1+D) = -log(1-nabla), D = e^d - 1 = nabla/(1-nabla), nabla =
@@ -412,8 +475,7 @@ def _taylor_shift(op: OperatorExpr, coeffs: tuple[Fraction, ...]) -> Sequence[Fr
 # x^n and e^{aD} on (x)_n both have weights a^j in their own basis, a
 # Taylor shift of the coefficient vector.
 _POWER = partial(_column, operator.eq, 1)
-_SERIES: dict[OperatorKind, dict[Basis, Callable[[OperatorExpr, tuple[Fraction, ...]],
-                                                 Sequence[Fraction]]]] = {
+_SERIES: dict[OperatorKind, dict[Basis, _Row]] = {
     OperatorKind.DERIVATIVE: {Basis.MONOMIAL: _POWER,
                               Basis.FALLING: partial(_column, stirling_first_unsigned, -1),
                               Basis.RISING: partial(_column, stirling_first_unsigned, 1)},
@@ -439,8 +501,8 @@ def apply_operator(op: OperatorExpr, p: BasisPolynomial) -> BasisPolynomial:
         return _scale_coeffs(p, Basis.FALLING, op.a)
     rows = _SERIES[op.kind]
     basis = p.basis if p.basis in rows else next(iter(rows))
-    work = convert_basis(p, basis)
-    return convert_basis(BasisPolynomial(basis, rows[basis](op, work.coeffs)), p.basis)
+    nums, factor = rows[basis](op, _convert(p.nums, p.basis, basis))
+    return _reduced(p.basis, _convert(nums, basis, p.basis), p.den * factor)
 
 
 # --- indefinite (inverse) operators ----------------------------------------
@@ -451,26 +513,29 @@ def apply_operator(op: OperatorExpr, p: BasisPolynomial) -> BasisPolynomial:
 # reciprocal series 1/g(L), where L^{-1} lifts c_n to c_(n-1)/n.
 
 
-def _lift(coeffs: Iterable[Fraction], basis: Basis, target: Basis) -> BasisPolynomial:
-    out = [Fraction(0)] + [c / (n + 1) for n, c in enumerate(coeffs)]
-    return convert_basis(BasisPolynomial(basis, out), target)
+def _lift(nums: Sequence[int], den: int, basis: Basis, target: Basis) -> BasisPolynomial:
+    # over m = lcm(1..len(nums)), c_n/(n+1) has numerator c_n m/(n+1)
+    m = math.lcm(*range(1, len(nums) + 1))
+    out = [0] + [c * (m // (n + 1)) for n, c in enumerate(nums)]
+    return _reduced(target, _convert(out, basis, target), den * m)
 
 
 def _series_inverse(p: BasisPolynomial, basis: Basis,
                     weights: Callable[[int], tuple[list[int], int]]) -> BasisPolynomial:
     # the operator is L g(L); weights builds the EGF weights of 1/g(L)
-    work = convert_basis(p, basis)
-    return _lift(_apply_weights(work.coeffs, *weights(len(work.coeffs))), basis, p.basis)
+    nums = _convert(p.nums, p.basis, basis)
+    w, q = weights(len(nums))
+    return _lift(_apply_weights(nums, w), p.den * q, basis, p.basis)
 
 
 def antiderivative(p: BasisPolynomial) -> BasisPolynomial:
     """d^{-1} p with zero constant of integration."""
-    return _lift(convert_basis(p, Basis.MONOMIAL).coeffs, Basis.MONOMIAL, p.basis)
+    return _lift(_convert(p.nums, p.basis, Basis.MONOMIAL), p.den, Basis.MONOMIAL, p.basis)
 
 
 def indefinite_sum(p: BasisPolynomial) -> BasisPolynomial:
     """D^{-1} p (forward-difference preimage) vanishing at x = 0."""
-    return _lift(convert_basis(p, Basis.FALLING).coeffs, Basis.FALLING, p.basis)
+    return _lift(_convert(p.nums, p.basis, Basis.FALLING), p.den, Basis.FALLING, p.basis)
 
 
 def _log1p_reciprocal(n: int) -> tuple[list[int], int]:
@@ -489,4 +554,4 @@ def log1p_derivative_inverse(p: BasisPolynomial) -> BasisPolynomial:
 def expdiff_minus1_inverse(p: BasisPolynomial) -> BasisPolynomial:
     """(e^D - 1)^{-1} p, normalized to zero constant term."""
     # t/(e^t - 1) = sum_j B_j t^j / j!
-    return _series_inverse(p, Basis.FALLING, lambda n: _integers([bernoulli(j) for j in range(n)]))
+    return _series_inverse(p, Basis.FALLING, lambda n: _integers(map(bernoulli, range(n))))

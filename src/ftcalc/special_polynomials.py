@@ -1,9 +1,9 @@
 """Named polynomial families: Touchard, Z_n, generalized Laguerre, Charlier.
 
 Touchard T_n collects Stirling-second numbers, Z_n collects signed
-Stirling-first numbers over the falling basis. Laguerre steps its
-generalized-binomial coefficients by their ratio, so rational (including
-negative) alpha is exact. Charlier follows the 2F0 normalization
+Stirling-first numbers over the falling basis. Laguerre builds its
+coefficients as integer numerators over one denominator, so rational
+(including negative) alpha is exact. Charlier follows the 2F0 normalization
 c_n(x, a) = sum_k binom(n,k) binom(x,k) k! (-a)^(-k).
 """
 
@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Union
 
 from .combinatorics import binomial_general, stirling_first_signed, stirling_second
-from .polynomial import Basis, BasisPolynomial
+from .polynomial import Basis, BasisPolynomial, _canonical, _reduced
 
 Scalar = Union[Fraction, int, float]
 
@@ -23,14 +23,14 @@ def touchard(n: int) -> BasisPolynomial:
     """T_n(x) = sum_k S(n,k) x^k in the monomial basis; T_0 = 1."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return BasisPolynomial(Basis.MONOMIAL, [stirling_second(n, k) for k in range(n + 1)])
+    return _canonical(Basis.MONOMIAL, [stirling_second(n, k) for k in range(n + 1)], 1)
 
 
 def z_poly(n: int) -> BasisPolynomial:
     """Z_n = sum_k s(n,k) (x)_k in the falling basis (signed Stirling-first)."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return BasisPolynomial(Basis.FALLING, [stirling_first_signed(n, k) for k in range(n + 1)])
+    return _canonical(Basis.FALLING, [stirling_first_signed(n, k) for k in range(n + 1)], 1)
 
 
 def laguerre(n: int, alpha: Scalar) -> BasisPolynomial:
@@ -42,11 +42,15 @@ def laguerre(n: int, alpha: Scalar) -> BasisPolynomial:
     if n < 0:
         raise ValueError("index must be nonnegative")
     alpha = Fraction(alpha)
-    # c_n = (-1)^n/n!, c_(k-1) = c_k (-k)(alpha+k)/(n-k+1); the divisor is never 0
-    coeffs = [Fraction((-1) ** n, math.factorial(n))]
-    for k in range(n, 0, -1):
-        coeffs.append(coeffs[-1] * (-k) * (alpha + k) / (n - k + 1))
-    return BasisPolynomial(Basis.MONOMIAL, coeffs[::-1])
+    p, q = alpha.numerator, alpha.denominator
+    # binom(n+alpha, n-k)/k! = binom(n,k) q^k P_k / (n! q^n), with
+    # P_k = prod_{k<j<=n} (p + j q), stepped down from P_n = 1
+    nums, P, qk = [], 1, q ** n
+    for k in range(n, -1, -1):
+        nums.append((-1) ** k * math.comb(n, k) * qk * P)
+        P *= p + k * q
+        qk //= q
+    return _reduced(Basis.MONOMIAL, nums[::-1], math.factorial(n) * q ** n)
 
 
 def charlier(n: int, x: Scalar, a: Scalar):

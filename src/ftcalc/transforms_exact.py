@@ -7,65 +7,90 @@ numeric layer). All arithmetic is rational. hadamard_ifft, the inverse
 transform of a product, is one monomial product and one reinterpretation.
 
 Every sequence function is one identity, the EGF product
-h_k = sum_n binom(k,n) u_(k-n) v_n, run by one integer kernel: the binomial
-transform pairs a sequence with 1s, its inverse with (-1)^n; Newton
-interpolation is the inverse transform over j!; coefficient extraction is
-FFT(e^{-x} f)(n) / n! on EGF coefficients. Each source is sampled once at
-0..m-1, a polynomial through its falling coefficients c as
-p(n) = sum_j binom(n,j) j! c_j, the same kernel against 1s.
+h_k = sum_n binom(k,n) u_(k-n) v_n: the binomial transform pairs a
+sequence with 1s, its inverse with (-1)^n; Newton interpolation is the
+inverse transform over j!; coefficient extraction is FFT(e^{-x} f)(n) / n!
+on EGF coefficients. Each source is sampled once at 0..m-1, a polynomial
+through its falling coefficients c as p(n) = sum_j binom(n,j) j! c_j, the
+same product against 1s. Two integer kernels compute it: one direct sum per
+h_k for a general u, and a difference table of additions for all h_k, k < m,
+against u_n = r^n. Samples and sums stay integer numerators over one
+denominator; a Fraction is built only for a returned value.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import Callable, Iterable, Sequence, Union
 
-from .polynomial import Basis, BasisPolynomial, _integers, convert_basis, multiply
+from .polynomial import (
+    Basis, BasisPolynomial, _canonical, _integers, _reduced, convert_basis, multiply,
+)
 
 SequenceSource = Union[BasisPolynomial, Callable[[int], Fraction]]
 
 
+def _reread(p: BasisPolynomial, source: Basis, target: Basis) -> BasisPolynomial:
+    q = convert_basis(p, source)
+    return _canonical(target, q.nums, q.den)
+
+
 def fft_poly(p: BasisPolynomial) -> BasisPolynomial:
     """Falling factorial transform: monomial coefficients re-read over (x)_n."""
-    mono = convert_basis(p, Basis.MONOMIAL)
-    return BasisPolynomial(Basis.FALLING, mono.coeffs)
+    return _reread(p, Basis.MONOMIAL, Basis.FALLING)
 
 
 def ifft_poly(p: BasisPolynomial) -> BasisPolynomial:
     """Inverse falling transform: falling coefficients re-read over x^n."""
-    fall = convert_basis(p, Basis.FALLING)
-    return BasisPolynomial(Basis.MONOMIAL, fall.coeffs)
+    return _reread(p, Basis.FALLING, Basis.MONOMIAL)
 
 
 def rft_poly(p: BasisPolynomial) -> BasisPolynomial:
     """Rising factorial transform: monomial coefficients re-read over x^(rising n)."""
-    mono = convert_basis(p, Basis.MONOMIAL)
-    return BasisPolynomial(Basis.RISING, mono.coeffs)
+    return _reread(p, Basis.MONOMIAL, Basis.RISING)
 
 
 def irft_poly(p: BasisPolynomial) -> BasisPolynomial:
     """Inverse rising transform: rising coefficients re-read over x^n."""
-    ris = convert_basis(p, Basis.RISING)
-    return BasisPolynomial(Basis.MONOMIAL, ris.coeffs)
+    return _reread(p, Basis.RISING, Basis.MONOMIAL)
 
 
-def _binomial(u: Sequence[Fraction], v: Sequence[Fraction], ks: Iterable[int]) -> list[Fraction]:
-    """h_k = sum_n binom(k,n) u_(k-n) v_n for each k in ks.
+def _binomial(u: Sequence[int], v: Sequence[int], ks: Iterable[int]) -> list[int]:
+    """h_k = sum_n binom(k,n) u_(k-n) v_n for each k in ks, on integers.
 
-    u covers 0..max(ks); v may stop early, its missing terms are zero. The
-    sums run on integer numerators over each input's lcm denominator, with
-    binom(k,n) stepped by its ratio, and build one Fraction per output.
+    u covers 0..max(ks); v may stop early, its missing terms are zero. With
+    u and v numerators over denominators du and dv, h_k is over du dv;
+    binom(k,n) is stepped by its ratio.
     """
-    nu, du = _integers(u)
-    nv, dv = _integers(v)
     out = []
     for k in ks:
         acc, c = 0, 1
-        for n in range(min(k + 1, len(nv))):
-            acc += c * nu[k - n] * nv[n]
+        for n in range(min(k + 1, len(v))):
+            acc += c * u[k - n] * v[n]
             c = c * (k - n) // (n + 1)
-        out.append(Fraction(acc, du * dv))
+        out.append(acc)
+    return out
+
+
+def _pascal(v: Sequence[int], r: int, m: int) -> list[int]:
+    """h_k = sum_n binom(k,n) r^(k-n) v_n for k < m, on integers: _binomial
+    against u_n = r^n, the EGF of v times e^{rx}.
+
+    h_k = ((E + r)^k v)_0 for the shift (E v)_n = v_(n+1), so one
+    difference table gives every h_k in m^2/2 steps row_i <- row_(i+1) +
+    r row_i: an addition, and a product with the small r unless r = +-1,
+    where _binomial multiplies by binom(k,n) r^(k-n). v may stop early, its
+    missing terms are zero.
+    """
+    row = list(v[:m]) + [0] * (m - len(v))
+    step = operator.sub if r == -1 else operator.add
+    out = []
+    for _ in range(m):
+        out.append(row[0])
+        row = list(map(step, row[1:], row if abs(r) == 1 else map(operator.mul, row, repeat(r))))
     return out
 
 
@@ -73,23 +98,25 @@ def _signs(m: int) -> list[int]:
     return [(-1) ** n for n in range(m)]
 
 
-def _samples(f: SequenceSource, m: int) -> list[Fraction]:
-    """f(0), ..., f(m-1), evaluating the source once per index.
+def _samples(f: SequenceSource, m: int) -> tuple[list[int], int]:
+    """f(0), ..., f(m-1) as numerators over one denominator, evaluating the
+    source once per index.
 
     A polynomial is read from its falling coefficients c as
     p(n) = sum_j binom(n,j) j! c_j.
     """
     if not isinstance(f, BasisPolynomial):
-        return [Fraction(f(n)) for n in range(m)]
-    c = convert_basis(f, Basis.FALLING).coeffs
-    return _binomial([1] * m, [math.factorial(j) * a for j, a in enumerate(c)], range(m))
+        return _integers(map(f, range(m)))
+    c = convert_basis(f, Basis.FALLING)
+    return _pascal([math.factorial(j) * a for j, a in enumerate(c.nums)], 1, m), c.den
 
 
 def binomial_transform(f: SequenceSource, x: int) -> Fraction:
     """BT(f)(x) = sum_{n=0}^{x} binom(x,n) f(n) at nonnegative integer x."""
     if x < 0:
         raise ValueError("argument must be a nonnegative integer")
-    return _binomial([1] * (x + 1), _samples(f, x + 1), [x])[0]
+    v, d = _samples(f, x + 1)
+    return Fraction(_binomial([1] * (x + 1), v, [x])[0], d)
 
 
 def inverse_binomial_transform(f: SequenceSource, x: int) -> Fraction:
@@ -99,14 +126,16 @@ def inverse_binomial_transform(f: SequenceSource, x: int) -> Fraction:
     """
     if x < 0:
         raise ValueError("argument must be a nonnegative integer")
-    return _binomial(_signs(x + 1), _samples(f, x + 1), [x])[0]
+    v, d = _samples(f, x + 1)
+    return Fraction(_binomial(_signs(x + 1), v, [x])[0], d)
 
 
 def binomial_convolution(f: SequenceSource, g: SequenceSource, x: int) -> Fraction:
     """conv(f,g)(x) = sum_{n=0}^{x} binom(x,n) f(x-n) g(n); commutative."""
     if x < 0:
         raise ValueError("argument must be a nonnegative integer")
-    return _binomial(_samples(f, x + 1), _samples(g, x + 1), [x])[0]
+    (u, du), (v, dv) = _samples(f, x + 1), _samples(g, x + 1)
+    return Fraction(_binomial(u, v, [x])[0], du * dv)
 
 
 def egf_product_coeffs(F: SequenceSource, G: SequenceSource, K: int) -> list[Fraction]:
@@ -116,7 +145,8 @@ def egf_product_coeffs(F: SequenceSource, G: SequenceSource, K: int) -> list[Fra
     """
     if K < 1:
         raise ValueError("order K must be >= 1")
-    return _binomial(_samples(F, K), _samples(G, K), range(K))
+    (u, du), (v, dv) = _samples(F, K), _samples(G, K)
+    return [Fraction(h, du * dv) for h in _binomial(u, v, range(K))]
 
 
 def hadamard_ifft(f: BasisPolynomial, g: BasisPolynomial) -> BasisPolynomial:
@@ -140,12 +170,13 @@ def coefficient_extract(f: SequenceSource, n: int) -> Fraction:
     if n < 0:
         raise ValueError("index must be nonnegative")
     if isinstance(f, BasisPolynomial):
-        a = convert_basis(f, Basis.MONOMIAL).coeffs[:n + 1]
+        mono = convert_basis(f, Basis.MONOMIAL)
+        a, d = mono.nums[:n + 1], mono.den
     else:
-        a = _samples(f, n + 1)
+        a, d = _samples(f, n + 1)
     egf = [math.factorial(j) * c for j, c in enumerate(a)]
-    weighted = _binomial(_signs(n + 1), egf, range(n + 1))
-    return _binomial([1] * (n + 1), weighted, [n])[0] / math.factorial(n)
+    weighted = _pascal(egf, -1, n + 1)
+    return Fraction(_binomial([1] * (n + 1), weighted, [n])[0], d * math.factorial(n))
 
 
 def newton_from_samples(f: SequenceSource, degree: int) -> BasisPolynomial:
@@ -158,5 +189,9 @@ def newton_from_samples(f: SequenceSource, degree: int) -> BasisPolynomial:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     m = degree + 1
-    diffs = _binomial(_signs(m), _samples(f, m), range(m))
-    return BasisPolynomial(Basis.FALLING, [d / math.factorial(j) for j, d in enumerate(diffs)])
+    v, d = _samples(f, m)
+    diffs = _pascal(v, -1, m)
+    # D^j f(0) / j! = D^j f(0) (m-1)!/j! over (m-1)!
+    ratios = accumulate(range(m - 1, 0, -1), operator.mul, initial=1)
+    return _reduced(Basis.FALLING, list(map(operator.mul, diffs, reversed(list(ratios)))),
+                    d * math.factorial(m - 1))

@@ -14,21 +14,26 @@ n^(-s-1)) are routine and direct summation alone cannot reach practical
 tolerances. The returned error estimate is then the extrapolation's internal
 agreement, otherwise the magnitude of the first omitted weighted term.
 The fractional operators prepare their series exactly for every input, a
-float read as its dyadic value, and Newton-sum it with fft_fn.
+float read as its dyadic value, on one integer vector: the inputs become
+numerators over one denominator, the derivative Taylor-shifts them to t,
+one difference-table pass multiplies by e^{-rate x}, and fft_fn's Newton
+sum reads each Taylor coefficient as an unreduced (numerator, denominator)
+pair, which its int true division rounds correctly without a gcd.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
-from typing import Callable, Iterator, Sequence, Union
+from itertools import accumulate, count
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .combinatorics import bernoulli, rising_factorial
-from .polynomial import Basis, BasisPolynomial, shift
-from .transforms_exact import _binomial
+from .polynomial import _integers, _taylor_shift, shift_op
+from .transforms_exact import _pascal
 
 Number = Union[int, float, Fraction]
 
@@ -385,11 +390,11 @@ def _argument_ratio(x: Number, what: str) -> tuple[int, int]:
 # give, without a gcd per step. Factors like (s)_n and x^n/n! leave the
 # float range long before the terms do, so they are never rounded alone.
 
-def _newton_terms(a: Callable[[int], Number], u: int, q: int) -> Iterator[float]:
-    """(s)_n a(n) for s = u/q: U = prod_{j<n} (u - j q), D = q^n."""
+def _newton_terms(coeffs: Iterable[tuple[int, int]], u: int, q: int) -> Iterator[float]:
+    """(s)_n c/d for s = u/q and the n-th pair (c, d) of coeffs, d > 0 and not
+    necessarily in lowest terms: U = prod_{j<n} (u - j q), D = q^n."""
     U, D = 1, 1
-    for n in count():
-        c, d = _ratio(a(n))
+    for n, (c, d) in enumerate(coeffs):
         yield U * c / (D * d)
         U *= u - n * q
         D *= q
@@ -415,8 +420,14 @@ def fft_fn(src: SeriesSource, s: float, cfg: NumericConfig = NumericConfig()) ->
     """
     if src.kind != "taylor":
         raise ValueError("fft_fn requires a 'taylor' SeriesSource")
+    return _newton_sum(map(_ratio, map(src.provider, count())), s, cfg)
+
+
+def _newton_sum(coeffs: Iterable[tuple[int, int]], s: float,
+                cfg: NumericConfig) -> NumericResult:
+    """fft_fn on coefficients given as (numerator, denominator) pairs."""
     what = "fft_fn Newton sum"
-    terms = _newton_terms(src.provider, *_argument_ratio(s, what))
+    terms = _newton_terms(coeffs, *_argument_ratio(s, what))
     val, est = _sum_with_policy(terms, cfg, accelerate=True, what=what)
     return NumericResult(val, est)
 
@@ -535,10 +546,11 @@ def rft_fn(f: Callable[[float], float], s: float,
 _JET_EXTRA = 32  # Taylor coefficients read past the truncation for the shift to t
 
 
-def _exact_inputs(value_at: Callable[[int], Number], m: int, what: str) -> list[Fraction]:
-    """value_at(0), ..., value_at(m-1) as exact rationals, a float as its dyadic
-    value; a call that overflows or a non-finite value raises
-    NonConvergenceError naming its index."""
+def _exact_inputs(value_at: Callable[[int], Number], m: int,
+                  what: str) -> tuple[list[int], int]:
+    """value_at(0), ..., value_at(m-1) as numerators over one denominator, a
+    float read as its dyadic value; a call that overflows or a non-finite
+    value raises NonConvergenceError naming its index."""
     values = []
     for n in range(m):
         try:
@@ -549,17 +561,22 @@ def _exact_inputs(value_at: Callable[[int], Number], m: int, what: str) -> list[
             values.append(Fraction(v))
         except (OverflowError, ValueError):
             raise NonConvergenceError(f"{what}: input {n} is {v!r}, not a finite number") from None
-    return values
+    return _integers(values)
 
 
-def _damped_newton_sum(egf: Sequence[Fraction], rate: int, order: float,
+def _damped_newton_sum(egf: Sequence[int], den: int, rate: int, order: float,
                        cfg: NumericConfig) -> NumericResult:
-    """fft_fn at s = order of e^{-rate x} g(x), g given by its EGF coefficients
-    (missing ones are zero); the product is one binomial pass against (-rate)^n."""
+    """fft_fn at s = order of e^{-rate x} g(x), g given by its EGF
+    coefficients egf[n] / den (missing ones are zero).
+
+    The product is one difference-table pass against (-rate)^n on the
+    numerators; Taylor coefficient k is then h_k / (k! den), handed to the
+    Newton terms unreduced.
+    """
     count = cfg.truncation_N + 1
-    damped = _binomial([(-rate) ** n for n in range(count)], egf, range(count))
-    taylor = [h / math.factorial(k) for k, h in enumerate(damped)]
-    return fft_fn(taylor_source(taylor.__getitem__), order, cfg)
+    damped = _pascal(egf, -rate, count)
+    return _newton_sum(zip(damped, accumulate(range(1, count), operator.mul, initial=den)),
+                       order, cfg)
 
 
 def fractional_derivative(src: SeriesSource, order: float, t: Number = 0,
@@ -568,16 +585,25 @@ def fractional_derivative(src: SeriesSource, order: float, t: Number = 0,
 
     Realized as the falling transform of e^{-x} f(x + t): shift the Taylor
     coefficients to t, multiply by e^{-x}, Newton-sum at s = order.
+
+    Cost: the shift and the e^{-x} pass each take about N^2/2 integer steps,
+    an addition and at most a product with a small int, for N =
+    truncation_N. Their numerators share one denominator, with about
+    N (b + log2 N) bits beyond the inputs' own, b the bits of t's
+    denominator, so the cost grows as N^3 (b + log N). On a 2-core VM a
+    float t = 1/3 (b = 54) takes about 0.1 s at N = 256 and 0.8 s at
+    N = 512; t = Fraction(1, 3) about 0.15 s at N = 512.
     """
     if src.kind != "taylor":
         raise ValueError("fractional_derivative requires a 'taylor' SeriesSource")
     what = "fractional_derivative"
     at = Fraction(*_argument_ratio(t, what))
     count = cfg.truncation_N + 1
-    jet = _exact_inputs(src.provider, count + _JET_EXTRA, what)
-    shifted = shift(BasisPolynomial(Basis.MONOMIAL, jet), at).coeffs[:count]
-    return _damped_newton_sum([math.factorial(n) * c for n, c in enumerate(shifted)], 1,
-                              order, cfg)
+    jet, den = _exact_inputs(src.provider, count + _JET_EXTRA, what)
+    shifted, factor = _taylor_shift(shift_op(at), jet)
+    egf = list(map(operator.mul, shifted[:count],
+                   accumulate(range(1, count), operator.mul, initial=1)))
+    return _damped_newton_sum(egf, den * factor, 1, order, cfg)
 
 
 def fractional_difference(f: Callable[[float], float], order: float, t: float = 0.0,
@@ -588,8 +614,8 @@ def fractional_difference(f: Callable[[float], float], order: float, t: float = 
     FFT^{-1}(f(x+t)) e^{x}; multiplying by e^{-2x} realizes
     e^{-x} FFT^{-1}(f(x+t)), and the Newton sum at s = order finishes BT^{-1}.
     """
-    egf = _exact_inputs(lambda n: f(t + n), cfg.truncation_N + 1, "fractional_difference")
-    return _damped_newton_sum(egf, 2, order, cfg)
+    egf, den = _exact_inputs(lambda n: f(t + n), cfg.truncation_N + 1, "fractional_difference")
+    return _damped_newton_sum(egf, den, 2, order, cfg)
 
 
 def gamma_support(x: float) -> float:

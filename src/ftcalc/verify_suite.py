@@ -620,11 +620,12 @@ def _chk_eq60(rng, cfg):
     F = _rand_poly(rng, cfg["degree"])
     G = _rand_poly(rng, cfg["degree"])
     lhs_poly = fft_poly(multiply(F, G))
-    fF, fG = fft_poly(F), fft_poly(G)
-    conv = lambda n: binomial_convolution(
-        lambda i: fF.eval(Fraction(i)), lambda j: fG.eval(Fraction(j)), n)
-    for k in range(cfg["max_point"] + 1):
-        yield lhs_poly.eval(Fraction(k)), inverse_binomial_transform(conv, k)
+    points = range(cfg["max_point"] + 1)
+    # each transform sampled once, each convolution value built once
+    fF, fG = ([fft_poly(H).eval(Fraction(i)) for i in points] for H in (F, G))
+    conv = [binomial_convolution(fF.__getitem__, fG.__getitem__, n) for n in points]
+    for k in points:
+        yield lhs_poly.eval(Fraction(k)), inverse_binomial_transform(conv.__getitem__, k)
 
 
 @_register("eq62_63_coefficient_extraction", "exact",

@@ -146,6 +146,35 @@ def test_transform_numeric_divergent_is_error_not_traceback(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("transform", "--numeric", "--op", "rft", "--source", "exp(-1)", "--at", "1e400"), "--at"),
+    (("fractional", "--kind", "derivative", "--order", "1e400", "--source", "exp(1)"),
+     "--order"),
+    (("fractional", "--kind", "difference", "--order", "0.5", "--source", "exp(1)",
+      "--at", "1e400"), "--at"),
+    (("zeta", "--s", "1e400"), "--s"),
+    (("zeta", "--s", "1/0"), "--s"),
+])
+def test_number_flag_out_of_float_range_names_the_flag(capsys, argv, flag):
+    """A numeric flag whose value has no float is refused with the flag's name,
+    not a bare conversion message."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {flag} needs a rational or decimal within the float range")
+    assert "too large" not in err
+
+
+def test_transform_numeric_irft_gamma_samples_names_the_pole(capsys):
+    """irft reads the source at t = -1, where Gamma(t+1) has its pole."""
+    code, out, err = run(capsys, "transform", "--numeric", "--op", "irft",
+                         "--source", "gamma-samples", "--at", "0.5")
+    assert code == 1
+    assert out == ""
+    assert "pole at t = -1" in err
+    assert "math domain error" not in err
+
+
 def test_bad_source_spec(capsys):
     code, _, err = run(capsys, "fractional", "--kind", "derivative",
                        "--order", "0.5", "--source", "sinh(1)")

@@ -232,12 +232,15 @@ def test_apply_weights_matches_defining_sum(coeffs, weights):
     """The integer kernel behind every operator row equals its defining sum
     out_i = sum_j W_j / j! (i+j)!/i! c_(i+j), with EGF weights W_j = j! w_j,
     taken in plain Fraction arithmetic."""
-    c = poly(Basis.MONOMIAL, coeffs).coeffs
+    p = poly(Basis.MONOMIAL, coeffs)
+    c = p.coeffs
     w = (list(weights) + [Fraction(0)] * len(c))[:len(c)]
     egf = [math.factorial(j) * wj for j, wj in enumerate(w)]
     want = [sum((w[j] * math.perm(i + j, j) * c[i + j] for j in range(len(c) - i)),
                 Fraction(0)) for i in range(len(c))]
-    assert poly(Basis.MONOMIAL, _apply_weights(c, *_integers(egf))) == poly(Basis.MONOMIAL, want)
+    nums, q = _integers(egf)
+    got = [Fraction(h, p.den * q) for h in _apply_weights(p.nums, nums)]
+    assert poly(Basis.MONOMIAL, got) == poly(Basis.MONOMIAL, want)
 
 
 _ROWS = [OperatorExpr(kind, k=k) for kind in ("derivative", "forward_difference",

@@ -1,0 +1,147 @@
+"""The stored form of BasisPolynomial: integer numerators over one denominator.
+
+Every public exact operation returns the canonical vector (den > 0,
+gcd(den, *nums) = 1, no trailing zero), so equal polynomials compare and
+hash equal however they were built. The Fraction view, repr, pickling,
+copying and immutability behave as for a frozen dataclass of Fractions.
+"""
+
+import copy
+import dataclasses
+import math
+import pickle
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ftcalc import polynomial as P
+from ftcalc import special_polynomials as S
+from ftcalc import transforms_exact as T
+from ftcalc.polynomial import Basis, BasisPolynomial, convert_basis, poly
+
+coeff_lists = st.lists(
+    st.fractions(min_value=-9, max_value=9, max_denominator=9), min_size=0, max_size=8
+)
+int_lists = st.lists(st.integers(min_value=-50, max_value=50), min_size=0, max_size=8)
+bases = st.sampled_from(list(Basis))
+params = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+def assert_canonical(p):
+    assert isinstance(p, BasisPolynomial)
+    assert type(p.den) is int and p.den > 0
+    assert all(type(a) is int for a in p.nums)
+    assert math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    assert p.coeffs == tuple(Fraction(a, p.den) for a in p.nums)
+
+
+def _exact_ops(p, q, a):
+    """Every public exact operation that returns a polynomial, on p, q and a."""
+    yield from (convert_basis(p, b) for b in Basis)
+    yield P.negate_argument(p)
+    yield P.shift(p, a)
+    yield P.scale_argument(p, a)
+    yield P.multiply(p, convert_basis(q, p.basis))
+    for kind in P.OperatorKind:
+        if kind in P._POWER_KINDS:
+            yield from (P.apply_operator(P.OperatorExpr(kind, k=k), p) for k in (0, 1, 3))
+        else:
+            yield P.apply_operator(P.OperatorExpr(kind, a=a), p)
+    yield P.antiderivative(p)
+    yield P.indefinite_sum(p)
+    yield P.log1p_derivative_inverse(p)
+    yield P.expdiff_minus1_inverse(p)
+    yield p + convert_basis(q, p.basis)
+    yield p - p
+    yield p.scale(a)
+    yield from (f(p) for f in (T.fft_poly, T.ifft_poly, T.rft_poly, T.irft_poly))
+    yield T.hadamard_ifft(p, q)
+    yield T.newton_from_samples(p, max(p.degree, 0))
+    yield T.newton_from_samples(lambda n: a ** n, 4)
+
+
+@given(coeff_lists, coeff_lists, bases, params)
+def test_every_exact_op_returns_a_canonical_vector(c1, c2, basis, a):
+    p, q = poly(basis, c1), poly(Basis.MONOMIAL, c2)
+    assert_canonical(p)
+    for r in _exact_ops(p, q, a):
+        assert_canonical(r)
+
+
+@given(st.integers(min_value=0, max_value=12), params)
+def test_special_polynomials_are_canonical(n, alpha):
+    for r in (S.touchard(n), S.z_poly(n), S.laguerre(n, alpha), P.falling_unit(n)):
+        assert_canonical(r)
+
+
+@given(int_lists, bases, params)
+def test_fractions_ints_and_kernels_build_equal_polynomials(ints, basis, a):
+    """One polynomial built from ints, from Fractions, from floats, from
+    strings and by kernels: equal, equal hashes, equal vectors."""
+    routes = [
+        poly(basis, ints),
+        poly(basis, [Fraction(c) for c in ints]),
+        poly(basis, [float(c) for c in ints] + [0.0, Fraction(0)]),
+        poly(basis, [str(c) for c in ints]),
+        poly(basis, ints).scale(a or 1).scale(1 / Fraction(a or 1)),
+        P.shift(P.shift(poly(basis, ints), a), -a),
+        convert_basis(convert_basis(poly(basis, ints), Basis.RISING), basis),
+        poly(basis, ints) + poly(basis, []),
+    ]
+    first = routes[0]
+    for r in routes:
+        assert r == first
+        assert hash(r) == hash(first)
+        assert (r.basis, r.nums, r.den, r.coeffs) == (first.basis, first.nums, first.den,
+                                                       first.coeffs)
+
+
+@given(coeff_lists, bases)
+def test_pickle_and_copies_round_trip(coeffs, basis):
+    p = poly(basis, coeffs)
+    for read_first in (False, True):
+        if read_first:
+            p.coeffs  # noqa: B018 - fills the cached Fraction view
+        for r in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert type(r) is BasisPolynomial
+            assert r == p and hash(r) == hash(p)
+            assert r.coeffs == p.coeffs and r.degree == p.degree
+            assert_canonical(r)
+
+
+@given(coeff_lists, bases)
+def test_repr_is_the_dataclass_repr_of_the_fractions(coeffs, basis):
+    p = poly(basis, coeffs)
+    assert repr(p) == f"BasisPolynomial(basis={p.basis!r}, coeffs={p.coeffs!r})"
+
+
+def test_repr_literal():
+    assert repr(poly("monomial", [Fraction(1, 2), 3, 0])) == (
+        "BasisPolynomial(basis=<Basis.MONOMIAL: 'monomial'>, "
+        "coeffs=(Fraction(1, 2), Fraction(3, 1)))")
+    assert repr(poly("falling", [])) == (
+        "BasisPolynomial(basis=<Basis.FALLING: 'falling'>, coeffs=())")
+
+
+@pytest.mark.parametrize("name", ["basis", "coeffs", "nums", "den", "other"])
+def test_assigning_an_attribute_raises(name):
+    p = poly("rising", [1, Fraction(2, 3)])
+    p.coeffs  # noqa: B018
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(p, name, ())
+    assert p == poly("rising", [1, Fraction(2, 3)])
+
+
+@given(coeff_lists, bases, st.floats(min_value=-8, max_value=8))
+def test_float_eval_reads_each_coefficient_as_its_float(coeffs, basis, x):
+    """eval at a float sums float(coeff) times the float basis values, to the bit."""
+    p = poly(basis, coeffs)
+    step = {Basis.MONOMIAL: 0, Basis.FALLING: -1, Basis.RISING: 1}[basis]
+    acc, basis_val = 0.0, 1.0
+    for n, c in enumerate(p.coeffs):
+        acc += float(c) * basis_val
+        basis_val = basis_val * (x + step * n)
+    assert p.eval(x).hex() == acc.hex()

@@ -9,7 +9,7 @@ tested separately from accuracy.
 
 import math
 from fractions import Fraction
-from itertools import count, product
+from itertools import count, islice, product
 
 import mpmath as mp
 import pytest
@@ -288,13 +288,16 @@ _PREPARATION_INPUTS = {
 
 
 def _prepared(monkeypatch, operator, *args):
-    """The Taylor coefficients that a fractional operator hands to fft_fn."""
+    """The Taylor coefficients that a fractional operator hands to the Newton
+    sum, as (numerator, denominator) pairs of ints, read as Fractions."""
     seen = []
-    monkeypatch.setattr(transforms_numeric, "fft_fn",
-                        lambda src, s, cfg: seen.append((src, cfg.truncation_N)))
+    monkeypatch.setattr(transforms_numeric, "_newton_sum",
+                        lambda a, s, cfg: seen.append((a, cfg.truncation_N)))
     operator(*args)
-    src, N = seen[0]
-    return [src.provider(n) for n in range(N + 1)]
+    a, N = seen[0]
+    pairs = list(islice(a, N + 1))
+    assert all(type(c) is int and type(d) is int and d > 0 for c, d in pairs)
+    return [Fraction(c, d) for c, d in pairs]
 
 
 @pytest.mark.parametrize("K", [0, 1, 2, 65, 161])
