@@ -90,13 +90,6 @@ def lah_row(n: int) -> list[int]:
     return row
 
 
-def lah(n: int, k: int) -> int:
-    """Unsigned Lah number L(n,k) = C(n-1,k-1) n!/k! for n, k >= 0; L(0,0) = 1."""
-    if k == 0 or k > n:
-        return int(n == k)
-    return math.comb(n - 1, k - 1) * math.factorial(n) // math.factorial(k)
-
-
 def _bernoulli_numbers(n: int) -> list[Fraction]:
     # B_0..B_n from the tangent numbers T_1..T_(n/2) (Brent & Harvey 2011,
     # Algorithm TangentNumbers): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))

@@ -19,13 +19,13 @@ n b_(n-1): d on x^n, the forward difference D on (x)_n and the backward
 difference nabla on x^(rising n). Every operator except scale_op commutes
 with shifts, hence is a power series in each of them (Rota, Kahaner &
 Odlyzko, "Finite operator calculus", 1973), and is one row of a table: its
-EGF weights W, read as sum_j W_j L^j / j!, in every basis where they have a
-closed form. One binomial kernel applies a row in the input's own basis; an
-input in a basis the row lacks converts to the row's first basis and back.
-The shift on x^n and e^{aD} on (x)_n have weights a^j in their own basis,
-a Taylor shift of the coefficient vector, and run as integer Horner passes
-instead. The series terminate because L is nilpotent on polynomials.
-scale_op, a^{x nabla}, is diagonal on the falling basis instead.
+EGF weights W, read as sum_j W_j L^j / j!, in one basis or more. One
+binomial kernel applies them in the input's own basis; for a basis the row
+lacks, the weights are translated there through the triangle a conversion
+reads, and the input is never converted. Weights a^j in their own basis (the
+shift on x^n, e^{aD} on (x)_n) run as integer Horner Taylor shifts instead.
+The series terminate because L is nilpotent on polynomials. scale_op,
+a^{x nabla}, is diagonal on the falling basis.
 """
 
 from __future__ import annotations
@@ -39,9 +39,7 @@ from functools import cached_property, partial
 from itertools import accumulate, repeat, zip_longest
 from typing import Callable, Iterable, Sequence, Union
 
-from .combinatorics import (
-    bernoulli, lah, lah_row, stirling_first_unsigned, stirling_row, stirling_second,
-)
+from .combinatorics import bernoulli, lah_row, stirling_row
 
 Scalar = Union[Fraction, int, float]
 
@@ -205,26 +203,41 @@ def _integers(values: Iterable) -> tuple[list[int], int]:
     return [r.numerator * (den // r.denominator) for r in rs], den
 
 
-def _convert(nums: Sequence[int], source: Basis, target: Basis) -> Sequence[int]:
-    """Numerators of the same polynomial in the target basis, same denominator.
-
-    Each source element expands as b_n = sum_k (+-1)^(n-k) T(n,k) b'_k with a
-    triangle T of nonnegative integers and T(n,n) = 1: S(n,k) for x^n in
-    either factorial basis, c(n,k) for either factorial in x^k, and the Lah
-    numbers between the factorial bases: x^(rising n) = sum_k L(n,k) (x)_k.
-    The sign is alternating exactly when the source is falling or the target
-    is rising.
-    """
-    if source is target:
-        return nums
+def _triangle(source: Basis, target: Basis) -> tuple[Callable[[int], list[int]], int]:
+    """Rows of T and the sign s in b_n = sum_k s^(n-k) T(n,k) b'_k, which
+    expands the source's elements in the target's: T is S(n,k) for x^n in
+    either factorial basis, c(n,k) for either factorial in x^k and Lah L(n,k)
+    for x^(rising n) in (x)_k; s = -1 when the source falls or the target rises."""
     row = (partial(stirling_row, False) if source is Basis.MONOMIAL
            else partial(stirling_row, True) if target is Basis.MONOMIAL else lah_row)
+    return row, -1 if source is Basis.FALLING or target is Basis.RISING else 1
+
+
+def _convert(nums: Sequence[int], source: Basis, target: Basis) -> Sequence[int]:
+    """Numerators of the same polynomial in the target basis, same denominator."""
+    if source is target:
+        return nums
+    row, sign = _triangle(source, target)
     # (-1)^(n-k) = (-1)^n (-1)^k: sign the input by n, the output by k
-    sign = -1 if source is Basis.FALLING or target is Basis.RISING else 1
     out = [0] * len(nums)
     for n, a in enumerate(nums):
         if a:
             out[:n + 1] = map(operator.add, out, map(operator.mul, row(n), repeat(a * sign ** n)))
+    return out if sign == 1 else _flip(out)
+
+
+def _translate(weights: Sequence[int], source: Basis, target: Basis) -> Sequence[int]:
+    """The same operator's EGF weights in the target basis, same denominator:
+    a shift-invariant T has W_j = [T b_j](0) in a basic sequence b (Rota,
+    Kahaner & Odlyzko 1973), so b'_j = sum_k M(j,k) b_k gives W'_j =
+    sum_k M(j,k) W_k, for M the triangle converting target to source."""
+    if source is target:
+        return weights
+    row, sign = _triangle(target, source)
+    weights = weights if sign == 1 else _flip(weights)
+    # map stops at the last nonzero weight, so each row is read only that far
+    span = weights[:max((k + 1 for k, w in enumerate(weights) if w), default=0)]
+    out = [sum(map(operator.mul, row(j), span)) for j in range(len(weights))]
     return out if sign == 1 else _flip(out)
 
 
@@ -419,29 +432,24 @@ def _apply_weights(nums: Sequence[int], weights: Sequence[int]) -> list[int]:
     return out
 
 
-# A row of the table below maps (op, numerators in the row's basis) to
-# (numerators, factor): the result is over the input's denominator times
-# that factor.
-_Row = Callable[[OperatorExpr, Sequence[int]], tuple[Sequence[int], int]]
+def _unit(op: OperatorExpr, n: int) -> tuple[list[int], int]:
+    # L^k has the weights k! delta_(j,k)
+    return [math.factorial(op.k) if j == op.k else 0 for j in range(n)], 1
 
 
-def _column(table: Callable[[int, int], int], sign: int, op: OperatorExpr,
-            nums: Sequence[int]) -> tuple[list[int], int]:
-    # k! T(j,k) are the EGF weights of f(t)^k for f = -log(1-t), e^t - 1 and
-    # t/(1-t) (T = c, S, L), and of L^k itself for T = operator.eq, the
-    # identity table; the factor sign^(j-k) with sign -1 gives -f(-t)
-    k, f = op.k, math.factorial(op.k)
-    return _apply_weights(nums, [f * sign ** (j - k) * table(j, k) if j >= k else 0
-                                 for j in range(len(nums))]), 1
+def _read_in(source: Basis, target: Basis, op: OperatorExpr, n: int) -> tuple[list, int]:
+    # the weights of the source's L^k in the target basis, read back as a
+    # series in L: for L = f(L') they are those of f(L)^k
+    return _translate(_unit(op, n)[0], source, target), 1
 
 
-def _powers(step: int, op: OperatorExpr, nums: Sequence[int]) -> tuple[list[int], int]:
-    # (a)_j or a^(rising j) for step -1 or 1: the EGF weights of (1+t)^a and
-    # (1-t)^(-a), over q^(n-1) for a = p/q
-    p, q, n = op.a.numerator, op.a.denominator, len(nums)
+def _powers(step: int, op: OperatorExpr, n: int) -> tuple[list[int], int]:
+    # (a)_j, a^j or a^(rising j) for step -1, 0 or 1: the EGF weights of
+    # (1+t)^a, e^(at) and (1-t)^(-a), over q^(n-1) for a = p/q
+    p, q = op.a.numerator, op.a.denominator
     top = max(n - 1, 0)
     out = accumulate((p + step * j * q for j in range(top)), operator.mul, initial=1)
-    return _apply_weights(nums, [w * q ** (top - j) for j, w in zip(range(n), out)]), q ** top
+    return [w * q ** (top - j) for j, w in zip(range(n), out)], q ** top
 
 
 def _taylor_shift(op: OperatorExpr, nums: Sequence[int]) -> tuple[Sequence[int], int]:
@@ -467,29 +475,24 @@ def _taylor_shift(op: OperatorExpr, nums: Sequence[int]) -> tuple[Sequence[int],
     return list(map(operator.mul, r, qpow)), qpow[-1]
 
 
-# kind -> {basis: the op applied to numerators in that basis}. Every entry
-# but the Taylor shifts is the binomial kernel on the op's EGF weights in
-# that basis, as integers over a common denominator. The rows follow from
-# d = log(1+D) = -log(1-nabla), D = e^d - 1 = nabla/(1-nabla), nabla =
-# 1 - e^(-d) = D/(1+D) and E^a = e^{ad} = (1+D)^a = (1-nabla)^(-a); E^a on
-# x^n and e^{aD} on (x)_n both have weights a^j in their own basis, a
-# Taylor shift of the coefficient vector.
-_POWER = partial(_column, operator.eq, 1)
-_SERIES: dict[OperatorKind, dict[Basis, _Row]] = {
-    OperatorKind.DERIVATIVE: {Basis.MONOMIAL: _POWER,
-                              Basis.FALLING: partial(_column, stirling_first_unsigned, -1),
-                              Basis.RISING: partial(_column, stirling_first_unsigned, 1)},
-    OperatorKind.FORWARD_DIFFERENCE: {Basis.FALLING: _POWER,
-                                      Basis.MONOMIAL: partial(_column, stirling_second, 1),
-                                      Basis.RISING: partial(_column, lah, 1)},
-    OperatorKind.BACKWARD_DIFFERENCE: {Basis.RISING: _POWER,
-                                       Basis.FALLING: partial(_column, lah, -1),
-                                       Basis.MONOMIAL: partial(_column, stirling_second, -1)},
-    OperatorKind.LOG1P_DERIVATIVE: {Basis.MONOMIAL: partial(_column, stirling_first_unsigned, -1)},
-    OperatorKind.EXPDIFF_MINUS1: {Basis.FALLING: partial(_column, stirling_second, 1)},
-    OperatorKind.SHIFT: {Basis.MONOMIAL: _taylor_shift, Basis.FALLING: partial(_powers, -1),
+# kind -> {basis: (op, n) -> the op's EGF weights for n coefficients in that
+# basis, as integers over a returned denominator}; the first basis is the one
+# a row is translated from. The rows follow from d = log(1+D) =
+# -log(1-nabla), D = e^d - 1 and E^a = e^{ad} = (1+D)^a = (1-nabla)^(-a):
+# log(1+d)^k has the weights of d^k in the falling basis, read in x^n, and
+# (e^D - 1)^k those of D^k in the monomial basis, read in (x)_n. Weights a^j
+# in their own basis, E^a on x^n and e^{aD} on (x)_n, are a Taylor shift of
+# the coefficient vector and run as one.
+_GEOMETRIC = partial(_powers, 0)
+_SERIES: dict[OperatorKind, dict[Basis, Callable[[OperatorExpr, int], tuple]]] = {
+    OperatorKind.DERIVATIVE: {Basis.MONOMIAL: _unit},
+    OperatorKind.FORWARD_DIFFERENCE: {Basis.FALLING: _unit},
+    OperatorKind.BACKWARD_DIFFERENCE: {Basis.RISING: _unit},
+    OperatorKind.LOG1P_DERIVATIVE: {Basis.MONOMIAL: partial(_read_in, Basis.MONOMIAL, Basis.FALLING)},
+    OperatorKind.EXPDIFF_MINUS1: {Basis.FALLING: partial(_read_in, Basis.FALLING, Basis.MONOMIAL)},
+    OperatorKind.SHIFT: {Basis.MONOMIAL: _GEOMETRIC, Basis.FALLING: partial(_powers, -1),
                          Basis.RISING: partial(_powers, 1)},
-    OperatorKind.EXP_SHIFT: {Basis.FALLING: _taylor_shift},
+    OperatorKind.EXP_SHIFT: {Basis.FALLING: _GEOMETRIC},
     OperatorKind.BINOM_SHIFT: {Basis.MONOMIAL: partial(_powers, -1)},
 }
 
@@ -500,9 +503,13 @@ def apply_operator(op: OperatorExpr, p: BasisPolynomial) -> BasisPolynomial:
         # x nabla (x)_n = n (x)_n, so a^{x nabla} scales (x)_n by a^n
         return _scale_coeffs(p, Basis.FALLING, op.a)
     rows = _SERIES[op.kind]
-    basis = p.basis if p.basis in rows else next(iter(rows))
-    nums, factor = rows[basis](op, _convert(p.nums, p.basis, basis))
-    return _reduced(p.basis, _convert(nums, basis, p.basis), p.den * factor)
+    if rows.get(p.basis) is _GEOMETRIC:
+        nums, factor = _taylor_shift(op, p.nums)
+    else:
+        basis = p.basis if p.basis in rows else next(iter(rows))
+        weights, factor = rows[basis](op, len(p.nums))
+        nums = _apply_weights(p.nums, _translate(weights, basis, p.basis))
+    return _reduced(p.basis, nums, p.den * factor)
 
 
 # --- indefinite (inverse) operators ----------------------------------------
@@ -540,10 +547,9 @@ def indefinite_sum(p: BasisPolynomial) -> BasisPolynomial:
 
 def _log1p_reciprocal(n: int) -> tuple[list[int], int]:
     # t/log(1+t) is (e^u - 1)/u, with EGF weights 1/(k+1), at u = log(1+t):
-    # W_j = sum_k s(j,k)/(k+1)
+    # a series in d read in the falling basis, W_j = sum_k s(j,k)/(k+1)
     den = math.lcm(*range(1, n + 1))
-    return [sum((-1) ** (j - k) * c * (den // (k + 1)) for k, c in enumerate(stirling_row(True, j)))
-            for j in range(n)], den
+    return _translate([den // (k + 1) for k in range(n)], Basis.MONOMIAL, Basis.FALLING), den
 
 
 def log1p_derivative_inverse(p: BasisPolynomial) -> BasisPolynomial:

@@ -24,6 +24,7 @@ pairs, the trial count and the detail at once.
 from __future__ import annotations
 
 import fnmatch
+import functools
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -364,11 +365,15 @@ def _reconstructions(p: BasisPolynomial, x0: Fraction, move) -> tuple:
     """Touchard and dual expansions of p about x0; move re-centres each term."""
     sumT = monomial([0])
     sumZ = monomial([0])
+    # the k-th powers of log(1+D) and exp(D)-1 applied to p, one step at a time
+    lp = ep = p
     for k in range(max(p.degree, 0) + 1):
-        ck = apply_operator(log1p_derivative(k), p).eval(x0) / math.factorial(k)
-        dk = apply_operator(expdiff_minus1(k), p).eval(x0) / math.factorial(k)
+        ck = lp.eval(x0) / math.factorial(k)
+        dk = ep.eval(x0) / math.factorial(k)
         sumT = sumT + move(touchard(k)).scale(ck)
         sumZ = sumZ + convert_basis(move(z_poly(k)), Basis.MONOMIAL).scale(dk)
+        lp = apply_operator(log1p_derivative(1), lp)
+        ep = apply_operator(expdiff_minus1(1), ep)
     return sumT, sumZ
 
 
@@ -825,11 +830,18 @@ def _chk_eq39(rng, cfg, n, m):
     yield charlier_orthogonality_sum(n, m, a, cfg["terms"]), want
 
 
+@functools.cache
+def _laplace_rft(s: float):
+    """The tanh-sinh rising transform of e^t/(1+t) at s; eq67 and its
+    informational check read the same values."""
+    return rft_fn(lambda t: mp.e ** t / (1 + t), s, _TANH_SINH)
+
+
 @_register("eq67_laplace_rft", "numeric",
            "the rising transform of the exponentially weighted Laplace image "
            "reproduces the reflected gamma value", 1e-6, cases=_grid((0.25, 0.5, 0.75)))
 def _chk_eq67(rng, cfg, s):
-    yield rft_fn(lambda t: mp.e ** t / (1 + t), s, _TANH_SINH), gamma_support(1.0 - s)
+    yield _laplace_rft(s), gamma_support(1.0 - s)
 
 
 @_register("eq69_fractional_derivative", "numeric",
@@ -974,7 +986,7 @@ _register("table3_cos_tan_row", "numeric",
 def _chk_eq67_info(rng, cfg):
     printed = corrected = 0.0
     for s in (0.25, 0.5):
-        q = float(rft_fn(lambda t: mp.e ** t / (1 + t), s, _TANH_SINH))
+        q = float(_laplace_rft(s))
         printed = max(printed, abs(q - gamma_support(-s - 1.0)))
         corrected = max(corrected, abs(q - gamma_support(1.0 - s)))
     detail = (f"argument -s-1 misses by {printed:.3e}; "

@@ -8,6 +8,7 @@ equalities, never tolerances.
 
 import math
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,6 +28,7 @@ from ftcalc.polynomial import (
     OperatorKind,
     _apply_weights,
     _integers,
+    _translate,
     antiderivative,
     apply_operator,
     backward_difference,
@@ -426,6 +428,78 @@ def test_taylor_shift_matches_defining_sum(basis, apply, a):
         assert got.basis is basis
         assert all(type(c) is Fraction for c in got.coeffs)
         assert got == poly(basis, _ref_taylor(p.coeffs, a)), d
+
+
+# the basis of each kind's closed-form row
+_ROW_BASIS = {"derivative": Basis.MONOMIAL, "forward_difference": Basis.FALLING,
+              "backward_difference": Basis.RISING, "log1p_derivative": Basis.MONOMIAL,
+              "expdiff_minus1": Basis.FALLING, "shift": Basis.MONOMIAL,
+              "exp_shift": Basis.FALLING, "binom_shift": Basis.MONOMIAL}
+
+
+def _row_weights(op: OperatorExpr, n: int) -> list[Fraction]:
+    """EGF weights of op in its row's basis, from the combinatorics tables:
+    k! delta, k! s(j,k) for log(1+d)^k, k! S(j,k) for (e^D-1)^k, a^j, (a)_j."""
+    k, kind = op.k, op.kind.value
+    if kind == "log1p_derivative":
+        return [math.factorial(k) * stirling_first_signed(j, k) for j in range(n)]
+    if kind == "expdiff_minus1":
+        return [math.factorial(k) * stirling_second(j, k) for j in range(n)]
+    if kind in ("shift", "exp_shift"):
+        return [op.a ** j for j in range(n)]
+    if kind == "binom_shift":
+        return [falling_factorial(op.a, j) for j in range(n)]
+    return [math.factorial(k) * (j == k) for j in range(n)]
+
+
+def _weights_sum(coeffs, weights) -> list[Fraction]:
+    # out_i = sum_j C(i+j, j) W_j c_(i+j)
+    n = len(coeffs)
+    return [sum((math.comb(i + j, j) * weights[j] * coeffs[i + j] for j in range(n - i)
+                 if weights[j]), Fraction(0)) for i in range(n)]
+
+
+def _via_row_basis(op: OperatorExpr, p: BasisPolynomial) -> BasisPolynomial:
+    """Convert to the row's basis, apply the row's weights there, convert back."""
+    home = _ROW_BASIS[op.kind.value]
+    c = convert_basis(p, home).coeffs
+    return convert_basis(poly(home, _weights_sum(c, _row_weights(op, len(c)))), p.basis)
+
+
+_PAIR_OPS = {kind: [OperatorExpr(kind, k=k) for k in (0, 1, 3)]
+             for kind in ("derivative", "forward_difference", "backward_difference",
+                          "log1p_derivative", "expdiff_minus1")}
+_PAIR_OPS.update({kind: [OperatorExpr(kind, a=a) for a in (Fraction(-7, 5), Fraction(1, 2))]
+                  for kind in ("shift", "exp_shift", "binom_shift")})
+
+
+@pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
+@pytest.mark.parametrize("kind", list(_PAIR_OPS))
+def test_every_pair_matches_route_through_row_basis(kind, basis):
+    """Each of the 24 (kind, basis) pairs equals converting the input to the
+    basis of the kind's row, applying the row there and converting back."""
+    for d in (*range(31), 80):
+        p = _kernel_poly(basis, d)
+        for op in _PAIR_OPS[kind]:
+            got = apply_operator(op, p)
+            assert got.basis is basis
+            assert got == _via_row_basis(op, p), (op, d)
+
+
+@pytest.mark.parametrize("source,target", [(s, t) for s in Basis for t in Basis if s is not t],
+                         ids=lambda b: b.value)
+def test_translate_matches_route_through_source_basis(source, target):
+    """Dense weights translated to the target basis act on a target-basis
+    vector as the same weights do on its conversion to the source basis; a
+    transposed triangle or a wrong sign breaks this."""
+    rng = Random(f"{source.value}:{target.value}")
+    for d in (0, 1, 2, 3, 7, 15, 30):
+        weights = [rng.randint(-50, 50) for _ in range(d + 1)]
+        p = poly(target, [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d + 1)])
+        c = convert_basis(p, source).coeffs
+        want = convert_basis(poly(source, _weights_sum(c, weights)), target)
+        got = _apply_weights(p.nums, _translate(weights, source, target))
+        assert poly(target, [Fraction(h, p.den) for h in got]) == want, d
 
 
 @settings(deadline=None)

@@ -104,6 +104,26 @@ def test_run_check_routes_exceptions_to_error_status(monkeypatch):
     assert "ArithmeticError" in r.detail
 
 
+def test_eq67_rows_share_their_quadratures(monkeypatch):
+    """eq67 and its informational row read each tanh-sinh value once, and
+    either row alone computes the values it needs."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return rft_fn(*args)
+
+    rft_fn = verify_suite.rft_fn
+    monkeypatch.setattr(verify_suite, "rft_fn", counted)
+    verify_suite._laplace_rft.cache_clear()
+    info = run_check("eq67_last_argument_info")
+    assert info.status == "pass" and sorted(calls) == [0.25, 0.5]
+    assert run_check("eq67_laplace_rft").status == "pass"
+    assert sorted(calls) == [0.25, 0.5, 0.75]
+    assert run_check("eq67_last_argument_info").detail == info.detail
+    assert len(calls) == 3
+
+
 def _run_synthetic(monkeypatch, layer, tolerance, lhs, rhs):
     """Register a one-trial row whose sides are lhs and rhs, and run it."""
     spec = CheckSpec(name="synthetic_row", layer=layer, config={"tolerance": tolerance},
