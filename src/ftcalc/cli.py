@@ -90,11 +90,6 @@ class NamedSource:
             return lambda n: a ** n
         raise ValueError(f"source {self.spec!r} has no Taylor coefficients")
 
-    def taylor_radius(self) -> float:
-        if self.kind == "geometric" and self.param:
-            return 1.0 / abs(float(self.param))
-        return math.inf
-
     def samples(self) -> Callable[[int], Fraction]:
         a = self.param
         if self.kind == "exp":
@@ -124,7 +119,8 @@ class NamedSource:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    # a NaN or infinity would print as a JavaScript literal, which is not JSON
+    print(json.dumps(obj, indent=2, allow_nan=False))
 
 
 def _float_flag(text: str, flag: str) -> float:
@@ -165,7 +161,7 @@ def _cmd_transform(args) -> int:
     cfg = NumericConfig(truncation_N=args.truncation)
     s = _float_flag(args.at, "--at")
     if args.op == "fft":
-        value = fft_fn(taylor_source(src.taylor(), src.taylor_radius()), s, cfg)
+        value = fft_fn(taylor_source(src.taylor()), s, cfg)
     elif args.op == "ifft":
         value = ifft_fn(samples_source(src.samples()), s, cfg)
     elif args.op == "irft":
@@ -224,7 +220,7 @@ def _cmd_fractional(args) -> int:
     at = _float_flag(args.at, "--at")
     if args.kind == "derivative":
         value = fractional_derivative(
-            taylor_source(src.taylor(), src.taylor_radius()), order, Fraction(args.at), cfg)
+            taylor_source(src.taylor()), order, Fraction(args.at), cfg)
     else:
         value = fractional_difference(src.callable(), order, at, cfg)
     _emit({"kind": args.kind, "order": order, "at": at,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 Rational = Fraction
 Scalar = Union[Fraction, int, float]
@@ -80,14 +80,27 @@ def stirling_second(n: int, k: int) -> int:
     return row[k] if k <= n else 0
 
 
+def lah_terms(n: int) -> Iterator[int]:
+    """L(n,0), ..., L(n,n), the unsigned Lah numbers L(n,k) = C(n-1,k-1) n!/k!,
+    the coefficients of x^(rising n) = sum_k L(n,k) (x)_k.
+
+    Each term is computed upward from L(n,1) = n! as it is read, so a reader
+    that stops after k terms pays for k of them.
+    """
+    if not n:
+        yield 1
+        return
+    yield 0
+    term = math.factorial(n)
+    for k in range(1, n + 1):
+        yield term
+        # L(n,k+1) = L(n,k) (n-k) / (k(k+1)), an exact division
+        term = term * (n - k) // (k * (k + 1))
+
+
 def lah_row(n: int) -> list[int]:
-    """Row n, k = 0..n, of the unsigned Lah numbers L(n,k) = C(n-1,k-1) n!/k!,
-    the coefficients of x^(rising n) = sum_k L(n,k) (x)_k."""
-    row = [1] * (n + 1)
-    for k in range(n, 0, -1):
-        # L(n,k-1) = L(n,k) k(k-1)/(n-k+1), an exact division
-        row[k - 1] = row[k] * k * (k - 1) // (n - k + 1)
-    return row
+    """Row n, k = 0..n, of the unsigned Lah numbers (see lah_terms)."""
+    return list(lah_terms(n))
 
 
 def _bernoulli_numbers(n: int) -> list[Fraction]:

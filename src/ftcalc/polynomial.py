@@ -12,7 +12,8 @@ next kernel. A public operation reduces once, when it builds its result. A
 conversion is one pass over a triangle of Stirling numbers to or from the
 monomial basis, and of Lah numbers between the factorial bases; the
 triangles are unimodular, so a conversion keeps the denominator and lowest
-terms.
+terms. A product in any basis is one convolution in the monomial basis,
+between conversions.
 
 Each basis is the basic sequence of its own lowering operator, L b_n =
 n b_(n-1): d on x^n, the forward difference D on (x)_n and the backward
@@ -39,7 +40,7 @@ from functools import cached_property, partial
 from itertools import accumulate, repeat, zip_longest
 from typing import Callable, Iterable, Sequence, Union
 
-from .combinatorics import bernoulli, lah_row, stirling_row
+from .combinatorics import bernoulli, lah_terms, stirling_row
 
 Scalar = Union[Fraction, int, float]
 
@@ -203,13 +204,13 @@ def _integers(values: Iterable) -> tuple[list[int], int]:
     return [r.numerator * (den // r.denominator) for r in rs], den
 
 
-def _triangle(source: Basis, target: Basis) -> tuple[Callable[[int], list[int]], int]:
+def _triangle(source: Basis, target: Basis) -> tuple[Callable[[int], Iterable[int]], int]:
     """Rows of T and the sign s in b_n = sum_k s^(n-k) T(n,k) b'_k, which
     expands the source's elements in the target's: T is S(n,k) for x^n in
     either factorial basis, c(n,k) for either factorial in x^k and Lah L(n,k)
     for x^(rising n) in (x)_k; s = -1 when the source falls or the target rises."""
     row = (partial(stirling_row, False) if source is Basis.MONOMIAL
-           else partial(stirling_row, True) if target is Basis.MONOMIAL else lah_row)
+           else partial(stirling_row, True) if target is Basis.MONOMIAL else lah_terms)
     return row, -1 if source is Basis.FALLING or target is Basis.RISING else 1
 
 
@@ -288,19 +289,17 @@ def scale_argument(p: BasisPolynomial, a: Scalar) -> BasisPolynomial:
 def multiply(p: BasisPolynomial, q: BasisPolynomial) -> BasisPolynomial:
     """Exact product of two polynomials given in the same basis.
 
-    Monomial: coefficient convolution. Falling: the linearization
-    (x)_n (x)_m = sum_k binom(n,k) binom(m,k) k! (x)_{n+m-k}. Rising: by
-    reflection through the falling rule. Products run on integer numerators.
+    One rule for every basis: both numerator vectors are converted to the
+    monomial basis, convolved there, and the product is converted back. The
+    conversions are unimodular, so the product is over p.den * q.den.
     """
     if p.basis is not q.basis:
         raise BasisMismatchError("multiply requires operands in the same basis")
     if p.is_zero() or q.is_zero():
         return _canonical(p.basis, (), 1)
-    if p.basis is Basis.MONOMIAL:
-        return _reduced(p.basis, _convolve(p.nums, q.nums), p.den * q.den)
-    if p.basis is Basis.FALLING:
-        return _reduced(p.basis, _linearize(p.nums, q.nums), p.den * q.den)
-    return _reduced(p.basis, _flip(_linearize(_flip(p.nums), _flip(q.nums))), p.den * q.den)
+    pn, qn = (_convert(r.nums, r.basis, Basis.MONOMIAL) for r in (p, q))
+    return _reduced(p.basis, _convert(_convolve(pn, qn), Basis.MONOMIAL, p.basis),
+                    p.den * q.den)
 
 
 def _convolve(pn: Sequence[int], qn: Sequence[int]) -> list[int]:
@@ -308,22 +307,6 @@ def _convolve(pn: Sequence[int], qn: Sequence[int]) -> list[int]:
     for i, a in enumerate(pn):
         if a:
             out[i:i + len(qn)] = map(operator.add, out[i:], map(operator.mul, qn, repeat(a)))
-    return out
-
-
-def _linearize(pn: Sequence[int], qn: Sequence[int]) -> list[int]:
-    out = [0] * (len(pn) + len(qn) - 1)
-    for n, a in enumerate(pn):
-        if not a:
-            continue
-        for m, b in enumerate(qn):
-            if not b:
-                continue
-            # w = a b binom(n,k) binom(m,k) k!, stepped by its ratio in k
-            w = a * b
-            for k in range(min(n, m) + 1):
-                out[n + m - k] += w
-                w = w * (n - k) * (m - k) // (k + 1)
     return out
 
 

@@ -153,8 +153,9 @@ def hadamard_ifft(f: BasisPolynomial, g: BasisPolynomial) -> BasisPolynomial:
     """FFT^{-1}(f*g), the inverse falling transform of the product f*g.
 
     The paper computes it as sum_k d^k(FFT^{-1} f) d^k(FFT^{-1} g) x^k/k!
-    (eq58); here it is one integer convolution of the monomial coefficients
-    and one conversion, O(d^2). f and g may be given in any bases.
+    (eq58); here it is multiply's rule, one integer convolution of the
+    monomial coefficients, and one conversion, O(d^2). f and g may be given
+    in any bases.
     """
     return ifft_poly(multiply(convert_basis(f, Basis.MONOMIAL), convert_basis(g, Basis.MONOMIAL)))
 

@@ -318,7 +318,7 @@ def _sum_with_policy(terms: Iterator[float], cfg: NumericConfig,
     stop criterion is unmet and accelerate is set, epsilon extrapolation of
     the partial sums, then of those through the smallest term, is attempted
     before raising NonConvergenceError, which is also raised for a term or
-    partial sum outside the float range.
+    partial sum outside the float range and for a NaN input to a term.
     """
     N = cfg.truncation_N
     acc = 0.0
@@ -331,6 +331,8 @@ def _sum_with_policy(terms: Iterator[float], cfg: NumericConfig,
             t = next(terms)
         except OverflowError:
             raise NonConvergenceError(f"{what}: term {n} overflows a float") from None
+        except FloatingPointError:
+            raise NonConvergenceError(f"{what}: term {n} is not a number") from None
         acc += t
         if not math.isfinite(acc):
             raise NonConvergenceError(f"{what}: term {n} or the sum through it is not finite")
@@ -367,12 +369,17 @@ def _sum_with_policy(terms: Iterator[float], cfg: NumericConfig,
 def _ratio(v: Number) -> tuple[int, int]:
     """v as an exact (numerator, positive denominator) pair of ints.
 
-    Raises OverflowError for an infinite float, which _sum_with_policy
-    reports as a term outside the float range.
+    Raises OverflowError for an infinite float and FloatingPointError for a
+    NaN or another value without an exact ratio, which _sum_with_policy
+    reports as a term outside the float range and as a term that is not a
+    number.
     """
-    if not isinstance(v, (int, float, Fraction)):
-        v = Fraction(v)
-    return v.as_integer_ratio()
+    try:
+        if not isinstance(v, (int, float, Fraction)):
+            v = Fraction(v)
+        return v.as_integer_ratio()
+    except ValueError:
+        raise FloatingPointError(f"{v!r} has no integer ratio") from None
 
 
 def _argument_ratio(x: Number, what: str) -> tuple[int, int]:
@@ -470,8 +477,17 @@ def irft_fn(src: SeriesSource, x: float, cfg: NumericConfig = NumericConfig()) -
     return _egf_series(lambda n: f(-n), -x, cfg, "irft_fn EGF series")
 
 
+# rft_fn accepts a value when its error estimate is at most this times
+# max(1, |value|), on every scheme.
+_RFT_TOLERANCE = 1e-7
+
+
+def _accepted(value: float, estimate: float) -> bool:
+    return math.isfinite(value) and estimate <= _RFT_TOLERANCE * max(1.0, abs(value))
+
+
 def rft_fn(f: Callable[[float], float], s: float,
-           quad: QuadratureSpec = QuadratureSpec(), tolerance: float = 1e-7) -> NumericResult:
+           quad: QuadratureSpec = QuadratureSpec()) -> NumericResult:
     """Rising transform (1/Gamma(s)) * integral_0^inf f(t) t^(s-1) e^(-t) dt.
 
     Schemes: 'gauss_laguerre' (generalized weight, the default; the result is
@@ -481,8 +497,10 @@ def rft_fn(f: Callable[[float], float], s: float,
     weighted integrand has an algebraically heavy tail that defeats
     Gauss-Laguerre, at the cost of needing an mpmath-safe callable).
 
-    Raises QuadratureError when refinement moves the result by more than
-    tolerance * max(1, |value|) or a float overflows in a rule or its
+    Every scheme has one acceptance rule: the value is finite and its error
+    estimate (the refinement delta, or mpmath's estimate for tanh_sinh) is at
+    most 1e-7 * max(1, |value|). Raises QuadratureError when a result fails
+    it, a NaN from f included, or a float overflows in a rule or its
     integrand, and ValueError past s = 171.62 for the two Gauss-Laguerre
     schemes, which normalize by a float Gamma(s).
     """
@@ -494,12 +512,20 @@ def rft_fn(f: Callable[[float], float], s: float,
 
         with _mp_lock, mp.workdps(25):
             ss = mp.mpf(s)
-            val, err = mp.quad(
-                lambda t: f(t) * mp.exp((ss - 1) * mp.ln(t) - t),
-                [0, 1, mp.inf], error=True,
-            )
+            try:
+                val, err = mp.quad(
+                    lambda t: f(t) * mp.exp((ss - 1) * mp.ln(t) - t),
+                    [0, 1, mp.inf], error=True,
+                )
+            except OverflowError:
+                raise QuadratureError(f"tanh_sinh: the integrand overflows a float "
+                                      f"for s = {s}") from None
             gamma_s = mp.gamma(ss)
-            return NumericResult(float(val / gamma_s), float(abs(err) / gamma_s))
+            val, err = float(val / gamma_s), float(abs(err) / gamma_s)
+        if not _accepted(val, err):
+            raise QuadratureError(f"tanh_sinh unconverged for s = {s}: value {val!r}, "
+                                  f"error estimate {err:.3e}")
+        return NumericResult(val, err)
 
     try:
         gamma_s = math.gamma(s)
@@ -521,7 +547,7 @@ def rft_fn(f: Callable[[float], float], s: float,
         coarse, fine = (node_sum(m, s - 1.0, lambda x, w: w) for m in (n, 2 * n))
         val = fine / gamma_s
         diff = abs(fine - coarse) / gamma_s
-        if not math.isfinite(val) or diff > tolerance * max(1.0, abs(val)):
+        if not _accepted(val, diff):
             raise QuadratureError(
                 f"gauss_laguerre unstable at {n}->{2*n} nodes (moved {diff:.3e})"
             )
@@ -534,9 +560,9 @@ def rft_fn(f: Callable[[float], float], s: float,
     prev = None
     while n <= _MAX_NODES:
         cur = node_sum(n, 0.0, lambda x, w: math.exp(math.log(w) + (s - 1.0) * math.log(x)))
-        if prev is not None and math.isfinite(cur):
+        if prev is not None:
             diff = abs(cur - prev) / gamma_s
-            if diff <= tolerance * max(1.0, abs(cur) / gamma_s):
+            if _accepted(cur / gamma_s, diff):
                 return NumericResult(cur / gamma_s, diff)
         prev = cur
         n *= 2
@@ -644,7 +670,8 @@ def zeta_formal_series(s: float, N: int) -> tuple[float, list[float]]:
 
     Makes no convergence claim: the terms eventually grow, and desk
     evaluation shows the partial sums do not approach zeta(s). Callers
-    inspect the terms to locate the minimal-term truncation.
+    inspect the terms to locate the minimal-term truncation. Raises
+    NonConvergenceError naming the first term that is not a finite float.
     """
     if N < 1:
         raise ValueError("need N >= 1 terms")
@@ -654,5 +681,9 @@ def zeta_formal_series(s: float, N: int) -> tuple[float, list[float]]:
     for n in range(N):
         b = bernoulli(n + 1)
         w = Fraction((-1) ** (n + 1)) * b / math.factorial(n + 1)
-        terms.append(float(w) * rising_factorial(float(s), n))
+        term = float(w) * rising_factorial(float(s), n)
+        if not math.isfinite(term):
+            raise NonConvergenceError(f"zeta_formal_series: term {n} at s = {s} is "
+                                      f"{term!r}, not a finite float")
+        terms.append(term)
     return -1.0 / (s - 1.0) + math.fsum(terms), terms

@@ -361,19 +361,28 @@ def _chk_eq27(rng, cfg, n, k):
            z_poly(n - k).scale(w) if n >= k else poly(Basis.FALLING, [0]))
 
 
-def _reconstructions(p: BasisPolynomial, x0: Fraction, move) -> tuple:
-    """Touchard and dual expansions of p about x0; move re-centres each term."""
+def _ladders(p: BasisPolynomial) -> list[tuple[BasisPolynomial, BasisPolynomial]]:
+    """The k-th powers of log(1+D) and exp(D)-1 applied to p, k = 0..deg p,
+    one step at a time."""
+    lp = ep = p
+    out = []
+    for _ in range(max(p.degree, 0) + 1):
+        out.append((lp, ep))
+        lp = apply_operator(log1p_derivative(1), lp)
+        ep = apply_operator(expdiff_minus1(1), ep)
+    return out
+
+
+def _reconstructions(ladders, x0: Fraction, move) -> tuple:
+    """Touchard and dual expansions about x0 of the p whose _ladders are
+    given; move re-centres each term."""
     sumT = monomial([0])
     sumZ = monomial([0])
-    # the k-th powers of log(1+D) and exp(D)-1 applied to p, one step at a time
-    lp = ep = p
-    for k in range(max(p.degree, 0) + 1):
+    for k, (lp, ep) in enumerate(ladders):
         ck = lp.eval(x0) / math.factorial(k)
         dk = ep.eval(x0) / math.factorial(k)
         sumT = sumT + move(touchard(k)).scale(ck)
         sumZ = sumZ + convert_basis(move(z_poly(k)), Basis.MONOMIAL).scale(dk)
-        lp = apply_operator(log1p_derivative(1), lp)
-        ep = apply_operator(expdiff_minus1(1), ep)
     return sumT, sumZ
 
 
@@ -382,7 +391,7 @@ def _reconstructions(p: BasisPolynomial, x0: Fraction, move) -> tuple:
            "about the origin", 0.0, trials=100, degree=10)
 def _chk_eq29(rng, cfg):
     p = _rand_poly(rng, cfg["degree"])
-    for rebuilt in _reconstructions(p, Fraction(0), lambda q: q):
+    for rebuilt in _reconstructions(_ladders(p), Fraction(0), lambda q: q):
         yield rebuilt, p
 
 
@@ -391,8 +400,9 @@ def _chk_eq29(rng, cfg):
            "shifted centers", 0.0, trials=40, degree=10)
 def _chk_eq31(rng, cfg):
     p = _rand_poly(rng, cfg["degree"])
+    ladders = _ladders(p)
     for x0 in (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2)):
-        for rebuilt in _reconstructions(p, x0, lambda q: shift(q, -x0)):
+        for rebuilt in _reconstructions(ladders, x0, lambda q: shift(q, -x0)):
             yield rebuilt, p
 
 

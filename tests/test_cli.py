@@ -19,6 +19,15 @@ from ftcalc.cli import main
 X_SQUARED = '{"basis":"monomial","coeffs":["0","0","1"]}'
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def loads(text):
+    """json.loads without the NaN and Infinity literals that it accepts by default."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -28,7 +37,7 @@ def run(capsys, *argv):
 def test_convert_monomial_to_falling(capsys):
     code, out, _ = run(capsys, "convert", X_SQUARED, "--to", "falling")
     assert code == 0
-    assert json.loads(out) == {"basis": "falling", "coeffs": ["0", "1", "1"]}
+    assert loads(out) == {"basis": "falling", "coeffs": ["0", "1", "1"]}
 
 
 def test_convert_roundtrip_byte_identical(capsys):
@@ -47,7 +56,7 @@ def test_convert_reads_polynomial_from_file(capsys, tmp_path):
     path.write_text(X_SQUARED, encoding="utf-8")
     code, out, _ = run(capsys, "convert", str(path), "--to", "rising")
     assert code == 0
-    assert json.loads(out) == {"basis": "rising", "coeffs": ["0", "-1", "1"]}
+    assert loads(out) == {"basis": "rising", "coeffs": ["0", "-1", "1"]}
 
 
 def test_convert_missing_file_is_error(capsys):
@@ -65,14 +74,14 @@ def test_convert_malformed_json_is_error(capsys):
 def test_transform_fft_exact(capsys):
     code, out, _ = run(capsys, "transform", X_SQUARED, "--op", "fft")
     assert code == 0
-    assert json.loads(out) == {"basis": "falling", "coeffs": ["0", "0", "1"]}
+    assert loads(out) == {"basis": "falling", "coeffs": ["0", "0", "1"]}
 
 
 def test_transform_ifft_inverts_fft(capsys):
     _, fft_out, _ = run(capsys, "transform", X_SQUARED, "--op", "fft")
     code, back, _ = run(capsys, "transform", fft_out, "--op", "ifft")
     assert code == 0
-    assert json.loads(back) == json.loads(X_SQUARED)
+    assert loads(back) == json.loads(X_SQUARED)
 
 
 def test_transform_exact_requires_polynomial(capsys):
@@ -85,7 +94,7 @@ def test_transform_numeric_ifft_gamma(capsys):
     code, out, _ = run(capsys, "transform", "--numeric", "--op", "ifft",
                        "--source", "gamma-samples", "--at", "0.5", "--truncation", "256")
     assert code == 0
-    blob = json.loads(out)
+    blob = loads(out)
     assert blob["op"] == "ifft"
     assert abs(blob["value"] - math.exp(-0.5) / 0.5) < 1e-9
     assert blob["error_estimate"] >= 0.0
@@ -95,14 +104,14 @@ def test_transform_numeric_fft_exp(capsys):
     code, out, _ = run(capsys, "transform", "--numeric", "--op", "fft",
                        "--source", "exp(1)", "--at", "1/2")
     assert code == 0
-    assert abs(json.loads(out)["value"] - math.sqrt(2.0)) < 1e-10
+    assert abs(loads(out)["value"] - math.sqrt(2.0)) < 1e-10
 
 
 def test_transform_numeric_rft_scheme_flag(capsys):
     code, out, _ = run(capsys, "transform", "--numeric", "--op", "rft",
                        "--source", "exp(-1)", "--at", "1.5", "--scheme", "tanh_sinh")
     assert code == 0
-    assert abs(json.loads(out)["value"] - 2.0 ** -1.5) < 1e-7
+    assert abs(loads(out)["value"] - 2.0 ** -1.5) < 1e-7
 
 
 def test_transform_numeric_rft_nodes_over_limit_is_error(capsys):
@@ -131,6 +140,15 @@ def test_transform_numeric_rft_divergent_integrand_is_error(capsys):
     assert code == 1
     assert out == ""
     assert "gauss_laguerre: the integrand overflows" in err
+
+
+def test_transform_numeric_rft_tanh_sinh_overflow_is_error(capsys):
+    """The float e^(t/2) overflows at tanh-sinh's far nodes."""
+    code, out, err = run(capsys, "transform", "--numeric", "--op", "rft",
+                         "--source", "exp(1/2)", "--at", "1.5", "--scheme", "tanh_sinh")
+    assert code == 1
+    assert out == ""
+    assert "tanh_sinh: the integrand overflows" in err
 
 
 def test_transform_numeric_needs_source_and_at(capsys):
@@ -185,21 +203,21 @@ def test_bad_source_spec(capsys):
 def test_special_touchard(capsys):
     code, out, _ = run(capsys, "special", "--family", "touchard", "--n", "2")
     assert code == 0
-    assert json.loads(out) == {"basis": "monomial", "coeffs": ["0", "1", "1"]}
+    assert loads(out) == {"basis": "monomial", "coeffs": ["0", "1", "1"]}
 
 
 def test_special_laguerre_rational_alpha(capsys):
     code, out, _ = run(capsys, "special", "--family", "laguerre", "--n", "2",
                        "--alpha", "1/2")
     assert code == 0
-    assert json.loads(out)["coeffs"] == ["15/8", "-5/2", "1/2"]
+    assert loads(out)["coeffs"] == ["15/8", "-5/2", "1/2"]
 
 
 def test_special_charlier_value(capsys):
     code, out, _ = run(capsys, "special", "--family", "charlier", "--n", "2",
                        "--x", "3", "--a", "1")
     assert code == 0
-    assert json.loads(out)["value"] == "1"
+    assert loads(out)["value"] == "1"
 
 
 def test_special_charlier_missing_params(capsys):
@@ -211,13 +229,13 @@ def test_special_charlier_missing_params(capsys):
 def test_special_stirling_and_bernoulli(capsys):
     code, out, _ = run(capsys, "special", "--family", "stirling2", "--n", "4", "--k", "2")
     assert code == 0
-    assert json.loads(out)["value"] == "7"
+    assert loads(out)["value"] == "7"
     code, out, _ = run(capsys, "special", "--family", "stirling1", "--n", "4", "--k", "3")
     assert code == 0
-    assert json.loads(out)["value"] == "-6"
+    assert loads(out)["value"] == "-6"
     code, out, _ = run(capsys, "special", "--family", "bernoulli", "--n", "12")
     assert code == 0
-    assert json.loads(out)["value"] == "-691/2730"
+    assert loads(out)["value"] == "-691/2730"
 
 
 def test_special_unknown_family_is_usage_error(capsys):
@@ -229,14 +247,14 @@ def test_fractional_derivative_sqrt2(capsys):
     code, out, _ = run(capsys, "fractional", "--kind", "derivative",
                        "--order", "1/2", "--source", "exp(2)")
     assert code == 0
-    assert abs(json.loads(out)["value"] - math.sqrt(2.0)) < 1e-10
+    assert abs(loads(out)["value"] - math.sqrt(2.0)) < 1e-10
 
 
 def test_fractional_difference_unit(capsys):
     code, out, _ = run(capsys, "fractional", "--kind", "difference",
                        "--order", "0.5", "--source", "geometric(2)")
     assert code == 0
-    assert abs(json.loads(out)["value"] - 1.0) < 1e-8
+    assert abs(loads(out)["value"] - 1.0) < 1e-8
 
 
 def test_fractional_difference_long_truncation(capsys):
@@ -245,7 +263,7 @@ def test_fractional_difference_long_truncation(capsys):
     code, out, _ = run(capsys, "fractional", "--kind", "difference", "--order", "0.5",
                        "--source", "exp(1/2)", "--truncation", "200")
     assert code == 0
-    assert abs(json.loads(out)["value"] - math.sqrt(math.exp(0.5) - 1.0)) < 1e-10
+    assert abs(loads(out)["value"] - math.sqrt(math.exp(0.5) - 1.0)) < 1e-10
 
 
 def test_fractional_difference_overflowing_sample_is_error(capsys):
@@ -259,11 +277,21 @@ def test_fractional_difference_overflowing_sample_is_error(capsys):
 def test_zeta_terms(capsys):
     code, out, _ = run(capsys, "zeta", "--s", "2", "--terms", "3")
     assert code == 0
-    blob = json.loads(out)
+    blob = loads(out)
     assert blob["terms_requested"] == 3
     assert len(blob["terms"]) == 3
     assert abs(blob["partial_sum"] + 1.0 / 3.0) < 1e-12
     assert "note" in blob
+
+
+@pytest.mark.parametrize("argv", [("--s", "2", "--terms", "171"), ("--s", "1e300", "--terms", "5"),
+                                  ("--s", "2", "--terms", "200")])
+def test_zeta_non_finite_term_is_error(capsys, argv):
+    """Terms past the float range once printed NaN, or an fsum error, as output."""
+    code, out, err = run(capsys, "zeta", *argv)
+    assert code == 1
+    assert out == ""
+    assert "zeta_formal_series: term" in err
 
 
 def test_verify_single_check(capsys):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ftcalc.combinatorics import (
@@ -510,8 +510,18 @@ def test_convert_basis_matches_reference(coeffs, b1, b2):
     assert convert_basis(p, b2) == _ref_convert(p, b2)
 
 
+# basis elements: one nonzero coefficient at any index 0..40
+kernel_units = st.builds(lambda n, c: [0] * n + [c], st.integers(0, 40), kernel_coeffs)
+_DEG60 = [Fraction((-1) ** n * (n * n + 1), n % 7 + 1) if n % 3 else 0 for n in range(61)]
+
+
 @settings(deadline=None, max_examples=60)
-@given(kernel_polys, kernel_polys, bases)
+@given(st.one_of(kernel_polys, kernel_units), st.one_of(kernel_polys, kernel_units), bases)
+@example([0] * 5 + [1], [0, 0, 1], Basis.FALLING)
+@example([0, 0, 0, Fraction(-2, 3)], [0] * 11 + [1], Basis.RISING)
+@example([1, 0, 0, 0, Fraction(-3, 7)], [0, 2, 0, 0, 0, 0, 5], Basis.FALLING)
+@example(_DEG60, _DEG60[::-1], Basis.FALLING)
+@example(_DEG60, _DEG60[:40], Basis.RISING)
 def test_multiply_matches_reference(a, b, basis):
     p, q = poly(basis, a), poly(basis, b)
     assert multiply(p, q) == _ref_multiply(p, q)

@@ -209,6 +209,18 @@ def test_gauss_laguerre_reports_integrand_overflow():
         rft_fn(lambda t: math.exp(2 * t), 1.5)
 
 
+@pytest.mark.parametrize("f,match", [
+    (lambda t: mp.exp(2 * t), "unconverged"),     # diverges: mpmath returns inf
+    (lambda t: mp.nan, "unconverged"),
+    (lambda t: math.nan, "unconverged"),
+    (lambda t: math.exp(t / 2), "integrand overflows"),  # a float overflow
+])
+def test_tanh_sinh_rejects_divergent_and_nan_integrands(f, match):
+    """tanh_sinh applies the acceptance rule of the Gauss-Laguerre schemes."""
+    with pytest.raises(QuadratureError, match=f"tanh_sinh.*{match}"):
+        rft_fn(f, 1.5, QuadratureSpec(scheme="tanh_sinh"))
+
+
 def test_rft_fn_below_float_resolution_of_s_is_documented_error():
     """Below s = 2^-53, s - 1 rounds to -1, where the rule's weight is not integrable."""
     with pytest.raises(QuadratureError, match="alpha > -1"):
@@ -378,6 +390,13 @@ def test_zeta_formal_series_contract():
     assert terms[0] == 0.5
     assert abs(terms[1] - 1.0 / 6.0) < 1e-15
     assert terms[2] == 0.0
+
+
+@pytest.mark.parametrize("s,N,term", [(2.0, 171, 170), (2.0, 200, 170), (1e300, 5, 2)])
+def test_zeta_formal_series_rejects_non_finite_terms(s, N, term):
+    """s^(rising n) leaves the float range, and 0 times it is NaN."""
+    with pytest.raises(NonConvergenceError, match=f"term {term} "):
+        zeta_formal_series(s, N)
 
 
 def test_zeta_formal_series_known_partial():
@@ -591,6 +610,33 @@ def test_infinite_taylor_coefficient_raises_nonconvergence():
         fft_fn(src, 0.5)
 
 
+def _nan_at(k, value):
+    return lambda n: math.nan if n == k else value(n)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: fft_fn(taylor_source(_nan_at(3, lambda n: 1.0 / math.factorial(n))), 0.5),
+    lambda: ifft_fn(samples_source(_nan_at(3, lambda n: 1.0)), 0.5),
+    lambda: irft_fn(callable_source(_nan_at(-3, lambda n: 1.0)), 0.5),
+])
+def test_nan_term_raises_nonconvergence(evaluate):
+    """A NaN coefficient or sample is named like an infinite one, not leaked
+    as the ValueError of float.as_integer_ratio."""
+    with pytest.raises(NonConvergenceError, match="term 3 is not a number"):
+        evaluate()
+
+
+def test_provider_value_error_propagates():
+    def provider(n):
+        raise ValueError("provider refuses")
+
+    for evaluate in (lambda: fft_fn(taylor_source(provider), 0.5),
+                     lambda: ifft_fn(samples_source(provider), 0.5),
+                     lambda: irft_fn(callable_source(provider), 0.5)):
+        with pytest.raises(ValueError, match="provider refuses"):
+            evaluate()
+
+
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
 def test_series_reject_non_finite_arguments(x):
     with pytest.raises(ValueError, match="finite argument"):
@@ -619,32 +665,36 @@ _POINTS = st.one_of(
 
 @given(op=st.sampled_from(["fft", "ifft", "irft", "rft", "derivative", "difference"]),
        spec=_SOURCE_SPECS, at=_POINTS, order=st.floats(min_value=-4, max_value=4),
-       N=st.integers(1, 512))
-@example(op="rft", spec="exp(2)", at=1.5, order=0.5, N=64)
-@example(op="difference", spec="exp(20)", at=0.0, order=0.5, N=64)
-@example(op="difference", spec="exp(1/2)", at=0.0, order=0.5, N=200)
+       N=st.integers(1, 512),
+       scheme=st.sampled_from(["gauss_laguerre", "adaptive_fallback", "tanh_sinh"]))
+@example(op="rft", spec="exp(2)", at=1.5, order=0.5, N=64, scheme="gauss_laguerre")
+@example(op="difference", spec="exp(20)", at=0.0, order=0.5, N=64, scheme="gauss_laguerre")
+@example(op="difference", spec="exp(1/2)", at=0.0, order=0.5, N=200, scheme="gauss_laguerre")
+# a float integrand that overflows at tanh-sinh's far nodes
+@example(op="rft", spec="exp(1/2)", at=1.5, order=0.5, N=64, scheme="tanh_sinh")
+@example(op="rft", spec="gamma-samples", at=2.0, order=0.5, N=64, scheme="tanh_sinh")
 @settings(max_examples=40, deadline=None)
-def test_series_evaluators_keep_their_contract(op, spec, at, order, N):
-    """On the CLI's named sources, each series evaluator, rft_fn on its
-    default scheme and both fractional operators (at the point at) return a
+def test_series_evaluators_keep_their_contract(op, spec, at, order, N, scheme):
+    """On the CLI's named sources, each series evaluator, rft_fn on each of
+    its schemes and both fractional operators (at the point at) return a
     finite NumericResult or raise NonConvergenceError, QuadratureError or
     ValueError."""
     src = NamedSource(spec)
     cfg = NumericConfig(truncation_N=N)
     try:
         if op == "fft":
-            r = fft_fn(taylor_source(src.taylor(), src.taylor_radius()), at, cfg)
+            r = fft_fn(taylor_source(src.taylor()), at, cfg)
         elif op == "ifft":
             r = ifft_fn(samples_source(src.samples()), at, cfg)
         elif op == "irft":
             r = irft_fn(callable_source(src.callable()), at, cfg)
         elif op == "rft":
-            r = rft_fn(src.callable(), at)
+            r = rft_fn(src.callable(), at, QuadratureSpec(scheme=scheme))
         elif op == "derivative":
             # the point as the CLI passes it, a rational; the exact shift by a
             # float with a 2^-1000 denominator takes minutes at N = 512
             t = Fraction(at).limit_denominator(1000)
-            r = fractional_derivative(taylor_source(src.taylor(), src.taylor_radius()),
+            r = fractional_derivative(taylor_source(src.taylor()),
                                       order, t, cfg)
         else:
             r = fractional_difference(src.callable(), order, at, cfg)
