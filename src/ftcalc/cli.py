@@ -170,8 +170,7 @@ def _cmd_transform(args) -> int:
                              "Gamma(t+1), which has a pole at t = -1")
         value = irft_fn(callable_source(src.callable()), s, cfg)
     else:
-        spec = QuadratureSpec(nodes=args.nodes, scheme=args.scheme)
-        value = rft_fn(src.callable(), s, spec)
+        value = rft_fn(src.callable(), s, QuadratureSpec(scheme=args.scheme))
     _emit({"op": args.op, "source": args.source, "at": s,
            "value": float(value), "error_estimate": value.error_estimate})
     return 0
@@ -273,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", help="exp(a) | sin(w) | cos(w) | geometric(r) | gamma-samples")
     p.add_argument("--at", help="evaluation argument (rational or decimal)")
     p.add_argument("--truncation", type=int, default=64, help="series truncation bound")
-    p.add_argument("--nodes", type=int, default=80, help="quadrature nodes (rft)")
     p.add_argument("--scheme", default="gauss_laguerre",
                    choices=["gauss_laguerre", "adaptive_fallback", "tanh_sinh"])
     p.set_defaults(fn=_cmd_transform)

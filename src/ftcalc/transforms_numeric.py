@@ -43,7 +43,7 @@ class NonConvergenceError(ArithmeticError):
 
 
 class QuadratureError(ArithmeticError):
-    """Node doubling changed the quadrature result by more than tolerance."""
+    """A quadrature rule or integrand failed, or rft_fn rejected its result."""
 
 
 class NumericResult(float):
@@ -107,24 +107,21 @@ class NumericConfig:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    nodes: int = 80
-    scheme: str = "gauss_laguerre"  # or "adaptive_fallback", "tanh_sinh"
+    """The rft_fn scheme: 'gauss_laguerre' (the default), 'adaptive_fallback'
+    or 'tanh_sinh'."""
+
+    scheme: str = "gauss_laguerre"
 
     def __post_init__(self):
-        if self.nodes < 2:
-            raise ValueError("nodes must be >= 2")
         if self.scheme not in ("gauss_laguerre", "adaptive_fallback", "tanh_sinh"):
             raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
-        if self.scheme != "tanh_sinh" and self.nodes > _MAX_NODES // 2:
-            raise ValueError(f"{self.scheme} needs nodes <= {_MAX_NODES // 2}: its n- and "
-                             f"2n-node rules must fit in {_MAX_NODES} nodes, got {self.nodes}")
 
 
-# Largest Gauss-Laguerre rule built. A rule costs O(n^2) float steps in
-# Python: about 10 ms at n = 160 and 30 ms at n = 256 on a 2-core Xeon VM.
-# Its largest nodes lie near 4n, and weights of nodes far past x = 700
-# underflow to 0.
-_MAX_NODES = 256
+# Nodes of the coarse Gauss-Laguerre rule; the fine rule has twice as many,
+# and their difference is the error estimate. A rule costs O(n^2) float
+# steps in Python: about 10 ms at n = 160 on a 2-core Xeon VM. Its largest
+# nodes lie near 4n, and weights of nodes far past x = 700 underflow to 0.
+_NODES = 80
 
 _node_cache: dict = {}
 _node_lock = threading.Lock()
@@ -256,7 +253,7 @@ def _laguerre_rule(n: int, alpha: float):
 _ROUNDOFF = 128 * 2.0 ** -52
 
 
-def wynn_epsilon(partial_sums: Sequence[complex]) -> tuple[complex, float]:
+def wynn_epsilon(partial_sums: Sequence[float]) -> tuple[float, float]:
     """Accelerate a sequence of partial sums with Wynn's epsilon algorithm.
 
     Returns (best_estimate, agreement) where agreement is the distance
@@ -268,15 +265,14 @@ def wynn_epsilon(partial_sums: Sequence[complex]) -> tuple[complex, float]:
     are noise whose diagonal entries can agree with each other more closely
     than correct ones do.
     """
-    sums = list(partial_sums)
-    if not sums:
+    cur = [float(s) for s in partial_sums]
+    if not cur:
         raise ValueError("need at least one partial sum")
-    prev: list[complex] = [0j] * (len(sums) + 1)
-    cur: list[complex] = [complex(s) for s in sums]
+    prev = [0.0] * (len(cur) + 1)
     diag = [cur[-1]]
     col = 0
     while len(cur) > 1:
-        nxt: list[complex] = []
+        nxt: list[float] = []
         for i in range(len(cur) - 1):
             d = cur[i + 1] - cur[i]
             if d == 0:
@@ -323,7 +319,6 @@ def _sum_with_policy(terms: Iterator[float], cfg: NumericConfig,
     N = cfg.truncation_N
     acc = 0.0
     small = 0
-    seen_nonzero = False
     nonzero_sums: list[float] = []
     least, least_at = math.inf, 0  # smallest |term|, and the sums through it
     for n in range(N):
@@ -337,22 +332,21 @@ def _sum_with_policy(terms: Iterator[float], cfg: NumericConfig,
         if not math.isfinite(acc):
             raise NonConvergenceError(f"{what}: term {n} or the sum through it is not finite")
         if t != 0.0:
-            seen_nonzero = True
             nonzero_sums.append(acc)
             if abs(t) < least:
                 least, least_at = abs(t), len(nonzero_sums)
-        if seen_nonzero and abs(t) <= cfg.tolerance * max(1.0, abs(acc)):
+        if nonzero_sums and abs(t) <= cfg.tolerance * max(1.0, abs(acc)):
             small += 1
             if small >= _CONSECUTIVE_SMALL:
                 return acc, abs(t)
         else:
             small = 0
-    if not seen_nonzero:
+    if not nonzero_sums:
         return 0.0, 0.0
     if accelerate and len(nonzero_sums) >= 8:
         best, agree = wynn_epsilon(nonzero_sums)
         if agree <= cfg.tolerance * max(1.0, abs(best)):
-            return best.real, agree
+            return best, agree
         # Past its smallest term a series may show its inputs' rounding noise,
         # amplified, instead of its sum: retry on the sums through that term,
         # accepted when it agrees with itself and with epsilon on all sums.
@@ -360,7 +354,7 @@ def _sum_with_policy(terms: Iterator[float], cfg: NumericConfig,
             cut, cut_agree = wynn_epsilon(nonzero_sums[:least_at])
             gap = max(cut_agree, abs(cut - best))
             if gap <= cfg.tolerance * max(1.0, abs(cut)):
-                return cut.real, gap
+                return cut, gap
     raise NonConvergenceError(
         f"{what}: tail policy unmet after {N} terms (last |term| = {abs(t):.3e})"
     )
@@ -482,27 +476,25 @@ def irft_fn(src: SeriesSource, x: float, cfg: NumericConfig = NumericConfig()) -
 _RFT_TOLERANCE = 1e-7
 
 
-def _accepted(value: float, estimate: float) -> bool:
-    return math.isfinite(value) and estimate <= _RFT_TOLERANCE * max(1.0, abs(value))
-
-
 def rft_fn(f: Callable[[float], float], s: float,
            quad: QuadratureSpec = QuadratureSpec()) -> NumericResult:
     """Rising transform (1/Gamma(s)) * integral_0^inf f(t) t^(s-1) e^(-t) dt.
 
-    Schemes: 'gauss_laguerre' (generalized weight, the default; the result is
-    cross-checked against a doubled rule), 'adaptive_fallback' (plain
-    Gauss-Laguerre on f(t) t^(s-1) with node doubling until stable), and
-    'tanh_sinh' (mpmath double-exponential quadrature; required when the
-    weighted integrand has an algebraically heavy tail that defeats
-    Gauss-Laguerre, at the cost of needing an mpmath-safe callable).
+    Schemes: 'gauss_laguerre' (the default) and 'adaptive_fallback' both sum
+    f over an 80-node and a 160-node Gauss-Laguerre rule, the first for the
+    generalized weight t^(s-1) e^(-t), the second for e^(-t) with t^(s-1)
+    folded into each node's weight; the fine sum is the value and its change
+    from the coarse one the error estimate. 'tanh_sinh' is mpmath
+    double-exponential quadrature with mpmath's error estimate; it is
+    required when the weighted integrand has an algebraically heavy tail
+    that defeats Gauss-Laguerre, at the cost of needing an mpmath-safe
+    callable.
 
-    Every scheme has one acceptance rule: the value is finite and its error
-    estimate (the refinement delta, or mpmath's estimate for tanh_sinh) is at
-    most 1e-7 * max(1, |value|). Raises QuadratureError when a result fails
-    it, a NaN from f included, or a float overflows in a rule or its
-    integrand, and ValueError past s = 171.62 for the two Gauss-Laguerre
-    schemes, which normalize by a float Gamma(s).
+    One check accepts every scheme's result: the value is finite and its
+    error estimate is at most 1e-7 * max(1, |value|). Raises QuadratureError
+    when a result fails it, a NaN from f included, or a float overflows in a
+    rule or its integrand, and ValueError past s = 171.62 for the two
+    Gauss-Laguerre schemes, which normalize by a float Gamma(s).
     """
     if not (s > 0):
         raise ValueError("rft_fn requires s > 0")
@@ -522,51 +514,35 @@ def rft_fn(f: Callable[[float], float], s: float,
                                       f"for s = {s}") from None
             gamma_s = mp.gamma(ss)
             val, err = float(val / gamma_s), float(abs(err) / gamma_s)
-        if not _accepted(val, err):
-            raise QuadratureError(f"tanh_sinh unconverged for s = {s}: value {val!r}, "
-                                  f"error estimate {err:.3e}")
-        return NumericResult(val, err)
-
-    try:
-        gamma_s = math.gamma(s)
-    except OverflowError:
-        raise ValueError(f"rft_fn scheme {quad.scheme!r} needs Gamma(s) to fit a float, "
-                         f"s <= 171.62, got s = {s}; use 'tanh_sinh'") from None
-
-    def node_sum(m: int, alpha: float, weight: Callable[[float, float], float]) -> float:
-        """sum_i weight(x_i, w_i) f(x_i) over the m-node rule, skipping w_i = 0."""
-        xs, ws = _gauss_laguerre_rule(m, alpha)
+    else:
         try:
-            return math.fsum(weight(x, w) * f(x) for x, w in zip(xs, ws) if w > 0)
+            gamma_s = math.gamma(s)
         except OverflowError:
-            raise QuadratureError(f"{quad.scheme}: the integrand overflows a float on the "
-                                  f"{m}-node rule for s = {s}") from None
+            raise ValueError(f"rft_fn scheme {quad.scheme!r} needs Gamma(s) to fit a float, "
+                             f"s <= 171.62, got s = {s}; use 'tanh_sinh'") from None
+        if quad.scheme == "gauss_laguerre":
+            alpha, weight = s - 1.0, lambda x, w: w
+        else:
+            # adaptive_fallback forms w t^(s-1) in log space: t^(s-1) alone
+            # overflows at the largest nodes from s = 112 on, where w has
+            # underflowed or nearly so.
+            alpha, weight = 0.0, lambda x, w: math.exp(math.log(w) + (s - 1.0) * math.log(x))
 
-    if quad.scheme == "gauss_laguerre":
-        n = quad.nodes
-        coarse, fine = (node_sum(m, s - 1.0, lambda x, w: w) for m in (n, 2 * n))
-        val = fine / gamma_s
-        diff = abs(fine - coarse) / gamma_s
-        if not _accepted(val, diff):
-            raise QuadratureError(
-                f"gauss_laguerre unstable at {n}->{2*n} nodes (moved {diff:.3e})"
-            )
-        return NumericResult(val, diff)
+        def node_sum(m: int) -> float:
+            """sum_i weight(x_i, w_i) f(x_i) over the m-node rule, skipping w_i = 0."""
+            xs, ws = _gauss_laguerre_rule(m, alpha)
+            try:
+                return math.fsum(weight(x, w) * f(x) for x, w in zip(xs, ws) if w > 0)
+            except OverflowError:
+                raise QuadratureError(f"{quad.scheme}: the integrand overflows a float on the "
+                                      f"{m}-node rule for s = {s}") from None
 
-    # adaptive_fallback: plain Laguerre nodes on f(t) t^(s-1), doubling. The
-    # weight w t^(s-1) is formed in log space: t^(s-1) alone overflows at the
-    # largest nodes from s = 112 on, where w has underflowed or nearly so.
-    n = quad.nodes
-    prev = None
-    while n <= _MAX_NODES:
-        cur = node_sum(n, 0.0, lambda x, w: math.exp(math.log(w) + (s - 1.0) * math.log(x)))
-        if prev is not None:
-            diff = abs(cur - prev) / gamma_s
-            if _accepted(cur / gamma_s, diff):
-                return NumericResult(cur / gamma_s, diff)
-        prev = cur
-        n *= 2
-    raise QuadratureError(f"adaptive_fallback did not stabilize within {_MAX_NODES} nodes")
+        coarse, fine = node_sum(_NODES), node_sum(2 * _NODES)
+        val, err = fine / gamma_s, abs(fine - coarse) / gamma_s
+    if not (math.isfinite(val) and err <= _RFT_TOLERANCE * max(1.0, abs(val))):
+        raise QuadratureError(f"{quad.scheme} unconverged for s = {s}: value {val!r}, "
+                              f"error estimate {err:.3e}")
+    return NumericResult(val, err)
 
 
 _JET_EXTRA = 32  # Taylor coefficients read past the truncation for the shift to t

@@ -375,15 +375,13 @@ def _ladders(p: BasisPolynomial) -> list[tuple[BasisPolynomial, BasisPolynomial]
 
 def _reconstructions(ladders, x0: Fraction, move) -> tuple:
     """Touchard and dual expansions about x0 of the p whose _ladders are
-    given; move re-centres each term."""
+    given; move re-centres each sum, once, since it is linear."""
     sumT = monomial([0])
-    sumZ = monomial([0])
+    sumZ = poly(Basis.FALLING, [0])
     for k, (lp, ep) in enumerate(ladders):
-        ck = lp.eval(x0) / math.factorial(k)
-        dk = ep.eval(x0) / math.factorial(k)
-        sumT = sumT + move(touchard(k)).scale(ck)
-        sumZ = sumZ + convert_basis(move(z_poly(k)), Basis.MONOMIAL).scale(dk)
-    return sumT, sumZ
+        sumT = sumT + touchard(k).scale(lp.eval(x0) / math.factorial(k))
+        sumZ = sumZ + z_poly(k).scale(ep.eval(x0) / math.factorial(k))
+    return move(sumT), convert_basis(move(sumZ), Basis.MONOMIAL)
 
 
 @_register("eq29_30_series_reconstruction", "exact",
@@ -595,15 +593,11 @@ def _chk_eq56(rng, cfg, n, m):
            "products of falling factorials relinearize with binomial-weighted "
            "falling factorials", 0.0, cases=_each_nm, max_n=6)
 def _chk_eq57(rng, cfg, n, m):
-    route1 = multiply(falling_unit(n), falling_unit(m))
-    mono = multiply(convert_basis(falling_unit(n), Basis.MONOMIAL),
-                    convert_basis(falling_unit(m), Basis.MONOMIAL))
-    yield route1, convert_basis(mono, Basis.FALLING)
     direct = poly(Basis.FALLING, [0])
     for k in range(min(n, m) + 1):
         w = math.comb(n, k) * math.comb(m, k) * math.factorial(k)
         direct = direct + falling_unit(n + m - k).scale(Fraction(w))
-    yield route1, direct
+    yield multiply(falling_unit(n), falling_unit(m)), direct
 
 
 def _pairing_sum(f: BasisPolynomial, g: BasisPolynomial) -> BasisPolynomial:

@@ -114,15 +114,6 @@ def test_transform_numeric_rft_scheme_flag(capsys):
     assert abs(loads(out)["value"] - 2.0 ** -1.5) < 1e-7
 
 
-def test_transform_numeric_rft_nodes_over_limit_is_error(capsys):
-    """--nodes past what two Gauss-Laguerre rules can use is refused, not clipped."""
-    code, out, err = run(capsys, "transform", "--numeric", "--op", "rft",
-                         "--source", "exp(-1)", "--at", "1.5", "--nodes", "200")
-    assert code == 1
-    assert out == ""
-    assert "nodes <= 128" in err
-
-
 def test_transform_numeric_rft_past_gamma_range_is_error(capsys):
     """Gamma(200) overflows a float: a named limit, not a bare math range error."""
     code, out, err = run(capsys, "transform", "--numeric", "--op", "rft",

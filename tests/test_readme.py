@@ -1,11 +1,20 @@
-"""The README's Python examples run as written and give what their comments say."""
+"""The README's Python examples and ftcalc commands run as written; the
+examples give what their comments say."""
 
 import math
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
+from ftcalc.cli import main
+
 README = Path(__file__).resolve().parent.parent / "README.md"
-BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"```python\n(.*?)```", TEXT, re.S)
+COMMANDS = [line.strip() for block in re.findall(r"```sh\n(.*?)```", TEXT, re.S)
+            for line in block.splitlines() if line.strip().startswith("ftcalc ")]
 TOUR = next(block for block in BLOCKS if "fft_fn" in block)
 
 
@@ -44,3 +53,11 @@ def test_readme_quick_tour_results():
     got = eval("float(fft_fn(src, 0.5))", ns)
     assert abs(got - math.sqrt(2.0)) <= 1e-12
     assert abs(got - stated) <= 1e-12
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_readme_commands_exit_zero(command, tmp_path, monkeypatch):
+    """Every ftcalc command in the README's shell blocks succeeds, so the
+    README names no removed subcommand or flag."""
+    monkeypatch.chdir(tmp_path)  # where `--json report.json` writes
+    assert main(shlex.split(command)[1:]) == 0
