@@ -132,10 +132,6 @@ def _float_flag(text: str, flag: str) -> float:
                          f"got {text!r}") from None
 
 
-def _frac_str(v) -> str:
-    return str(Fraction(v)) if not isinstance(v, float) else repr(v)
-
-
 def _cmd_convert(args) -> int:
     p = _read_polynomial(args.input)
     _emit(convert_basis(p, Basis(args.to)).to_json())
@@ -190,8 +186,7 @@ def _cmd_special(args) -> int:
         if args.x is None or args.a is None:
             raise ValueError("charlier needs --x and --a")
         v = charlier(n, Fraction(args.x), Fraction(args.a))
-        _emit({"family": "charlier", "n": n, "x": args.x, "a": args.a,
-               "value": _frac_str(v)})
+        _emit({"family": "charlier", "n": n, "x": args.x, "a": args.a, "value": str(v)})
     elif fam == "stirling1":
         if args.k is None:
             raise ValueError("stirling1 needs --k")

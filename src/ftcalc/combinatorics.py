@@ -7,14 +7,18 @@ Conventions:
   * Bernoulli numbers use B_1 = -1/2 (the x/(e^x - 1) generating function).
   * (x)_n with n < 0 means 1/((x+1)(x+2)...(x+|n|)).
   * x**(rising n) with n < 0 means 1/((x-1)(x-2)...(x-|n|)).
+
+One product helper computes both factorials, stepping x down or up, and the
+exact generalized binomial is the falling one over n!.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 Rational = Fraction
 Scalar = Union[Fraction, int, float]
@@ -98,11 +102,6 @@ def lah_terms(n: int) -> Iterator[int]:
         term = term * (n - k) // (k * (k + 1))
 
 
-def lah_row(n: int) -> list[int]:
-    """Row n, k = 0..n, of the unsigned Lah numbers (see lah_terms)."""
-    return list(lah_terms(n))
-
-
 def _bernoulli_numbers(n: int) -> list[Fraction]:
     # B_0..B_n from the tangent numbers T_1..T_(n/2) (Brent & Harvey 2011,
     # Algorithm TangentNumbers): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))
@@ -143,11 +142,7 @@ def binomial_general(x: Scalar, n: int) -> Scalar:
         for j in range(n):
             out *= (x - j) / (j + 1)
         return out
-    out = Fraction(1)
-    x = Fraction(x)
-    for j in range(n):
-        out *= (x - j)
-    return out / math.factorial(n)
+    return falling_factorial(Fraction(x), n) / math.factorial(n)
 
 
 def falling_factorial(x: Scalar, n: int) -> Scalar:
@@ -157,15 +152,7 @@ def falling_factorial(x: Scalar, n: int) -> Scalar:
     n < 0:  1/((x+1)(x+2)...(x+|n|)); raises ZeroDivisionError when a
     factor vanishes.
     """
-    if n >= 0:
-        out = _one_like(x)
-        for j in range(n):
-            out = out * (x - j)
-        return out
-    denom = _one_like(x)
-    for j in range(1, -n + 1):
-        denom = denom * (x + j)
-    return _invert(denom)
+    return _factorial_product(x, n, operator.sub)
 
 
 def rising_factorial(x: Scalar, n: int) -> Scalar:
@@ -174,26 +161,17 @@ def rising_factorial(x: Scalar, n: int) -> Scalar:
     n >= 0: x(x+1)...(x+n-1); n < 0: 1/((x-1)(x-2)...(x-|n|)).
     Satisfies x^(rising n) = (-1)^n (-x)_n for n >= 0.
     """
+    return _factorial_product(x, n, operator.add)
+
+
+def _factorial_product(x: Scalar, n: int, step: Callable[[Scalar, int], Scalar]) -> Scalar:
+    # step(x, 0) step(x, 1) ... step(x, n-1) for n >= 0, and for n < 0 the
+    # reciprocal of step(x, -1) ... step(x, n); float for float x, else Fraction
+    out = 1.0 if isinstance(x, float) else Fraction(1)
+    for j in range(n) if n >= 0 else range(-1, n - 1, -1):
+        out = out * step(x, j)
     if n >= 0:
-        out = _one_like(x)
-        for j in range(n):
-            out = out * (x + j)
         return out
-    denom = _one_like(x)
-    for j in range(1, -n + 1):
-        denom = denom * (x - j)
-    return _invert(denom)
-
-
-def _one_like(x: Scalar) -> Scalar:
-    return 1.0 if isinstance(x, float) else Fraction(1)
-
-
-def _invert(d: Scalar):
-    if isinstance(d, float):
-        if d == 0.0:
-            raise ZeroDivisionError("vanishing factor in negative-index factorial")
-        return 1.0 / d
-    if d == 0:
+    if out == 0:
         raise ZeroDivisionError("vanishing factor in negative-index factorial")
-    return Fraction(1) / d
+    return 1 / out

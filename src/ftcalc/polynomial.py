@@ -8,12 +8,13 @@ they are read.
 
 Every kernel reads and writes that integer vector: it loops on Python ints
 over the denominator its caller tracks, and hands the numerators to the
-next kernel. A public operation reduces once, when it builds its result. A
-conversion is one pass over a triangle of Stirling numbers to or from the
-monomial basis, and of Lah numbers between the factorial bases; the
-triangles are unimodular, so a conversion keeps the denominator and lowest
-terms. A product in any basis is one convolution in the monomial basis,
-between conversions.
+next kernel; both transform layers take from here the difference table
+that multiplies an EGF by e^{rx}. A public operation reduces once, when it
+builds its result. A conversion is one pass over a triangle of Stirling
+numbers to or from the monomial basis, and of Lah numbers between the
+factorial bases; the triangles are unimodular, so a conversion keeps the
+denominator and lowest terms. A product in any basis is one convolution in
+the monomial basis, between conversions.
 
 Each basis is the basic sequence of its own lowering operator, L b_n =
 n b_(n-1): d on x^n, the forward difference D on (x)_n and the backward
@@ -310,6 +311,25 @@ def _convolve(pn: Sequence[int], qn: Sequence[int]) -> list[int]:
     return out
 
 
+def _pascal(v: Sequence[int], r: int, m: int) -> list[int]:
+    """h_k = sum_n binom(k,n) r^(k-n) v_n for k < m, on integers: the EGF
+    of v times e^{rx}.
+
+    h_k = ((E + r)^k v)_0 for the shift (E v)_n = v_(n+1), so one
+    difference table gives every h_k in m^2/2 steps row_i <- row_(i+1) +
+    r row_i: an addition, and a product with the small r unless r = +-1,
+    where a direct sum multiplies by binom(k,n) r^(k-n). v may stop early,
+    its missing terms are zero.
+    """
+    row = list(v[:m]) + [0] * (m - len(v))
+    step = operator.sub if r == -1 else operator.add
+    out = []
+    for _ in range(m):
+        out.append(row[0])
+        row = list(map(step, row[1:], row if abs(r) == 1 else map(operator.mul, row, repeat(r))))
+    return out
+
+
 # --- operator calculus -----------------------------------------------------
 
 
@@ -499,33 +519,33 @@ def apply_operator(op: OperatorExpr, p: BasisPolynomial) -> BasisPolynomial:
 #
 # Used by the kernel-relative integration/summation checks. Each inverse
 # fixes the kernel ambiguity by choosing the preimage with zero constant term.
-# An operator t*g(L) with g(0) = 1 inverts as L^{-1} applied after the
-# reciprocal series 1/g(L), where L^{-1} lifts c_n to c_(n-1)/n.
-
-
-def _lift(nums: Sequence[int], den: int, basis: Basis, target: Basis) -> BasisPolynomial:
-    # over m = lcm(1..len(nums)), c_n/(n+1) has numerator c_n m/(n+1)
-    m = math.lcm(*range(1, len(nums) + 1))
-    out = [0] + [c * (m // (n + 1)) for n, c in enumerate(nums)]
-    return _reduced(target, _convert(out, basis, target), den * m)
+# An operator L g(L) with g(0) = 1 inverts as L^{-1} applied after the
+# reciprocal series 1/g(L), where L^{-1} lifts c_n to c_(n-1)/n; d and D
+# themselves have g = 1, the unit weight row.
 
 
 def _series_inverse(p: BasisPolynomial, basis: Basis,
                     weights: Callable[[int], tuple[list[int], int]]) -> BasisPolynomial:
-    # the operator is L g(L); weights builds the EGF weights of 1/g(L)
+    # the operator is L g(L) in basis; weights builds the EGF weights of
+    # 1/g(L). Over m = lcm(1..len(nums)), c_n/(n+1) has numerator c_n m/(n+1).
     nums = _convert(p.nums, p.basis, basis)
     w, q = weights(len(nums))
-    return _lift(_apply_weights(nums, w), p.den * q, basis, p.basis)
+    m = math.lcm(*range(1, len(nums) + 1))
+    out = [0] + [c * (m // (n + 1)) for n, c in enumerate(_apply_weights(nums, w))]
+    return _reduced(p.basis, _convert(out, basis, p.basis), p.den * q * m)
+
+
+_IDENTITY = partial(_unit, derivative(0))
 
 
 def antiderivative(p: BasisPolynomial) -> BasisPolynomial:
     """d^{-1} p with zero constant of integration."""
-    return _lift(_convert(p.nums, p.basis, Basis.MONOMIAL), p.den, Basis.MONOMIAL, p.basis)
+    return _series_inverse(p, Basis.MONOMIAL, _IDENTITY)
 
 
 def indefinite_sum(p: BasisPolynomial) -> BasisPolynomial:
     """D^{-1} p (forward-difference preimage) vanishing at x = 0."""
-    return _lift(_convert(p.nums, p.basis, Basis.FALLING), p.den, Basis.FALLING, p.basis)
+    return _series_inverse(p, Basis.FALLING, _IDENTITY)
 
 
 def _log1p_reciprocal(n: int) -> tuple[list[int], int]:

@@ -4,7 +4,9 @@ Touchard T_n collects Stirling-second numbers, Z_n collects signed
 Stirling-first numbers over the falling basis. Laguerre builds its
 coefficients as integer numerators over one denominator, so rational
 (including negative) alpha is exact. Charlier follows the 2F0 normalization
-c_n(x, a) = sum_k binom(n,k) binom(x,k) k! (-a)^(-k).
+c_n(x, a) = sum_k binom(n,k) binom(x,k) k! (-a)^(-k); for rational inputs it
+is the falling-basis polynomial sum_k binom(n,k) (-1/a)^k (x)_k, a finite
+Newton series in x, evaluated at x by the exact layer's integer Horner.
 """
 
 from __future__ import annotations
@@ -63,15 +65,16 @@ def charlier(n: int, x: Scalar, a: Scalar):
         raise ValueError("index must be nonnegative")
     if a == 0:
         raise ValueError("Charlier parameter a must be nonzero")
-    numeric = isinstance(x, float) or isinstance(a, float)
-    if not numeric:
-        x, a = Fraction(x), Fraction(a)
-    acc = 0.0 if numeric else Fraction(0)
-    for k in range(n + 1):
-        term = math.comb(n, k) * binomial_general(x, k) * math.factorial(k)
-        term = term * (-a) ** (-k) if numeric else term * (Fraction(-1) / a) ** k
-        acc += term
-    return acc
+    if isinstance(x, float) or isinstance(a, float):
+        acc = 0.0
+        for k in range(n + 1):
+            acc += math.comb(n, k) * binomial_general(x, k) * math.factorial(k) * (-a) ** (-k)
+        return acc
+    # sum_k binom(n,k) r^k (x)_k over v^n, for r = -1/a = u/v
+    r = -1 / Fraction(a)
+    u, v = r.numerator, r.denominator
+    nums = [math.comb(n, k) * u ** k * v ** (n - k) for k in range(n + 1)]
+    return _reduced(Basis.FALLING, nums, v ** n).eval(x)
 
 
 def charlier_orthogonality_sum(n: int, m: int, a: float, K: int) -> float:

@@ -13,9 +13,10 @@ inverse transform over j!; coefficient extraction is FFT(e^{-x} f)(n) / n!
 on EGF coefficients. Each source is sampled once at 0..m-1, a polynomial
 through its falling coefficients c as p(n) = sum_j binom(n,j) j! c_j, the
 same product against 1s. Two integer kernels compute it: one direct sum per
-h_k for a general u, and a difference table of additions for all h_k, k < m,
-against u_n = r^n. Samples and sums stay integer numerators over one
-denominator; a Fraction is built only for a returned value.
+h_k for a general u, here, and the polynomial layer's difference table of
+additions for all h_k, k < m, against u_n = r^n. Samples and sums stay
+integer numerators over one denominator; a Fraction is built only for a
+returned value.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence, Union
 
 from .polynomial import (
-    Basis, BasisPolynomial, _canonical, _integers, _reduced, convert_basis, multiply,
+    Basis, BasisPolynomial, _canonical, _integers, _pascal, _reduced, convert_basis, multiply,
 )
 
 SequenceSource = Union[BasisPolynomial, Callable[[int], Fraction]]
@@ -72,25 +73,6 @@ def _binomial(u: Sequence[int], v: Sequence[int], ks: Iterable[int]) -> list[int
             acc += c * u[k - n] * v[n]
             c = c * (k - n) // (n + 1)
         out.append(acc)
-    return out
-
-
-def _pascal(v: Sequence[int], r: int, m: int) -> list[int]:
-    """h_k = sum_n binom(k,n) r^(k-n) v_n for k < m, on integers: _binomial
-    against u_n = r^n, the EGF of v times e^{rx}.
-
-    h_k = ((E + r)^k v)_0 for the shift (E v)_n = v_(n+1), so one
-    difference table gives every h_k in m^2/2 steps row_i <- row_(i+1) +
-    r row_i: an addition, and a product with the small r unless r = +-1,
-    where _binomial multiplies by binom(k,n) r^(k-n). v may stop early, its
-    missing terms are zero.
-    """
-    row = list(v[:m]) + [0] * (m - len(v))
-    step = operator.sub if r == -1 else operator.add
-    out = []
-    for _ in range(m):
-        out.append(row[0])
-        row = list(map(step, row[1:], row if abs(r) == 1 else map(operator.mul, row, repeat(r))))
     return out
 
 

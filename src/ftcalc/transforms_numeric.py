@@ -23,17 +23,17 @@ pair, which its int true division rounds correctly without a gcd.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .combinatorics import bernoulli, rising_factorial
-from .polynomial import _integers, _taylor_shift, shift_op
-from .transforms_exact import _pascal
+from .polynomial import _integers, _pascal, _taylor_shift, shift_op
 
 Number = Union[int, float, Fraction]
 
@@ -99,10 +99,10 @@ class NumericConfig:
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        if self.truncation_N < 1:
-            raise ValueError("truncation_N must be >= 1")
-        if not (self.tolerance > 0):
-            raise ValueError("tolerance must be positive")
+        if not isinstance(self.truncation_N, int) or self.truncation_N < 1:
+            raise ValueError(f"truncation_N must be an int >= 1, got {self.truncation_N!r}")
+        if not (0 < self.tolerance < math.inf):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,6 @@ class QuadratureSpec:
 # nodes lie near 4n, and weights of nodes far past x = 700 underflow to 0.
 _NODES = 80
 
-_node_cache: dict = {}
-_node_lock = threading.Lock()
-
 # mpmath working precision is process-global state; serialize tanh_sinh use
 # so concurrent callers cannot corrupt each other's precision context.
 _mp_lock = threading.Lock()
@@ -137,17 +134,6 @@ _HALLEY_STEPS = 50
 # Stands in for an exact zero in the ratio recurrence, whose next step
 # divides by it.
 _TINY = 1e-300
-
-
-def _gauss_laguerre_rule(n: int, alpha: float):
-    key = (n, alpha)
-    rule = _node_cache.get(key)
-    if rule is None:
-        with _node_lock:
-            rule = _node_cache.get(key)
-            if rule is None:
-                rule = _node_cache[key] = _laguerre_rule(n, alpha)
-    return rule
 
 
 def _laguerre_rule(n: int, alpha: float):
@@ -243,6 +229,10 @@ def _laguerre_rule(n: int, alpha: float):
         raise QuadratureError(f"Gauss-Laguerre rule n={n}, alpha={alpha} came out "
                               "non-finite or with repeated nodes")
     return xs, ws
+
+
+# rft_fn's rules, built once per (n, alpha); a rule that raises is not kept
+_gauss_laguerre_rule = functools.cache(_laguerre_rule)
 
 
 # Relative distance at which two epsilon-table entries count as equal up to
@@ -493,9 +483,11 @@ def rft_fn(f: Callable[[float], float], s: float,
     One check accepts every scheme's result: the value is finite and its
     error estimate is at most 1e-7 * max(1, |value|). Raises QuadratureError
     when a result fails it, a NaN from f included, or a float overflows in a
-    rule or its integrand, and ValueError past s = 171.62 for the two
-    Gauss-Laguerre schemes, which normalize by a float Gamma(s).
+    rule or its integrand, and ValueError for s not finite and positive, or
+    past s = 171.62 for the two Gauss-Laguerre schemes, which normalize by a
+    float Gamma(s).
     """
+    _argument_ratio(s, "rft_fn")
     if not (s > 0):
         raise ValueError("rft_fn requires s > 0")
 
@@ -616,16 +608,21 @@ def fractional_difference(f: Callable[[float], float], order: float, t: float = 
     FFT^{-1}(f(x+t)) e^{x}; multiplying by e^{-2x} realizes
     e^{-x} FFT^{-1}(f(x+t)), and the Newton sum at s = order finishes BT^{-1}.
     """
+    _argument_ratio(t, "fractional_difference")
     egf, den = _exact_inputs(lambda n: f(t + n), cfg.truncation_N + 1, "fractional_difference")
     return _damped_newton_sum(egf, den, 2, order, cfg)
 
 
 def gamma_support(x: float) -> float:
-    """Gamma(x) for real x away from the poles (Lanczos-backed libm gamma)."""
+    """Gamma(x) for real x (libm gamma); raises ValueError at a pole, for a
+    non-finite x and where Gamma(x) overflows a float."""
+    _argument_ratio(x, "gamma_support")
     try:
         return math.gamma(x)
     except ValueError:
         raise ValueError(f"gamma pole at x = {x}") from None
+    except OverflowError:
+        raise ValueError(f"gamma_support: Gamma({x}) overflows a float") from None
 
 
 def incomplete_gamma_upper(n: int, x: float) -> float:
@@ -634,7 +631,7 @@ def incomplete_gamma_upper(n: int, x: float) -> float:
     Closed form (n-1)! e^{-x} sum_{k<n} x^k/k!; valid (as the analytic
     continuation) for negative x as well.
     """
-    if n < 1:
+    if not isinstance(n, int) or n < 1:
         raise ValueError("order n must be a positive integer")
     acc = math.fsum(x ** k / math.factorial(k) for k in range(n))
     return math.factorial(n - 1) * math.exp(-x) * acc

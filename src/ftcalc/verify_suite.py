@@ -195,10 +195,9 @@ def _definition(transform, factorial):
     """transform(p)(x0) equals sum_n p_n factorial(x0, n)."""
     def body(rng, cfg):
         p = _rand_poly(rng, cfg["degree"])
-        pm = convert_basis(p, Basis.MONOMIAL)
         x0 = _rand_frac(rng)
         direct = sum(
-            (pm.coeff(n) * factorial(x0, n) for n in range(pm.degree + 1)),
+            (p.coeff(n) * factorial(x0, n) for n in range(p.degree + 1)),
             start=Fraction(0),
         )
         yield transform(p).eval(x0), direct
@@ -560,12 +559,11 @@ def _chk_eq51(rng, cfg):
         for k in range(K + 1):
             yield it[k], math.factorial(k) * pw[k]
     # power-of-series route: coefficients of f(x)^n from the chain
-    pm = convert_basis(f, Basis.MONOMIAL)
-    F = lambda k: math.factorial(k) * pm.coeff(k)
+    F = lambda k: math.factorial(k) * f.coeff(k)
     chain = [binomial_convolution(F, F, k) for k in range(K + 1)]
     chain2 = [binomial_convolution(lambda n: chain[n], F, k) for k in range(K + 1)]
-    square = multiply(pm, pm)
-    cube = multiply(square, pm)
+    square = multiply(f, f)
+    cube = multiply(square, f)
     for k in range(K + 1):
         yield chain[k] / math.factorial(k), square.coeff(k)
         yield chain2[k] / math.factorial(k), cube.coeff(k)
@@ -642,11 +640,10 @@ def _chk_eq60(rng, cfg):
            "rebuild the polynomial", 0.0, trials=60, degree=10)
 def _chk_eq62(rng, cfg):
     p = _rand_poly(rng, cfg["degree"])
-    pm = convert_basis(p, Basis.MONOMIAL)
-    rebuilt = [coefficient_extract(p, n) for n in range(pm.degree + 3)]
+    rebuilt = [coefficient_extract(p, n) for n in range(p.degree + 3)]
     for n, got in enumerate(rebuilt):
-        yield got, pm.coeff(n)
-    yield monomial(rebuilt), pm
+        yield got, p.coeff(n)
+    yield monomial(rebuilt), p
 
 
 def _weighted_sum(family, weight, n: int, zero: BasisPolynomial) -> BasisPolynomial:
@@ -662,10 +659,9 @@ def _weighted_sum(family, weight, n: int, zero: BasisPolynomial) -> BasisPolynom
            "and the transform undoes it", 0.0, trials=60, degree=10)
 def _chk_eq78(rng, cfg):
     p = _rand_poly(rng, cfg["degree"])
-    pm = convert_basis(p, Basis.MONOMIAL)
-    theta = _weighted_sum(touchard, lambda _n, k: pm.coeff(k), pm.degree, monomial([0]))
+    theta = _weighted_sum(touchard, lambda _n, k: p.coeff(k), p.degree, monomial([0]))
     yield ifft_poly(p), theta
-    yield fft_poly(theta), pm
+    yield fft_poly(theta), p
 
 
 @_register("eq91_bernoulli_structure", "exact",
@@ -766,10 +762,9 @@ _TANH_SINH = QuadratureSpec(scheme="tanh_sinh")
            "evaluation to float rounding", 1e-12, trials=25, degree=10)
 def _chk_eq5(rng, cfg):
     p = _rand_poly(rng, cfg["degree"])
-    pm = convert_basis(p, Basis.MONOMIAL)
     F = fft_poly(p)
     for si in (0, 1, 2, 5, 8):
-        yield _relative(fft_fn(taylor_source(pm.coeff), float(si)), float(F.eval(si)))
+        yield _relative(fft_fn(taylor_source(p.coeff), float(si)), float(F.eval(si)))
 
 
 @_register("eq6_ifft_series", "numeric",
@@ -1006,10 +1001,8 @@ def _chk_eq89_info(rng, cfg):
     for _ in range(10):
         f = _rand_poly(rng, 4)
         g = _rand_poly(rng, 4)
-        fm = convert_basis(f, Basis.MONOMIAL)
-        gm = convert_basis(g, Basis.MONOMIAL)
-        If, Ig = ifft_poly(fm), ifft_poly(gm)
-        shifted = [(ifft_poly(shift(fm, Fraction(k))), ifft_poly(shift(gm, Fraction(k))))
+        If, Ig = ifft_poly(f), ifft_poly(g)
+        shifted = [(ifft_poly(shift(f, Fraction(k))), ifft_poly(shift(g, Fraction(k))))
                    for k in range(90)]
         for x in (0.3, 1.0, 2.0):
             lhs_a = lhs_b = 0.0
@@ -1018,8 +1011,8 @@ def _chk_eq89_info(rng, cfg):
                 lhs_a += wk * Sf.eval(x) * Sg.eval(x)
                 lhs_b += wk * If.eval(x + k) * Ig.eval(x + k)
             rhs = 0.0
-            cf, cg = fm, gm
-            for k in range(max(fm.degree, gm.degree, 0) + 1):
+            cf, cg = f, g
+            for k in range(max(f.degree, g.degree, 0) + 1):
                 rhs += ((-1) ** k * float(cf.eval(Fraction(0))) *
                         float(cg.eval(Fraction(0))) * x ** k / math.factorial(k))
                 cf = apply_operator(forward_difference(1), cf)

@@ -323,18 +323,29 @@ def test_console_entry_point_importable():
     assert callable(cli.main)
 
 
-def _loaded_after(argvs, modules):
-    """Run each argv through main() in one fresh interpreter; return which
-    of the named modules are then loaded."""
-    code = "import sys\nfrom ftcalc.cli import main\n"
-    code += "".join(f"assert main({argv!r}) == 0\n" for argv in argvs)
-    code += f"print(sorted(m for m in {modules!r} if m in sys.modules))\n"
+def _loaded(code, modules):
+    """Run code in one fresh interpreter; return which of the named modules
+    are then loaded."""
+    code += f"\nimport sys\nprint(sorted(m for m in {modules!r} if m in sys.modules))\n"
     src = os.path.dirname(os.path.dirname(ftcalc.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     return proc.stdout.splitlines()[-1]
+
+
+def _loaded_after(argvs, modules):
+    """Run each argv through main() in one fresh interpreter; return which
+    of the named modules are then loaded."""
+    code = "from ftcalc.cli import main\n"
+    code += "".join(f"assert main({argv!r}) == 0\n" for argv in argvs)
+    return _loaded(code, modules)
+
+
+def test_numeric_layer_loads_no_exact_transforms():
+    """transforms_numeric takes its integer kernels from polynomial alone."""
+    assert _loaded("import ftcalc.transforms_numeric", ("ftcalc.transforms_exact",)) == "[]"
 
 
 def test_exact_subcommands_load_no_numeric_layer():

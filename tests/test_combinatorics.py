@@ -19,7 +19,7 @@ from ftcalc.combinatorics import (
     bernoulli,
     binomial_general,
     falling_factorial,
-    lah_row,
+    lah_terms,
     rising_factorial,
     stirling_first_signed,
     stirling_first_unsigned,
@@ -195,4 +195,4 @@ def test_lah_rows_match_closed_form():
     for n in range(61):
         want = [int(n == 0)] + [math.comb(n - 1, k - 1) * math.factorial(n) // math.factorial(k)
                                 for k in range(1, n + 1)]
-        assert lah_row(n) == want
+        assert list(lah_terms(n)) == want

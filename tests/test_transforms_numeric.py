@@ -370,8 +370,17 @@ def test_gamma_support_values():
     assert abs(gamma_support(5.0) - 24.0) < 1e-10
     assert abs(gamma_support(-0.5) + 2 * math.sqrt(math.pi)) < 1e-10
     for pole in (0.0, -1.0, -3.0):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pole"):
             gamma_support(pole)
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite argument"):
+            gamma_support(x)
+    for x in (171.7, 1e6):
+        with pytest.raises(ValueError, match="overflows a float"):
+            gamma_support(x)
+    for n in (0, 2.5, 1.0):
+        with pytest.raises(ValueError, match="positive integer"):
+            incomplete_gamma_upper(n, 1.0)
 
 
 def test_zeta_formal_series_contract():
@@ -575,12 +584,19 @@ _FRACTIONAL_PROVIDERS = {
 }
 
 
+def _ref_newton_sum(coeffs, s, cfg):
+    """The Fraction route over the (numerator, denominator) pairs the
+    fractional operators prepare."""
+    pairs = list(coeffs)
+    return _ref_fft_fn(taylor_source(lambda n: Fraction(*pairs[n])), s, cfg)
+
+
 @pytest.mark.parametrize("order", _ARGUMENTS)
 @pytest.mark.parametrize("kind", sorted(_FRACTIONAL_PROVIDERS))
 def test_fractional_derivative_matches_fraction_route(monkeypatch, kind, order):
     src = taylor_source(_FRACTIONAL_PROVIDERS[kind])
     got = _outcome(lambda: fractional_derivative(src, order))
-    monkeypatch.setattr(transforms_numeric, "fft_fn", _ref_fft_fn)
+    monkeypatch.setattr(transforms_numeric, "_newton_sum", _ref_newton_sum)
     assert got == _outcome(lambda: fractional_derivative(src, order))
     assert (got[0] == "NonConvergenceError") == (kind == "int")
 
@@ -631,10 +647,24 @@ def test_provider_value_error_propagates():
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
 def test_series_reject_non_finite_arguments(x):
-    with pytest.raises(ValueError, match="finite argument"):
+    with pytest.raises(ValueError, match="^fft_fn.*finite argument"):
         fft_fn(exp_taylor(0.5), x)
-    with pytest.raises(ValueError, match="finite argument"):
+    with pytest.raises(ValueError, match="^ifft_fn.*finite argument"):
         ifft_fn(samples_source(math.factorial), x)
+    with pytest.raises(ValueError, match="^rft_fn.*finite argument"):
+        rft_fn(math.exp, x)
+    with pytest.raises(ValueError, match="^fractional_difference.*finite argument"):
+        fractional_difference(math.exp, 0.5, t=x)
+
+
+@pytest.mark.parametrize("field,value", [("truncation_N", 2.5), ("truncation_N", 0),
+                                         ("tolerance", math.inf), ("tolerance", math.nan),
+                                         ("tolerance", 0.0)])
+def test_numeric_config_rejects_invalid_fields(field, value):
+    """truncation_N is an int >= 1 and tolerance finite and positive; an
+    infinite tolerance would stop every series after three terms."""
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        NumericConfig(**{field: value})
 
 
 def test_egf_damping_out_of_range_raises_nonconvergence():
