@@ -231,8 +231,9 @@ def _laguerre_rule(n: int, alpha: float):
     return xs, ws
 
 
-# rft_fn's rules, built once per (n, alpha); a rule that raises is not kept
-_gauss_laguerre_rule = functools.cache(_laguerre_rule)
+# rft_fn's rules, kept per (n, alpha) for the 32 most recent values of s, as
+# each s needs an 80- and a 160-node rule; a rule that raises is not kept
+_gauss_laguerre_rule = functools.lru_cache(maxsize=64)(_laguerre_rule)
 
 
 # Relative distance at which two epsilon-table entries count as equal up to
@@ -475,15 +476,22 @@ def rft_fn(f: Callable[[float], float], s: float,
     generalized weight t^(s-1) e^(-t), the second for e^(-t) with t^(s-1)
     folded into each node's weight; the fine sum is the value and its change
     from the coarse one the error estimate. 'tanh_sinh' is mpmath
-    double-exponential quadrature with mpmath's error estimate; it is
-    required when the weighted integrand has an algebraically heavy tail
-    that defeats Gauss-Laguerre, at the cost of needing an mpmath-safe
-    callable.
+    double-exponential quadrature at 25 digits with mpmath's error estimate;
+    it is required when the weighted integrand has an algebraically heavy
+    tail that defeats Gauss-Laguerre, at the cost of needing an mpmath-safe
+    callable. Below s = 1 it integrates the head t in [0, 1] in u = t^s,
+    which takes the branch point of t^(s-1) at 0 out of the integrand
+    (Takahasi & Mori 1974; Davis & Rabinowitz 1984, 2.12), so s down to
+    2^-53 returns for f smooth at 0. The tail t >= 1, and from s = 1 on the
+    whole range, is integrated in t, where an algebraic tail such as
+    t^(s-2) still converges slowly.
 
     One check accepts every scheme's result: the value is finite and its
     error estimate is at most 1e-7 * max(1, |value|). Raises QuadratureError
     when a result fails it, a NaN from f included, or a float overflows in a
-    rule or its integrand, and ValueError for s not finite and positive, or
+    rule or its integrand, or the integrand divides by zero (for s < 1
+    tanh_sinh evaluates f down to t = 1e-29^(1/s), where a pole of f at 0
+    shows), and ValueError for s not finite and positive, or
     past s = 171.62 for the two Gauss-Laguerre schemes, which normalize by a
     float Gamma(s).
     """
@@ -496,13 +504,27 @@ def rft_fn(f: Callable[[float], float], s: float,
 
         with _mp_lock, mp.workdps(25):
             ss = mp.mpf(s)
+            # Below s = 1, t^(s-1) has a branch point at 0. The head t < 1 is
+            # then integrated in u = t^s, where t^(s-1) dt = du / s leaves
+            # f(t) e^(-t) / s with t = u^(1/s), smooth at u = 0 when f is;
+            # the tail t > 1 stays in t. From s = 1 on, the integrand is the
+            # plain one throughout. One quad over [0, 1, inf] sums both parts
+            # and their estimates; none of its nodes at 25 digits is 1.
+            p = 1 / ss
+
+            def integrand(x):
+                if s < 1 and x < 1:
+                    t = x ** p
+                    return f(t) * mp.exp(-t) * p
+                return f(x) * mp.exp((ss - 1) * mp.ln(x) - x)
+
             try:
-                val, err = mp.quad(
-                    lambda t: f(t) * mp.exp((ss - 1) * mp.ln(t) - t),
-                    [0, 1, mp.inf], error=True,
-                )
+                val, err = mp.quad(integrand, [0, 1, mp.inf], error=True)
             except OverflowError:
                 raise QuadratureError(f"tanh_sinh: the integrand overflows a float "
+                                      f"for s = {s}") from None
+            except ZeroDivisionError:
+                raise QuadratureError(f"tanh_sinh: the integrand divides by zero "
                                       f"for s = {s}") from None
             gamma_s = mp.gamma(ss)
             val, err = float(val / gamma_s), float(abs(err) / gamma_s)
@@ -626,15 +648,24 @@ def gamma_support(x: float) -> float:
 
 
 def incomplete_gamma_upper(n: int, x: float) -> float:
-    """Upper incomplete gamma Gamma(n, x) for integer n >= 1, any real x.
+    """Upper incomplete gamma Gamma(n, x) for integer n >= 1, any finite real x.
 
     Closed form (n-1)! e^{-x} sum_{k<n} x^k/k!; valid (as the analytic
-    continuation) for negative x as well.
+    continuation) for negative x as well. Raises ValueError for a non-finite
+    x and where the closed form overflows a float: (n-1)!, e^{-x} or a power
+    x^k can do so even where Gamma(n, x) itself would fit.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("order n must be a positive integer")
-    acc = math.fsum(x ** k / math.factorial(k) for k in range(n))
-    return math.factorial(n - 1) * math.exp(-x) * acc
+    _argument_ratio(x, "incomplete_gamma_upper")
+    try:
+        acc = math.fsum(x ** k / math.factorial(k) for k in range(n))
+        value = math.factorial(n - 1) * math.exp(-x) * acc
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"incomplete_gamma_upper: Gamma({n}, {x}) overflows a float")
+    return value
 
 
 def zeta_formal_series(s: float, N: int) -> tuple[float, list[float]]:

@@ -8,6 +8,7 @@ tested separately from accuracy.
 """
 
 import math
+import re
 from fractions import Fraction
 from itertools import count, islice, product
 
@@ -219,6 +220,61 @@ def test_rft_fn_below_float_resolution_of_s_is_documented_error():
         rft_fn(math.cos, 1e-300)
 
 
+@pytest.mark.parametrize("f,s,want", [
+    *((lambda t: mp.exp(-t / 2), s, 1.5 ** -s) for s in (2 ** -53, 1e-14, 1e-6, 0.1, 1 / 3, 0.5)),
+    *((mp.cos, s, 2 ** (-s / 2) * math.cos(s * math.pi / 4)) for s in (1e-6, 0.1)),
+])
+def test_tanh_sinh_small_s_matches_closed_form(f, s, want):
+    """Below s = 1 the head is integrated in u = t^s, where t^(s-1) dt = du / s,
+    so tanh_sinh returns the transform down to s = 2^-53."""
+    assert abs(rft_fn(f, s, QuadratureSpec(scheme="tanh_sinh")) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("f", [lambda t: mp.e ** (-t / 2), lambda t: mp.e ** t / (mp.e ** t - 1)],
+                         ids=["exp(-t/2)", "zeta"])
+@pytest.mark.parametrize("s", [1, 1.5, 2, 3.2, 115])
+def test_tanh_sinh_from_s_1_is_the_plain_integral(f, s):
+    """From s = 1 on, the head is not mapped: value and estimate are those of
+    one 25-digit quad of f(t) t^(s-1) e^(-t) over [0, 1, inf], to the bit.
+    Where that fails the acceptance check (the zeta integrand diverges at
+    s = 1), the rejection names the same value and estimate."""
+    with mp.workdps(25):
+        ss = mp.mpf(s)
+        val, err = mp.quad(lambda t: f(t) * mp.exp((ss - 1) * mp.ln(t) - t), [0, 1, mp.inf],
+                           error=True)
+        val, err = float(val / mp.gamma(ss)), float(abs(err) / mp.gamma(ss))
+    spec = QuadratureSpec(scheme="tanh_sinh")
+    if err <= 1e-7 * max(1.0, abs(val)):
+        r = rft_fn(f, s, spec)
+        assert (float(r).hex(), r.error_estimate.hex()) == (val.hex(), err.hex())
+    else:
+        message = f"value {val!r}, error estimate {err:.3e}"
+        with pytest.raises(QuadratureError, match=re.escape(message)):
+            rft_fn(f, s, spec)
+
+
+def test_tanh_sinh_reports_a_pole_of_f_at_zero():
+    """Below s = 1 the head evaluates f so near 0 that e^t - 1 is 0 at 25
+    digits; the integral diverges there, and the error names the division."""
+    with pytest.raises(QuadratureError, match="^tanh_sinh: the integrand divides by zero"):
+        rft_fn(lambda t: mp.e ** t / (mp.e ** t - 1), 0.5, QuadratureSpec(scheme="tanh_sinh"))
+
+
+def test_gauss_laguerre_rule_cache_is_bounded(monkeypatch):
+    """A sweep over 100 values of s keeps at most 64 rules, two per s, and a
+    value of s whose rules were evicted gives the same bits again."""
+    monkeypatch.setattr(transforms_numeric, "_NODES", 4)  # cheap rules, exact on t^2
+    cache = transforms_numeric._gauss_laguerre_rule
+    cache.cache_clear()
+    sweep = [0.5 + i / 100 for i in range(100)]
+    first = [rft_fn(lambda t: t * t, s) for s in sweep]
+    assert cache.cache_info().currsize <= 64
+    assert all(abs(r - s * (s + 1)) <= 1e-12 * s * (s + 1) for r, s in zip(first, sweep))
+    again = [rft_fn(lambda t: t * t, s) for s in sweep[:3]]
+    assert ([(float(r).hex(), r.error_estimate.hex()) for r in again]
+            == [(float(r).hex(), r.error_estimate.hex()) for r in first[:3]])
+
+
 def test_laguerre_rule_refuses_overflowing_weights():
     """The weights sum to Gamma(alpha + 1), past the float range at alpha = 175."""
     with pytest.raises(QuadratureError, match="overflows"):
@@ -378,6 +434,12 @@ def test_gamma_support_values():
     for x in (171.7, 1e6):
         with pytest.raises(ValueError, match="overflows a float"):
             gamma_support(x)
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite argument"):
+            incomplete_gamma_upper(2, x)
+    for n, x in ((3, -1000.0), (400, 1e3)):
+        with pytest.raises(ValueError, match=r"Gamma\(\d+, .*\) overflows a float"):
+            incomplete_gamma_upper(n, x)
     for n in (0, 2.5, 1.0):
         with pytest.raises(ValueError, match="positive integer"):
             incomplete_gamma_upper(n, 1.0)
