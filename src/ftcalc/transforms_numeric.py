@@ -1,9 +1,10 @@
 """Floating-point transforms on functions.
 
 Newton sums (falling transform of Taylor sources), EGF series (inverse
-transforms of integer samples), Gauss-Laguerre quadrature for the rising
-transform, fractional derivatives/differences, and the gamma-function
-support used by the verification checks.
+transforms of integer samples), quadrature for the rising transform
+(Gauss-Laguerre rules, or mpmath tanh-sinh at 25 digits), fractional
+derivatives/differences, and the gamma-function support used by the
+verification checks.
 
 Numeric policy: a series stops once three successive terms fall below the
 NumericConfig tolerance relative to its partial sum. When direct
@@ -124,7 +125,8 @@ class QuadratureSpec:
 _NODES = 80
 
 # mpmath working precision is process-global state; serialize tanh_sinh use
-# so concurrent callers cannot corrupt each other's precision context.
+# so concurrent callers cannot corrupt each other's precision context. The
+# lock also guards the node tables of _tanh_sinh_table.
 _mp_lock = threading.Lock()
 
 # Halley steps allowed per node. From the starting guesses in
@@ -234,6 +236,18 @@ def _laguerre_rule(n: int, alpha: float):
 # rft_fn's rules, kept per (n, alpha) for the 32 most recent values of s, as
 # each s needs an 80- and a 160-node rule; a rule that raises is not kept
 _gauss_laguerre_rule = functools.lru_cache(maxsize=64)(_laguerre_rule)
+
+
+@functools.lru_cache(maxsize=8)
+def _tanh_sinh_table(s_ratio: tuple[int, int]) -> dict:
+    """tanh_sinh's node table for s = u/q, kept for the 8 most recent values
+    of s: each mpmath node's raw mpf tuple maps to the factors of the
+    integrand there that do not depend on f. rft_fn fills it only from the
+    second call for its s on, as mpmath's own node cache does, since one
+    verify pass uses most values of s once. A table holds about 362 nodes
+    (90 KB), and up to 1442 (0.42 MB) for an integrand that is slow to
+    converge."""
+    return {}
 
 
 # Relative distance at which two epsilon-table entries count as equal up to
@@ -484,18 +498,23 @@ def rft_fn(f: Callable[[float], float], s: float,
     (Takahasi & Mori 1974; Davis & Rabinowitz 1984, 2.12), so s down to
     2^-53 returns for f smooth at 0. The tail t >= 1, and from s = 1 on the
     whole range, is integrated in t, where an algebraic tail such as
-    t^(s-2) still converges slowly.
+    t^(s-2) still converges slowly. The part of the integrand that does not
+    depend on f, t and its weight at each mpmath node, is kept per s in
+    _tanh_sinh_table from the second call for that s on; the values and
+    estimates are those of computing it at every call, to the bit. A
+    Fraction s is read exactly, as on the other schemes.
 
     One check accepts every scheme's result: the value is finite and its
     error estimate is at most 1e-7 * max(1, |value|). Raises QuadratureError
     when a result fails it, a NaN from f included, or a float overflows in a
-    rule or its integrand, or the integrand divides by zero (for s < 1
+    rule or its integrand, or f returns a value that is not real, such as a
+    complex, or the integrand divides by zero (for s < 1
     tanh_sinh evaluates f down to t = 1e-29^(1/s), where a pole of f at 0
     shows), and ValueError for s not finite and positive, or
     past s = 171.62 for the two Gauss-Laguerre schemes, which normalize by a
     float Gamma(s).
     """
-    _argument_ratio(s, "rft_fn")
+    u, q = _argument_ratio(s, "rft_fn")
     if not (s > 0):
         raise ValueError("rft_fn requires s > 0")
 
@@ -503,7 +522,7 @@ def rft_fn(f: Callable[[float], float], s: float,
         import mpmath as mp
 
         with _mp_lock, mp.workdps(25):
-            ss = mp.mpf(s)
+            ss = mp.mpf(u) / q  # exact for a float s
             # Below s = 1, t^(s-1) has a branch point at 0. The head t < 1 is
             # then integrated in u = t^s, where t^(s-1) dt = du / s leaves
             # f(t) e^(-t) / s with t = u^(1/s), smooth at u = 0 when f is;
@@ -511,12 +530,24 @@ def rft_fn(f: Callable[[float], float], s: float,
             # plain one throughout. One quad over [0, 1, inf] sums both parts
             # and their estimates; none of its nodes at 25 digits is 1.
             p = 1 / ss
+            # a lookup that hits finds s seen before: this call fills the table
+            hits = _tanh_sinh_table.cache_info().hits
+            table = _tanh_sinh_table((u, q))
+            fill = _tanh_sinh_table.cache_info().hits > hits
 
             def integrand(x):
-                if s < 1 and x < 1:
-                    t = x ** p
-                    return f(t) * mp.exp(-t) * p
-                return f(x) * mp.exp((ss - 1) * mp.ln(x) - x)
+                # (t, w, head) at node x: the integrand is f(t) w, times p in the head
+                entry = table.get(x._mpf_)
+                if entry is None:
+                    if s < 1 and x < 1:
+                        t = x ** p
+                        entry = t, mp.exp(-t), True
+                    else:
+                        entry = x, mp.exp((ss - 1) * mp.ln(x) - x), False
+                    if fill:
+                        table[x._mpf_] = entry
+                t, w, head = entry
+                return f(t) * w * p if head else f(t) * w
 
             try:
                 val, err = mp.quad(integrand, [0, 1, mp.inf], error=True)
@@ -526,6 +557,8 @@ def rft_fn(f: Callable[[float], float], s: float,
             except ZeroDivisionError:
                 raise QuadratureError(f"tanh_sinh: the integrand divides by zero "
                                       f"for s = {s}") from None
+            if isinstance(val, mp.mpc):
+                raise QuadratureError(f"tanh_sinh: the integrand is not real for s = {s}")
             gamma_s = mp.gamma(ss)
             val, err = float(val / gamma_s), float(abs(err) / gamma_s)
     else:
@@ -546,7 +579,12 @@ def rft_fn(f: Callable[[float], float], s: float,
             """sum_i weight(x_i, w_i) f(x_i) over the m-node rule, skipping w_i = 0."""
             xs, ws = _gauss_laguerre_rule(m, alpha)
             try:
-                return math.fsum(weight(x, w) * f(x) for x, w in zip(xs, ws) if w > 0)
+                terms = [weight(x, w) * f(x) for x, w in zip(xs, ws) if w > 0]
+                try:
+                    return math.fsum(terms)
+                except TypeError:  # a term fsum cannot read as a float, such as a complex
+                    raise QuadratureError(f"{quad.scheme}: the integrand is not real "
+                                          f"for s = {s}") from None
             except OverflowError:
                 raise QuadratureError(f"{quad.scheme}: the integrand overflows a float on the "
                                       f"{m}-node rule for s = {s}") from None
