@@ -9,12 +9,12 @@ they are read.
 Every kernel reads and writes that integer vector: it loops on Python ints
 over the denominator its caller tracks, and hands the numerators to the
 next kernel; both transform layers take from here the difference table
-that multiplies an EGF by e^{rx}. A public operation reduces once, when it
-builds its result. A conversion is one pass over a triangle of Stirling
-numbers to or from the monomial basis, and of Lah numbers between the
-factorial bases; the triangles are unimodular, so a conversion keeps the
-denominator and lowest terms. A product in any basis is one convolution in
-the monomial basis, between conversions.
+that multiplies an EGF by e^{rx}, one output per input read. A public
+operation reduces once, when it builds its result. A conversion is one pass
+over a triangle of Stirling numbers to or from the monomial basis, and of
+Lah numbers between the factorial bases; the triangles are unimodular, so a
+conversion keeps the denominator and lowest terms. A product in any basis
+is one convolution in the monomial basis, between conversions.
 
 Each basis is the basic sequence of its own lowering operator, L b_n =
 n b_(n-1): d on x^n, the forward difference D on (x)_n and the backward
@@ -25,7 +25,8 @@ EGF weights W, read as sum_j W_j L^j / j!, in one basis or more. One
 binomial kernel applies them in the input's own basis; for a basis the row
 lacks, the weights are translated there through the triangle a conversion
 reads, and the input is never converted. Weights a^j in their own basis (the
-shift on x^n, e^{aD} on (x)_n) run as integer Horner Taylor shifts instead.
+shift on x^n, e^{aD} on (x)_n) run as integer Taylor shifts instead, one
+pass of additions per coefficient, so a caller pays only for those it reads.
 The series terminate because L is nilpotent on polynomials. scale_op,
 a^{x nabla}, is diagonal on the falling basis.
 """
@@ -39,7 +40,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate, repeat, zip_longest
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .combinatorics import bernoulli, lah_terms, stirling_row
 
@@ -311,23 +312,25 @@ def _convolve(pn: Sequence[int], qn: Sequence[int]) -> list[int]:
     return out
 
 
-def _pascal(v: Sequence[int], r: int, m: int) -> list[int]:
-    """h_k = sum_n binom(k,n) r^(k-n) v_n for k < m, on integers: the EGF
-    of v times e^{rx}.
+def _pascal(v: Iterable[int], r: int) -> Iterator[int]:
+    """h_k = sum_n binom(k,n) r^(k-n) v_n on integers, yielded once v_k is
+    read: the EGF of v times e^{rx}.
 
-    h_k = ((E + r)^k v)_0 for the shift (E v)_n = v_(n+1), so one
-    difference table gives every h_k in m^2/2 steps row_i <- row_(i+1) +
-    r row_i: an addition, and a product with the small r unless r = +-1,
-    where a direct sum multiplies by binom(k,n) r^(k-n). v may stop early,
-    its missing terms are zero.
+    h_k = ((E + r)^k v)_0 for the shift (E v)_n = v_(n+1), the corner of a
+    difference table row_(i+1) = E row_i + r row_i with row_0 = v (Knuth,
+    TAOCP Vol. 2, 4.6.4, tabulating by differences). The table is built one
+    antidiagonal at a time: v_k starts the next one, whose entries are the
+    prefix sums b_(i+1) = b_i + r a_i over the last one, a, and whose end is
+    h_k. The first m outputs take m^2/2 steps, an addition or a subtraction
+    for r = +-1 and else also a product with the small r, and read only
+    v_0..v_(m-1).
     """
-    row = list(v[:m]) + [0] * (m - len(v))
     step = operator.sub if r == -1 else operator.add
-    out = []
-    for _ in range(m):
-        out.append(row[0])
-        row = list(map(step, row[1:], row if abs(r) == 1 else map(operator.mul, row, repeat(r))))
-    return out
+    diagonal: list[int] = []
+    for a in v:
+        diagonal = list(accumulate(diagonal if abs(r) == 1 else
+                                   map(operator.mul, diagonal, repeat(r)), step, initial=a))
+        yield diagonal[-1]
 
 
 # --- operator calculus -----------------------------------------------------
@@ -455,27 +458,39 @@ def _powers(step: int, op: OperatorExpr, n: int) -> tuple[list[int], int]:
     return [w * q ** (top - j) for j, w in zip(range(n), out)], q ** top
 
 
-def _taylor_shift(op: OperatorExpr, nums: Sequence[int]) -> tuple[Sequence[int], int]:
+def _taylor_shift(op: OperatorExpr, nums: Sequence[int]) -> tuple[Iterator[int], int]:
     """e^{aL} for a = op.a on numerators in a basis with L b_n = n b_(n-1):
     out_i = sum_j binom(i+j, j) a^j c_(i+j), the coefficients of p(x + a)
-    for p = sum_j c_j x^j.
+    for p = sum_j c_j x^j. Returns the out_i numerators, computed one at a
+    time as they are read, and their common denominator.
 
     For a = u/q, p(x + a) q^(n-1) = sum_j r_j (y + u)^j at y = q x, with
-    r_j = c_j q^(n-1-j). Horner's Taylor shift by u (von zur Gathen &
-    Gerhard, "Fast algorithms for Taylor shifts and certain difference
-    equations", ISSAC 1997, method H) takes r_j += u r_(j+1) over the Pascal
-    triangle; its updates on one antidiagonal are independent, so each
-    antidiagonal is one slice step. The result r_i q^i is over q^(n-1).
+    r_j = c_j q^(n-1-j). In the form of Shaw & Traub ("On the number of
+    multiplications for the evaluation of a polynomial and some of its
+    derivatives", J. ACM 21, 1974), the shift by u is the shift by 1 of the
+    scaled s_j = r_j u^j, whose coefficient i is divided by u^i. Horner's
+    shift by 1 (von zur Gathen & Gerhard, "Fast algorithms for Taylor shifts
+    and certain difference equations", ISSAC 1997, method H) is a pass of
+    suffix sums per coefficient: pass i replaces each s_j, j >= i, by
+    s_j + ... + s_(n-1), and s_i is then final. So coefficient i costs n - i
+    additions and one exact division, the whole vector n^2/2 additions and
+    no product in the loop. The result r_i q^i is over q^(n-1).
     """
-    if not op.a:
-        return nums, 1
-    n = len(nums)
     u, q = op.a.numerator, op.a.denominator
+    if not (u and nums):
+        return iter(nums), 1
+    n = len(nums)
     qpow = list(accumulate(repeat(q, n - 1), operator.mul, initial=1))
-    r = list(map(operator.mul, nums, reversed(qpow)))
-    for lo in reversed(range(n - 1)):
-        r[lo:n - 1] = map(operator.add, r[lo:n - 1], map(operator.mul, r[lo + 1:], repeat(u)))
-    return list(map(operator.mul, r, qpow)), qpow[-1]
+    upow = list(accumulate(repeat(u, n - 1), operator.mul, initial=1))
+
+    def rows() -> Iterator[int]:
+        # s reversed, so each pass of suffix sums is a prefix sum that ends at s_i
+        tail = list(map(operator.mul, map(operator.mul, reversed(nums), qpow), reversed(upow)))
+        for qi, ui in zip(qpow, upow):
+            tail = list(accumulate(tail))
+            yield tail.pop() // ui * qi
+
+    return rows(), qpow[-1]
 
 
 # kind -> {basis: (op, n) -> the op's EGF weights for n coefficients in that
@@ -507,7 +522,8 @@ def apply_operator(op: OperatorExpr, p: BasisPolynomial) -> BasisPolynomial:
         return _scale_coeffs(p, Basis.FALLING, op.a)
     rows = _SERIES[op.kind]
     if rows.get(p.basis) is _GEOMETRIC:
-        nums, factor = _taylor_shift(op, p.nums)
+        shifted, factor = _taylor_shift(op, p.nums)
+        nums = list(shifted)
     else:
         basis = p.basis if p.basis in rows else next(iter(rows))
         weights, factor = rows[basis](op, len(p.nums))

@@ -14,9 +14,9 @@ on EGF coefficients. Each source is sampled once at 0..m-1, a polynomial
 through its falling coefficients c as p(n) = sum_j binom(n,j) j! c_j, the
 same product against 1s. Two integer kernels compute it: one direct sum per
 h_k for a general u, here, and the polynomial layer's difference table of
-additions for all h_k, k < m, against u_n = r^n. Samples and sums stay
-integer numerators over one denominator; a Fraction is built only for a
-returned value.
+additions against u_n = r^n, whose first m outputs read only the first m
+inputs and give every h_k, k < m. Samples and sums stay integer numerators
+over one denominator; a Fraction is built only for a returned value.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, count, islice, repeat
 from typing import Callable, Iterable, Sequence, Union
 
 from .polynomial import (
@@ -76,6 +76,13 @@ def _binomial(u: Sequence[int], v: Sequence[int], ks: Iterable[int]) -> list[int
     return out
 
 
+def _times_exp(v: Iterable[int], r: int, m: int) -> list[int]:
+    """h_k for k < m of the EGF of v times e^{rx}: the first m outputs of the
+    difference table, reading v only that far; v may stop early, its missing
+    terms are zero."""
+    return list(islice(_pascal(chain(v, repeat(0)), r), m))
+
+
 def _signs(m: int) -> list[int]:
     return [(-1) ** n for n in range(m)]
 
@@ -90,7 +97,8 @@ def _samples(f: SequenceSource, m: int) -> tuple[list[int], int]:
     if not isinstance(f, BasisPolynomial):
         return _integers(map(f, range(m)))
     c = convert_basis(f, Basis.FALLING)
-    return _pascal([math.factorial(j) * a for j, a in enumerate(c.nums)], 1, m), c.den
+    factorials = accumulate(count(1), operator.mul, initial=1)
+    return _times_exp(map(operator.mul, c.nums, factorials), 1, m), c.den
 
 
 def binomial_transform(f: SequenceSource, x: int) -> Fraction:
@@ -158,7 +166,7 @@ def coefficient_extract(f: SequenceSource, n: int) -> Fraction:
     else:
         a, d = _samples(f, n + 1)
     egf = [math.factorial(j) * c for j, c in enumerate(a)]
-    weighted = _pascal(egf, -1, n + 1)
+    weighted = _times_exp(egf, -1, n + 1)
     return Fraction(_binomial([1] * (n + 1), weighted, [n])[0], d * math.factorial(n))
 
 
@@ -173,7 +181,7 @@ def newton_from_samples(f: SequenceSource, degree: int) -> BasisPolynomial:
         raise ValueError("degree must be nonnegative")
     m = degree + 1
     v, d = _samples(f, m)
-    diffs = _pascal(v, -1, m)
+    diffs = _times_exp(v, -1, m)
     # D^j f(0) / j! = D^j f(0) (m-1)!/j! over (m-1)!
     ratios = accumulate(range(m - 1, 0, -1), operator.mul, initial=1)
     return _reduced(Basis.FALLING, list(map(operator.mul, diffs, reversed(list(ratios)))),

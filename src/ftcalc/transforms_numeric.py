@@ -17,9 +17,11 @@ agreement, otherwise the magnitude of the first omitted weighted term.
 The fractional operators prepare their series exactly for every input, a
 float read as its dyadic value, on one integer vector: the inputs become
 numerators over one denominator, the derivative Taylor-shifts them to t,
-one difference-table pass multiplies by e^{-rate x}, and fft_fn's Newton
-sum reads each Taylor coefficient as an unreduced (numerator, denominator)
-pair, which its int true division rounds correctly without a gcd.
+the difference table multiplies by e^{-rate x}, and fft_fn's Newton sum
+reads each Taylor coefficient as an unreduced (numerator, denominator)
+pair, which its int true division rounds correctly without a gcd. The
+shift and the table each compute one coefficient per coefficient the
+Newton sum reads, so a sum that stops early prepares no more.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate, count
 from typing import Callable, Iterable, Iterator, Sequence, Union
@@ -388,32 +391,45 @@ def _argument_ratio(x: Number, what: str) -> tuple[int, int]:
         raise ValueError(f"{what} needs a finite argument, got {x!r}") from None
 
 
-# Both series below form term n as one exact rational U*c / (D*d): c/d is
-# the coefficient or sample, and U/D is the argument's factor, kept as a
-# running pair of ints over the argument's ratio u/q (q a power of two for
-# a float). Python's int true division rounds that rational correctly, so
-# each term is the float of its exact value, as a Fraction product would
-# give, without a gcd per step. Factors like (s)_n and x^n/n! leave the
-# float range long before the terms do, so they are never rounded alone.
+# Both series below form term n as one exact rational U*c / (D*d 2^e): c/d
+# is the coefficient or sample, and U/(D 2^e) is the argument's factor, kept
+# as running ints over the argument's ratio u/q. The power of two in
+# q = odd 2^k is carried as the exponent e = k n, applied as one left shift
+# of the term's denominator, and D holds only the odd part: for a float
+# argument, where odd = 1, the steps multiply only U. Python's int true
+# division rounds that rational correctly, so each term is the float of its
+# exact value, as a Fraction product would give, without a gcd per step.
+# Factors like (s)_n and x^n/n! leave the float range long before the terms
+# do, so they are never rounded alone.
+
+def _dyadic(q: int) -> tuple[int, int]:
+    """(odd, k) with q = odd 2^k, for q > 0."""
+    k = (q & -q).bit_length() - 1
+    return q >> k, k
+
 
 def _newton_terms(coeffs: Iterable[tuple[int, int]], u: int, q: int) -> Iterator[float]:
     """(s)_n c/d for s = u/q and the n-th pair (c, d) of coeffs, d > 0 and not
-    necessarily in lowest terms: U = prod_{j<n} (u - j q), D = q^n."""
-    U, D = 1, 1
+    necessarily in lowest terms: U = prod_{j<n} (u - j q), D 2^e = q^n."""
+    odd, k = _dyadic(q)
+    U, D, e = 1, 1, 0
     for n, (c, d) in enumerate(coeffs):
-        yield U * c / (D * d)
+        yield U * c / ((D * d) << e)
         U *= u - n * q
-        D *= q
+        D *= odd
+        e += k
 
 
 def _egf_terms(sample: Callable[[int], Number], u: int, q: int) -> Iterator[float]:
-    """sample(n) x^n / n! for x = u/q: U = u^n, D = q^n n!."""
-    U, D = 1, 1
+    """sample(n) x^n / n! for x = u/q: U = u^n, D 2^e = q^n n!."""
+    odd, k = _dyadic(q)
+    U, D, e = 1, 1, 0
     for n in count():
         c, d = _ratio(sample(n))
-        yield U * c / (D * d)
+        yield U * c / ((D * d) << e)
         U *= u
-        D *= q * (n + 1)
+        D *= odd * (n + 1)
+        e += k
 
 
 def fft_fn(src: SeriesSource, s: float, cfg: NumericConfig = NumericConfig()) -> NumericResult:
@@ -618,19 +634,18 @@ def _exact_inputs(value_at: Callable[[int], Number], m: int,
     return _integers(values)
 
 
-def _damped_newton_sum(egf: Sequence[int], den: int, rate: int, order: float,
+def _damped_newton_sum(egf: Iterable[int], den: int, rate: int, order: float,
                        cfg: NumericConfig) -> NumericResult:
-    """fft_fn at s = order of e^{-rate x} g(x), g given by its EGF
-    coefficients egf[n] / den (missing ones are zero).
+    """fft_fn at s = order of e^{-rate x} g(x), g given by at least
+    truncation_N + 1 EGF coefficients, the numerators egf over den.
 
-    The product is one difference-table pass against (-rate)^n on the
-    numerators; Taylor coefficient k is then h_k / (k! den), handed to the
-    Newton terms unreduced.
+    The product is the difference table against (-rate)^n on the
+    numerators, fed one numerator per Taylor coefficient the Newton sum
+    reads; coefficient k is then h_k / (k! den), handed to the Newton terms
+    unreduced.
     """
-    count = cfg.truncation_N + 1
-    damped = _pascal(egf, -rate, count)
-    return _newton_sum(zip(damped, accumulate(range(1, count), operator.mul, initial=den)),
-                       order, cfg)
+    dens = accumulate(range(1, cfg.truncation_N + 1), operator.mul, initial=den)
+    return _newton_sum(zip(_pascal(egf, -rate), dens), order, cfg)
 
 
 def fractional_derivative(src: SeriesSource, order: float, t: Number = 0,
@@ -640,23 +655,24 @@ def fractional_derivative(src: SeriesSource, order: float, t: Number = 0,
     Realized as the falling transform of e^{-x} f(x + t): shift the Taylor
     coefficients to t, multiply by e^{-x}, Newton-sum at s = order.
 
-    Cost: the shift and the e^{-x} pass each take about N^2/2 integer steps,
-    an addition and at most a product with a small int, for N =
-    truncation_N. Their numerators share one denominator, with about
-    N (b + log2 N) bits beyond the inputs' own, b the bits of t's
-    denominator, so the cost grows as N^3 (b + log N). On a 2-core VM a
-    float t = 1/3 (b = 54) takes about 0.1 s at N = 256 and 0.8 s at
-    N = 512; t = Fraction(1, 3) about 0.15 s at N = 512.
+    Cost: the series is prepared only as far as the Newton sum reads it.
+    The jet of M = N + 33 Taylor coefficients, N = truncation_N, is read
+    and scaled in full, as shifted coefficient 0 depends on every jet term;
+    then each of the K coefficients the sum reads costs one pass of about
+    M additions for the shift to t and one of k for the e^{-x} product,
+    about K M + K^2/2 integer additions in all. Their numerators share one
+    denominator, with about M (b + log2 M) bits beyond the inputs' own, b
+    the bits of t's denominator. For exp(7/8) at order 0.5, where K is
+    about 12, on a 2-core VM a float t = 1/3 (b = 54) takes about 20 ms at
+    N = 256 and 70 ms at N = 512.
     """
     if src.kind != "taylor":
         raise ValueError("fractional_derivative requires a 'taylor' SeriesSource")
     what = "fractional_derivative"
     at = Fraction(*_argument_ratio(t, what))
-    count = cfg.truncation_N + 1
-    jet, den = _exact_inputs(src.provider, count + _JET_EXTRA, what)
+    jet, den = _exact_inputs(src.provider, cfg.truncation_N + 1 + _JET_EXTRA, what)
     shifted, factor = _taylor_shift(shift_op(at), jet)
-    egf = list(map(operator.mul, shifted[:count],
-                   accumulate(range(1, count), operator.mul, initial=1)))
+    egf = map(operator.mul, shifted, accumulate(count(1), operator.mul, initial=1))
     return _damped_newton_sum(egf, den * factor, 1, order, cfg)
 
 
@@ -688,19 +704,26 @@ def gamma_support(x: float) -> float:
 def incomplete_gamma_upper(n: int, x: float) -> float:
     """Upper incomplete gamma Gamma(n, x) for integer n >= 1, any finite real x.
 
-    Closed form (n-1)! e^{-x} sum_{k<n} x^k/k!; valid (as the analytic
-    continuation) for negative x as well. Raises ValueError for a non-finite
-    x and where the closed form overflows a float: (n-1)!, e^{-x} or a power
-    x^k can do so even where Gamma(n, x) itself would fit.
+    Closed form e^{-x} P(x), P(x) = sum_{k<n} (n-1)!/k! x^k; valid (as the
+    analytic continuation) for negative x as well. P(x) is exact, Horner's
+    rule on integers over x's ratio u/q, and e^{-x} and the product are
+    formed in 30-digit decimal, whose exponent range no factor leaves, then
+    rounded once to a float: neither cancellation in P(x) for negative x
+    nor a factor beyond the float range costs accuracy. Raises ValueError
+    for a non-finite x and only where Gamma(n, x) itself overflows a float;
+    a value below the float range returns as 0.0 or a subnormal. The
+    integers grow to about n (b + log2 n) bits, b the bits of u and q.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("order n must be a positive integer")
-    _argument_ratio(x, "incomplete_gamma_upper")
-    try:
-        acc = math.fsum(x ** k / math.factorial(k) for k in range(n))
-        value = math.factorial(n - 1) * math.exp(-x) * acc
-    except OverflowError:
-        value = math.inf
+    u, q = _argument_ratio(x, "incomplete_gamma_upper")
+    # P(x) q^(n-1) = sum_k c_k u^k, c_k = (n-1)!/k! q^(n-1-k)
+    acc, c = 1, 1
+    for k in reversed(range(n - 1)):
+        c *= (k + 1) * q
+        acc = acc * u + c
+    with localcontext(Context(prec=30, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])):
+        value = float((-Decimal(u) / q).exp() * acc / Decimal(q) ** (n - 1))
     if not math.isfinite(value):
         raise ValueError(f"incomplete_gamma_upper: Gamma({n}, {x}) overflows a float")
     return value

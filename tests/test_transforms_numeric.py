@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from ftcalc.cli import NamedSource
 from ftcalc.combinatorics import rising_factorial
+from ftcalc.polynomial import monomial, shift
 from ftcalc.transforms_numeric import (
     NonConvergenceError,
     NumericConfig,
@@ -508,6 +509,18 @@ def test_incomplete_gamma_closed_form(n, x):
     assert abs(incomplete_gamma_upper(n, x) - want) < 1e-12 * max(1.0, want)
 
 
+@pytest.mark.parametrize("n,x", [(172, 700.0), (171, -10.0), (200, 1000.0), (40, -10.0),
+                                 (5, 1 / 3)])
+def test_incomplete_gamma_where_a_factor_overflows(n, x):
+    """Gamma(n, x) is returned wherever it fits a float, though (n-1)!,
+    e^{-x} or x^(n-1) alone would overflow one: Gamma(172, 700) is about
+    4e182 while 171! and 700^171 are not floats."""
+    with mp.workdps(30):
+        want = mp.gammainc(n, mp.mpf(x))
+    got = incomplete_gamma_upper(n, x)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_gamma_support_values():
     assert abs(gamma_support(0.5) - math.sqrt(math.pi)) < 1e-12
     assert abs(gamma_support(5.0) - 24.0) < 1e-10
@@ -707,7 +720,7 @@ _ROUTES = {
         "float": lambda t: 0.5 ** t,
     }),
 }
-_ARGUMENTS = (0.3, 1 / 3, 0.5, 2.7, -1.5)
+_ARGUMENTS = (0.3, 1 / 3, 0.5, 2.7, -1.5, Fraction(5, 12), Fraction(-7, 24))
 
 
 @pytest.mark.parametrize("x", _ARGUMENTS)
@@ -748,6 +761,79 @@ def test_fractional_derivative_matches_fraction_route(monkeypatch, kind, order):
     monkeypatch.setattr(transforms_numeric, "_newton_sum", _ref_newton_sum)
     assert got == _outcome(lambda: fractional_derivative(src, order))
     assert (got[0] == "NonConvergenceError") == (kind == "int")
+
+
+def _ref_prepared_outcome(value_at, m, what, pairs_of, s, cfg):
+    """The reference route's outcome on eagerly prepared pairs: the inputs
+    value_at(0..m-1) read as Fractions, an overflowing one named as the
+    fractional operators name it, then pairs_of(inputs) summed by
+    _ref_newton_sum."""
+    inputs = []
+    for n in range(m):
+        try:
+            inputs.append(Fraction(value_at(n)))
+        except OverflowError:
+            return "NonConvergenceError", f"{what}: input {n} overflows a float"
+    return _outcome(lambda: _ref_newton_sum(pairs_of(inputs), s, cfg))
+
+
+def _ref_damped_pairs(egf, den, rate, count):
+    """(h_k, k! den) for h_k = sum_n binom(k,n) (-rate)^(k-n) egf[n], the
+    direct sum of the EGF product with e^{-rate x}, for k < count."""
+    return [(sum(math.comb(k, n) * (-rate) ** (k - n) * egf[n] for n in range(k + 1)),
+             math.factorial(k) * den) for k in range(count)]
+
+
+def _ref_derivative_pairs(jet, t, count):
+    """The whole jet shifted to t by the public shift, then damped."""
+    shifted = shift(monomial(jet), t)
+    nums = list(shifted.nums[:count]) + [0] * (count - len(shifted.nums))
+    egf = [math.factorial(k) * c for k, c in enumerate(nums)]
+    return _ref_damped_pairs(egf, shifted.den, 1, count)
+
+
+def _ref_difference_pairs(samples, count):
+    """The samples over their lcm denominator, damped twice."""
+    den = math.lcm(*(v.denominator for v in samples))
+    return _ref_damped_pairs([v.numerator * (den // v.denominator) for v in samples],
+                             den, 2, count)
+
+
+# t -> f for the difference; its samples f(t + n) are exact (3/2)^n, or
+# floats near 1.5^(t+n)
+_DIFFERENCE_FUNCTIONS = {
+    "fraction": lambda t: lambda u: Fraction(3, 2) ** round(u - t),
+    "float": lambda t: lambda u: 1.5 ** float(u),
+}
+
+
+@pytest.mark.parametrize("N", [1, 2, 64, 256])
+@pytest.mark.parametrize("t", [1 / 3, Fraction(1, 3), Fraction(-2, 5)], ids=repr)
+def test_fractional_operators_match_eager_preparation(N, t):
+    """Both fractional operators prepare only the Taylor coefficients their
+    Newton sum reads. At every t and N, value and estimate, or the error
+    text, equal the reference route's on pairs prepared in full beforehand:
+    for the derivative the whole jet shifted by the public shift, for the
+    difference its samples, each multiplied by e^{-rate x} through the
+    direct binomial sum."""
+    cfg = NumericConfig(truncation_N=N)
+    count = N + 1
+    for kind, provider in sorted(_FRACTIONAL_PROVIDERS.items()):
+        got = _outcome(lambda: fractional_derivative(taylor_source(provider), 0.5, t, cfg))
+        want = _ref_prepared_outcome(provider, count + 32, "fractional_derivative",
+                                     lambda jet: _ref_derivative_pairs(jet, t, count), 0.5, cfg)
+        assert got == want, kind
+        if kind == "fraction" and N == 64:
+            assert got[0] != "NonConvergenceError"
+    for kind, function_at in sorted(_DIFFERENCE_FUNCTIONS.items()):
+        f = function_at(t)
+        got = _outcome(lambda: fractional_difference(f, 0.5, t, cfg))
+        want = _ref_prepared_outcome(lambda n: f(t + n), count, "fractional_difference",
+                                     lambda samples: _ref_difference_pairs(samples, count),
+                                     0.5, cfg)
+        assert got == want, kind
+        if N == 64:
+            assert got[0] != "NonConvergenceError"
 
 
 def test_known_overflow_cases_raise_nonconvergence():
