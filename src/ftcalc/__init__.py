@@ -9,7 +9,6 @@ verification suite of named identity checks.
 from __future__ import annotations
 
 from .combinatorics import (
-    Rational,
     bernoulli,
     binomial_general,
     falling_factorial,
@@ -23,7 +22,6 @@ from .polynomial import Basis, BasisPolynomial, OperatorExpr, apply_operator, co
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational",
     "bernoulli",
     "binomial_general",
     "falling_factorial",

@@ -12,18 +12,16 @@ checks, 2 usage errors.
 
 The numeric layer and the check suite are imported by the subcommands that
 use them, so convert, exact transform and special start without them. Only
-the check suite and tanh-sinh quadrature load mpmath.
+the check suite and tanh-sinh quadrature load mpmath. A --source spec is
+read by the numeric layer's NamedSource, imported with it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import re
 import sys
 from fractions import Fraction
-from typing import Callable, Optional
 
 from .combinatorics import bernoulli, stirling_first_signed, stirling_second
 from .polynomial import Basis, BasisPolynomial, convert_basis
@@ -31,8 +29,6 @@ from .special_polynomials import charlier, laguerre, touchard, z_poly
 from .transforms_exact import fft_poly, ifft_poly, irft_poly, rft_poly
 
 _EXACT_OPS = {"fft": fft_poly, "ifft": ifft_poly, "rft": rft_poly, "irft": irft_poly}
-
-_SOURCE_RE = re.compile(r"^(exp|sin|cos|geometric)\(([^)]+)\)$")
 
 
 def _read_polynomial(spec: str) -> BasisPolynomial:
@@ -42,80 +38,6 @@ def _read_polynomial(spec: str) -> BasisPolynomial:
         with open(spec, "r", encoding="utf-8") as fh:
             raw = fh.read()
     return BasisPolynomial.from_json(json.loads(raw))
-
-
-def _parse_param(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"cannot parse source parameter {text!r} as a rational")
-
-
-class NamedSource:
-    """A builtin source usable as Taylor coefficients, integer samples, or a
-    callable, depending on the operation that consumes it.
-
-    exp(a): the function e^(a*t); sin(w)/cos(w): sin(w*t)/cos(w*t);
-    geometric(r): the sequence/function r^t (Taylor coefficients r^n, i.e.
-    the series 1/(1-r*x)); gamma-samples: n! samples / Gamma(t+1) values
-    (no Taylor form).
-    """
-
-    def __init__(self, spec: str):
-        self.spec = spec
-        m = _SOURCE_RE.match(spec.strip())
-        if m:
-            self.kind = m.group(1)
-            self.param: Optional[Fraction] = _parse_param(m.group(2))
-        elif spec.strip() == "gamma-samples":
-            self.kind = "gamma-samples"
-            self.param = None
-        else:
-            raise ValueError(
-                f"unknown source {spec!r}; expected exp(a), sin(w), cos(w), "
-                "geometric(r), or gamma-samples"
-            )
-
-    def taylor(self) -> Callable[[int], Fraction]:
-        a = self.param
-        if self.kind == "exp":
-            return lambda n: a ** n / math.factorial(n)
-        if self.kind == "sin":
-            return lambda n: (Fraction(0) if n % 2 == 0
-                              else (-1) ** ((n - 1) // 2) * a ** n / math.factorial(n))
-        if self.kind == "cos":
-            return lambda n: (Fraction(0) if n % 2
-                              else (-1) ** (n // 2) * a ** n / math.factorial(n))
-        if self.kind == "geometric":
-            return lambda n: a ** n
-        raise ValueError(f"source {self.spec!r} has no Taylor coefficients")
-
-    def samples(self) -> Callable[[int], Fraction]:
-        a = self.param
-        if self.kind == "exp":
-            return lambda n: math.exp(float(a) * n)
-        if self.kind == "sin":
-            return lambda n: math.sin(float(a) * n)
-        if self.kind == "cos":
-            return lambda n: math.cos(float(a) * n)
-        if self.kind == "geometric":
-            return lambda n: a ** n
-        return lambda n: math.factorial(n)
-
-    def callable(self) -> Callable[[float], float]:
-        a = float(self.param) if self.param is not None else None
-        if self.kind == "exp":
-            return lambda t: math.exp(a * t)
-        if self.kind == "sin":
-            return lambda t: math.sin(a * t)
-        if self.kind == "cos":
-            return lambda t: math.cos(a * t)
-        if self.kind == "geometric":
-            if a <= 0:
-                raise ValueError("geometric(r) as a function of a real "
-                                 "argument requires r > 0")
-            return lambda t: a ** t
-        return lambda t: math.gamma(t + 1.0)
 
 
 def _emit(obj) -> None:
@@ -149,8 +71,8 @@ def _cmd_transform(args) -> int:
     if args.source is None or args.at is None:
         raise ValueError("--numeric requires --source and --at")
     from .transforms_numeric import (
-        NumericConfig, QuadratureSpec, callable_source, fft_fn, ifft_fn, irft_fn, rft_fn,
-        samples_source, taylor_source,
+        NamedSource, NumericConfig, QuadratureSpec, callable_source, fft_fn, ifft_fn, irft_fn,
+        rft_fn, samples_source, taylor_source,
     )
 
     src = NamedSource(args.source)
@@ -205,7 +127,7 @@ def _cmd_special(args) -> int:
 
 def _cmd_fractional(args) -> int:
     from .transforms_numeric import (
-        NumericConfig, fractional_derivative, fractional_difference, taylor_source,
+        NamedSource, NumericConfig, fractional_derivative, fractional_difference, taylor_source,
     )
 
     src = NamedSource(args.source)

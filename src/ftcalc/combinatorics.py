@@ -20,7 +20,6 @@ import threading
 from fractions import Fraction
 from typing import Callable, Iterator, Union
 
-Rational = Fraction
 Scalar = Union[Fraction, int, float]
 
 _lock = threading.Lock()

@@ -458,8 +458,8 @@ def _powers(step: int, op: OperatorExpr, n: int) -> tuple[list[int], int]:
     return [w * q ** (top - j) for j, w in zip(range(n), out)], q ** top
 
 
-def _taylor_shift(op: OperatorExpr, nums: Sequence[int]) -> tuple[Iterator[int], int]:
-    """e^{aL} for a = op.a on numerators in a basis with L b_n = n b_(n-1):
+def _taylor_shift(a: Fraction, nums: Sequence[int]) -> tuple[Iterator[int], int]:
+    """e^{aL} for the Fraction a on numerators in a basis with L b_n = n b_(n-1):
     out_i = sum_j binom(i+j, j) a^j c_(i+j), the coefficients of p(x + a)
     for p = sum_j c_j x^j. Returns the out_i numerators, computed one at a
     time as they are read, and their common denominator.
@@ -476,7 +476,7 @@ def _taylor_shift(op: OperatorExpr, nums: Sequence[int]) -> tuple[Iterator[int],
     additions and one exact division, the whole vector n^2/2 additions and
     no product in the loop. The result r_i q^i is over q^(n-1).
     """
-    u, q = op.a.numerator, op.a.denominator
+    u, q = a.numerator, a.denominator
     if not (u and nums):
         return iter(nums), 1
     n = len(nums)
@@ -522,7 +522,7 @@ def apply_operator(op: OperatorExpr, p: BasisPolynomial) -> BasisPolynomial:
         return _scale_coeffs(p, Basis.FALLING, op.a)
     rows = _SERIES[op.kind]
     if rows.get(p.basis) is _GEOMETRIC:
-        shifted, factor = _taylor_shift(op, p.nums)
+        shifted, factor = _taylor_shift(op.a, p.nums)
         nums = list(shifted)
     else:
         basis = p.basis if p.basis in rows else next(iter(rows))

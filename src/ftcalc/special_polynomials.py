@@ -81,8 +81,8 @@ def charlier_orthogonality_sum(n: int, m: int, a: float, K: int) -> float:
     """Partial sum over k < K of a^k/k! * c_n(k,a) c_m(k,a) (Poisson weight)."""
     if K < 1:
         raise ValueError("truncation K must be >= 1")
-    if a <= 0:
-        raise ValueError("weight parameter a must be positive")
+    if not 0 < a < math.inf:
+        raise ValueError(f"weight parameter a must be finite and positive, got {a!r}")
     acc = 0.0
     w = 1.0  # a^k / k!
     for k in range(K):

@@ -14,14 +14,18 @@ giving up; slowly converging Newton series (binom(s,n) tails decay only like
 n^(-s-1)) are routine and direct summation alone cannot reach practical
 tolerances. The returned error estimate is then the extrapolation's internal
 agreement, otherwise the magnitude of the first omitted weighted term.
-The fractional operators prepare their series exactly for every input, a
-float read as its dyadic value, on one integer vector: the inputs become
-numerators over one denominator, the derivative Taylor-shifts them to t,
-the difference table multiplies by e^{-rate x}, and fft_fn's Newton sum
-reads each Taylor coefficient as an unreduced (numerator, denominator)
-pair, which its int true division rounds correctly without a gcd. The
-shift and the table each compute one coefficient per coefficient the
-Newton sum reads, so a sum that stops early prepares no more.
+One reader, _input, reads every Taylor coefficient, sample or point value
+exactly, a float as its dyadic value; a call that overflows or a value
+that is not a finite number raises NonConvergenceError naming the
+evaluator and the input. The fractional operators prepare their series on
+one integer vector: the inputs become numerators over one denominator,
+the derivative Taylor-shifts them to t, the difference table multiplies
+by e^{-rate x}, and fft_fn's Newton sum reads each Taylor coefficient as
+an unreduced (numerator, denominator) pair, which its int true division
+rounds correctly without a gcd. The shift and the table each compute one
+coefficient per coefficient the Newton sum reads, so a sum that stops
+early prepares no more. NamedSource defines the named sources of the
+command line, which the check suite builds from the same specs.
 """
 
 from __future__ import annotations
@@ -29,15 +33,16 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 import threading
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
-from itertools import accumulate, count
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from itertools import accumulate, count, repeat
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .combinatorics import bernoulli, rising_factorial
-from .polynomial import _integers, _pascal, _taylor_shift, shift_op
+from .polynomial import _integers, _pascal, _taylor_shift
 
 Number = Union[int, float, Fraction]
 
@@ -95,6 +100,76 @@ def samples_source(provider: Callable[[int], Number]) -> SeriesSource:
 
 def callable_source(provider: Callable[[float], float]) -> SeriesSource:
     return SeriesSource("callable", provider)
+
+
+_SOURCE_RE = re.compile(r"^(exp|sin|cos|geometric)\(([^)]+)\)$")
+
+
+def _parse_param(text: str) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse source parameter {text!r} as a rational")
+
+
+class NamedSource:
+    """A builtin source usable as Taylor coefficients, integer samples, or a
+    callable, depending on the operation that consumes it.
+
+    exp(a): the function e^(a*t); sin(w)/cos(w): sin(w*t)/cos(w*t);
+    geometric(r): the sequence/function r^t (Taylor coefficients r^n, i.e.
+    the series 1/(1-r*x)); gamma-samples: n! samples / Gamma(t+1) values
+    (no Taylor form).
+    """
+
+    def __init__(self, spec: str):
+        self.spec = spec
+        m = _SOURCE_RE.match(spec.strip())
+        if m:
+            self.kind = m.group(1)
+            self.param: Optional[Fraction] = _parse_param(m.group(2))
+        elif spec.strip() == "gamma-samples":
+            self.kind = "gamma-samples"
+            self.param = None
+        else:
+            raise ValueError(
+                f"unknown source {spec!r}; expected exp(a), sin(w), cos(w), "
+                "geometric(r), or gamma-samples"
+            )
+
+    def taylor(self) -> Callable[[int], Fraction]:
+        a = self.param
+        if self.kind == "exp":
+            return lambda n: a ** n / math.factorial(n)
+        if self.kind in ("sin", "cos"):
+            # sin has the odd coefficients, cos the even, each with sign (-1)^(n // 2)
+            odd = self.kind == "sin"
+            return lambda n: (Fraction(0) if n % 2 != odd
+                              else (-1) ** (n // 2) * a ** n / math.factorial(n))
+        if self.kind == "geometric":
+            return lambda n: a ** n
+        raise ValueError(f"source {self.spec!r} has no Taylor coefficients")
+
+    def samples(self) -> Callable[[int], Number]:
+        if self.kind == "gamma-samples":
+            return math.factorial
+        # r^n are both the samples and the Taylor coefficients of geometric(r)
+        return self.taylor() if self.kind == "geometric" else self.callable()
+
+    def callable(self) -> Callable[[float], float]:
+        a = float(self.param) if self.param is not None else None
+        if self.kind == "exp":
+            return lambda t: math.exp(a * t)
+        if self.kind == "sin":
+            return lambda t: math.sin(a * t)
+        if self.kind == "cos":
+            return lambda t: math.cos(a * t)
+        if self.kind == "geometric":
+            if a <= 0:
+                raise ValueError("geometric(r) as a function of a real "
+                                 "argument requires r > 0")
+            return lambda t: a ** t
+        return lambda t: math.gamma(t + 1.0)
 
 
 @dataclass(frozen=True)
@@ -322,7 +397,7 @@ def _sum_with_policy(terms: Iterator[float], cfg: NumericConfig,
     stop criterion is unmet and accelerate is set, epsilon extrapolation of
     the partial sums, then of those through the smallest term, is attempted
     before raising NonConvergenceError, which is also raised for a term or
-    partial sum outside the float range and for a NaN input to a term.
+    partial sum outside the float range.
     """
     N = cfg.truncation_N
     acc = 0.0
@@ -334,8 +409,6 @@ def _sum_with_policy(terms: Iterator[float], cfg: NumericConfig,
             t = next(terms)
         except OverflowError:
             raise NonConvergenceError(f"{what}: term {n} overflows a float") from None
-        except FloatingPointError:
-            raise NonConvergenceError(f"{what}: term {n} is not a number") from None
         acc += t
         if not math.isfinite(acc):
             raise NonConvergenceError(f"{what}: term {n} or the sum through it is not finite")
@@ -368,20 +441,19 @@ def _sum_with_policy(terms: Iterator[float], cfg: NumericConfig,
     )
 
 
-def _ratio(v: Number) -> tuple[int, int]:
-    """v as an exact (numerator, positive denominator) pair of ints.
-
-    Raises OverflowError for an infinite float and FloatingPointError for a
-    NaN or another value without an exact ratio, which _sum_with_policy
-    reports as a term outside the float range and as a term that is not a
-    number.
-    """
+def _input(provider: Callable[[int], Number], n: int, what: str) -> tuple[int, int]:
+    """provider(n) as an exact (numerator, positive denominator) pair, a type
+    other than int, float and Fraction read through Fraction(). A call that
+    overflows, or a value without an exact ratio such as NaN or inf, raises
+    NonConvergenceError naming input n; the provider's ValueError propagates."""
     try:
-        if not isinstance(v, (int, float, Fraction)):
-            v = Fraction(v)
-        return v.as_integer_ratio()
-    except ValueError:
-        raise FloatingPointError(f"{v!r} has no integer ratio") from None
+        v = provider(n)
+    except OverflowError:
+        raise NonConvergenceError(f"{what}: input {n} overflows a float") from None
+    try:
+        return (v if isinstance(v, (int, float, Fraction)) else Fraction(v)).as_integer_ratio()
+    except (OverflowError, ValueError):
+        raise NonConvergenceError(f"{what}: input {n} is {v!r}, not a finite number") from None
 
 
 def _argument_ratio(x: Number, what: str) -> tuple[int, int]:
@@ -420,12 +492,13 @@ def _newton_terms(coeffs: Iterable[tuple[int, int]], u: int, q: int) -> Iterator
         e += k
 
 
-def _egf_terms(sample: Callable[[int], Number], u: int, q: int) -> Iterator[float]:
+def _egf_terms(sample: Callable[[int], Number], u: int, q: int,
+               what: str) -> Iterator[float]:
     """sample(n) x^n / n! for x = u/q: U = u^n, D 2^e = q^n n!."""
     odd, k = _dyadic(q)
     U, D, e = 1, 1, 0
     for n in count():
-        c, d = _ratio(sample(n))
+        c, d = _input(sample, n, what)
         yield U * c / ((D * d) << e)
         U *= u
         D *= odd * (n + 1)
@@ -442,13 +515,13 @@ def fft_fn(src: SeriesSource, s: float, cfg: NumericConfig = NumericConfig()) ->
     """
     if src.kind != "taylor":
         raise ValueError("fft_fn requires a 'taylor' SeriesSource")
-    return _newton_sum(map(_ratio, map(src.provider, count())), s, cfg)
-
-
-def _newton_sum(coeffs: Iterable[tuple[int, int]], s: float,
-                cfg: NumericConfig) -> NumericResult:
-    """fft_fn on coefficients given as (numerator, denominator) pairs."""
     what = "fft_fn Newton sum"
+    return _newton_sum(map(_input, repeat(src.provider), count(), repeat(what)), s, cfg, what)
+
+
+def _newton_sum(coeffs: Iterable[tuple[int, int]], s: float, cfg: NumericConfig,
+                what: str) -> NumericResult:
+    """fft_fn on (numerator, denominator) pairs; its errors name what."""
     terms = _newton_terms(coeffs, *_argument_ratio(s, what))
     val, est = _sum_with_policy(terms, cfg, accelerate=True, what=what)
     return NumericResult(val, est)
@@ -461,7 +534,7 @@ def _egf_series(sample: Callable[[int], Number], x: float, cfg: NumericConfig,
     The error estimate is the magnitude of the first omitted weighted term
     (meaningful for eventually monotone decaying terms).
     """
-    terms = _egf_terms(sample, *_argument_ratio(x, what))
+    terms = _egf_terms(sample, *_argument_ratio(x, what), what)
     val, est = _sum_with_policy(terms, cfg, accelerate=False, what=what)
     try:
         damp = math.exp(-x)
@@ -618,34 +691,23 @@ _JET_EXTRA = 32  # Taylor coefficients read past the truncation for the shift to
 
 def _exact_inputs(value_at: Callable[[int], Number], m: int,
                   what: str) -> tuple[list[int], int]:
-    """value_at(0), ..., value_at(m-1) as numerators over one denominator, a
-    float read as its dyadic value; a call that overflows or a non-finite
-    value raises NonConvergenceError naming its index."""
-    values = []
-    for n in range(m):
-        try:
-            v = value_at(n)
-        except OverflowError:
-            raise NonConvergenceError(f"{what}: input {n} overflows a float") from None
-        try:
-            values.append(Fraction(v))
-        except (OverflowError, ValueError):
-            raise NonConvergenceError(f"{what}: input {n} is {v!r}, not a finite number") from None
-    return _integers(values)
+    """value_at(0), ..., value_at(m-1), each read by _input, as numerators
+    over one denominator."""
+    return _integers(Fraction(*_input(value_at, n, what)) for n in range(m))
 
 
 def _damped_newton_sum(egf: Iterable[int], den: int, rate: int, order: float,
-                       cfg: NumericConfig) -> NumericResult:
+                       cfg: NumericConfig, what: str) -> NumericResult:
     """fft_fn at s = order of e^{-rate x} g(x), g given by at least
     truncation_N + 1 EGF coefficients, the numerators egf over den.
 
     The product is the difference table against (-rate)^n on the
     numerators, fed one numerator per Taylor coefficient the Newton sum
     reads; coefficient k is then h_k / (k! den), handed to the Newton terms
-    unreduced.
+    unreduced. Errors name what.
     """
     dens = accumulate(range(1, cfg.truncation_N + 1), operator.mul, initial=den)
-    return _newton_sum(zip(_pascal(egf, -rate), dens), order, cfg)
+    return _newton_sum(zip(_pascal(egf, -rate), dens), order, cfg, what)
 
 
 def fractional_derivative(src: SeriesSource, order: float, t: Number = 0,
@@ -671,9 +733,9 @@ def fractional_derivative(src: SeriesSource, order: float, t: Number = 0,
     what = "fractional_derivative"
     at = Fraction(*_argument_ratio(t, what))
     jet, den = _exact_inputs(src.provider, cfg.truncation_N + 1 + _JET_EXTRA, what)
-    shifted, factor = _taylor_shift(shift_op(at), jet)
+    shifted, factor = _taylor_shift(at, jet)
     egf = map(operator.mul, shifted, accumulate(count(1), operator.mul, initial=1))
-    return _damped_newton_sum(egf, den * factor, 1, order, cfg)
+    return _damped_newton_sum(egf, den * factor, 1, order, cfg, what)
 
 
 def fractional_difference(f: Callable[[float], float], order: float, t: float = 0.0,
@@ -684,9 +746,10 @@ def fractional_difference(f: Callable[[float], float], order: float, t: float = 
     FFT^{-1}(f(x+t)) e^{x}; multiplying by e^{-2x} realizes
     e^{-x} FFT^{-1}(f(x+t)), and the Newton sum at s = order finishes BT^{-1}.
     """
-    _argument_ratio(t, "fractional_difference")
-    egf, den = _exact_inputs(lambda n: f(t + n), cfg.truncation_N + 1, "fractional_difference")
-    return _damped_newton_sum(egf, den, 2, order, cfg)
+    what = "fractional_difference"
+    _argument_ratio(t, what)
+    egf, den = _exact_inputs(lambda n: f(t + n), cfg.truncation_N + 1, what)
+    return _damped_newton_sum(egf, den, 2, order, cfg, what)
 
 
 def gamma_support(x: float) -> float:
@@ -738,8 +801,8 @@ def zeta_formal_series(s: float, N: int) -> tuple[float, list[float]]:
     inspect the terms to locate the minimal-term truncation. Raises
     NonConvergenceError naming the first term that is not a finite float.
     """
-    if N < 1:
-        raise ValueError("need N >= 1 terms")
+    if not isinstance(N, int) or N < 1:
+        raise ValueError(f"zeta_formal_series needs an int N >= 1, got {N!r}")
     if s == 1:
         raise ValueError("pole at s = 1")
     terms = []

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import product
 from random import Random
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import mpmath as mp
 
@@ -86,6 +86,7 @@ from .transforms_exact import (
     rft_poly,
 )
 from .transforms_numeric import (
+    NamedSource,
     NumericConfig,
     QuadratureSpec,
     callable_source,
@@ -736,18 +737,6 @@ def _chk_t3_laguerre(rng, cfg, n, m):
 
 # --------------------------------------------------------------- numeric layer
 
-def _exp_taylor(base: Fraction) -> Callable[[int], Fraction]:
-    b = Fraction(base)
-    return lambda n: b ** n / math.factorial(n)
-
-
-def _trig_taylor(w: float, odd: bool) -> Callable[[int], Fraction]:
-    """Taylor coefficients of sin(w t) (odd) or cos(w t)."""
-    wf = Fraction(w)
-    return lambda n: (Fraction(0) if n % 2 != odd
-                      else (-1) ** (n // 2) * wf ** n / math.factorial(n))
-
-
 def _relative(got, want) -> tuple:
     """A pair whose gap is the relative error |got - want| / max(1, |want|)."""
     return abs(got - want) / max(1.0, abs(want)), 0.0
@@ -847,7 +836,7 @@ def _chk_eq67(rng, cfg, s):
            "half and fractional derivatives of exponentials match their closed "
            "forms and the half-twice ladder", 1e-8, cases=None)
 def _chk_eq69(rng, cfg):
-    e1, e2, e3 = (taylor_source(_exp_taylor(Fraction(b))) for b in (1, 2, 3))
+    e1, e2, e3 = (taylor_source(NamedSource(f"exp({b})").taylor()) for b in (1, 2, 3))
     pairs = [
         (fractional_derivative(e2, 0.5), math.sqrt(2)),
         (fractional_derivative(e1, 1.0, t=1), math.e),
@@ -944,20 +933,22 @@ def _chk_t3_gamma_y(rng, cfg, y, f, x):
            "exponential Taylor sources produce the power closed form", 1e-9,
            cases=_grid((Fraction(2), Fraction(3, 2)), (0.5, 1.0, 2.3)))
 def _chk_t3_exp(rng, cfg, a, s):
-    yield fft_fn(taylor_source(_exp_taylor(a - 1)), s, _SERIES_CFG), float(a) ** s
+    src = NamedSource(f"exp({a - 1})")
+    yield fft_fn(taylor_source(src.taylor()), s, _SERIES_CFG), float(a) ** s
 
 
 def _trig_row(trig, tan_scaled: bool):
     """fft of the Taylor source of trig(w t) against its polar closed form;
-    a tan-scaled row feeds trig(tan(w) t) and expects trig(w s) / cos(w)^s."""
-    odd = trig is math.sin
+    a tan-scaled row feeds trig(tan(w) t) and expects trig(w s) / cos(w)^s.
+    The source's spec names the float rate by its exact ratio."""
 
     def body(rng, cfg, w, s):
         if tan_scaled:
-            src, want = _trig_taylor(math.tan(w), odd), trig(w * s) / math.cos(w) ** s
+            rate, want = math.tan(w), trig(w * s) / math.cos(w) ** s
         else:
-            src, want = _trig_taylor(w, odd), (w * w + 1.0) ** (s / 2) * trig(s * math.atan(w))
-        yield fft_fn(taylor_source(src), s, _SERIES_CFG), want
+            rate, want = w, (w * w + 1.0) ** (s / 2) * trig(s * math.atan(w))
+        src = NamedSource(f"{trig.__name__}({Fraction(rate)})")
+        yield fft_fn(taylor_source(src.taylor()), s, _SERIES_CFG), want
     return body
 
 

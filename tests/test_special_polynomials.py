@@ -126,6 +126,13 @@ def test_charlier_orthogonality(n, m):
     assert abs(s - want) < 1e-8
 
 
+@pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf])
+def test_charlier_orthogonality_sum_rejects_weight(a):
+    """The Poisson weight a^k/k! needs a finite, positive a."""
+    with pytest.raises(ValueError, match="finite and positive"):
+        charlier_orthogonality_sum(1, 1, a, 5)
+
+
 def test_negative_degree_rejected():
     for fn in (touchard, z_poly):
         with pytest.raises(ValueError):

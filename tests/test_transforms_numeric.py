@@ -19,10 +19,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ftcalc.cli import NamedSource
 from ftcalc.combinatorics import rising_factorial
 from ftcalc.polynomial import monomial, shift
 from ftcalc.transforms_numeric import (
+    NamedSource,
     NonConvergenceError,
     NumericConfig,
     NumericResult,
@@ -440,7 +440,7 @@ def _prepared(monkeypatch, operator, *args):
     sum, as (numerator, denominator) pairs of ints, read as Fractions."""
     seen = []
     monkeypatch.setattr(transforms_numeric, "_newton_sum",
-                        lambda a, s, cfg: seen.append((a, cfg.truncation_N)))
+                        lambda a, s, cfg, what: seen.append((a, cfg.truncation_N)))
     operator(*args)
     a, N = seen[0]
     pairs = list(islice(a, N + 1))
@@ -553,6 +553,9 @@ def test_zeta_formal_series_contract():
     assert terms[0] == 0.5
     assert abs(terms[1] - 1.0 / 6.0) < 1e-15
     assert terms[2] == 0.0
+    for N in (0, 2.5, 3.0):
+        with pytest.raises(ValueError, match="N >= 1"):
+            zeta_formal_series(2.0, N)
 
 
 @pytest.mark.parametrize("s,N,term", [(2.0, 171, 170), (2.0, 200, 170), (1e300, 5, 2)])
@@ -652,7 +655,7 @@ def test_numeric_result_shape():
 
 # ---- the series term route
 
-def _ref_fft_fn(src, s, cfg=NumericConfig()):
+def _ref_fft_fn(src, s, cfg=NumericConfig(), what="fft_fn Newton sum"):
     """The Fraction route for the Newton sum: (s)_n as a cached Fraction
     product, each term rounded once by float(Fraction)."""
     s_frac = Fraction(s)
@@ -663,8 +666,7 @@ def _ref_fft_fn(src, s, cfg=NumericConfig()):
             ff.append(ff[-1] * (s_frac - (len(ff) - 1)))
         return float(ff[n] * Fraction(src.provider(n)))
 
-    val, est = transforms_numeric._sum_with_policy(map(term, count()), cfg, True,
-                                                   "fft_fn Newton sum")
+    val, est = transforms_numeric._sum_with_policy(map(term, count()), cfg, True, what)
     return NumericResult(val, est)
 
 
@@ -746,11 +748,11 @@ _FRACTIONAL_PROVIDERS = {
 }
 
 
-def _ref_newton_sum(coeffs, s, cfg):
+def _ref_newton_sum(coeffs, s, cfg, what):
     """The Fraction route over the (numerator, denominator) pairs the
     fractional operators prepare."""
     pairs = list(coeffs)
-    return _ref_fft_fn(taylor_source(lambda n: Fraction(*pairs[n])), s, cfg)
+    return _ref_fft_fn(taylor_source(lambda n: Fraction(*pairs[n])), s, cfg, what)
 
 
 @pytest.mark.parametrize("order", _ARGUMENTS)
@@ -774,7 +776,7 @@ def _ref_prepared_outcome(value_at, m, what, pairs_of, s, cfg):
             inputs.append(Fraction(value_at(n)))
         except OverflowError:
             return "NonConvergenceError", f"{what}: input {n} overflows a float"
-    return _outcome(lambda: _ref_newton_sum(pairs_of(inputs), s, cfg))
+    return _outcome(lambda: _ref_newton_sum(pairs_of(inputs), s, cfg, what))
 
 
 def _ref_damped_pairs(egf, den, rate, count):
@@ -849,7 +851,7 @@ def test_known_overflow_cases_raise_nonconvergence():
 
 def test_infinite_taylor_coefficient_raises_nonconvergence():
     src = taylor_source(lambda n: math.inf if n == 3 else 1.0 / math.factorial(n))
-    with pytest.raises(NonConvergenceError, match="term 3 overflows"):
+    with pytest.raises(NonConvergenceError, match="input 3 is inf, not a finite number"):
         fft_fn(src, 0.5)
 
 
@@ -865,8 +867,38 @@ def _nan_at(k, value):
 def test_nan_term_raises_nonconvergence(evaluate):
     """A NaN coefficient or sample is named like an infinite one, not leaked
     as the ValueError of float.as_integer_ratio."""
-    with pytest.raises(NonConvergenceError, match="term 3 is not a number"):
+    with pytest.raises(NonConvergenceError, match="input 3 is nan, not a finite number"):
         evaluate()
+
+
+# evaluator -> its call on a provider of Taylor coefficients, samples or
+# point values; irft_fn reads its provider at -n
+_PROVIDER_READERS = {
+    "fft_fn": lambda f: fft_fn(taylor_source(f), 0.5),
+    "ifft_fn": lambda f: ifft_fn(samples_source(f), 0.5),
+    "irft_fn": lambda f: irft_fn(callable_source(f), 0.5),
+    "fractional_derivative": lambda f: fractional_derivative(taylor_source(f), 0.5),
+    "fractional_difference": lambda f: fractional_difference(f, 0.5),
+}
+
+
+def _overflow():
+    raise OverflowError("math range error")
+
+
+@pytest.mark.parametrize("fault,text", [
+    (lambda: math.nan, "is nan, not a finite number"),
+    (lambda: math.inf, "is inf, not a finite number"),
+    (_overflow, "overflows a float"),
+], ids=["nan", "inf", "OverflowError"])
+@pytest.mark.parametrize("name", sorted(_PROVIDER_READERS))
+def test_provider_fault_names_evaluator_and_input(name, fault, text):
+    """Every evaluator reads its provider through one reader: a NaN, an
+    infinity or a call that overflows at input 3 raises NonConvergenceError
+    naming the evaluator and the input."""
+    provider = lambda x: fault() if abs(x) == 3 else 1.0
+    with pytest.raises(NonConvergenceError, match=rf"^{name}\b[^:]*: input 3 {text}$"):
+        _PROVIDER_READERS[name](provider)
 
 
 def test_provider_value_error_propagates():
@@ -890,6 +922,11 @@ def test_series_reject_non_finite_arguments(x):
         rft_fn(math.exp, x)
     with pytest.raises(ValueError, match="^fractional_difference.*finite argument"):
         fractional_difference(math.exp, 0.5, t=x)
+    # a non-finite order is the Newton sum's argument, named by the operator
+    with pytest.raises(ValueError, match="^fractional_derivative needs a finite argument"):
+        fractional_derivative(exp_taylor(0.5), x)
+    with pytest.raises(ValueError, match="^fractional_difference needs a finite argument"):
+        fractional_difference(math.exp, x)
 
 
 @pytest.mark.parametrize("field,value", [("truncation_N", 2.5), ("truncation_N", 0),
@@ -948,11 +985,7 @@ def test_series_evaluators_keep_their_contract(op, spec, at, order, N, scheme):
         elif op == "rft":
             r = rft_fn(src.callable(), at, QuadratureSpec(scheme=scheme))
         elif op == "derivative":
-            # the point as the CLI passes it, a rational; the exact shift by a
-            # float with a 2^-1000 denominator takes minutes at N = 512
-            t = Fraction(at).limit_denominator(1000)
-            r = fractional_derivative(taylor_source(src.taylor()),
-                                      order, t, cfg)
+            r = fractional_derivative(taylor_source(src.taylor()), order, at, cfg)
         else:
             r = fractional_difference(src.callable(), order, at, cfg)
     except (NonConvergenceError, QuadratureError, ValueError):
