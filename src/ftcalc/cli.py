@@ -45,11 +45,19 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, allow_nan=False))
 
 
-def _float_flag(text: str, flag: str) -> float:
-    """The float of a rational or decimal flag value; the error names the flag."""
+def _rational_flag(text: str, flag: str) -> Fraction:
+    """The exact value of a rational or decimal flag; the error names the flag."""
     try:
-        return float(Fraction(text))
-    except (ValueError, ZeroDivisionError, OverflowError):
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} needs a rational or decimal, got {text!r}") from None
+
+
+def _float_flag(text: str, flag: str) -> float:
+    """_rational_flag's value rounded to a float; the error names the flag."""
+    try:
+        return float(_rational_flag(text, flag))
+    except (ValueError, OverflowError):
         raise ValueError(f"{flag} needs a rational or decimal within the float range, "
                          f"got {text!r}") from None
 
@@ -102,12 +110,12 @@ def _cmd_special(args) -> int:
     elif fam == "z":
         _emit(z_poly(n).to_json())
     elif fam == "laguerre":
-        alpha = Fraction(args.alpha if args.alpha is not None else 0)
+        alpha = _rational_flag(args.alpha, "--alpha") if args.alpha is not None else 0
         _emit(laguerre(n, alpha).to_json())
     elif fam == "charlier":
         if args.x is None or args.a is None:
             raise ValueError("charlier needs --x and --a")
-        v = charlier(n, Fraction(args.x), Fraction(args.a))
+        v = charlier(n, _rational_flag(args.x, "--x"), _rational_flag(args.a, "--a"))
         _emit({"family": "charlier", "n": n, "x": args.x, "a": args.a, "value": str(v)})
     elif fam == "stirling1":
         if args.k is None:
@@ -136,7 +144,7 @@ def _cmd_fractional(args) -> int:
     at = _float_flag(args.at, "--at")
     if args.kind == "derivative":
         value = fractional_derivative(
-            taylor_source(src.taylor()), order, Fraction(args.at), cfg)
+            taylor_source(src.taylor()), order, _rational_flag(args.at, "--at"), cfg)
     else:
         value = fractional_difference(src.callable(), order, at, cfg)
     _emit({"kind": args.kind, "order": order, "at": at,
@@ -190,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", help="evaluation argument (rational or decimal)")
     p.add_argument("--truncation", type=int, default=64, help="series truncation bound")
     p.add_argument("--scheme", default="gauss_laguerre",
-                   choices=["gauss_laguerre", "adaptive_fallback", "tanh_sinh"])
+                   choices=["gauss_laguerre", "tanh_sinh"])
     p.set_defaults(fn=_cmd_transform)
 
     p = sub.add_parser("special", help="special polynomials and numbers")

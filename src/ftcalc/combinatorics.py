@@ -9,7 +9,7 @@ Conventions:
   * x**(rising n) with n < 0 means 1/((x-1)(x-2)...(x-|n|)).
 
 One product helper computes both factorials, stepping x down or up, and the
-exact generalized binomial is the falling one over n!.
+generalized binomial is the falling one over n!.
 """
 
 from __future__ import annotations
@@ -129,19 +129,22 @@ def bernoulli(n: int) -> Fraction:
     return _bernoulli_cache[n]
 
 
-def binomial_general(x: Scalar, n: int) -> Scalar:
-    """Generalized binomial coefficient binom(x, n) = (x)_n / n!.
+def _argument_ratio(x: Scalar, what: str) -> tuple[int, int]:
+    """x as an exact (numerator, denominator > 0) pair, a float as its dyadic
+    value; both layers read arguments here, and name what on NaN or inf."""
+    try:
+        return (x if isinstance(x, (int, float, Fraction)) else Fraction(x)).as_integer_ratio()
+    except (OverflowError, ValueError):
+        raise ValueError(f"{what} needs a finite argument, got {x!r}") from None
 
-    Exact Fraction for Fraction/int x, float for float x.
-    """
+
+def binomial_general(x: Scalar, n: int) -> Scalar:
+    """Generalized binomial coefficient binom(x, n) = (x)_n / n!, exact for int
+    or Fraction x; for a float x, the exact value at x rounded once."""
     if n < 0:
         raise ValueError("lower index must be nonnegative")
-    if isinstance(x, float):
-        out = 1.0
-        for j in range(n):
-            out *= (x - j) / (j + 1)
-        return out
-    return falling_factorial(Fraction(x), n) / math.factorial(n)
+    v = falling_factorial(Fraction(*_argument_ratio(x, "binomial_general")), n) / math.factorial(n)
+    return float(v) if isinstance(x, float) else v
 
 
 def falling_factorial(x: Scalar, n: int) -> Scalar:

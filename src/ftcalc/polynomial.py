@@ -40,17 +40,19 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate, repeat, zip_longest
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .combinatorics import bernoulli, lah_terms, stirling_row
-
-Scalar = Union[Fraction, int, float]
+from .combinatorics import Scalar, _argument_ratio, bernoulli, lah_terms, stirling_row
 
 
 class Basis(str, Enum):
     MONOMIAL = "monomial"
     FALLING = "falling"
     RISING = "rising"
+
+
+# b_(n+1)(x) = b_n(x) (x + step n) in each basis
+_STEP = {Basis.MONOMIAL: 0, Basis.FALLING: -1, Basis.RISING: 1}
 
 
 class BasisMismatchError(ValueError):
@@ -96,25 +98,19 @@ class BasisPolynomial:
         return self.coeffs[n] if 0 <= n < len(self.nums) else Fraction(0)
 
     def eval(self, x: Scalar) -> Scalar:
-        """Value at x; exact when x is Fraction/int, float when x is float."""
-        step = {Basis.MONOMIAL: 0, Basis.FALLING: -1, Basis.RISING: 1}[self.basis]
-        nums, den = self.nums, self.den
-        if isinstance(x, float):
-            # an int true division rounds nums[n]/den as float(coeffs[n]) does
-            acc, basis_val = 0.0, 1.0
-            for n, c in enumerate(nums):
-                acc += c / den * basis_val
-                basis_val = basis_val * (x + step * n)
-            return acc
+        """Value at x: a Fraction for int or Fraction x; for a float x, the exact
+        value rounded once (OverflowError past the float range, ValueError at NaN or inf)."""
+        step, nums = _STEP[self.basis], self.nums
         # Horner on integers over den q^deg, for x = u/q:
         # acc_n = nums_n q^(deg-n) + (u + step n q) acc_(n+1)
-        x = Fraction(x)
-        u, q = x.numerator, x.denominator
+        u, q = _argument_ratio(x, "eval")
         acc, qn = 0, 1
         for n in reversed(range(len(nums))):
             acc = acc * (u + step * n * q) + nums[n] * qn
             qn *= q
-        return Fraction(acc * q, den * qn)
+        num, den = acc * q, self.den * qn
+        # an int true division rounds correctly, with no gcd
+        return num / den if isinstance(x, float) else Fraction(num, den)
 
     def __add__(self, other: "BasisPolynomial") -> "BasisPolynomial":
         if self.basis is not other.basis:

@@ -4,21 +4,18 @@ Touchard T_n collects Stirling-second numbers, Z_n collects signed
 Stirling-first numbers over the falling basis. Laguerre builds its
 coefficients as integer numerators over one denominator, so rational
 (including negative) alpha is exact. Charlier follows the 2F0 normalization
-c_n(x, a) = sum_k binom(n,k) binom(x,k) k! (-a)^(-k); for rational inputs it
-is the falling-basis polynomial sum_k binom(n,k) (-1/a)^k (x)_k, a finite
-Newton series in x, evaluated at x by the exact layer's integer Horner.
+c_n(x, a) = sum_k binom(n,k) binom(x,k) k! (-a)^(-k), the falling-basis
+polynomial sum_k binom(n,k) (-1/a)^k (x)_k, a finite Newton series in x,
+evaluated exactly at x by the exact layer's integer Horner.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
 
-from .combinatorics import binomial_general, stirling_first_signed, stirling_second
+from .combinatorics import Scalar, _argument_ratio, stirling_first_signed, stirling_second
 from .polynomial import Basis, BasisPolynomial, _canonical, _reduced
-
-Scalar = Union[Fraction, int, float]
 
 
 def touchard(n: int) -> BasisPolynomial:
@@ -55,26 +52,25 @@ def laguerre(n: int, alpha: Scalar) -> BasisPolynomial:
     return _reduced(Basis.MONOMIAL, nums[::-1], math.factorial(n) * q ** n)
 
 
-def charlier(n: int, x: Scalar, a: Scalar):
-    """Charlier value c_n(x, a) = sum_k binom(n,k) binom(x,k) k! (-a)^(-k).
-
-    Exact Fraction for rational inputs, float when x or a is float.
-    Raises ValueError for a = 0.
-    """
+def _charlier_polynomial(n: int, a: Scalar) -> BasisPolynomial:
+    """c_n(., a) in the falling basis, a read exactly; a must be nonzero."""
     if n < 0:
         raise ValueError("index must be nonnegative")
     if a == 0:
         raise ValueError("Charlier parameter a must be nonzero")
-    if isinstance(x, float) or isinstance(a, float):
-        acc = 0.0
-        for k in range(n + 1):
-            acc += math.comb(n, k) * binomial_general(x, k) * math.factorial(k) * (-a) ** (-k)
-        return acc
     # sum_k binom(n,k) r^k (x)_k over v^n, for r = -1/a = u/v
-    r = -1 / Fraction(a)
+    r = -1 / Fraction(*_argument_ratio(a, "charlier"))
     u, v = r.numerator, r.denominator
     nums = [math.comb(n, k) * u ** k * v ** (n - k) for k in range(n + 1)]
-    return _reduced(Basis.FALLING, nums, v ** n).eval(x)
+    return _reduced(Basis.FALLING, nums, v ** n)
+
+
+def charlier(n: int, x: Scalar, a: Scalar) -> Scalar:
+    """Charlier value c_n(x, a) = sum_k binom(n,k) binom(x,k) k! (-a)^(-k), exact
+    for rational inputs; when x or a is a float, the exact value rounded once.
+    Raises ValueError for a = 0 or a NaN or infinite x or a."""
+    v = _charlier_polynomial(n, a).eval(Fraction(*_argument_ratio(x, "charlier")))
+    return float(v) if isinstance(x, float) or isinstance(a, float) else v
 
 
 def charlier_orthogonality_sum(n: int, m: int, a: float, K: int) -> float:
@@ -83,10 +79,11 @@ def charlier_orthogonality_sum(n: int, m: int, a: float, K: int) -> float:
         raise ValueError("truncation K must be >= 1")
     if not 0 < a < math.inf:
         raise ValueError(f"weight parameter a must be finite and positive, got {a!r}")
+    cn, cm = _charlier_polynomial(n, a), _charlier_polynomial(m, a)
     acc = 0.0
     w = 1.0  # a^k / k!
     for k in range(K):
         if k > 0:
             w *= a / k
-        acc += w * charlier(n, float(k), a) * charlier(m, float(k), a)
+        acc += w * cn.eval(float(k)) * cm.eval(float(k))
     return acc

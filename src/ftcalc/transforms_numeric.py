@@ -39,12 +39,10 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate, count, repeat
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .combinatorics import bernoulli, rising_factorial
+from .combinatorics import Scalar, _argument_ratio, bernoulli, rising_factorial
 from .polynomial import _integers, _pascal, _taylor_shift
-
-Number = Union[int, float, Fraction]
 
 
 class NonConvergenceError(ArithmeticError):
@@ -90,11 +88,11 @@ class SeriesSource:
             raise ValueError("radius hint must be positive")
 
 
-def taylor_source(provider: Callable[[int], Number], radius: float = math.inf) -> SeriesSource:
+def taylor_source(provider: Callable[[int], Scalar], radius: float = math.inf) -> SeriesSource:
     return SeriesSource("taylor", provider, radius)
 
 
-def samples_source(provider: Callable[[int], Number]) -> SeriesSource:
+def samples_source(provider: Callable[[int], Scalar]) -> SeriesSource:
     return SeriesSource("integer_samples", provider)
 
 
@@ -128,9 +126,14 @@ class NamedSource:
         if m:
             self.kind = m.group(1)
             self.param: Optional[Fraction] = _parse_param(m.group(2))
+            try:
+                self._float_param: Optional[float] = float(self.param)
+            except OverflowError:
+                raise ValueError(f"source {spec!r} has a parameter outside the float "
+                                 "range") from None
         elif spec.strip() == "gamma-samples":
             self.kind = "gamma-samples"
-            self.param = None
+            self.param = self._float_param = None
         else:
             raise ValueError(
                 f"unknown source {spec!r}; expected exp(a), sin(w), cos(w), "
@@ -150,14 +153,14 @@ class NamedSource:
             return lambda n: a ** n
         raise ValueError(f"source {self.spec!r} has no Taylor coefficients")
 
-    def samples(self) -> Callable[[int], Number]:
+    def samples(self) -> Callable[[int], Scalar]:
         if self.kind == "gamma-samples":
             return math.factorial
         # r^n are both the samples and the Taylor coefficients of geometric(r)
         return self.taylor() if self.kind == "geometric" else self.callable()
 
     def callable(self) -> Callable[[float], float]:
-        a = float(self.param) if self.param is not None else None
+        a = self._float_param
         if self.kind == "exp":
             return lambda t: math.exp(a * t)
         if self.kind == "sin":
@@ -441,7 +444,7 @@ def _sum_with_policy(terms: Iterator[float], cfg: NumericConfig,
     )
 
 
-def _input(provider: Callable[[int], Number], n: int, what: str) -> tuple[int, int]:
+def _input(provider: Callable[[int], Scalar], n: int, what: str) -> tuple[int, int]:
     """provider(n) as an exact (numerator, positive denominator) pair, a type
     other than int, float and Fraction read through Fraction(). A call that
     overflows, or a value without an exact ratio such as NaN or inf, raises
@@ -454,13 +457,6 @@ def _input(provider: Callable[[int], Number], n: int, what: str) -> tuple[int, i
         return (v if isinstance(v, (int, float, Fraction)) else Fraction(v)).as_integer_ratio()
     except (OverflowError, ValueError):
         raise NonConvergenceError(f"{what}: input {n} is {v!r}, not a finite number") from None
-
-
-def _argument_ratio(x: Number, what: str) -> tuple[int, int]:
-    try:
-        return Fraction(x).as_integer_ratio()
-    except (OverflowError, ValueError):
-        raise ValueError(f"{what} needs a finite argument, got {x!r}") from None
 
 
 # Both series below form term n as one exact rational U*c / (D*d 2^e): c/d
@@ -492,7 +488,7 @@ def _newton_terms(coeffs: Iterable[tuple[int, int]], u: int, q: int) -> Iterator
         e += k
 
 
-def _egf_terms(sample: Callable[[int], Number], u: int, q: int,
+def _egf_terms(sample: Callable[[int], Scalar], u: int, q: int,
                what: str) -> Iterator[float]:
     """sample(n) x^n / n! for x = u/q: U = u^n, D 2^e = q^n n!."""
     odd, k = _dyadic(q)
@@ -527,7 +523,7 @@ def _newton_sum(coeffs: Iterable[tuple[int, int]], s: float, cfg: NumericConfig,
     return NumericResult(val, est)
 
 
-def _egf_series(sample: Callable[[int], Number], x: float, cfg: NumericConfig,
+def _egf_series(sample: Callable[[int], Scalar], x: float, cfg: NumericConfig,
                 what: str) -> NumericResult:
     """e^{-x} sum_n sample(n) x^n / n!, with the damping applied to the sum.
 
@@ -689,7 +685,7 @@ def rft_fn(f: Callable[[float], float], s: float,
 _JET_EXTRA = 32  # Taylor coefficients read past the truncation for the shift to t
 
 
-def _exact_inputs(value_at: Callable[[int], Number], m: int,
+def _exact_inputs(value_at: Callable[[int], Scalar], m: int,
                   what: str) -> tuple[list[int], int]:
     """value_at(0), ..., value_at(m-1), each read by _input, as numerators
     over one denominator."""
@@ -710,7 +706,7 @@ def _damped_newton_sum(egf: Iterable[int], den: int, rate: int, order: float,
     return _newton_sum(zip(_pascal(egf, -rate), dens), order, cfg, what)
 
 
-def fractional_derivative(src: SeriesSource, order: float, t: Number = 0,
+def fractional_derivative(src: SeriesSource, order: float, t: Scalar = 0,
                           cfg: NumericConfig = NumericConfig()) -> NumericResult:
     """Liouville-type fractional derivative of f at t from its Taylor source.
 

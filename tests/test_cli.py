@@ -174,6 +174,41 @@ def test_number_flag_out_of_float_range_names_the_flag(capsys, argv, flag):
     assert "too large" not in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("special", "--family", "charlier", "--n", "2", "--x", "1/0", "--a", "1"), "--x"),
+    (("special", "--family", "charlier", "--n", "2", "--x", "abc", "--a", "1"), "--x"),
+    (("special", "--family", "charlier", "--n", "2", "--x", "3", "--a", "1/0"), "--a"),
+    (("special", "--family", "laguerre", "--n", "2", "--alpha", "abc"), "--alpha"),
+])
+def test_rational_flag_names_the_flag(capsys, argv, flag):
+    """An unreadable rational flag of special is refused with the flag's name."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {flag} needs a rational or decimal, got")
+
+
+@pytest.mark.parametrize("argv", [
+    ("transform", "--numeric", "--op", "irft", "--source", "exp(1e400)", "--at", "0.5"),
+    ("transform", "--numeric", "--op", "ifft", "--source", "exp(1e400)", "--at", "0.5"),
+    ("transform", "--numeric", "--op", "rft", "--source", "exp(1e400)", "--at", "0.5"),
+    ("fractional", "--kind", "difference", "--order", "0.5", "--source", "exp(1e400)"),
+])
+def test_source_parameter_out_of_float_range_names_the_source(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: source 'exp(1e400)' has a parameter outside the float range\n"
+
+
+def test_scheme_flag_offers_no_adaptive_fallback(capsys):
+    """The plain-weight scheme misreads small s, so the command line does not offer it."""
+    code, out, _ = run(capsys, "transform", "--numeric", "--op", "rft", "--source", "cos(1)",
+                       "--at", "1e-14", "--scheme", "adaptive_fallback")
+    assert code == 2
+    assert out == ""
+
+
 def test_transform_numeric_irft_gamma_samples_names_the_pole(capsys):
     """irft reads the source at t = -1, where Gamma(t+1) has its pole."""
     code, out, err = run(capsys, "transform", "--numeric", "--op", "irft",

@@ -9,6 +9,7 @@ with sympy.functions.combinatorial, which shares no code with ftcalc.
 import math
 from fractions import Fraction
 
+import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,6 +79,20 @@ def test_binomial_general_matches_comb(m, n):
 @given(rationals, small_n)
 def test_binomial_general_is_falling_over_factorial(x, n):
     assert binomial_general(x, n) == falling_factorial(x, n) / math.factorial(n)
+
+
+@given(st.floats(min_value=-40, max_value=40), st.integers(min_value=0, max_value=40))
+def test_binomial_general_rounds_the_exact_value_once(x, n):
+    """At a float, binom(x, n) is the exact value at x's dyadic value, rounded once."""
+    v = binomial_general(x, n)
+    assert type(v) is float
+    assert v.hex() == float(binomial_general(Fraction(x), n)).hex()
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_binomial_general_refuses_a_non_finite_argument(x):
+    with pytest.raises(ValueError, match="^binomial_general needs a finite argument"):
+        binomial_general(x, 3)
 
 
 def test_stirling_second_table():

@@ -136,12 +136,23 @@ def test_assigning_an_attribute_raises(name):
 
 
 @given(coeff_lists, bases, st.floats(min_value=-8, max_value=8))
-def test_float_eval_reads_each_coefficient_as_its_float(coeffs, basis, x):
-    """eval at a float sums float(coeff) times the float basis values, to the bit."""
+def test_float_eval_rounds_the_exact_value_once(coeffs, basis, x):
+    """eval at a float is the exact value at its dyadic value, rounded once."""
     p = poly(basis, coeffs)
-    step = {Basis.MONOMIAL: 0, Basis.FALLING: -1, Basis.RISING: 1}[basis]
-    acc, basis_val = 0.0, 1.0
-    for n, c in enumerate(p.coeffs):
-        acc += float(c) * basis_val
-        basis_val = basis_val * (x + step * n)
-    assert p.eval(x).hex() == acc.hex()
+    assert p.eval(x).hex() == float(p.eval(Fraction(x))).hex()
+
+
+@pytest.mark.parametrize("basis", [Basis.FALLING, Basis.RISING])
+@pytest.mark.parametrize("d", [20, 40])
+@pytest.mark.parametrize("x", [0.5, 3.3, -2.7])
+def test_float_eval_of_a_power_in_a_factorial_basis(basis, d, x):
+    """x^d in a factorial basis has large alternating Stirling-weighted terms;
+    a float sum of them can lose every digit, the exact value rounds correctly."""
+    p = convert_basis(poly("monomial", [0] * d + [1]), basis)
+    assert p.eval(x).hex() == float(Fraction(x) ** d).hex()
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_eval_refuses_a_non_finite_argument(x):
+    with pytest.raises(ValueError, match=f"^eval needs a finite argument, got {x!r}$"):
+        poly("falling", [1, 2]).eval(x)

@@ -117,6 +117,24 @@ def test_charlier_known_values():
     assert charlier(2, Fraction(3), Fraction(1)) == 1
 
 
+@given(st.integers(min_value=0, max_value=12), st.floats(min_value=-9, max_value=9),
+       st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4),
+       st.sampled_from(["x", "a", "both"]))
+def test_charlier_float_rounds_the_exact_value_once(n, x, a, which):
+    """With x or a a float, c_n(x, a) is the exact value at their dyadic values,
+    rounded once."""
+    fx, fa = {"x": (x, a), "a": (Fraction(x), float(a)), "both": (x, float(a))}[which]
+    got = charlier(n, fx, fa)
+    assert type(got) is float
+    assert got.hex() == float(charlier(n, Fraction(fx), Fraction(fa))).hex()
+
+
+@pytest.mark.parametrize("x, a", [(math.nan, 1), (math.inf, 1), (2, -math.inf), (2, math.nan)])
+def test_charlier_refuses_a_non_finite_argument(x, a):
+    with pytest.raises(ValueError, match="^charlier needs a finite argument"):
+        charlier(3, x, a)
+
+
 @settings(deadline=None)
 @given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4))
 def test_charlier_orthogonality(n, m):
