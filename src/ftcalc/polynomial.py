@@ -13,8 +13,12 @@ that multiplies an EGF by e^{rx}, one output per input read. A public
 operation reduces once, when it builds its result. A conversion is one pass
 over a triangle of Stirling numbers to or from the monomial basis, and of
 Lah numbers between the factorial bases; the triangles are unimodular, so a
-conversion keeps the denominator and lowest terms. A product in any basis
-is one convolution in the monomial basis, between conversions.
+conversion keeps the denominator and lowest terms. A product converts
+neither factor: on x^n it is one integer convolution, from a dozen terms on
+one big-int product by Kronecker substitution; on (x)_n it multiplies the
+factors' samples at 0..m-1, read off the difference table, and takes the
+product's Newton series from the table again; on x^(rising n) it is the
+falling product mirrored by x -> -x.
 
 Each basis is the basic sequence of its own lowering operator, L b_n =
 n b_(n-1): d on x^n, the forward difference D on (x)_n and the backward
@@ -26,7 +30,9 @@ binomial kernel applies them in the input's own basis; for a basis the row
 lacks, the weights are translated there through the triangle a conversion
 reads, and the input is never converted. Weights a^j in their own basis (the
 shift on x^n, e^{aD} on (x)_n) run as integer Taylor shifts instead, one
-pass of additions per coefficient, so a caller pays only for those it reads.
+pass of additions per coefficient, so a caller pays only for those it reads;
+so do D = E - 1 and nabla = 1 - E^-1 on x^n and e^D - 1 on (x)_n, each a
+shift less the input.
 The series terminate because L is nilpotent on polynomials. scale_op,
 a^{x nabla}, is diagonal on the falling basis.
 """
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import accumulate, repeat, zip_longest
+from itertools import accumulate, chain, count, islice, repeat, zip_longest
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .combinatorics import Scalar, _argument_ratio, bernoulli, lah_terms, stirling_row
@@ -285,27 +291,66 @@ def scale_argument(p: BasisPolynomial, a: Scalar) -> BasisPolynomial:
 
 
 def multiply(p: BasisPolynomial, q: BasisPolynomial) -> BasisPolynomial:
-    """Exact product of two polynomials given in the same basis.
+    """Exact product of two polynomials given in the same basis, over p.den * q.den.
 
-    One rule for every basis: both numerator vectors are converted to the
-    monomial basis, convolved there, and the product is converted back. The
-    conversions are unimodular, so the product is over p.den * q.den.
+    No factor is converted. In x^n the numerator vectors are convolved. In
+    (x)_n the product's m = deg p + deg q + 1 values at 0..m-1 are the
+    products of the factors' samples there, and its Newton series is their
+    difference table over j!: evaluation and interpolation on an arithmetic
+    progression (Bostan & Schost, J. Complexity 21, 2005), m^2 additions in
+    all. Rising input is mirrored to falling by x -> -x and back.
     """
     if p.basis is not q.basis:
         raise BasisMismatchError("multiply requires operands in the same basis")
     if p.is_zero() or q.is_zero():
         return _canonical(p.basis, (), 1)
-    pn, qn = (_convert(r.nums, r.basis, Basis.MONOMIAL) for r in (p, q))
-    return _reduced(p.basis, _convert(_convolve(pn, qn), Basis.MONOMIAL, p.basis),
-                    p.den * q.den)
+    if p.basis is Basis.RISING:
+        return negate_argument(multiply(negate_argument(p), negate_argument(q)))
+    if p.basis is Basis.MONOMIAL:
+        return _reduced(p.basis, _convolve(p.nums, q.nums), p.den * q.den)
+    m = len(p.nums) + len(q.nums) - 1
+    nums, den = _newton(list(map(operator.mul, _falling_samples(p.nums, m),
+                                 _falling_samples(q.nums, m))))
+    return _reduced(p.basis, nums, p.den * q.den * den)
+
+
+# Kronecker substitution pays from this many terms on: in-process on a
+# 2-core Xeon VM with Python 3.11, against the schoolbook loop on n x n
+# products of random signed entries, it breaks even at n = 8-10 for entries
+# of 12-128 bits (0.72-0.88 of the loop's time at n = 12, 0.5-0.6 at
+# n = 20), at n = 16 for 256 bits and at n = 24 for 1000 bits.
+_KRONECKER_MIN = 12
 
 
 def _convolve(pn: Sequence[int], qn: Sequence[int]) -> list[int]:
-    out = [0] * (len(pn) + len(qn) - 1)
-    for i, a in enumerate(pn):
-        if a:
-            out[i:i + len(qn)] = map(operator.add, out[i:], map(operator.mul, qn, repeat(a)))
-    return out
+    """The product's coefficients out_k = sum_i pn_i qn_(k-i).
+
+    From _KRONECKER_MIN terms on, by Kronecker substitution (Harvey,
+    "Faster polynomial multiplication via multipoint Kronecker
+    substitution", JSC 44, 2009): each vector is the integer sum_i v_i 2^(bi)
+    for a b with |out_k| < 2^(b-1), so one big-int product holds every
+    out_k as a balanced digit. With b = 8w, adding 2^(b-1) to every digit
+    makes the digits w plain bytes each, packed and unpacked in one pass.
+    """
+    # the loop's cost is one slice product per nonzero entry of pn
+    if min(len(pn) - pn.count(0), len(qn)) < _KRONECKER_MIN:
+        out = [0] * (len(pn) + len(qn) - 1)
+        for i, a in enumerate(pn):
+            if a:
+                out[i:i + len(qn)] = map(operator.add, out[i:], map(operator.mul, qn, repeat(a)))
+        return out
+    top = [max(map(abs, v)) or 1 for v in (pn, qn)]
+    w = (top[0] * top[1] * min(len(pn), len(qn))).bit_length() // 8 + 1  # bytes per digit
+    half, m = 1 << (8 * w - 1), len(pn) + len(qn) - 1
+    unit = half.to_bytes(w, "little")
+
+    def pack(v: Sequence[int]) -> int:
+        # sum_i v_i 2^(8wi): the digits v_i + half, less the digits half
+        return (int.from_bytes(b"".join([(a + half).to_bytes(w, "little") for a in v]), "little")
+                - int.from_bytes(unit * len(v), "little"))
+
+    digits = (pack(pn) * pack(qn) + int.from_bytes(unit * m, "little")).to_bytes(w * m, "little")
+    return [int.from_bytes(digits[i:i + w], "little") - half for i in range(0, w * m, w)]
 
 
 def _pascal(v: Iterable[int], r: int) -> Iterator[int]:
@@ -327,6 +372,28 @@ def _pascal(v: Iterable[int], r: int) -> Iterator[int]:
         diagonal = list(accumulate(diagonal if abs(r) == 1 else
                                    map(operator.mul, diagonal, repeat(r)), step, initial=a))
         yield diagonal[-1]
+
+
+def _times_exp(v: Iterable[int], r: int, m: int) -> list[int]:
+    """h_k for k < m of the EGF of v times e^{rx}: the first m outputs of the
+    difference table, reading v only that far; v may stop early, its missing
+    terms are zero."""
+    return list(islice(_pascal(chain(v, repeat(0)), r), m))
+
+
+def _falling_samples(nums: Iterable[int], m: int) -> list[int]:
+    """p(0), ..., p(m-1) for the falling numerators c of p, over p's
+    denominator: p(j) = sum_n binom(j,n) n! c_n."""
+    return _times_exp(map(operator.mul, nums, accumulate(count(1), operator.mul, initial=1)),
+                      1, m)
+
+
+def _newton(v: Sequence[int]) -> tuple[list[int], int]:
+    """The falling numerators of the polynomial of degree < m = len(v) that
+    takes the values v at 0..m-1, and their denominator (m-1)!: the
+    coefficient of (x)_j is D^j v(0) / j! = D^j v(0) (m-1)!/j! over (m-1)!."""
+    ratios = list(accumulate(range(len(v) - 1, 0, -1), operator.mul, initial=1))
+    return list(map(operator.mul, _times_exp(v, -1, len(v)), reversed(ratios))), ratios[-1]
 
 
 # --- operator calculus -----------------------------------------------------
@@ -496,7 +563,7 @@ def _taylor_shift(a: Fraction, nums: Sequence[int]) -> tuple[Iterator[int], int]
 # log(1+d)^k has the weights of d^k in the falling basis, read in x^n, and
 # (e^D - 1)^k those of D^k in the monomial basis, read in (x)_n. Weights a^j
 # in their own basis, E^a on x^n and e^{aD} on (x)_n, are a Taylor shift of
-# the coefficient vector and run as one.
+# the coefficient vector and run as one, as do the rows of _SHIFT_MINUS_ONE.
 _GEOMETRIC = partial(_powers, 0)
 _SERIES: dict[OperatorKind, dict[Basis, Callable[[OperatorExpr, int], tuple]]] = {
     OperatorKind.DERIVATIVE: {Basis.MONOMIAL: _unit},
@@ -509,6 +576,14 @@ _SERIES: dict[OperatorKind, dict[Basis, Callable[[OperatorExpr, int], tuple]]] =
     OperatorKind.EXP_SHIFT: {Basis.FALLING: _GEOMETRIC},
     OperatorKind.BINOM_SHIFT: {Basis.MONOMIAL: partial(_powers, -1)},
 }
+# (kind, basis) -> a for the first powers that are a (e^{aL} - 1), for a = +-1,
+# in that basis: D = E - 1 and nabla = -(E^-1 - 1) on x^n, e^D - 1 on (x)_n.
+# They run as one Taylor shift less the input.
+_SHIFT_MINUS_ONE = {
+    (OperatorKind.FORWARD_DIFFERENCE, Basis.MONOMIAL): 1,
+    (OperatorKind.BACKWARD_DIFFERENCE, Basis.MONOMIAL): -1,
+    (OperatorKind.EXPDIFF_MINUS1, Basis.FALLING): 1,
+}
 
 
 def apply_operator(op: OperatorExpr, p: BasisPolynomial) -> BasisPolynomial:
@@ -520,6 +595,10 @@ def apply_operator(op: OperatorExpr, p: BasisPolynomial) -> BasisPolynomial:
     if rows.get(p.basis) is _GEOMETRIC:
         shifted, factor = _taylor_shift(op.a, p.nums)
         nums = list(shifted)
+    elif op.k == 1 and (op.kind, p.basis) in _SHIFT_MINUS_ONE:
+        a = _SHIFT_MINUS_ONE[op.kind, p.basis]
+        shifted, factor = _taylor_shift(Fraction(a), p.nums)
+        nums = [a * (v - c) for v, c in zip(shifted, p.nums)]
     else:
         basis = p.basis if p.basis in rows else next(iter(rows))
         weights, factor = rows[basis](op, len(p.nums))

@@ -22,13 +22,12 @@ over one denominator; a Fraction is built only for a returned value.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
-from itertools import accumulate, chain, count, islice, repeat
 from typing import Callable, Iterable, Sequence, Union
 
 from .polynomial import (
-    Basis, BasisPolynomial, _canonical, _integers, _pascal, _reduced, convert_basis, multiply,
+    Basis, BasisPolynomial, _canonical, _falling_samples, _integers, _newton, _reduced,
+    _times_exp, convert_basis, multiply,
 )
 
 SequenceSource = Union[BasisPolynomial, Callable[[int], Fraction]]
@@ -76,13 +75,6 @@ def _binomial(u: Sequence[int], v: Sequence[int], ks: Iterable[int]) -> list[int
     return out
 
 
-def _times_exp(v: Iterable[int], r: int, m: int) -> list[int]:
-    """h_k for k < m of the EGF of v times e^{rx}: the first m outputs of the
-    difference table, reading v only that far; v may stop early, its missing
-    terms are zero."""
-    return list(islice(_pascal(chain(v, repeat(0)), r), m))
-
-
 def _signs(m: int) -> list[int]:
     return [(-1) ** n for n in range(m)]
 
@@ -97,8 +89,7 @@ def _samples(f: SequenceSource, m: int) -> tuple[list[int], int]:
     if not isinstance(f, BasisPolynomial):
         return _integers(map(f, range(m)))
     c = convert_basis(f, Basis.FALLING)
-    factorials = accumulate(count(1), operator.mul, initial=1)
-    return _times_exp(map(operator.mul, c.nums, factorials), 1, m), c.den
+    return _falling_samples(c.nums, m), c.den
 
 
 def binomial_transform(f: SequenceSource, x: int) -> Fraction:
@@ -143,7 +134,7 @@ def hadamard_ifft(f: BasisPolynomial, g: BasisPolynomial) -> BasisPolynomial:
     """FFT^{-1}(f*g), the inverse falling transform of the product f*g.
 
     The paper computes it as sum_k d^k(FFT^{-1} f) d^k(FFT^{-1} g) x^k/k!
-    (eq58); here it is multiply's rule, one integer convolution of the
+    (eq58); here it is one monomial product, an integer convolution of the
     monomial coefficients, and one conversion, O(d^2). f and g may be given
     in any bases.
     """
@@ -179,10 +170,6 @@ def newton_from_samples(f: SequenceSource, degree: int) -> BasisPolynomial:
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    m = degree + 1
-    v, d = _samples(f, m)
-    diffs = _times_exp(v, -1, m)
-    # D^j f(0) / j! = D^j f(0) (m-1)!/j! over (m-1)!
-    ratios = accumulate(range(m - 1, 0, -1), operator.mul, initial=1)
-    return _reduced(Basis.FALLING, list(map(operator.mul, diffs, reversed(list(ratios)))),
-                    d * math.factorial(m - 1))
+    v, d = _samples(f, degree + 1)
+    nums, den = _newton(v)
+    return _reduced(Basis.FALLING, nums, d * den)

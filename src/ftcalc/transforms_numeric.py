@@ -41,7 +41,7 @@ from fractions import Fraction
 from itertools import accumulate, count, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .combinatorics import Scalar, _argument_ratio, bernoulli, rising_factorial
+from .combinatorics import Scalar, _argument_ratio, bernoulli
 from .polynomial import _integers, _pascal, _taylor_shift
 
 
@@ -595,7 +595,8 @@ def rft_fn(f: Callable[[float], float], s: float,
     rule or its integrand, or f returns a value that is not real, such as a
     complex, or the integrand divides by zero (for s < 1
     tanh_sinh evaluates f down to t = 1e-29^(1/s), where a pole of f at 0
-    shows), and ValueError for s not finite and positive, or
+    shows), or for 'adaptive_fallback' below s = 1, where the folded
+    t^(s-1) has a pole at 0; and ValueError for s not finite and positive, or
     past s = 171.62 for the two Gauss-Laguerre schemes, which normalize by a
     float Gamma(s).
     """
@@ -654,6 +655,11 @@ def rft_fn(f: Callable[[float], float], s: float,
                              f"s <= 171.62, got s = {s}; use 'tanh_sinh'") from None
         if quad.scheme == "gauss_laguerre":
             alpha, weight = s - 1.0, lambda x, w: w
+        elif s < 1:
+            # the plain-weight nodes cannot resolve the folded factor's pole at
+            # 0: at s = 1e-14 the sums for cos agree to 7e-15 and miss by 1
+            raise QuadratureError(f"adaptive_fallback: the folded factor t^(s-1) is "
+                                  f"unbounded at 0 for s = {s} < 1")
         else:
             # adaptive_fallback forms w t^(s-1) in log space: t^(s-1) alone
             # overflows at the largest nodes from s = 112 on, where w has
@@ -788,26 +794,38 @@ def incomplete_gamma_upper(n: int, x: float) -> float:
     return value
 
 
-def zeta_formal_series(s: float, N: int) -> tuple[float, list[float]]:
+def zeta_formal_series(s: Scalar, N: int) -> tuple[float, list[float]]:
     """Partial sum and raw terms of the formal Bernoulli/rising-factorial
     series for zeta: -1/(s-1) + sum_{n<N} B_{n+1} (-1)^(n+1)/(n+1)! s^(rising n).
 
     Makes no convergence claim: the terms eventually grow, and desk
     evaluation shows the partial sums do not approach zeta(s). Callers
-    inspect the terms to locate the minimal-term truncation. Raises
-    NonConvergenceError naming the first term that is not a finite float.
+    inspect the terms to locate the minimal-term truncation. Each term is
+    formed exactly over s's ratio u/q, a float s read as its dyadic value,
+    and rounded once. Raises NonConvergenceError naming the first term that
+    overflows a float, or when the partial sum does, and ValueError for s = 1
+    or s not finite.
     """
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"zeta_formal_series needs an int N >= 1, got {N!r}")
     if s == 1:
         raise ValueError("pole at s = 1")
+    u, q = _argument_ratio(s, "zeta_formal_series")
     terms = []
+    # s^(rising n) / (n+1)! = rise / scale, both integers
+    rise, scale = 1, 1
     for n in range(N):
+        scale *= n + 1
         b = bernoulli(n + 1)
-        w = Fraction((-1) ** (n + 1)) * b / math.factorial(n + 1)
-        term = float(w) * rising_factorial(float(s), n)
-        if not math.isfinite(term):
-            raise NonConvergenceError(f"zeta_formal_series: term {n} at s = {s} is "
-                                      f"{term!r}, not a finite float")
-        terms.append(term)
-    return -1.0 / (s - 1.0) + math.fsum(terms), terms
+        try:
+            terms.append((-1) ** (n + 1) * b.numerator * rise / (b.denominator * scale))
+        except OverflowError:
+            raise NonConvergenceError(f"zeta_formal_series: term {n} at s = {s} overflows "
+                                      f"a float") from None
+        rise *= u + n * q
+        scale *= q
+    try:
+        return -1.0 / (s - 1.0) + math.fsum(terms), terms
+    except OverflowError:
+        raise NonConvergenceError(f"zeta_formal_series: the partial sum at s = {s} "
+                                  f"overflows a float") from None

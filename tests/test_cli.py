@@ -310,14 +310,21 @@ def test_zeta_terms(capsys):
     assert "note" in blob
 
 
-@pytest.mark.parametrize("argv", [("--s", "2", "--terms", "171"), ("--s", "1e300", "--terms", "5"),
-                                  ("--s", "2", "--terms", "200")])
-def test_zeta_non_finite_term_is_error(capsys, argv):
+@pytest.mark.parametrize("argv,term", [(("--s", "2", "--terms", "260"), 259),
+                                       (("--s", "1e300", "--terms", "5"), 3),
+                                       (("--s", "2", "--terms", "300"), 259)])
+def test_zeta_non_finite_term_is_error(capsys, argv, term):
     """Terms past the float range once printed NaN, or an fsum error, as output."""
     code, out, err = run(capsys, "zeta", *argv)
     assert code == 1
     assert out == ""
-    assert "zeta_formal_series: term" in err
+    assert f"zeta_formal_series: term {term} " in err
+
+
+def test_zeta_terms_through_259_are_finite(capsys):
+    code, out, _ = run(capsys, "zeta", "--s", "2", "--terms", "259")
+    assert code == 0
+    assert len(loads(out)["terms"]) == 259
 
 
 def test_verify_single_check(capsys):

@@ -7,7 +7,9 @@ through derivatives as 1 - e^{-d}. scale_op is the one operator that is not
 shift-invariant; its oracle is the defining sum
 sum_k (a-1)^k / k! (x)_k nabla^k. The inverses are the reciprocal series
 followed by an integral from 0 or a sum from 0, so the zero-at-origin
-normalization is checked too. Every comparison is exact.
+normalization is checked too. Products in the factorial bases are compared
+with the expansion of the product of sympy's ff/rf expansions. Every
+comparison is exact.
 """
 
 from fractions import Fraction
@@ -30,6 +32,7 @@ from ftcalc.polynomial import (
     forward_difference,
     log1p_derivative,
     log1p_derivative_inverse,
+    multiply,
     poly,
     scale_op,
     shift,
@@ -46,25 +49,34 @@ def _rational(c: Fraction):
     return sp.Rational(c.numerator, c.denominator)
 
 
+@lru_cache(maxsize=None)
+def element(basis: Basis, n: int):
+    """The n-th basis element as an expanded sympy polynomial in x, via
+    sympy's own factorials."""
+    return sp.expand({Basis.MONOMIAL: lambda: x ** n,
+                      Basis.FALLING: lambda: sp.expand_func(sp.ff(x, n)),
+                      Basis.RISING: lambda: sp.expand_func(sp.rf(x, n))}[basis]())
+
+
 def to_expr(p):
-    """p as an expanded sympy polynomial in x, via sympy's own factorials."""
-    element = {Basis.MONOMIAL: lambda n: x ** n,
-               Basis.FALLING: lambda n: sp.expand_func(sp.ff(x, n)),
-               Basis.RISING: lambda n: sp.expand_func(sp.rf(x, n))}[p.basis]
-    return sp.expand(sum((_rational(c) * element(n) for n, c in enumerate(p.coeffs)),
+    """p as an expanded sympy polynomial in x."""
+    return sp.expand(sum((_rational(c) * element(p.basis, n) for n, c in enumerate(p.coeffs)),
                          sp.Integer(0)))
 
 
 @lru_cache(maxsize=None)
-def taylor(gf) -> tuple:
-    """The Taylor coefficients of gf(t) up to t^MAX_DEGREE from sympy.series."""
-    s = sp.expand(sp.series(sp.expand(gf), t, 0, MAX_DEGREE + 1).removeO())
-    return tuple(s.coeff(t, m) for m in range(MAX_DEGREE + 1))
+def taylor(gf, order: int = MAX_DEGREE) -> tuple:
+    """The Taylor coefficients of gf(t) up to t^order from sympy.series."""
+    s = sp.expand(sp.series(sp.expand(gf), t, 0, order + 1).removeO())
+    return tuple(s.coeff(t, m) for m in range(order + 1))
 
 
 def weights(gf, f) -> tuple:
     """The Taylor coefficients of gf(t) that act on f: t^m for m <= deg f."""
-    return taylor(gf)[:sp.degree(f, x) + 1] if f != 0 else ()
+    if f == 0:
+        return ()
+    degree = sp.degree(f, x)
+    return taylor(gf, max(degree, MAX_DEGREE))[:degree + 1]
 
 
 def through_diff(gf, f):
@@ -74,13 +86,13 @@ def through_diff(gf, f):
 
 
 def through_delta(gf, f):
-    """gf(Delta) f: the series in t with t^m read as
-    Delta^m f = sum_i (-1)^(m-i) C(m, i) f(x+i)."""
-    ws = weights(gf, f)
-    shifted = [f.subs(x, x + i) for i in range(len(ws))]
-    return sp.expand(sum((w * (-1) ** (m - i) * sp.binomial(m, i) * shifted[i]
-                          for m, w in enumerate(ws) if w for i in range(m + 1)),
-                         sp.Integer(0)))
+    """gf(Delta) f: the series in t with t^m read as Delta^m f, each
+    difference f(x+1) - f(x) taken by substitution."""
+    out, diff = sp.Integer(0), f
+    for w in weights(gf, f):
+        out += w * diff
+        diff = sp.expand(diff.subs(x, x + 1) - diff)
+    return sp.expand(out)
 
 
 def scale_oracle(a, f):
@@ -122,6 +134,25 @@ def test_power_kinds_match_series_oracle(factory, gf, route):
         f = to_expr(p)
         for k in range(4):
             assert_matches(apply_operator(factory(k), p), p, route(sp.S(gf(k)), f))
+
+
+# Delta and nabla on x^n and e^Delta - 1 on (x)_n are a shift less the input
+# at k = 1 and run on the binomial kernel from k = 2; every other basis
+# translates their weights
+DIFFERENCE_ROWS = POWERS[1:3] + POWERS[4:]
+
+
+@pytest.mark.parametrize("factory,gf,route", DIFFERENCE_ROWS,
+                         ids=[f.__name__ for f, _, _ in DIFFERENCE_ROWS])
+def test_difference_rows_match_series_oracle_to_degree_12(factory, gf, route):
+    rng = Random(12)
+    for degree in (6, 9, 12):
+        for basis in BASES:
+            p = poly(basis, [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                             for _ in range(degree)] + [Fraction(-2, 3)])
+            f = to_expr(p)
+            for k in (1, 2):
+                assert_matches(apply_operator(factory(k), p), p, route(sp.S(gf(k)), f))
 
 
 PARAMETERS = [
@@ -183,3 +214,20 @@ def test_falling_rising_conversion_matches_sympy():
             q = convert_basis(p, target)
             assert q.basis is target
             assert to_expr(q) == to_expr(p)
+
+
+def test_factorial_products_match_sympy():
+    """Falling and rising products against the expansion of the product of
+    sympy's own ff/rf expansions, for factors of degree up to 12, a third
+    of their coefficients zero."""
+    rng = Random(5)
+
+    def draw(basis, degree):
+        return poly(basis, [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) * (rng.random() > 1 / 3)
+                            for _ in range(degree)] + [Fraction(rng.choice((-5, 7)), 3)])
+
+    for basis in (Basis.FALLING, Basis.RISING):
+        for dp in range(13):
+            for dq in sorted({dp, 12 - dp}):
+                p, q = draw(basis, dp), draw(basis, dq)
+                assert_matches(multiply(p, q), p, sp.expand(to_expr(p) * to_expr(q)))

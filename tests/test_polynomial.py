@@ -26,7 +26,9 @@ from ftcalc.polynomial import (
     BasisPolynomial,
     OperatorExpr,
     OperatorKind,
+    _KRONECKER_MIN,
     _apply_weights,
+    _convolve,
     _integers,
     _translate,
     antiderivative,
@@ -525,6 +527,33 @@ _DEG60 = [Fraction((-1) ** n * (n * n + 1), n % 7 + 1) if n % 3 else 0 for n in 
 def test_multiply_matches_reference(a, b, basis):
     p, q = poly(basis, a), poly(basis, b)
     assert multiply(p, q) == _ref_multiply(p, q)
+
+
+def _ref_convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+_BIG = 2 ** 2000 - 1
+# signed entries, zeros among them, of up to 2000 bits; lengths on both
+# sides of the Kronecker crossover
+convolve_vectors = st.lists(
+    st.one_of(st.just(0), st.integers(-9, 9), st.integers(-_BIG, _BIG)),
+    min_size=1, max_size=2 * _KRONECKER_MIN + 4)
+
+
+@settings(deadline=None)
+@given(convolve_vectors, convolve_vectors)
+@example([7], [-3])
+@example([0] * (_KRONECKER_MIN - 1) + [1], list(range(-20, 20)))
+@example(list(range(1, _KRONECKER_MIN + 1)), [0] * _KRONECKER_MIN)
+@example([-_BIG] * _KRONECKER_MIN, [_BIG] * (_KRONECKER_MIN + 5))  # |out_k| at the bound
+@example([_BIG, 0, -_BIG] * _KRONECKER_MIN, [0, 1, -1] * 9 + [_BIG])
+def test_convolve_matches_schoolbook(a, b):
+    assert _convolve(a, b) == _ref_convolve(a, b)
 
 
 @given(coeff_lists, st.integers(min_value=0, max_value=12))

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ftcalc.combinatorics import rising_factorial
+from ftcalc.combinatorics import bernoulli, rising_factorial
 from ftcalc.polynomial import monomial, shift
 from ftcalc.transforms_numeric import (
     NamedSource,
@@ -113,6 +113,15 @@ def test_adaptive_fallback_rejects_endpoint_kink():
     """Plain Laguerre nodes cannot resolve the t^{s-1} kink for fractional s."""
     with pytest.raises(QuadratureError):
         rft_fn(lambda t: math.exp(-t), 1.5, QuadratureSpec(scheme="adaptive_fallback"))
+
+
+@pytest.mark.parametrize("s", [1e-14, 1e-10, 0.5, Fraction(99, 100)])
+def test_adaptive_fallback_rejects_s_below_1(s):
+    """The folded t^(s-1) is unbounded at 0: at s = 1e-14 the two node sums
+    for cos agreed to 7e-15 and returned 5.3e-14, against a transform of
+    2^(-s/2) cos(s pi/4), 1.0 to 14 digits."""
+    with pytest.raises(QuadratureError, match=r"^adaptive_fallback: .* unbounded at 0"):
+        rft_fn(math.cos, s, QuadratureSpec(scheme="adaptive_fallback"))
 
 
 def test_rft_fn_unknown_scheme():
@@ -558,11 +567,23 @@ def test_zeta_formal_series_contract():
             zeta_formal_series(2.0, N)
 
 
-@pytest.mark.parametrize("s,N,term", [(2.0, 171, 170), (2.0, 200, 170), (1e300, 5, 2)])
+@pytest.mark.parametrize("s,N,term", [(2.0, 260, 259), (2.0, 300, 259), (1e300, 5, 3)])
 def test_zeta_formal_series_rejects_non_finite_terms(s, N, term):
-    """s^(rising n) leaves the float range, and 0 times it is NaN."""
-    with pytest.raises(NonConvergenceError, match=f"term {term} "):
+    """The first term whose exact value leaves the float range: B_260 at
+    s = 2, where every term is (-1)^(n+1) B_(n+1); at s = 1e300 the term
+    B_4/4! s^(rising 3), as B_3 = 0 makes term 2 exactly 0."""
+    with pytest.raises(NonConvergenceError, match=f"term {term} .* overflows a float"):
         zeta_formal_series(s, N)
+
+
+def test_zeta_formal_series_terms_are_exact_values_rounded_once():
+    """At s = 2 the n-th term is (-1)^(n+1) B_(n+1) exactly: the float
+    products once overflowed at n = 170 and met B_171 = 0 as 0 * inf."""
+    _, terms = zeta_formal_series(2.0, 259)
+    assert terms == [float((-1) ** (n + 1) * bernoulli(n + 1)) for n in range(259)]
+    assert zeta_formal_series(Fraction(1, 3), 40)[1] == [
+        float((-1) ** (n + 1) * bernoulli(n + 1) * rising_factorial(Fraction(1, 3), n)
+              / math.factorial(n + 1)) for n in range(40)]
 
 
 def test_zeta_formal_series_known_partial():
