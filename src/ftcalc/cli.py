@@ -10,10 +10,13 @@ values print as strings so exact output survives a round trip. Exit codes:
 0 success (verify: all checks passed), 1 mathematical failure or failing
 checks, 2 usage errors.
 
-The numeric layer and the check suite are imported by the subcommands that
-use them, so convert, exact transform and special start without them. Only
-the check suite and tanh-sinh quadrature load mpmath. A --source spec is
-read by the numeric layer's NamedSource, imported with it.
+Each subcommand imports the layers it runs when it runs: the special
+families, the exact transforms, the numeric layer and the check suite, so
+convert loads only the polynomial layer. Only tanh-sinh quadrature and the
+five checks that call mpmath (eq8_mellin_consistency, eq24_summation_integral,
+eq67_laplace_rft with its informational twin, table2_row1_power_shift and
+eq90_91_zeta_info) load mpmath. A --source spec is read by the numeric
+layer's NamedSource, imported with it.
 """
 
 from __future__ import annotations
@@ -25,10 +28,6 @@ from fractions import Fraction
 
 from .combinatorics import bernoulli, stirling_first_signed, stirling_second
 from .polynomial import Basis, BasisPolynomial, convert_basis
-from .special_polynomials import charlier, laguerre, touchard, z_poly
-from .transforms_exact import fft_poly, ifft_poly, irft_poly, rft_poly
-
-_EXACT_OPS = {"fft": fft_poly, "ifft": ifft_poly, "rft": rft_poly, "irft": irft_poly}
 
 
 def _read_polynomial(spec: str) -> BasisPolynomial:
@@ -72,8 +71,10 @@ def _cmd_transform(args) -> int:
     if not args.numeric:
         if args.input is None:
             raise ValueError("exact transform needs a polynomial argument")
+        from . import transforms_exact
+
         p = _read_polynomial(args.input)
-        _emit(_EXACT_OPS[args.op](p).to_json())
+        _emit(getattr(transforms_exact, f"{args.op}_poly")(p).to_json())
         return 0
 
     if args.source is None or args.at is None:
@@ -103,6 +104,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_special(args) -> int:
+    from .special_polynomials import charlier, laguerre, touchard, z_poly
+
     fam = args.family
     n = args.n
     if fam == "touchard":

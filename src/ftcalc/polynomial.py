@@ -15,10 +15,10 @@ over a triangle of Stirling numbers to or from the monomial basis, and of
 Lah numbers between the factorial bases; the triangles are unimodular, so a
 conversion keeps the denominator and lowest terms. A product converts
 neither factor: on x^n it is one integer convolution, from a dozen terms on
-one big-int product by Kronecker substitution; on (x)_n it multiplies the
-factors' samples at 0..m-1, read off the difference table, and takes the
-product's Newton series from the table again; on x^(rising n) it is the
-falling product mirrored by x -> -x.
+(up to two dozen for wide entries) one big-int product by Kronecker
+substitution; on (x)_n it multiplies the factors' samples at 0..m-1, read
+off the difference table, and takes the product's Newton series from the
+table again; on x^(rising n) it is the falling product mirrored by x -> -x.
 
 Each basis is the basic sequence of its own lowering operator, L b_n =
 n b_(n-1): d on x^n, the forward difference D on (x)_n and the backward
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
@@ -65,18 +65,20 @@ class BasisMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class BasisPolynomial:
     """Finite coefficient vector tagged with a basis; canonical form.
 
     coeffs[n] = nums[n] / den multiplies the n-th basis element. The vector
     is in lowest terms: den > 0, gcd(den, *nums) = 1 and no trailing zero,
     so equality is structural equality. The zero polynomial has no coeffs.
+    Instances are immutable: assigning or deleting any attribute raises
+    dataclasses.FrozenInstanceError, as for a frozen dataclass.
     """
 
     basis: Basis
     nums: tuple[int, ...]
     den: int
+    __match_args__ = ("basis", "nums", "den")
 
     def __init__(self, basis: Basis | str, coeffs: Iterable):
         # numerators of reduced fractions over their lcm are in lowest terms
@@ -91,6 +93,20 @@ class BasisPolynomial:
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(basis={self.basis!r}, coeffs={self.coeffs!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.basis, self.nums, self.den) == (other.basis, other.nums, other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.basis, self.nums, self.den))
+
+    def __setattr__(self, name, value):
+        raise _frozen(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise _frozen(f"cannot delete field {name!r}")
 
     @property
     def degree(self) -> int:
@@ -153,6 +169,12 @@ class BasisPolynomial:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational coefficient: {exc}") from None
         return cls(basis, parsed)
+
+
+def _frozen(message: str) -> AttributeError:
+    # dataclasses costs a cold process its import of inspect; only this error needs it
+    from dataclasses import FrozenInstanceError
+    return FrozenInstanceError(message)
 
 
 def _init(p: BasisPolynomial, basis: Basis, nums: Sequence[int], den: int) -> BasisPolynomial:
@@ -314,33 +336,46 @@ def multiply(p: BasisPolynomial, q: BasisPolynomial) -> BasisPolynomial:
     return _reduced(p.basis, nums, p.den * q.den * den)
 
 
-# Kronecker substitution pays from this many terms on: in-process on a
-# 2-core Xeon VM with Python 3.11, against the schoolbook loop on n x n
-# products of random signed entries, it breaks even at n = 8-10 for entries
-# of 12-128 bits (0.72-0.88 of the loop's time at n = 12, 0.5-0.6 at
-# n = 20), at n = 16 for 256 bits and at n = 24 for 1000 bits.
+# Kronecker substitution pays from _KRONECKER_MIN terms on for digits of up
+# to _KRONECKER_BYTES bytes, one term later per _KRONECKER_BYTES bytes more,
+# and from 2 * _KRONECKER_MIN terms at any width. In-process on a 2-core Xeon
+# VM with Python 3.11, against the schoolbook loop on n x n products of
+# random signed b-bit entries (timeit, min of 15), it breaks even at n < 10
+# for b = 32 (9-byte digits; 0.64 of the loop's time at n = 12), n = 10 for
+# b = 128 (33 bytes), n = 14 for b = 256 (65 bytes), n = 18 for b = 512 (129
+# bytes), n = 24 for b = 1000 (251 bytes), n = 18 for b = 2000 (501 bytes)
+# and n = 16 for b = 4000 (1001 bytes).
 _KRONECKER_MIN = 12
+_KRONECKER_BYTES = 16
 
 
 def _convolve(pn: Sequence[int], qn: Sequence[int]) -> list[int]:
     """The product's coefficients out_k = sum_i pn_i qn_(k-i).
 
-    From _KRONECKER_MIN terms on, by Kronecker substitution (Harvey,
-    "Faster polynomial multiplication via multipoint Kronecker
-    substitution", JSC 44, 2009): each vector is the integer sum_i v_i 2^(bi)
-    for a b with |out_k| < 2^(b-1), so one big-int product holds every
-    out_k as a balanced digit. With b = 8w, adding 2^(b-1) to every digit
-    makes the digits w plain bytes each, packed and unpacked in one pass.
+    From _KRONECKER_MIN terms on, and more for wide entries, by Kronecker
+    substitution (Harvey, "Faster polynomial multiplication via multipoint
+    Kronecker substitution", JSC 44, 2009): each vector is the integer
+    sum_i v_i 2^(bi) for a b with |out_k| < 2^(b-1), so one big-int product
+    holds every out_k as a balanced digit. With b = 8w, adding 2^(b-1) to
+    every digit makes the digits w plain bytes each, packed and unpacked in
+    one pass.
     """
     # the loop's cost is one slice product per nonzero entry of pn
-    if min(len(pn) - pn.count(0), len(qn)) < _KRONECKER_MIN:
-        out = [0] * (len(pn) + len(qn) - 1)
-        for i, a in enumerate(pn):
-            if a:
-                out[i:i + len(qn)] = map(operator.add, out[i:], map(operator.mul, qn, repeat(a)))
-        return out
-    top = [max(map(abs, v)) or 1 for v in (pn, qn)]
-    w = (top[0] * top[1] * min(len(pn), len(qn))).bit_length() // 8 + 1  # bytes per digit
+    terms = min(len(pn) - pn.count(0), len(qn))
+    if terms >= _KRONECKER_MIN:
+        top = [max(map(abs, v)) or 1 for v in (pn, qn)]
+        w = (top[0] * top[1] * min(len(pn), len(qn))).bit_length() // 8 + 1  # bytes per digit
+        if terms >= min(_KRONECKER_MIN + w // _KRONECKER_BYTES, 2 * _KRONECKER_MIN):
+            return _kronecker(pn, qn, w)
+    out = [0] * (len(pn) + len(qn) - 1)
+    for i, a in enumerate(pn):
+        if a:
+            out[i:i + len(qn)] = map(operator.add, out[i:], map(operator.mul, qn, repeat(a)))
+    return out
+
+
+def _kronecker(pn: Sequence[int], qn: Sequence[int], w: int) -> list[int]:
+    """_convolve's product by Kronecker substitution with w-byte digits."""
     half, m = 1 << (8 * w - 1), len(pn) + len(qn) - 1
     unit = half.to_bytes(w, "little")
 
@@ -420,27 +455,27 @@ _POWER_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class OperatorExpr:
-    kind: OperatorKind
-    k: int = 1
-    a: Fraction | None = None
+class OperatorExpr(namedtuple("OperatorExpr", "kind k a")):
+    """An operator kind with its power k (power kinds) or parameter a (the rest)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "kind", OperatorKind(self.kind))
-        if not isinstance(self.k, int):
-            raise ValueError(f"{self.kind.value} power must be an int, got {self.k!r}")
-        if self.kind in _POWER_KINDS:
-            if self.k < 0:
-                raise ValueError(f"{self.kind.value} power must be nonnegative")
-            if self.a is not None:
-                raise ValueError(f"{self.kind.value} takes no parameter")
+    __slots__ = ()
+
+    def __new__(cls, kind: OperatorKind | str, k: int = 1, a: Scalar | None = None):
+        kind = OperatorKind(kind)
+        if not isinstance(k, int):
+            raise ValueError(f"{kind.value} power must be an int, got {k!r}")
+        if kind in _POWER_KINDS:
+            if k < 0:
+                raise ValueError(f"{kind.value} power must be nonnegative")
+            if a is not None:
+                raise ValueError(f"{kind.value} takes no parameter")
         else:
-            if self.a is None:
-                raise ValueError(f"{self.kind.value} requires parameter a")
-            if self.k != 1:
-                raise ValueError(f"{self.kind.value} takes no power; fold it into a")
-            object.__setattr__(self, "a", Fraction(self.a))
+            if a is None:
+                raise ValueError(f"{kind.value} requires parameter a")
+            if k != 1:
+                raise ValueError(f"{kind.value} takes no power; fold it into a")
+            a = Fraction(a)
+        return super().__new__(cls, kind, k, a)
 
 
 def derivative(k: int = 1) -> OperatorExpr:

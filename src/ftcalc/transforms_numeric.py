@@ -35,7 +35,7 @@ import math
 import operator
 import re
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate, count, repeat
@@ -67,8 +67,7 @@ class NumericResult(float):
         return f"NumericResult({float(self)!r}, error_estimate={self.error_estimate!r})"
 
 
-@dataclass(frozen=True)
-class SeriesSource:
+class SeriesSource(namedtuple("SeriesSource", "kind provider radius")):
     """Supplier of Taylor coefficients, integer samples, or point values.
 
     kind 'taylor': provider(n) is the coefficient a_n of x^n (exact or float).
@@ -77,15 +76,14 @@ class SeriesSource:
     radius is a validity hint for taylor providers (positive, may be inf).
     """
 
-    kind: str
-    provider: Callable
-    radius: float = math.inf
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("taylor", "integer_samples", "callable"):
-            raise ValueError(f"unknown source kind {self.kind!r}")
-        if not (self.radius > 0):
+    def __new__(cls, kind: str, provider: Callable, radius: float = math.inf):
+        if kind not in ("taylor", "integer_samples", "callable"):
+            raise ValueError(f"unknown source kind {kind!r}")
+        if not (radius > 0):
             raise ValueError("radius hint must be positive")
+        return super().__new__(cls, kind, provider, radius)
 
 
 def taylor_source(provider: Callable[[int], Scalar], radius: float = math.inf) -> SeriesSource:
@@ -175,28 +173,27 @@ class NamedSource:
         return lambda t: math.gamma(t + 1.0)
 
 
-@dataclass(frozen=True)
-class NumericConfig:
-    truncation_N: int = 64
-    tolerance: float = 1e-10
+class NumericConfig(namedtuple("NumericConfig", "truncation_N tolerance")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.truncation_N, int) or self.truncation_N < 1:
-            raise ValueError(f"truncation_N must be an int >= 1, got {self.truncation_N!r}")
-        if not (0 < self.tolerance < math.inf):
-            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
+    def __new__(cls, truncation_N: int = 64, tolerance: float = 1e-10):
+        if not isinstance(truncation_N, int) or truncation_N < 1:
+            raise ValueError(f"truncation_N must be an int >= 1, got {truncation_N!r}")
+        if not (0 < tolerance < math.inf):
+            raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
+        return super().__new__(cls, truncation_N, tolerance)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(namedtuple("QuadratureSpec", "scheme")):
     """The rft_fn scheme: 'gauss_laguerre' (the default), 'adaptive_fallback'
     or 'tanh_sinh'."""
 
-    scheme: str = "gauss_laguerre"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.scheme not in ("gauss_laguerre", "adaptive_fallback", "tanh_sinh"):
-            raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
+    def __new__(cls, scheme: str = "gauss_laguerre"):
+        if scheme not in ("gauss_laguerre", "adaptive_fallback", "tanh_sinh"):
+            raise ValueError(f"unknown quadrature scheme {scheme!r}")
+        return super().__new__(cls, scheme)
 
 
 # Nodes of the coarse Gauss-Laguerre rule; the fine rule has twice as many,

@@ -19,6 +19,9 @@ stated form disagrees with independent derivation; they always pass and
 carry a null tolerance. Their findings live in the report detail field.
 They, eq69 and eq91 have custom bodies (``cases=None``) that return all
 pairs, the trial count and the detail at once.
+
+The bodies that call mpmath import it themselves, so a run that selects
+none of them never loads it.
 """
 
 from __future__ import annotations
@@ -27,13 +30,11 @@ import fnmatch
 import functools
 import math
 import time
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from random import Random
 from typing import Optional, Sequence
-
-import mpmath as mp
 
 from .combinatorics import (
     bernoulli,
@@ -104,29 +105,19 @@ from .transforms_numeric import (
 )
 
 
-@dataclass(frozen=True)
-class CheckSpec:
-    name: str
-    layer: str  # "exact" or "numeric"
-    config: dict
-    description: str
+# layer is "exact" or "numeric"
+CheckSpec = namedtuple("CheckSpec", "name layer config description")
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    status: str  # "pass", "fail", "error"
-    max_abs_error: float
-    tolerance: Optional[float]  # 0.0 for exact, None for informational
-    trials: int
-    seed: int
-    elapsed_ms: int
-    layer: str
-    informational: bool = False
-    detail: Optional[str] = None
+class CheckReport(namedtuple("CheckReport", "name status max_abs_error tolerance trials seed "
+                             "elapsed_ms layer informational detail", defaults=(False, None))):
+    """One check's verdict. status is "pass", "fail" or "error"; tolerance is
+    0.0 for an exact check and None for an informational one."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 _REGISTRY: dict = {}  # name -> (spec, body, cases, note)
@@ -783,6 +774,8 @@ def _chk_eq7(rng, cfg, n, s):
 def _chk_eq8(rng, cfg, f, s):
     lhs = rft_fn(f, s) * gamma_support(s)
     g = lambda t: f(t) * t ** (s - 1.0) * math.exp(-t)
+    import mpmath as mp
+
     # at 15 digits the oracle itself is ~7e-12 off near the t^(s-1) endpoint
     with mp.workdps(20):
         rhs = float(mp.quad(lambda t: g(float(t)), [0, 1, mp.inf]))
@@ -805,6 +798,8 @@ def _chk_eq9(rng, cfg):
            "reproduces the sum of the samples", 1e-8,
            cases=lambda cfg: ((Fraction(1, 2), 56.0), (Fraction(1, 3), 42.0)))
 def _chk_eq24(rng, cfg, r, T):
+    import mpmath as mp
+
     integrand = lambda t: float(ifft_fn(samples_source(lambda n: r ** n), float(t), _SERIES_CFG))
     yield float(mp.quad(integrand, [0, T])), 1.0 / (1.0 - float(r))
 
@@ -822,6 +817,8 @@ def _chk_eq39(rng, cfg, n, m):
 def _laplace_rft(s: float):
     """The tanh-sinh rising transform of e^t/(1+t) at s; eq67 and its
     informational check read the same values."""
+    import mpmath as mp
+
     return rft_fn(lambda t: mp.e ** t / (1 + t), s, _TANH_SINH)
 
 
@@ -890,6 +887,8 @@ _register("eq84_irft_incomplete_gamma", "numeric",
            "multiplying by a fractional power shifts the transform argument "
            "with a gamma ratio", 1e-7, cases=_grid((0.7, 1.9)), a=1.3)
 def _chk_t2_row1(rng, cfg, s):
+    import mpmath as mp
+
     a = cfg["a"]
     # tanh_sinh because t^a has a branch point at 0
     lhs = rft_fn(lambda t: t ** a * mp.e ** (-t), s, _TANH_SINH)
@@ -1020,6 +1019,8 @@ def _chk_eq89_info(rng, cfg):
            "records the quadrature value of the zeta integrand against the "
            "divergent behavior of the formal Bernoulli series", None, cases=None)
 def _chk_zeta_info(rng, cfg):
+    import mpmath as mp
+
     quad_val = float(rft_fn(lambda t: mp.e ** t / (mp.e ** t - 1), 2.0, _TANH_SINH))
     zeta2 = float(mp.zeta(2))
     _partial, terms = zeta_formal_series(2.0, 24)

@@ -404,9 +404,23 @@ def test_exact_subcommands_load_no_numeric_layer():
     (["transform", "--numeric", "--op", "rft", "--source", "exp(-1/2)", "--at", "1.5"], "[]"),
     (["fractional", "--kind", "derivative", "--order", "1/2", "--source", "exp(2)"], "[]"),
     (["zeta", "--s", "2", "--terms", "3"], "[]"),
-    (["verify", "--filter", "table3_monomial_row"], "['mpmath']"),
+    (["verify", "--filter", "table3_monomial_row"], "[]"),
+    (["verify", "--filter", "eq67_laplace_rft"], "['mpmath']"),
 ])
 def test_numeric_subcommands_load_no_scipy(argv, loaded):
-    """Numeric subcommands never load scipy or numpy; only the check suite
-    loads mpmath (the default Gauss-Laguerre scheme does not)."""
+    """Numeric subcommands never load scipy or numpy; only the checks that
+    call it load mpmath (the default Gauss-Laguerre scheme does not)."""
     assert _loaded_after([argv], ("mpmath", "numpy", "scipy")) == loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["convert", X_SQUARED, "--to", "falling"],
+    ["transform", X_SQUARED, "--op", "fft"],
+    ["special", "--family", "laguerre", "--n", "3"],
+    ["fractional", "--kind", "difference", "--order", "1/2", "--source", "exp(1/2)"],
+    ["zeta", "--s", "2", "--terms", "3"],
+    ["verify", "--filter", "table3_monomial_row"],
+])
+def test_subcommands_load_no_dataclasses(argv):
+    """Records are declared without dataclasses, whose import pulls in inspect."""
+    assert _loaded_after([argv], ("dataclasses", "inspect")) == "[]"
