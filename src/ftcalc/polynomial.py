@@ -15,10 +15,10 @@ over a triangle of Stirling numbers to or from the monomial basis, and of
 Lah numbers between the factorial bases; the triangles are unimodular, so a
 conversion keeps the denominator and lowest terms. A product converts
 neither factor: on x^n it is one integer convolution, from a dozen terms on
-(up to two dozen for wide entries) one big-int product by Kronecker
-substitution; on (x)_n it multiplies the factors' samples at 0..m-1, read
-off the difference table, and takes the product's Newton series from the
-table again; on x^(rising n) it is the falling product mirrored by x -> -x.
+one big-int product by Kronecker substitution; on (x)_n it multiplies the
+factors' samples at 0..m-1, read off the difference table, and takes the
+product's Newton series from the table again; on x^(rising n) it is the
+falling product mirrored by x -> -x.
 
 Each basis is the basic sequence of its own lowering operator, L b_n =
 n b_(n-1): d on x^n, the forward difference D on (x)_n and the backward
@@ -336,46 +336,33 @@ def multiply(p: BasisPolynomial, q: BasisPolynomial) -> BasisPolynomial:
     return _reduced(p.basis, nums, p.den * q.den * den)
 
 
-# Kronecker substitution pays from _KRONECKER_MIN terms on for digits of up
-# to _KRONECKER_BYTES bytes, one term later per _KRONECKER_BYTES bytes more,
-# and from 2 * _KRONECKER_MIN terms at any width. In-process on a 2-core Xeon
-# VM with Python 3.11, against the schoolbook loop on n x n products of
-# random signed b-bit entries (timeit, min of 15), it breaks even at n < 10
-# for b = 32 (9-byte digits; 0.64 of the loop's time at n = 12), n = 10 for
-# b = 128 (33 bytes), n = 14 for b = 256 (65 bytes), n = 18 for b = 512 (129
-# bytes), n = 24 for b = 1000 (251 bytes), n = 18 for b = 2000 (501 bytes)
-# and n = 16 for b = 4000 (1001 bytes).
+# Kronecker substitution pays from this many terms on: in-process on a
+# 2-core Xeon VM with Python 3.11, against the schoolbook loop on n x n
+# products of random signed entries, it breaks even at n = 8-10 for entries
+# of 12-128 bits (0.72-0.88 of the loop's time at n = 12, 0.5-0.6 at
+# n = 20), at n = 16 for 256 bits and at n = 24 for 1000 bits.
 _KRONECKER_MIN = 12
-_KRONECKER_BYTES = 16
 
 
 def _convolve(pn: Sequence[int], qn: Sequence[int]) -> list[int]:
     """The product's coefficients out_k = sum_i pn_i qn_(k-i).
 
-    From _KRONECKER_MIN terms on, and more for wide entries, by Kronecker
-    substitution (Harvey, "Faster polynomial multiplication via multipoint
-    Kronecker substitution", JSC 44, 2009): each vector is the integer
-    sum_i v_i 2^(bi) for a b with |out_k| < 2^(b-1), so one big-int product
-    holds every out_k as a balanced digit. With b = 8w, adding 2^(b-1) to
-    every digit makes the digits w plain bytes each, packed and unpacked in
-    one pass.
+    From _KRONECKER_MIN terms on, by Kronecker substitution (Harvey,
+    "Faster polynomial multiplication via multipoint Kronecker
+    substitution", JSC 44, 2009): each vector is the integer sum_i v_i 2^(bi)
+    for a b with |out_k| < 2^(b-1), so one big-int product holds every
+    out_k as a balanced digit. With b = 8w, adding 2^(b-1) to every digit
+    makes the digits w plain bytes each, packed and unpacked in one pass.
     """
     # the loop's cost is one slice product per nonzero entry of pn
-    terms = min(len(pn) - pn.count(0), len(qn))
-    if terms >= _KRONECKER_MIN:
-        top = [max(map(abs, v)) or 1 for v in (pn, qn)]
-        w = (top[0] * top[1] * min(len(pn), len(qn))).bit_length() // 8 + 1  # bytes per digit
-        if terms >= min(_KRONECKER_MIN + w // _KRONECKER_BYTES, 2 * _KRONECKER_MIN):
-            return _kronecker(pn, qn, w)
-    out = [0] * (len(pn) + len(qn) - 1)
-    for i, a in enumerate(pn):
-        if a:
-            out[i:i + len(qn)] = map(operator.add, out[i:], map(operator.mul, qn, repeat(a)))
-    return out
-
-
-def _kronecker(pn: Sequence[int], qn: Sequence[int], w: int) -> list[int]:
-    """_convolve's product by Kronecker substitution with w-byte digits."""
+    if min(len(pn) - pn.count(0), len(qn)) < _KRONECKER_MIN:
+        out = [0] * (len(pn) + len(qn) - 1)
+        for i, a in enumerate(pn):
+            if a:
+                out[i:i + len(qn)] = map(operator.add, out[i:], map(operator.mul, qn, repeat(a)))
+        return out
+    top = [max(map(abs, v)) or 1 for v in (pn, qn)]
+    w = (top[0] * top[1] * min(len(pn), len(qn))).bit_length() // 8 + 1  # bytes per digit
     half, m = 1 << (8 * w - 1), len(pn) + len(qn) - 1
     unit = half.to_bytes(w, "little")
 
@@ -459,6 +446,8 @@ class OperatorExpr(namedtuple("OperatorExpr", "kind k a")):
     """An operator kind with its power k (power kinds) or parameter a (the rest)."""
 
     __slots__ = ()
+    # _replace builds through _make: validate there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, kind: OperatorKind | str, k: int = 1, a: Scalar | None = None):
         kind = OperatorKind(kind)

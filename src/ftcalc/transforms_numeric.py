@@ -77,6 +77,8 @@ class SeriesSource(namedtuple("SeriesSource", "kind provider radius")):
     """
 
     __slots__ = ()
+    # _replace builds through _make: validate there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, kind: str, provider: Callable, radius: float = math.inf):
         if kind not in ("taylor", "integer_samples", "callable"):
@@ -175,6 +177,8 @@ class NamedSource:
 
 class NumericConfig(namedtuple("NumericConfig", "truncation_N tolerance")):
     __slots__ = ()
+    # _replace builds through _make: validate there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, truncation_N: int = 64, tolerance: float = 1e-10):
         if not isinstance(truncation_N, int) or truncation_N < 1:
@@ -189,6 +193,8 @@ class QuadratureSpec(namedtuple("QuadratureSpec", "scheme")):
     or 'tanh_sinh'."""
 
     __slots__ = ()
+    # _replace builds through _make: validate there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, scheme: str = "gauss_laguerre"):
         if scheme not in ("gauss_laguerre", "adaptive_fallback", "tanh_sinh"):

@@ -538,7 +538,6 @@ def _ref_convolve(a, b):
 
 
 _BIG = 2 ** 2000 - 1
-_MID = 2 ** 255 - 1  # n x n products of these have 65-byte digits: Kronecker from n = 16
 # signed entries, zeros among them, of up to 2000 bits; lengths on both
 # sides of the Kronecker crossover
 convolve_vectors = st.lists(
@@ -551,10 +550,7 @@ convolve_vectors = st.lists(
 @example([7], [-3])
 @example([0] * (_KRONECKER_MIN - 1) + [1], list(range(-20, 20)))
 @example(list(range(1, _KRONECKER_MIN + 1)), [0] * _KRONECKER_MIN)
-@example([-_BIG] * (2 * _KRONECKER_MIN - 1), [_BIG] * (2 * _KRONECKER_MIN + 5))
-@example([-_BIG] * (2 * _KRONECKER_MIN), [_BIG] * (2 * _KRONECKER_MIN + 5))  # |out_k| at the bound
-@example([_MID] * (_KRONECKER_MIN + 3), [-_MID] * (_KRONECKER_MIN + 3))
-@example([_MID] * (_KRONECKER_MIN + 4), [-_MID] * (_KRONECKER_MIN + 4))
+@example([-_BIG] * _KRONECKER_MIN, [_BIG] * (_KRONECKER_MIN + 5))  # |out_k| at the bound
 @example([_BIG, 0, -_BIG] * _KRONECKER_MIN, [0, 1, -1] * 9 + [_BIG])
 def test_convolve_matches_schoolbook(a, b):
     assert _convolve(a, b) == _ref_convolve(a, b)
@@ -596,6 +592,10 @@ def test_operator_expr_validation():
         OperatorExpr(OperatorKind.DERIVATIVE, k=1.5)  # used to give the zero polynomial
     with pytest.raises(ValueError):
         OperatorExpr(OperatorKind.LOG1P_DERIVATIVE, k=2.0)  # used to raise TypeError
+    with pytest.raises(ValueError, match="power must be nonnegative"):
+        derivative(2)._replace(k=-1)  # _replace validates as the constructor does
+    moved = shift_op(Fraction(1, 2))._replace(a=3)
+    assert moved == OperatorExpr(OperatorKind.SHIFT, a=Fraction(3)) and type(moved.a) is Fraction
 
 
 @given(coeff_lists, bases)

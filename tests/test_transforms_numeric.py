@@ -958,6 +958,17 @@ def test_numeric_config_rejects_invalid_fields(field, value):
     infinite tolerance would stop every series after three terms."""
     with pytest.raises(ValueError, match=f"^{field} must be"):
         NumericConfig(**{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        NumericConfig()._replace(**{field: value})
+
+
+def test_replace_validates_records():
+    with pytest.raises(ValueError, match="unknown quadrature scheme"):
+        QuadratureSpec()._replace(scheme="simpson")
+    with pytest.raises(ValueError, match="unknown source kind"):
+        taylor_source(math.exp)._replace(kind="moments")
+    with pytest.raises(ValueError, match="radius hint must be positive"):
+        taylor_source(math.exp)._replace(radius=0.0)
 
 
 def test_egf_damping_out_of_range_raises_nonconvergence():
