@@ -684,6 +684,12 @@ def rft_fn(f: Callable[[float], float], s: float,
                                       f"{m}-node rule for s = {s}") from None
 
         coarse, fine = node_sum(_NODES), node_sum(2 * _NODES)
+        if quad.scheme == "gauss_laguerre":
+            # The rules integrate against t^alpha e^(-t), whose integral is
+            # Gamma(alpha + 1). From s = 0.5 on, s - 1.0 is exact and this is
+            # Gamma(s); below, s - 1.0 drops the bits of s under 2^-53, and
+            # Gamma(s) would leave a relative error of (s - alpha - 1) / s.
+            gamma_s = math.gamma(alpha + 1.0)
         val, err = fine / gamma_s, abs(fine - coarse) / gamma_s
     if not (math.isfinite(val) and err <= _RFT_TOLERANCE * max(1.0, abs(val))):
         raise QuadratureError(f"{quad.scheme} unconverged for s = {s}: value {val!r}, "

@@ -236,6 +236,14 @@ def test_rft_fn_below_float_resolution_of_s_is_documented_error():
         rft_fn(math.cos, 1e-300)
 
 
+@pytest.mark.parametrize("s", [2 ** -53, 1e-14, 1e-10, 1e-6])
+def test_gauss_laguerre_near_zero_matches_closed_form(s):
+    """Below s = 0.5, s - 1.0 rounds away the bits of s under 2^-53, so the
+    rules are built for alpha + 1 and not s; normalizing by Gamma(alpha + 1)
+    keeps the transform of cos at 2^(-s/2) cos(s pi/4) to near roundoff."""
+    assert abs(rft_fn(math.cos, s) - 2 ** (-s / 2) * math.cos(s * math.pi / 4)) <= 1e-13
+
+
 @pytest.mark.parametrize("f,s,want", [
     *((lambda t: mp.exp(-t / 2), s, 1.5 ** -s) for s in (2 ** -53, 1e-14, 1e-6, 0.1, 1 / 3, 0.5)),
     *((mp.cos, s, 2 ** (-s / 2) * math.cos(s * math.pi / 4)) for s in (1e-6, 0.1)),
