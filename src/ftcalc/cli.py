@@ -79,25 +79,22 @@ def _cmd_transform(args) -> int:
 
     if args.source is None or args.at is None:
         raise ValueError("--numeric requires --source and --at")
-    from .transforms_numeric import (
-        NamedSource, NumericConfig, QuadratureSpec, callable_source, fft_fn, ifft_fn, irft_fn,
-        rft_fn, samples_source, taylor_source,
-    )
+    from .transforms_numeric import NamedSource, NumericConfig, fft_fn, ifft_fn, irft_fn, rft_fn
 
     src = NamedSource(args.source)
     cfg = NumericConfig(truncation_N=args.truncation)
     s = _float_flag(args.at, "--at")
     if args.op == "fft":
-        value = fft_fn(taylor_source(src.taylor()), s, cfg)
+        value = fft_fn(src.taylor(), s, cfg)
     elif args.op == "ifft":
-        value = ifft_fn(samples_source(src.samples()), s, cfg)
+        value = ifft_fn(src.samples(), s, cfg)
     elif args.op == "irft":
         if src.kind == "gamma-samples":
             raise ValueError("irft reads its source at t = -1, -2, ...; gamma-samples is "
                              "Gamma(t+1), which has a pole at t = -1")
-        value = irft_fn(callable_source(src.callable()), s, cfg)
+        value = irft_fn(src.callable(), s, cfg)
     else:
-        value = rft_fn(src.callable(), s, QuadratureSpec(scheme=args.scheme))
+        value = rft_fn(src.callable(), s, args.scheme)
     _emit({"op": args.op, "source": args.source, "at": s,
            "value": float(value), "error_estimate": value.error_estimate})
     return 0
@@ -138,7 +135,7 @@ def _cmd_special(args) -> int:
 
 def _cmd_fractional(args) -> int:
     from .transforms_numeric import (
-        NamedSource, NumericConfig, fractional_derivative, fractional_difference, taylor_source,
+        NamedSource, NumericConfig, fractional_derivative, fractional_difference,
     )
 
     src = NamedSource(args.source)
@@ -146,8 +143,7 @@ def _cmd_fractional(args) -> int:
     order = _float_flag(args.order, "--order")
     at = _float_flag(args.at, "--at")
     if args.kind == "derivative":
-        value = fractional_derivative(
-            taylor_source(src.taylor()), order, _rational_flag(args.at, "--at"), cfg)
+        value = fractional_derivative(src.taylor(), order, _rational_flag(args.at, "--at"), cfg)
     else:
         value = fractional_difference(src.callable(), order, at, cfg)
     _emit({"kind": args.kind, "order": order, "at": at,

@@ -1,10 +1,13 @@
 """Floating-point transforms on functions.
 
-Newton sums (falling transform of Taylor sources), EGF series (inverse
-transforms of integer samples), quadrature for the rising transform
+Newton sums (falling transform from Taylor coefficients), EGF series
+(inverse transforms of integer samples), quadrature for the rising transform
 (Gauss-Laguerre rules, or mpmath tanh-sinh at 25 digits), fractional
 derivatives/differences, and the gamma-function support used by the
-verification checks.
+verification checks. Every evaluator takes the function it reads: the
+Taylor coefficients n -> a_n (fft_fn, fractional_derivative), the integer
+samples n -> f(n) (ifft_fn), or the values t -> f(t) (irft_fn, rft_fn,
+fractional_difference).
 
 Numeric policy: a series stops once three successive terms fall below the
 NumericConfig tolerance relative to its partial sum. When direct
@@ -65,39 +68,6 @@ class NumericResult(float):
 
     def __repr__(self):
         return f"NumericResult({float(self)!r}, error_estimate={self.error_estimate!r})"
-
-
-class SeriesSource(namedtuple("SeriesSource", "kind provider radius")):
-    """Supplier of Taylor coefficients, integer samples, or point values.
-
-    kind 'taylor': provider(n) is the coefficient a_n of x^n (exact or float).
-    kind 'integer_samples': provider(n) is f(n) for nonnegative integers.
-    kind 'callable': provider(x) is f(x) at real arguments.
-    radius is a validity hint for taylor providers (positive, may be inf).
-    """
-
-    __slots__ = ()
-    # _replace builds through _make: validate there too
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __new__(cls, kind: str, provider: Callable, radius: float = math.inf):
-        if kind not in ("taylor", "integer_samples", "callable"):
-            raise ValueError(f"unknown source kind {kind!r}")
-        if not (radius > 0):
-            raise ValueError("radius hint must be positive")
-        return super().__new__(cls, kind, provider, radius)
-
-
-def taylor_source(provider: Callable[[int], Scalar], radius: float = math.inf) -> SeriesSource:
-    return SeriesSource("taylor", provider, radius)
-
-
-def samples_source(provider: Callable[[int], Scalar]) -> SeriesSource:
-    return SeriesSource("integer_samples", provider)
-
-
-def callable_source(provider: Callable[[float], float]) -> SeriesSource:
-    return SeriesSource("callable", provider)
 
 
 _SOURCE_RE = re.compile(r"^(exp|sin|cos|geometric)\(([^)]+)\)$")
@@ -188,18 +158,22 @@ class NumericConfig(namedtuple("NumericConfig", "truncation_N tolerance")):
         return super().__new__(cls, truncation_N, tolerance)
 
 
-class QuadratureSpec(namedtuple("QuadratureSpec", "scheme")):
-    """The rft_fn scheme: 'gauss_laguerre' (the default), 'adaptive_fallback'
-    or 'tanh_sinh'."""
+# Names bench/ still calls, their only caller, until a benchmark change drops
+# them: each returns its argument, and rft_fn reads 'adaptive_fallback' as
+# 'gauss_laguerre'.
+def taylor_source(provider: Callable, radius: Optional[float] = None) -> Callable:
+    return provider
 
-    __slots__ = ()
-    # _replace builds through _make: validate there too
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __new__(cls, scheme: str = "gauss_laguerre"):
-        if scheme not in ("gauss_laguerre", "adaptive_fallback", "tanh_sinh"):
-            raise ValueError(f"unknown quadrature scheme {scheme!r}")
-        return super().__new__(cls, scheme)
+def samples_source(provider: Callable) -> Callable:
+    return provider
+
+
+callable_source = samples_source
+
+
+def QuadratureSpec(scheme: str = "gauss_laguerre") -> str:
+    return scheme
 
 
 # Nodes of the coarse Gauss-Laguerre rule; the fine rule has twice as many,
@@ -504,18 +478,17 @@ def _egf_terms(sample: Callable[[int], Scalar], u: int, q: int,
         e += k
 
 
-def fft_fn(src: SeriesSource, s: float, cfg: NumericConfig = NumericConfig()) -> NumericResult:
-    """Newton-sum falling transform of a Taylor source at s.
+def fft_fn(coeff: Callable[[int], Scalar], s: float,
+           cfg: NumericConfig = NumericConfig()) -> NumericResult:
+    """Newton-sum falling transform at s of the function whose Taylor
+    coefficient of x^n is coeff(n).
 
     Computes sum_n binom(s,n) n! a_n = sum_n (s)_n a_n; exact finite sum when
-    s is a nonnegative integer. Requires a taylor source: high-order numeric
-    differentiation of a black-box callable is ill-conditioned, so there is
-    no callable path here.
+    s is a nonnegative integer. There is no path from point values: high-order
+    numeric differentiation of a black-box callable is ill-conditioned.
     """
-    if src.kind != "taylor":
-        raise ValueError("fft_fn requires a 'taylor' SeriesSource")
     what = "fft_fn Newton sum"
-    return _newton_sum(map(_input, repeat(src.provider), count(), repeat(what)), s, cfg, what)
+    return _newton_sum(map(_input, repeat(coeff), count(), repeat(what)), s, cfg, what)
 
 
 def _newton_sum(coeffs: Iterable[tuple[int, int]], s: float, cfg: NumericConfig,
@@ -545,22 +518,20 @@ def _egf_series(sample: Callable[[int], Scalar], x: float, cfg: NumericConfig,
     return NumericResult(damp * val, damp * est)
 
 
-def ifft_fn(src: SeriesSource, x: float, cfg: NumericConfig = NumericConfig()) -> NumericResult:
-    """Inverse falling transform e^{-x} sum_n f(n) x^n / n! of integer samples."""
-    if src.kind != "integer_samples":
-        raise ValueError("ifft_fn requires an 'integer_samples' SeriesSource")
-    return _egf_series(src.provider, x, cfg, "ifft_fn EGF series")
+def ifft_fn(sample: Callable[[int], Scalar], x: float,
+            cfg: NumericConfig = NumericConfig()) -> NumericResult:
+    """Inverse falling transform e^{-x} sum_n f(n) x^n / n! of the integer
+    samples f(n) = sample(n)."""
+    return _egf_series(sample, x, cfg, "ifft_fn EGF series")
 
 
-def irft_fn(src: SeriesSource, x: float, cfg: NumericConfig = NumericConfig()) -> NumericResult:
+def irft_fn(f: Callable[[float], Scalar], x: float,
+            cfg: NumericConfig = NumericConfig()) -> NumericResult:
     """Inverse rising transform e^{x} sum_n (-1)^n f(-n) x^n / n!.
 
-    This is the EGF series of the reflected samples n -> f(-n) at -x, so
-    the source must be callable at the nonpositive integers -n.
+    This is the EGF series of the reflected samples n -> f(-n) at -x, so f
+    is read at the nonpositive integers -n.
     """
-    if src.kind != "callable":
-        raise ValueError("irft_fn requires a 'callable' SeriesSource")
-    f = src.provider
     return _egf_series(lambda n: f(-n), -x, cfg, "irft_fn EGF series")
 
 
@@ -570,44 +541,48 @@ _RFT_TOLERANCE = 1e-7
 
 
 def rft_fn(f: Callable[[float], float], s: float,
-           quad: QuadratureSpec = QuadratureSpec()) -> NumericResult:
+           scheme: str = "gauss_laguerre") -> NumericResult:
     """Rising transform (1/Gamma(s)) * integral_0^inf f(t) t^(s-1) e^(-t) dt.
 
-    Schemes: 'gauss_laguerre' (the default) and 'adaptive_fallback' both sum
-    f over an 80-node and a 160-node Gauss-Laguerre rule, the first for the
-    generalized weight t^(s-1) e^(-t), the second for e^(-t) with t^(s-1)
-    folded into each node's weight; the fine sum is the value and its change
-    from the coarse one the error estimate. 'tanh_sinh' is mpmath
-    double-exponential quadrature at 25 digits with mpmath's error estimate;
-    it is required when the weighted integrand has an algebraically heavy
-    tail that defeats Gauss-Laguerre, at the cost of needing an mpmath-safe
-    callable. Below s = 1 it integrates the head t in [0, 1] in u = t^s,
-    which takes the branch point of t^(s-1) at 0 out of the integrand
-    (Takahasi & Mori 1974; Davis & Rabinowitz 1984, 2.12), so s down to
-    2^-53 returns for f smooth at 0. The tail t >= 1, and from s = 1 on the
-    whole range, is integrated in t, where an algebraic tail such as
-    t^(s-2) still converges slowly. The part of the integrand that does not
-    depend on f, t and its weight at each mpmath node, is kept per s in
-    _tanh_sinh_table from the second call for that s on; the values and
+    Schemes: 'gauss_laguerre' (the default) sums f over an 80-node and a
+    160-node Gauss-Laguerre rule for the weight t^alpha e^(-t), alpha =
+    s - 1.0, and divides by Gamma(alpha + 1); the fine sum gives the value
+    and its change from the coarse one the error estimate. Below s = 0.5,
+    alpha + 1 is s rounded to a multiple of 2^-53, so the value is the
+    transform there, within about 2^-53 times its derivative in s.
+    'tanh_sinh' is mpmath double-exponential quadrature at 25 digits with
+    mpmath's error estimate; it is required when the weighted integrand has
+    an algebraically heavy tail that defeats Gauss-Laguerre, at the cost of
+    needing an mpmath-safe callable. Below s = 1 it integrates the head t in
+    [0, 1] in u = t^s, which takes the branch point of t^(s-1) at 0 out of
+    the integrand (Takahasi & Mori 1974; Davis & Rabinowitz 1984, 2.12), so
+    s down to 2^-53 returns for f smooth at 0. The tail t >= 1, and from
+    s = 1 on the whole range, is integrated in t, where an algebraic tail
+    such as t^(s-2) still converges slowly. The part of the integrand that
+    does not depend on f, t and its weight at each mpmath node, is kept per s
+    in _tanh_sinh_table from the second call for that s on; the values and
     estimates are those of computing it at every call, to the bit. A
-    Fraction s is read exactly, as on the other schemes.
+    Fraction s is read exactly, on both schemes.
 
-    One check accepts every scheme's result: the value is finite and its
+    One check accepts either scheme's result: the value is finite and its
     error estimate is at most 1e-7 * max(1, |value|). Raises QuadratureError
     when a result fails it, a NaN from f included, or a float overflows in a
     rule or its integrand, or f returns a value that is not real, such as a
-    complex, or the integrand divides by zero (for s < 1
-    tanh_sinh evaluates f down to t = 1e-29^(1/s), where a pole of f at 0
-    shows), or for 'adaptive_fallback' below s = 1, where the folded
-    t^(s-1) has a pole at 0; and ValueError for s not finite and positive, or
-    past s = 171.62 for the two Gauss-Laguerre schemes, which normalize by a
-    float Gamma(s).
+    complex, or the integrand divides by zero (for s < 1 tanh_sinh evaluates
+    f down to t = 1e-29^(1/s), where a pole of f at 0 shows), or below
+    s = 2^-53 on 'gauss_laguerre', where alpha rounds to -1; and ValueError
+    for an unknown scheme, for s not finite and positive, or past s = 171.62
+    on 'gauss_laguerre', which normalizes by a float Gamma(s).
     """
+    if scheme == "adaptive_fallback":
+        scheme = "gauss_laguerre"
+    elif scheme not in ("gauss_laguerre", "tanh_sinh"):
+        raise ValueError(f"unknown quadrature scheme {scheme!r}")
     u, q = _argument_ratio(s, "rft_fn")
     if not (s > 0):
         raise ValueError("rft_fn requires s > 0")
 
-    if quad.scheme == "tanh_sinh":
+    if scheme == "tanh_sinh":
         import mpmath as mp
 
         with _mp_lock, mp.workdps(25):
@@ -652,47 +627,32 @@ def rft_fn(f: Callable[[float], float], s: float,
             val, err = float(val / gamma_s), float(abs(err) / gamma_s)
     else:
         try:
-            gamma_s = math.gamma(s)
+            math.gamma(s)  # the range check: Gamma(alpha + 1) below is Gamma(s) from 0.5 on
         except OverflowError:
-            raise ValueError(f"rft_fn scheme {quad.scheme!r} needs Gamma(s) to fit a float, "
+            raise ValueError(f"rft_fn scheme 'gauss_laguerre' needs Gamma(s) to fit a float, "
                              f"s <= 171.62, got s = {s}; use 'tanh_sinh'") from None
-        if quad.scheme == "gauss_laguerre":
-            alpha, weight = s - 1.0, lambda x, w: w
-        elif s < 1:
-            # the plain-weight nodes cannot resolve the folded factor's pole at
-            # 0: at s = 1e-14 the sums for cos agree to 7e-15 and miss by 1
-            raise QuadratureError(f"adaptive_fallback: the folded factor t^(s-1) is "
-                                  f"unbounded at 0 for s = {s} < 1")
-        else:
-            # adaptive_fallback forms w t^(s-1) in log space: t^(s-1) alone
-            # overflows at the largest nodes from s = 112 on, where w has
-            # underflowed or nearly so.
-            alpha, weight = 0.0, lambda x, w: math.exp(math.log(w) + (s - 1.0) * math.log(x))
+        alpha = s - 1.0
 
         def node_sum(m: int) -> float:
-            """sum_i weight(x_i, w_i) f(x_i) over the m-node rule, skipping w_i = 0."""
+            """sum_i w_i f(x_i) over the m-node rule, skipping w_i = 0."""
             xs, ws = _gauss_laguerre_rule(m, alpha)
             try:
-                terms = [weight(x, w) * f(x) for x, w in zip(xs, ws) if w > 0]
+                terms = [w * f(x) for x, w in zip(xs, ws) if w > 0]
                 try:
                     return math.fsum(terms)
                 except TypeError:  # a term fsum cannot read as a float, such as a complex
-                    raise QuadratureError(f"{quad.scheme}: the integrand is not real "
+                    raise QuadratureError(f"gauss_laguerre: the integrand is not real "
                                           f"for s = {s}") from None
             except OverflowError:
-                raise QuadratureError(f"{quad.scheme}: the integrand overflows a float on the "
+                raise QuadratureError(f"gauss_laguerre: the integrand overflows a float on the "
                                       f"{m}-node rule for s = {s}") from None
 
         coarse, fine = node_sum(_NODES), node_sum(2 * _NODES)
-        if quad.scheme == "gauss_laguerre":
-            # The rules integrate against t^alpha e^(-t), whose integral is
-            # Gamma(alpha + 1). From s = 0.5 on, s - 1.0 is exact and this is
-            # Gamma(s); below, s - 1.0 drops the bits of s under 2^-53, and
-            # Gamma(s) would leave a relative error of (s - alpha - 1) / s.
-            gamma_s = math.gamma(alpha + 1.0)
-        val, err = fine / gamma_s, abs(fine - coarse) / gamma_s
+        # the rules' weights sum to Gamma(alpha + 1), not Gamma(s), below s = 0.5
+        gamma_a = math.gamma(alpha + 1.0)
+        val, err = fine / gamma_a, abs(fine - coarse) / gamma_a
     if not (math.isfinite(val) and err <= _RFT_TOLERANCE * max(1.0, abs(val))):
-        raise QuadratureError(f"{quad.scheme} unconverged for s = {s}: value {val!r}, "
+        raise QuadratureError(f"{scheme} unconverged for s = {s}: value {val!r}, "
                               f"error estimate {err:.3e}")
     return NumericResult(val, err)
 
@@ -721,9 +681,10 @@ def _damped_newton_sum(egf: Iterable[int], den: int, rate: int, order: float,
     return _newton_sum(zip(_pascal(egf, -rate), dens), order, cfg, what)
 
 
-def fractional_derivative(src: SeriesSource, order: float, t: Scalar = 0,
+def fractional_derivative(coeff: Callable[[int], Scalar], order: float, t: Scalar = 0,
                           cfg: NumericConfig = NumericConfig()) -> NumericResult:
-    """Liouville-type fractional derivative of f at t from its Taylor source.
+    """Liouville-type fractional derivative at t of the function f whose
+    Taylor coefficient of x^n is coeff(n).
 
     Realized as the falling transform of e^{-x} f(x + t): shift the Taylor
     coefficients to t, multiply by e^{-x}, Newton-sum at s = order.
@@ -739,11 +700,9 @@ def fractional_derivative(src: SeriesSource, order: float, t: Scalar = 0,
     about 12, on a 2-core VM a float t = 1/3 (b = 54) takes about 20 ms at
     N = 256 and 70 ms at N = 512.
     """
-    if src.kind != "taylor":
-        raise ValueError("fractional_derivative requires a 'taylor' SeriesSource")
     what = "fractional_derivative"
     at = Fraction(*_argument_ratio(t, what))
-    jet, den = _exact_inputs(src.provider, cfg.truncation_N + 1 + _JET_EXTRA, what)
+    jet, den = _exact_inputs(coeff, cfg.truncation_N + 1 + _JET_EXTRA, what)
     shifted, factor = _taylor_shift(at, jet)
     egf = map(operator.mul, shifted, accumulate(count(1), operator.mul, initial=1))
     return _damped_newton_sum(egf, den * factor, 1, order, cfg, what)

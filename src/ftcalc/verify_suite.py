@@ -89,8 +89,6 @@ from .transforms_exact import (
 from .transforms_numeric import (
     NamedSource,
     NumericConfig,
-    QuadratureSpec,
-    callable_source,
     fft_fn,
     fractional_derivative,
     fractional_difference,
@@ -99,8 +97,6 @@ from .transforms_numeric import (
     incomplete_gamma_upper,
     irft_fn,
     rft_fn,
-    samples_source,
-    taylor_source,
     zeta_formal_series,
 )
 
@@ -734,7 +730,6 @@ def _relative(got, want) -> tuple:
 
 
 _SERIES_CFG = NumericConfig(truncation_N=256, tolerance=1e-12)
-_TANH_SINH = QuadratureSpec(scheme="tanh_sinh")
 
 
 @_register("eq5_newton_sum_duality", "numeric",
@@ -744,7 +739,7 @@ def _chk_eq5(rng, cfg):
     p = _rand_poly(rng, cfg["degree"])
     F = fft_poly(p)
     for si in (0, 1, 2, 5, 8):
-        yield _relative(fft_fn(taylor_source(p.coeff), float(si)), float(F.eval(si)))
+        yield _relative(fft_fn(p.coeff, float(si)), float(F.eval(si)))
 
 
 @_register("eq6_ifft_series", "numeric",
@@ -754,7 +749,7 @@ def _chk_eq6(rng, cfg):
     p = _rand_poly(rng, cfg["degree"])
     q = ifft_poly(p)
     x = rng.uniform(0.2, 4.0)
-    got = ifft_fn(samples_source(lambda n: p.eval(Fraction(n))), x, _SERIES_CFG)
+    got = ifft_fn(lambda n: p.eval(Fraction(n)), x, _SERIES_CFG)
     yield _relative(got, q.eval(x))
 
 
@@ -789,7 +784,7 @@ def _chk_eq9(rng, cfg):
     p = _rand_poly(rng, cfg["degree"])
     R = rft_poly(p)
     x = rng.uniform(0.2, 3.0)
-    got = irft_fn(callable_source(lambda s: R.eval(Fraction(s))), x, _SERIES_CFG)
+    got = irft_fn(lambda s: R.eval(Fraction(s)), x, _SERIES_CFG)
     yield _relative(got, p.eval(x))
 
 
@@ -800,7 +795,7 @@ def _chk_eq9(rng, cfg):
 def _chk_eq24(rng, cfg, r, T):
     import mpmath as mp
 
-    integrand = lambda t: float(ifft_fn(samples_source(lambda n: r ** n), float(t), _SERIES_CFG))
+    integrand = lambda t: float(ifft_fn(lambda n: r ** n, float(t), _SERIES_CFG))
     yield float(mp.quad(integrand, [0, T])), 1.0 / (1.0 - float(r))
 
 
@@ -819,7 +814,7 @@ def _laplace_rft(s: float):
     informational check read the same values."""
     import mpmath as mp
 
-    return rft_fn(lambda t: mp.e ** t / (1 + t), s, _TANH_SINH)
+    return rft_fn(lambda t: mp.e ** t / (1 + t), s, "tanh_sinh")
 
 
 @_register("eq67_laplace_rft", "numeric",
@@ -833,7 +828,7 @@ def _chk_eq67(rng, cfg, s):
            "half and fractional derivatives of exponentials match their closed "
            "forms and the half-twice ladder", 1e-8, cases=None)
 def _chk_eq69(rng, cfg):
-    e1, e2, e3 = (taylor_source(NamedSource(f"exp({b})").taylor()) for b in (1, 2, 3))
+    e1, e2, e3 = (NamedSource(f"exp({b})").taylor() for b in (1, 2, 3))
     pairs = [
         (fractional_derivative(e2, 0.5), math.sqrt(2)),
         (fractional_derivative(e1, 1.0, t=1), math.e),
@@ -847,9 +842,8 @@ def _chk_eq69(rng, cfg):
     inner = NumericConfig(truncation_N=160, tolerance=1e-13)
     half = [float(fractional_derivative(e2, m + 0.5, cfg=inner)) / math.factorial(m)
             for m in range(M)]
-    twice = fractional_derivative(
-        taylor_source(lambda m: half[m] if m < M else 0.0), 0.5,
-        cfg=NumericConfig(truncation_N=M, tolerance=1e-7))
+    twice = fractional_derivative(lambda m: half[m] if m < M else 0.0, 0.5,
+                                  cfg=NumericConfig(truncation_N=M, tolerance=1e-7))
     pairs.append((twice, fractional_derivative(e2, 1.0)))
     return pairs, 4, None
 
@@ -873,14 +867,14 @@ def _incomplete_gamma(evaluate, sign: float):
 _register("eq80_incomplete_gamma", "numeric",
           "the damped series of reciprocal shifted factorials matches the "
           "incomplete-gamma closed form", 1e-9, cases=_grid((1, 2, 3), (0.5, 1.0, 2.0)))(
-    _incomplete_gamma(lambda n, x: ifft_fn(samples_source(
-        lambda k: Fraction(math.factorial(k), math.factorial(k + n))), x, _SERIES_CFG), 1.0))
+    _incomplete_gamma(lambda n, x: ifft_fn(
+        lambda k: Fraction(math.factorial(k), math.factorial(k + n)), x, _SERIES_CFG), 1.0))
 _register("eq84_irft_incomplete_gamma", "numeric",
           "the growing series of negative-index rising factorials matches the "
           "reflected incomplete-gamma closed form", 1e-9,
           cases=_grid((1, 2, 3), (0.5, 1.0, 2.0)))(
-    _incomplete_gamma(lambda n, x: irft_fn(callable_source(
-        lambda s: rising_factorial(Fraction(s), -n)), x, _SERIES_CFG), -1.0))
+    _incomplete_gamma(lambda n, x: irft_fn(
+        lambda s: rising_factorial(Fraction(s), -n), x, _SERIES_CFG), -1.0))
 
 
 @_register("table2_row1_power_shift", "numeric",
@@ -891,9 +885,9 @@ def _chk_t2_row1(rng, cfg, s):
 
     a = cfg["a"]
     # tanh_sinh because t^a has a branch point at 0
-    lhs = rft_fn(lambda t: t ** a * mp.e ** (-t), s, _TANH_SINH)
+    lhs = rft_fn(lambda t: t ** a * mp.e ** (-t), s, "tanh_sinh")
     yield lhs, gamma_support(s + a) / gamma_support(s) * rft_fn(
-        lambda t: mp.e ** (-t), s + a, _TANH_SINH)
+        lambda t: mp.e ** (-t), s + a, "tanh_sinh")
 
 
 @_register("table2_row2_scaling", "numeric",
@@ -910,8 +904,7 @@ def _chk_t2_row2(rng, cfg, s):
            "factorial samples sum to the damped geometric closed form", 1e-9,
            cases=_grid([k / 10 for k in range(1, 10)]))
 def _chk_t3_gamma(rng, cfg, x):
-    got = ifft_fn(samples_source(math.factorial), x,
-                  NumericConfig(truncation_N=512, tolerance=1e-12))
+    got = ifft_fn(math.factorial, x, NumericConfig(truncation_N=512, tolerance=1e-12))
     yield got, math.exp(-x) / (1.0 - x)
 
 
@@ -924,7 +917,7 @@ def _chk_t3_gamma(rng, cfg, x):
                               for x in (0.2, 0.5, 0.8)),
            note="samples f(n)=Gamma(n+y+1) force the image Gamma(x+y+1)")
 def _chk_t3_gamma_y(rng, cfg, y, f, x):
-    got = ifft_fn(samples_source(f), x, _SERIES_CFG)
+    got = ifft_fn(f, x, _SERIES_CFG)
     yield got, gamma_support(y + 1.0) * math.exp(-x) / (1.0 - x) ** (y + 1.0)
 
 
@@ -933,7 +926,7 @@ def _chk_t3_gamma_y(rng, cfg, y, f, x):
            cases=_grid((Fraction(2), Fraction(3, 2)), (0.5, 1.0, 2.3)))
 def _chk_t3_exp(rng, cfg, a, s):
     src = NamedSource(f"exp({a - 1})")
-    yield fft_fn(taylor_source(src.taylor()), s, _SERIES_CFG), float(a) ** s
+    yield fft_fn(src.taylor(), s, _SERIES_CFG), float(a) ** s
 
 
 def _trig_row(trig, tan_scaled: bool):
@@ -947,7 +940,7 @@ def _trig_row(trig, tan_scaled: bool):
         else:
             rate, want = w, (w * w + 1.0) ** (s / 2) * trig(s * math.atan(w))
         src = NamedSource(f"{trig.__name__}({Fraction(rate)})")
-        yield fft_fn(taylor_source(src.taylor()), s, _SERIES_CFG), want
+        yield fft_fn(src.taylor(), s, _SERIES_CFG), want
     return body
 
 
@@ -1021,7 +1014,7 @@ def _chk_eq89_info(rng, cfg):
 def _chk_zeta_info(rng, cfg):
     import mpmath as mp
 
-    quad_val = float(rft_fn(lambda t: mp.e ** t / (mp.e ** t - 1), 2.0, _TANH_SINH))
+    quad_val = float(rft_fn(lambda t: mp.e ** t / (mp.e ** t - 1), 2.0, "tanh_sinh"))
     zeta2 = float(mp.zeta(2))
     _partial, terms = zeta_formal_series(2.0, 24)
     k_min = min(range(1, len(terms)), key=lambda i: abs(terms[i]) or math.inf)

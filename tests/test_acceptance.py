@@ -58,7 +58,6 @@ from ftcalc.transforms_exact import (
 )
 from ftcalc.transforms_numeric import (
     NumericConfig,
-    callable_source,
     fft_fn,
     fractional_derivative,
     fractional_difference,
@@ -66,8 +65,6 @@ from ftcalc.transforms_numeric import (
     incomplete_gamma_upper,
     irft_fn,
     rft_fn,
-    samples_source,
-    taylor_source,
 )
 
 BASES = (Basis.MONOMIAL, Basis.FALLING, Basis.RISING)
@@ -243,22 +240,20 @@ def test_criterion_09_table3_rows():
     ok = True
     # factorial samples vs damped geometric closed form
     for x in [k / 10 for k in range(1, 10)]:
-        got = ifft_fn(samples_source(math.factorial), x, SERIES_CFG)
+        got = ifft_fn(math.factorial, x, SERIES_CFG)
         ok = ok and abs(got - math.exp(-x) / (1.0 - x)) <= 1e-9
     # exponential sources vs powers
     for a in (Fraction(2), Fraction(3, 2)):
-        src = taylor_source(lambda n, a=a: (a - 1) ** n / math.factorial(n))
+        src = lambda n, a=a: (a - 1) ** n / math.factorial(n)
         for s in (0.5, 1.0, 2.3):
             ok = ok and abs(fft_fn(src, s, SERIES_CFG) - float(a) ** s) <= 1e-9
     # sine and cosine sources vs polar closed forms
     for w in (0.5, 1.0):
         wf = Fraction(w)
-        sin_src = taylor_source(
-            lambda n, wf=wf: Fraction(0) if n % 2 == 0
-            else (-1) ** ((n - 1) // 2) * wf ** n / math.factorial(n))
-        cos_src = taylor_source(
-            lambda n, wf=wf: Fraction(0) if n % 2
-            else (-1) ** (n // 2) * wf ** n / math.factorial(n))
+        sin_src = (lambda n, wf=wf: Fraction(0) if n % 2 == 0
+                   else (-1) ** ((n - 1) // 2) * wf ** n / math.factorial(n))
+        cos_src = (lambda n, wf=wf: Fraction(0) if n % 2
+                   else (-1) ** (n // 2) * wf ** n / math.factorial(n))
         for s in (0.5, 1.0, 2.3):
             mod = (w * w + 1.0) ** (s / 2)
             arg = s * math.atan(w)
@@ -311,16 +306,15 @@ def test_criterion_10_quadrature_fidelity():
 
 def test_criterion_11_fractional_calculus():
     """Half derivative of e^{2u}, the half-twice ladder, half difference of 2^u."""
-    e2 = taylor_source(lambda n: Fraction(2) ** n / math.factorial(n))
+    e2 = lambda n: Fraction(2) ** n / math.factorial(n)
     ok = abs(fractional_derivative(e2, 0.5) - math.sqrt(2.0)) <= 1e-8
     # ladder: re-expand the half-derivative and take another half order
     M = 18
     inner = NumericConfig(truncation_N=160, tolerance=1e-13)
     half = [float(fractional_derivative(e2, m + 0.5, cfg=inner)) / math.factorial(m)
             for m in range(M)]
-    twice = fractional_derivative(
-        taylor_source(lambda m: half[m] if m < M else 0.0), 0.5,
-        cfg=NumericConfig(truncation_N=M, tolerance=1e-7))
+    twice = fractional_derivative(lambda m: half[m] if m < M else 0.0, 0.5,
+                                  cfg=NumericConfig(truncation_N=M, tolerance=1e-7))
     first = fractional_derivative(e2, 1.0)
     ok = ok and abs(twice - first) <= 1e-6
     ok = ok and abs(fractional_difference(lambda u: 2.0 ** u, 0.5) - 1.0) <= 1e-8
@@ -336,15 +330,15 @@ def test_criterion_12_incomplete_gamma_and_summation():
         f = lambda k, n=n: Fraction(math.factorial(k), math.factorial(k + n))
         g = lambda s, n=n: rising_factorial(Fraction(s), -n)
         for x in (0.5, 1.0, 2.0):
-            got = ifft_fn(samples_source(f), x, SERIES_CFG)
+            got = ifft_fn(f, x, SERIES_CFG)
             want = x ** (-n) * (1.0 - incomplete_gamma_upper(n, x) / math.factorial(n - 1))
             ok = ok and abs(got - want) <= 1e-9
-            got = irft_fn(callable_source(g), x, SERIES_CFG)
+            got = irft_fn(g, x, SERIES_CFG)
             want = x ** (-n) * (1.0 - incomplete_gamma_upper(n, -x) / math.factorial(n - 1))
             ok = ok and abs(got - want) <= 1e-9
     cfg = NumericConfig(truncation_N=256, tolerance=1e-12)
     for r, T in ((0.5, 56.0), (Fraction(1, 3), 42.0)):
-        src = samples_source(lambda n, r=Fraction(r): r ** n)
+        src = lambda n, r=Fraction(r): r ** n
         val = float(mp.quad(lambda t: float(ifft_fn(src, float(t), cfg)), [0, T]))
         ok = ok and abs(val - 1.0 / (1.0 - float(r))) <= 1e-8
     report(12, "incomplete gamma and summation", ok)

@@ -202,7 +202,8 @@ def test_source_parameter_out_of_float_range_names_the_source(capsys, argv):
 
 
 def test_scheme_flag_offers_no_adaptive_fallback(capsys):
-    """The plain-weight scheme misreads small s, so the command line does not offer it."""
+    """The command line offers the two schemes by their own names, not rft_fn's
+    alias 'adaptive_fallback' for gauss_laguerre."""
     code, out, _ = run(capsys, "transform", "--numeric", "--op", "rft", "--source", "cos(1)",
                        "--at", "1e-14", "--scheme", "adaptive_fallback")
     assert code == 2
