@@ -229,12 +229,21 @@ def test_rft_fn_below_float_resolution_of_s_is_documented_error():
         rft_fn(math.cos, 1e-300)
 
 
-@pytest.mark.parametrize("s", [2 ** -53, 1e-14, 1e-10, 1e-6])
+@pytest.mark.parametrize("s", [2 ** -53, 1e-14, 1e-10, 1e-6, 0.1, 0.49, 0.5, Fraction(99, 100)])
 def test_gauss_laguerre_near_zero_matches_closed_form(s):
     """Below s = 0.5, s - 1.0 rounds away the bits of s under 2^-53, so the
     rules are built for alpha + 1 and not s; normalizing by Gamma(alpha + 1)
-    keeps the transform of cos at 2^(-s/2) cos(s pi/4) to near roundoff."""
+    keeps the transform of cos at 2^(-s/2) cos(s pi/4) to near roundoff, on
+    both sides of s = 0.5, from where s - 1.0 is exact."""
     assert abs(rft_fn(math.cos, s) - 2 ** (-s / 2) * math.cos(s * math.pi / 4)) <= 1e-13
+
+
+@pytest.mark.parametrize("a", [1.0, 0.5])
+@pytest.mark.parametrize("s", [2 ** -53, 1e-14, 1e-10, 1e-6])
+def test_gauss_laguerre_near_zero_matches_exponential_closed_form(a, s):
+    """The same normalization on e^(-at), whose transform is (1 + a)^(-s):
+    dividing by Gamma(s) instead put it off by 8e-4 at s = 1e-14."""
+    assert abs(rft_fn(lambda t: math.exp(-a * t), s) - (1 + a) ** -s) <= 1e-13
 
 
 @pytest.mark.parametrize("f,s,want", [
