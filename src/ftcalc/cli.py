@@ -8,11 +8,14 @@ identity check suite).
 Polynomial input is either inline JSON or a path to a JSON file; rational
 values print as strings so exact output survives a round trip. Exit codes:
 0 success (verify: all checks passed), 1 mathematical failure or failing
-checks, 2 usage errors.
+checks, 2 usage errors, a flag its subcommand needs among them.
 
-Each subcommand imports the layers it runs when it runs: the special
-families, the exact transforms, the numeric layer and the check suite, so
-convert loads only the polynomial layer. Only tanh-sinh quadrature and the
+Importing this module loads no ftcalc layer; each subcommand imports the
+layers it runs when it runs. convert, exact transform, the touchard, z,
+laguerre and charlier families and verify load the polynomial layer. The
+numeric transform, fractional and zeta load only the numeric layer and the
+combinatorial tables under it, and the stirling1, stirling2 and bernoulli
+numbers only the tables. Only tanh-sinh quadrature and the
 five checks that call mpmath (eq8_mellin_consistency, eq24_summation_integral,
 eq67_laplace_rft with its informational twin, table2_row1_power_shift and
 eq90_91_zeta_info) load mpmath. A --source spec is read by the numeric
@@ -26,11 +29,16 @@ import json
 import sys
 from fractions import Fraction
 
-from .combinatorics import bernoulli, stirling_first_signed, stirling_second
-from .polynomial import Basis, BasisPolynomial, convert_basis
+
+class _UsageError(ValueError):
+    """A flag or argument its subcommand needs is missing: exit 2, as for
+    the errors argparse finds."""
 
 
-def _read_polynomial(spec: str) -> BasisPolynomial:
+def _read_polynomial(spec: str):
+    """The BasisPolynomial given inline as JSON or in the JSON file spec names."""
+    from .polynomial import BasisPolynomial
+
     if spec.lstrip().startswith("{"):
         raw = spec
     else:
@@ -62,6 +70,8 @@ def _float_flag(text: str, flag: str) -> float:
 
 
 def _cmd_convert(args) -> int:
+    from .polynomial import Basis, convert_basis
+
     p = _read_polynomial(args.input)
     _emit(convert_basis(p, Basis(args.to)).to_json())
     return 0
@@ -70,7 +80,7 @@ def _cmd_convert(args) -> int:
 def _cmd_transform(args) -> int:
     if not args.numeric:
         if args.input is None:
-            raise ValueError("exact transform needs a polynomial argument")
+            raise _UsageError("exact transform needs a polynomial argument")
         from . import transforms_exact
 
         p = _read_polynomial(args.input)
@@ -78,7 +88,7 @@ def _cmd_transform(args) -> int:
         return 0
 
     if args.source is None or args.at is None:
-        raise ValueError("--numeric requires --source and --at")
+        raise _UsageError("--numeric requires --source and --at")
     from .transforms_numeric import NamedSource, NumericConfig, fft_fn, ifft_fn, irft_fn, rft_fn
 
     src = NamedSource(args.source)
@@ -101,10 +111,17 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_special(args) -> int:
-    from .special_polynomials import charlier, laguerre, touchard, z_poly
-
     fam = args.family
     n = args.n
+    if fam in ("stirling1", "stirling2") and args.k is None:
+        raise _UsageError(f"{fam} needs --k")
+    if fam == "charlier" and (args.x is None or args.a is None):
+        raise _UsageError("charlier needs --x and --a")
+    if fam in ("stirling1", "stirling2", "bernoulli"):
+        from .combinatorics import bernoulli, stirling_first_signed, stirling_second
+    else:
+        from .special_polynomials import charlier, laguerre, touchard, z_poly
+
     if fam == "touchard":
         _emit(touchard(n).to_json())
     elif fam == "z":
@@ -113,19 +130,13 @@ def _cmd_special(args) -> int:
         alpha = _rational_flag(args.alpha, "--alpha") if args.alpha is not None else 0
         _emit(laguerre(n, alpha).to_json())
     elif fam == "charlier":
-        if args.x is None or args.a is None:
-            raise ValueError("charlier needs --x and --a")
         v = charlier(n, _rational_flag(args.x, "--x"), _rational_flag(args.a, "--a"))
         _emit({"family": "charlier", "n": n, "x": args.x, "a": args.a, "value": str(v)})
     elif fam == "stirling1":
-        if args.k is None:
-            raise ValueError("stirling1 needs --k")
         _emit({"family": "stirling1", "n": n, "k": args.k,
                "value": str(stirling_first_signed(n, args.k)),
                "note": "signed convention"})
     elif fam == "stirling2":
-        if args.k is None:
-            raise ValueError("stirling2 needs --k")
         _emit({"family": "stirling2", "n": n, "k": args.k,
                "value": str(stirling_second(n, args.k))})
     else:  # bernoulli
@@ -243,7 +254,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, ArithmeticError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _UsageError) else 1
 
 
 if __name__ == "__main__":

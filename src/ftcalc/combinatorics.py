@@ -10,6 +10,11 @@ Conventions:
 
 One product helper computes both factorials, stepping x down or up, and the
 generalized binomial is the falling one over n!.
+
+The integer kernels that the exact and numeric layers share live here too,
+so the numeric layer loads no polynomial arithmetic: rationals as numerators
+over one denominator, the difference table that multiplies an EGF by e^{rx},
+and the Taylor shift of an integer coefficient vector.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ import math
 import operator
 import threading
 from fractions import Fraction
-from typing import Callable, Iterator, Union
+from itertools import accumulate, repeat
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Scalar = Union[Fraction, int, float]
 
@@ -177,3 +183,70 @@ def _factorial_product(x: Scalar, n: int, step: Callable[[Scalar, int], Scalar])
     if out == 0:
         raise ZeroDivisionError("vanishing factor in negative-index factorial")
     return 1 / out
+
+
+def _integers(values: Iterable) -> tuple[list[int], int]:
+    """Numerators of rationals over their lcm denominator, and that denominator.
+
+    An int or Fraction is read as it is, anything else through Fraction(),
+    a float as its dyadic value.
+    """
+    rs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = math.lcm(*(r.denominator for r in rs))
+    return [r.numerator * (den // r.denominator) for r in rs], den
+
+
+def _pascal(v: Iterable[int], r: int) -> Iterator[int]:
+    """h_k = sum_n binom(k,n) r^(k-n) v_n on integers, yielded once v_k is
+    read: the EGF of v times e^{rx}.
+
+    h_k = ((E + r)^k v)_0 for the shift (E v)_n = v_(n+1), the corner of a
+    difference table row_(i+1) = E row_i + r row_i with row_0 = v (Knuth,
+    TAOCP Vol. 2, 4.6.4, tabulating by differences). The table is built one
+    antidiagonal at a time: v_k starts the next one, whose entries are the
+    prefix sums b_(i+1) = b_i + r a_i over the last one, a, and whose end is
+    h_k. The first m outputs take m^2/2 steps, an addition or a subtraction
+    for r = +-1 and else also a product with the small r, and read only
+    v_0..v_(m-1).
+    """
+    step = operator.sub if r == -1 else operator.add
+    diagonal: list[int] = []
+    for a in v:
+        diagonal = list(accumulate(diagonal if abs(r) == 1 else
+                                   map(operator.mul, diagonal, repeat(r)), step, initial=a))
+        yield diagonal[-1]
+
+
+def _taylor_shift(a: Fraction, nums: Sequence[int]) -> tuple[Iterator[int], int]:
+    """e^{aL} for the Fraction a on numerators in a basis with L b_n = n b_(n-1):
+    out_i = sum_j binom(i+j, j) a^j c_(i+j), the coefficients of p(x + a)
+    for p = sum_j c_j x^j. Returns the out_i numerators, computed one at a
+    time as they are read, and their common denominator.
+
+    For a = u/q, p(x + a) q^(n-1) = sum_j r_j (y + u)^j at y = q x, with
+    r_j = c_j q^(n-1-j). In the form of Shaw & Traub ("On the number of
+    multiplications for the evaluation of a polynomial and some of its
+    derivatives", J. ACM 21, 1974), the shift by u is the shift by 1 of the
+    scaled s_j = r_j u^j, whose coefficient i is divided by u^i. Horner's
+    shift by 1 (von zur Gathen & Gerhard, "Fast algorithms for Taylor shifts
+    and certain difference equations", ISSAC 1997, method H) is a pass of
+    suffix sums per coefficient: pass i replaces each s_j, j >= i, by
+    s_j + ... + s_(n-1), and s_i is then final. So coefficient i costs n - i
+    additions and one exact division, the whole vector n^2/2 additions and
+    no product in the loop. The result r_i q^i is over q^(n-1).
+    """
+    u, q = a.numerator, a.denominator
+    if not (u and nums):
+        return iter(nums), 1
+    n = len(nums)
+    qpow = list(accumulate(repeat(q, n - 1), operator.mul, initial=1))
+    upow = list(accumulate(repeat(u, n - 1), operator.mul, initial=1))
+
+    def rows() -> Iterator[int]:
+        # s reversed, so each pass of suffix sums is a prefix sum that ends at s_i
+        tail = list(map(operator.mul, map(operator.mul, reversed(nums), qpow), reversed(upow)))
+        for qi, ui in zip(qpow, upow):
+            tail = list(accumulate(tail))
+            yield tail.pop() // ui * qi
+
+    return rows(), qpow[-1]

@@ -8,8 +8,9 @@ they are read.
 
 Every kernel reads and writes that integer vector: it loops on Python ints
 over the denominator its caller tracks, and hands the numerators to the
-next kernel; both transform layers take from here the difference table
-that multiplies an EGF by e^{rx}, one output per input read. A public
+next kernel. The kernels it shares with the numeric layer, the difference
+table that multiplies an EGF by e^{rx}, one output per input read, and the
+Taylor shift, come from combinatorics. A public
 operation reduces once, when it builds its result. A conversion is one pass
 over a triangle of Stirling numbers to or from the monomial basis, and of
 Lah numbers between the factorial bases; the triangles are unimodular, so a
@@ -46,9 +47,11 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate, chain, count, islice, repeat, zip_longest
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .combinatorics import Scalar, _argument_ratio, bernoulli, lah_terms, stirling_row
+from .combinatorics import (
+    Scalar, _argument_ratio, _integers, _pascal, _taylor_shift, bernoulli, lah_terms, stirling_row,
+)
 
 
 class Basis(str, Enum):
@@ -219,17 +222,6 @@ def falling_unit(n: int) -> BasisPolynomial:
     return _canonical(Basis.FALLING, [0] * n + [1], 1)
 
 
-def _integers(values: Iterable) -> tuple[list[int], int]:
-    """Numerators of rationals over their lcm denominator, and that denominator.
-
-    An int or Fraction is read as it is, anything else through Fraction(),
-    a float as its dyadic value.
-    """
-    rs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    den = math.lcm(*(r.denominator for r in rs))
-    return [r.numerator * (den // r.denominator) for r in rs], den
-
-
 def _triangle(source: Basis, target: Basis) -> tuple[Callable[[int], Iterable[int]], int]:
     """Rows of T and the sign s in b_n = sum_k s^(n-k) T(n,k) b'_k, which
     expands the source's elements in the target's: T is S(n,k) for x^n in
@@ -373,27 +365,6 @@ def _convolve(pn: Sequence[int], qn: Sequence[int]) -> list[int]:
 
     digits = (pack(pn) * pack(qn) + int.from_bytes(unit * m, "little")).to_bytes(w * m, "little")
     return [int.from_bytes(digits[i:i + w], "little") - half for i in range(0, w * m, w)]
-
-
-def _pascal(v: Iterable[int], r: int) -> Iterator[int]:
-    """h_k = sum_n binom(k,n) r^(k-n) v_n on integers, yielded once v_k is
-    read: the EGF of v times e^{rx}.
-
-    h_k = ((E + r)^k v)_0 for the shift (E v)_n = v_(n+1), the corner of a
-    difference table row_(i+1) = E row_i + r row_i with row_0 = v (Knuth,
-    TAOCP Vol. 2, 4.6.4, tabulating by differences). The table is built one
-    antidiagonal at a time: v_k starts the next one, whose entries are the
-    prefix sums b_(i+1) = b_i + r a_i over the last one, a, and whose end is
-    h_k. The first m outputs take m^2/2 steps, an addition or a subtraction
-    for r = +-1 and else also a product with the small r, and read only
-    v_0..v_(m-1).
-    """
-    step = operator.sub if r == -1 else operator.add
-    diagonal: list[int] = []
-    for a in v:
-        diagonal = list(accumulate(diagonal if abs(r) == 1 else
-                                   map(operator.mul, diagonal, repeat(r)), step, initial=a))
-        yield diagonal[-1]
 
 
 def _times_exp(v: Iterable[int], r: int, m: int) -> list[int]:
@@ -543,41 +514,6 @@ def _powers(step: int, op: OperatorExpr, n: int) -> tuple[list[int], int]:
     top = max(n - 1, 0)
     out = accumulate((p + step * j * q for j in range(top)), operator.mul, initial=1)
     return [w * q ** (top - j) for j, w in zip(range(n), out)], q ** top
-
-
-def _taylor_shift(a: Fraction, nums: Sequence[int]) -> tuple[Iterator[int], int]:
-    """e^{aL} for the Fraction a on numerators in a basis with L b_n = n b_(n-1):
-    out_i = sum_j binom(i+j, j) a^j c_(i+j), the coefficients of p(x + a)
-    for p = sum_j c_j x^j. Returns the out_i numerators, computed one at a
-    time as they are read, and their common denominator.
-
-    For a = u/q, p(x + a) q^(n-1) = sum_j r_j (y + u)^j at y = q x, with
-    r_j = c_j q^(n-1-j). In the form of Shaw & Traub ("On the number of
-    multiplications for the evaluation of a polynomial and some of its
-    derivatives", J. ACM 21, 1974), the shift by u is the shift by 1 of the
-    scaled s_j = r_j u^j, whose coefficient i is divided by u^i. Horner's
-    shift by 1 (von zur Gathen & Gerhard, "Fast algorithms for Taylor shifts
-    and certain difference equations", ISSAC 1997, method H) is a pass of
-    suffix sums per coefficient: pass i replaces each s_j, j >= i, by
-    s_j + ... + s_(n-1), and s_i is then final. So coefficient i costs n - i
-    additions and one exact division, the whole vector n^2/2 additions and
-    no product in the loop. The result r_i q^i is over q^(n-1).
-    """
-    u, q = a.numerator, a.denominator
-    if not (u and nums):
-        return iter(nums), 1
-    n = len(nums)
-    qpow = list(accumulate(repeat(q, n - 1), operator.mul, initial=1))
-    upow = list(accumulate(repeat(u, n - 1), operator.mul, initial=1))
-
-    def rows() -> Iterator[int]:
-        # s reversed, so each pass of suffix sums is a prefix sum that ends at s_i
-        tail = list(map(operator.mul, map(operator.mul, reversed(nums), qpow), reversed(upow)))
-        for qi, ui in zip(qpow, upow):
-            tail = list(accumulate(tail))
-            yield tail.pop() // ui * qi
-
-    return rows(), qpow[-1]
 
 
 # kind -> {basis: (op, n) -> the op's EGF weights for n coefficients in that

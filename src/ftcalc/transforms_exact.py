@@ -13,9 +13,9 @@ inverse transform over j!; coefficient extraction is FFT(e^{-x} f)(n) / n!
 on EGF coefficients. Each source is sampled once at 0..m-1, a polynomial
 through its falling coefficients c as p(n) = sum_j binom(n,j) j! c_j, the
 same product against 1s. Two integer kernels compute it: one direct sum per
-h_k for a general u, here, and the polynomial layer's difference table of
-additions against u_n = r^n, whose first m outputs read only the first m
-inputs and give every h_k, k < m. Samples and sums stay integer numerators
+h_k for a general u, here, and the shared difference table of additions
+against u_n = r^n, whose first m outputs read only the first m inputs and
+give every h_k, k < m. Samples and sums stay integer numerators
 over one denominator; a Fraction is built only for a returned value.
 """
 
@@ -25,9 +25,10 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
+from .combinatorics import _integers
 from .polynomial import (
-    Basis, BasisPolynomial, _canonical, _falling_samples, _integers, _newton, _reduced,
-    _times_exp, convert_basis, multiply,
+    Basis, BasisPolynomial, _canonical, _falling_samples, _newton, _reduced, _times_exp,
+    convert_basis, multiply,
 )
 
 SequenceSource = Union[BasisPolynomial, Callable[[int], Fraction]]

@@ -44,8 +44,7 @@ from fractions import Fraction
 from itertools import accumulate, count, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .combinatorics import Scalar, _argument_ratio, bernoulli
-from .polynomial import _integers, _pascal, _taylor_shift
+from .combinatorics import Scalar, _argument_ratio, _integers, _pascal, _taylor_shift, bernoulli
 
 
 class NonConvergenceError(ArithmeticError):

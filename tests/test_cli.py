@@ -84,12 +84,6 @@ def test_transform_ifft_inverts_fft(capsys):
     assert loads(back) == json.loads(X_SQUARED)
 
 
-def test_transform_exact_requires_polynomial(capsys):
-    code, _, err = run(capsys, "transform", "--op", "fft")
-    assert code == 1
-    assert "polynomial" in err
-
-
 def test_transform_numeric_ifft_gamma(capsys):
     code, out, _ = run(capsys, "transform", "--numeric", "--op", "ifft",
                        "--source", "gamma-samples", "--at", "0.5", "--truncation", "256")
@@ -140,12 +134,6 @@ def test_transform_numeric_rft_tanh_sinh_overflow_is_error(capsys):
     assert code == 1
     assert out == ""
     assert "tanh_sinh: the integrand overflows" in err
-
-
-def test_transform_numeric_needs_source_and_at(capsys):
-    code, _, err = run(capsys, "transform", "--numeric", "--op", "fft")
-    assert code == 1
-    assert "--source" in err
 
 
 def test_transform_numeric_divergent_is_error_not_traceback(capsys):
@@ -245,12 +233,6 @@ def test_special_charlier_value(capsys):
                        "--x", "3", "--a", "1")
     assert code == 0
     assert loads(out)["value"] == "1"
-
-
-def test_special_charlier_missing_params(capsys):
-    code, _, err = run(capsys, "special", "--family", "charlier", "--n", "2")
-    assert code == 1
-    assert "charlier" in err
 
 
 def test_special_stirling_and_bernoulli(capsys):
@@ -360,6 +342,24 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys)[0] == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["special", "--family", "stirling1", "--n", "5"], "stirling1 needs --k",
+                 id="stirling1"),
+    pytest.param(["special", "--family", "stirling2", "--n", "5"], "stirling2 needs --k",
+                 id="stirling2"),
+    pytest.param(["special", "--family", "charlier", "--n", "2", "--x", "3"],
+                 "charlier needs --x and --a", id="charlier"),
+    pytest.param(["transform", "--numeric", "--op", "fft", "--source", "exp(1)"],
+                 "--numeric requires --source and --at", id="numeric_transform"),
+    pytest.param(["transform", "--op", "fft"], "exact transform needs a polynomial argument",
+                 id="exact_transform"),
+])
+def test_missing_flag_is_usage_error(capsys, argv, message):
+    """A flag or argument that the subcommand needs but argparse cannot
+    require is a usage error too: exit 2, the message on stderr alone."""
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_console_entry_point_importable():
     from ftcalc import cli
 
@@ -386,9 +386,18 @@ def _loaded_after(argvs, modules):
     return _loaded(code, modules)
 
 
+@pytest.mark.parametrize("code", ["import ftcalc", "import ftcalc.cli"])
+def test_package_and_cli_imports_load_no_layer(code):
+    """The package root resolves its names on first use, and the CLI imports
+    each layer inside the subcommands that run it."""
+    assert _loaded(code, ("ftcalc.combinatorics", "ftcalc.polynomial")) == "[]"
+
+
 def test_numeric_layer_loads_no_exact_transforms():
-    """transforms_numeric takes its integer kernels from polynomial alone."""
-    assert _loaded("import ftcalc.transforms_numeric", ("ftcalc.transforms_exact",)) == "[]"
+    """transforms_numeric takes its integer kernels from combinatorics, so it
+    loads neither the polynomial layer nor the exact transforms."""
+    modules = ("ftcalc.polynomial", "ftcalc.transforms_exact")
+    assert _loaded("import ftcalc.transforms_numeric", modules) == "[]"
 
 
 def test_exact_subcommands_load_no_numeric_layer():
@@ -398,6 +407,18 @@ def test_exact_subcommands_load_no_numeric_layer():
              ["special", "--family", "touchard", "--n", "3"]]
     modules = ("scipy", "mpmath", "ftcalc.verify_suite", "ftcalc.transforms_numeric")
     assert _loaded_after(argvs, modules) == "[]"
+
+
+def test_numeric_subcommands_load_no_polynomial_layer():
+    """The numeric transforms, fractional, zeta and the number families never
+    build a BasisPolynomial, so they do not load the polynomial layer."""
+    argvs = [["transform", "--numeric", "--op", "fft", "--source", "exp(1/2)", "--at", "0.3"],
+             ["transform", "--numeric", "--op", "rft", "--source", "exp(-1/2)", "--at", "1.5"],
+             ["fractional", "--kind", "derivative", "--order", "1/2", "--source", "exp(2)"],
+             ["zeta", "--s", "2", "--terms", "3"],
+             ["special", "--family", "stirling2", "--n", "30", "--k", "3"],
+             ["special", "--family", "bernoulli", "--n", "12"]]
+    assert _loaded_after(argvs, ("ftcalc.polynomial",)) == "[]"
 
 
 @pytest.mark.parametrize("argv,loaded", [
@@ -425,3 +446,35 @@ def test_numeric_subcommands_load_no_scipy(argv, loaded):
 def test_subcommands_load_no_dataclasses(argv):
     """Records are declared without dataclasses, whose import pulls in inspect."""
     assert _loaded_after([argv], ("dataclasses", "inspect")) == "[]"
+
+
+_PUBLIC = ["Basis", "BasisPolynomial", "OperatorExpr", "__version__", "apply_operator",
+           "bernoulli", "binomial_general", "convert_basis", "falling_factorial",
+           "rising_factorial", "stirling_first_signed", "stirling_first_unsigned",
+           "stirling_second"]
+
+
+def test_star_import_binds_each_name_to_its_home_object():
+    ns = {}
+    exec("from ftcalc import *", ns)
+    assert sorted(ftcalc.__all__) == _PUBLIC
+    assert set(_PUBLIC) <= set(ns) and set(_PUBLIC) <= set(dir(ftcalc))
+    for name in set(_PUBLIC) - {"__version__"}:
+        obj = ns[name]
+        assert obj.__module__ in ("ftcalc.combinatorics", "ftcalc.polynomial")
+        assert getattr(sys.modules[obj.__module__], name) is obj
+        assert getattr(ftcalc, name) is obj
+
+
+def test_package_version():
+    assert ftcalc.__version__ == "0.1.0"
+
+
+def test_package_submodule_resolves_on_first_access():
+    code = "import ftcalc\nassert callable(ftcalc.polynomial.shift)"
+    assert _loaded(code, ("ftcalc.polynomial",)) == "['ftcalc.polynomial']"
+
+
+def test_package_unknown_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        ftcalc.no_such_name

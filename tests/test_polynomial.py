@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ftcalc.combinatorics import (
+    _integers,
     falling_factorial,
     stirling_first_signed,
     stirling_first_unsigned,
@@ -29,7 +30,6 @@ from ftcalc.polynomial import (
     _KRONECKER_MIN,
     _apply_weights,
     _convolve,
-    _integers,
     _translate,
     antiderivative,
     apply_operator,
