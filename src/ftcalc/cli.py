@@ -69,6 +69,17 @@ def _float_flag(text: str, flag: str) -> float:
                          f"got {text!r}") from None
 
 
+def _int_flag(low: int):
+    """An argparse type for an int flag of at least low, so that a value out
+    of range is a usage error that names the flag, as a non-int one is."""
+    def read(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"needs an int >= {low}, got {value}")
+        return value
+    read.__name__ = "int"  # argparse's message for a non-int: "invalid int value"
+    return read
+
+
 def _cmd_convert(args) -> int:
     from .polynomial import Basis, convert_basis
 
@@ -206,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="numeric evaluation of a named source at a point")
     p.add_argument("--source", help="exp(a) | sin(w) | cos(w) | geometric(r) | gamma-samples")
     p.add_argument("--at", help="evaluation argument (rational or decimal)")
-    p.add_argument("--truncation", type=int, default=64, help="series truncation bound")
+    p.add_argument("--truncation", type=_int_flag(1), default=64, help="series truncation bound")
     p.add_argument("--scheme", default="gauss_laguerre",
                    choices=["gauss_laguerre", "tanh_sinh"])
     p.set_defaults(fn=_cmd_transform)
@@ -215,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    choices=["touchard", "z", "laguerre", "charlier",
                             "stirling1", "stirling2", "bernoulli"])
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--k", type=int)
+    p.add_argument("--n", required=True, type=_int_flag(0))
+    p.add_argument("--k", type=_int_flag(0))
     p.add_argument("--alpha", help="Laguerre parameter (rational)")
     p.add_argument("--a", help="Charlier parameter (rational, nonzero)")
     p.add_argument("--x", help="Charlier argument (rational)")
@@ -228,12 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", default="0", help="expansion/evaluation point")
     p.add_argument("--source", required=True,
                    help="exp(a) | sin(w) | cos(w) | geometric(r)")
-    p.add_argument("--truncation", type=int, default=64)
+    p.add_argument("--truncation", type=_int_flag(1), default=64)
     p.set_defaults(fn=_cmd_fractional)
 
     p = sub.add_parser("zeta", help="formal zeta series terms (informational)")
     p.add_argument("--s", required=True, help="argument (not 1)")
-    p.add_argument("--terms", type=int, default=8)
+    p.add_argument("--terms", type=_int_flag(1), default=8)
     p.set_defaults(fn=_cmd_zeta)
 
     p = sub.add_parser("verify", help="run the identity check suite")

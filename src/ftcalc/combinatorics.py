@@ -8,8 +8,8 @@ Conventions:
   * (x)_n with n < 0 means 1/((x+1)(x+2)...(x+|n|)).
   * x**(rising n) with n < 0 means 1/((x-1)(x-2)...(x-|n|)).
 
-One product helper computes both factorials, stepping x down or up, and the
-generalized binomial is the falling one over n!.
+Both factorials are one integer product over q^|n| at x = u/q, rounded
+once for a float x; the generalized binomial is the exact falling one over n!.
 
 The integer kernels that the exact and numeric layers share live here too,
 so the numeric layer loads no polynomial arithmetic: rationals as numerators
@@ -24,7 +24,7 @@ import operator
 import threading
 from fractions import Fraction
 from itertools import accumulate, repeat
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[Fraction, int, float]
 
@@ -160,7 +160,7 @@ def falling_factorial(x: Scalar, n: int) -> Scalar:
     n < 0:  1/((x+1)(x+2)...(x+|n|)); raises ZeroDivisionError when a
     factor vanishes.
     """
-    return _factorial_product(x, n, operator.sub)
+    return _factorial_product(x, n, -1, "falling_factorial")
 
 
 def rising_factorial(x: Scalar, n: int) -> Scalar:
@@ -169,20 +169,22 @@ def rising_factorial(x: Scalar, n: int) -> Scalar:
     n >= 0: x(x+1)...(x+n-1); n < 0: 1/((x-1)(x-2)...(x-|n|)).
     Satisfies x^(rising n) = (-1)^n (-x)_n for n >= 0.
     """
-    return _factorial_product(x, n, operator.add)
+    return _factorial_product(x, n, 1, "rising_factorial")
 
 
-def _factorial_product(x: Scalar, n: int, step: Callable[[Scalar, int], Scalar]) -> Scalar:
-    # step(x, 0) step(x, 1) ... step(x, n-1) for n >= 0, and for n < 0 the
-    # reciprocal of step(x, -1) ... step(x, n); float for float x, else Fraction
-    out = 1.0 if isinstance(x, float) else Fraction(1)
-    for j in range(n) if n >= 0 else range(-1, n - 1, -1):
-        out = out * step(x, j)
+def _factorial_product(x: Scalar, n: int, step: int, what: str) -> Scalar:
+    # x (x + step) ... (x + (n-1) step) for n >= 0, and for n < 0 the
+    # reciprocal of the |n| factors from x - step on, stepping by -step; at
+    # x = u/q an integer over q^|n|, rounded once for a float x
+    u, q = _argument_ratio(x, what)
+    d = step * q
     if n >= 0:
-        return out
-    if out == 0:
-        raise ZeroDivisionError("vanishing factor in negative-index factorial")
-    return 1 / out
+        num, den = math.prod(range(u, u + n * d, d)), q ** n
+    else:
+        num, den = q ** -n, math.prod(range(u - d, u + (n - 1) * d, -d))
+        if not den:
+            raise ZeroDivisionError("vanishing factor in negative-index factorial")
+    return num / den if isinstance(x, float) else Fraction(num, den)
 
 
 def _integers(values: Iterable) -> tuple[list[int], int]:

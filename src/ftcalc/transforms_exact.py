@@ -7,16 +7,17 @@ numeric layer). All arithmetic is rational. hadamard_ifft, the inverse
 transform of a product, is one monomial product and one reinterpretation.
 
 Every sequence function is one identity, the EGF product
-h_k = sum_n binom(k,n) u_(k-n) v_n: the binomial transform pairs a
-sequence with 1s, its inverse with (-1)^n; Newton interpolation is the
-inverse transform over j!; coefficient extraction is FFT(e^{-x} f)(n) / n!
-on EGF coefficients. Each source is sampled once at 0..m-1, a polynomial
-through its falling coefficients c as p(n) = sum_j binom(n,j) j! c_j, the
-same product against 1s. Two integer kernels compute it: one direct sum per
-h_k for a general u, here, and the shared difference table of additions
-against u_n = r^n, whose first m outputs read only the first m inputs and
-give every h_k, k < m. Samples and sums stay integer numerators
-over one denominator; a Fraction is built only for a returned value.
+h_k = sum_n binom(k,n) u_(k-n) v_n: the binomial transform and its
+inverse are binomial_convolution against 1s and against (-1)^n; Newton
+interpolation is the inverse transform over j!; coefficient extraction is
+FFT(e^{-x} f)(n) / n! on EGF coefficients. Each source is sampled once at
+0..m-1, a polynomial through its falling coefficients c as
+p(n) = sum_j binom(n,j) j! c_j, the same product against 1s. Two integer
+kernels compute it: one direct sum per h_k for a general u, here, and the
+shared difference table of additions against u_n = r^n, whose first m
+outputs read only the first m inputs and give every h_k, k < m. Samples
+and sums stay integer numerators over one denominator; a Fraction is
+built only for a returned value.
 """
 
 from __future__ import annotations
@@ -76,10 +77,6 @@ def _binomial(u: Sequence[int], v: Sequence[int], ks: Iterable[int]) -> list[int
     return out
 
 
-def _signs(m: int) -> list[int]:
-    return [(-1) ** n for n in range(m)]
-
-
 def _samples(f: SequenceSource, m: int) -> tuple[list[int], int]:
     """f(0), ..., f(m-1) as numerators over one denominator, evaluating the
     source once per index.
@@ -94,22 +91,18 @@ def _samples(f: SequenceSource, m: int) -> tuple[list[int], int]:
 
 
 def binomial_transform(f: SequenceSource, x: int) -> Fraction:
-    """BT(f)(x) = sum_{n=0}^{x} binom(x,n) f(n) at nonnegative integer x."""
-    if x < 0:
-        raise ValueError("argument must be a nonnegative integer")
-    v, d = _samples(f, x + 1)
-    return Fraction(_binomial([1] * (x + 1), v, [x])[0], d)
+    """BT(f)(x) = sum_{n=0}^{x} binom(x,n) f(n) at nonnegative integer x,
+    the binomial convolution of f with 1s."""
+    return binomial_convolution(lambda n: 1, f, x)
 
 
 def inverse_binomial_transform(f: SequenceSource, x: int) -> Fraction:
-    """BT^{-1}(f)(x) = sum_{n=0}^{x} binom(x,n) (-1)^(x-n) f(n).
+    """BT^{-1}(f)(x) = sum_{n=0}^{x} binom(x,n) (-1)^(x-n) f(n), the binomial
+    convolution of f with (-1)^n.
 
     The finite alternating realization; BT^{-1}(BT(f)) = f pointwise.
     """
-    if x < 0:
-        raise ValueError("argument must be a nonnegative integer")
-    v, d = _samples(f, x + 1)
-    return Fraction(_binomial(_signs(x + 1), v, [x])[0], d)
+    return binomial_convolution(lambda n: (-1) ** n, f, x)
 
 
 def binomial_convolution(f: SequenceSource, g: SequenceSource, x: int) -> Fraction:

@@ -17,15 +17,18 @@ giving up; slowly converging Newton series (binom(s,n) tails decay only like
 n^(-s-1)) are routine and direct summation alone cannot reach practical
 tolerances. The returned error estimate is then the extrapolation's internal
 agreement, otherwise the magnitude of the first omitted weighted term.
-One reader, _input, reads every Taylor coefficient, sample or point value
-exactly, a float as its dyadic value; a call that overflows or a value
-that is not a finite number raises NonConvergenceError naming the
-evaluator and the input. The fractional operators prepare their series on
-one integer vector: the inputs become numerators over one denominator,
-the derivative Taylor-shifts them to t, the difference table multiplies
-by e^{-rate x}, and fft_fn's Newton sum reads each Taylor coefficient as
-an unreduced (numerator, denominator) pair, which its int true division
-rounds correctly without a gcd. The shift and the table each compute one
+The Newton sum, the EGF series and zeta_formal_series take their terms
+from one stream, _ratio_terms, which forms each term exactly and rounds
+it once; they differ only in the data they pass it. One reader, _input,
+reads every Taylor coefficient, sample or point value exactly, a float as
+its dyadic value; a call that overflows or a value that is not a finite
+number raises NonConvergenceError naming the evaluator and the input. The
+fractional operators prepare their series on one integer vector: the
+inputs become numerators over one denominator, the derivative
+Taylor-shifts them to t, the difference table multiplies by e^{-rate x},
+and fft_fn's Newton sum reads each Taylor coefficient as an unreduced
+(numerator, denominator) pair, which its int true division rounds
+correctly without a gcd. The shift and the table each compute one
 coefficient per coefficient the Newton sum reads, so a sum that stops
 early prepares no more. NamedSource defines the named sources of the
 command line, which the check suite builds from the same specs.
@@ -41,7 +44,7 @@ import threading
 from collections import namedtuple
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count, islice, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .combinatorics import Scalar, _argument_ratio, _integers, _pascal, _taylor_shift, bernoulli
@@ -435,45 +438,33 @@ def _input(provider: Callable[[int], Scalar], n: int, what: str) -> tuple[int, i
         raise NonConvergenceError(f"{what}: input {n} is {v!r}, not a finite number") from None
 
 
-# Both series below form term n as one exact rational U*c / (D*d 2^e): c/d
-# is the coefficient or sample, and U/(D 2^e) is the argument's factor, kept
-# as running ints over the argument's ratio u/q. The power of two in
-# q = odd 2^k is carried as the exponent e = k n, applied as one left shift
-# of the term's denominator, and D holds only the odd part: for a float
-# argument, where odd = 1, the steps multiply only U. Python's int true
-# division rounds that rational correctly, so each term is the float of its
-# exact value, as a Fraction product would give, without a gcd per step.
-# Factors like (s)_n and x^n/n! leave the float range long before the terms
-# do, so they are never rounded alone.
+# Every series below forms term n as one exact rational U*c / (D*d 2^e): c/d
+# is the coefficient, sample or Bernoulli number, and U/(D 2^e) is the
+# argument's factor, kept as running ints over the argument's ratio u/q. The
+# power of two in q = odd 2^k is carried as the exponent e = k n, applied as
+# one left shift of the term's denominator, and D holds the odd part of q^n
+# times the integers of the factor's denominator: for a float argument,
+# where odd = 1, those integers alone. Python's int true division rounds
+# that rational correctly, so each term is the float of its exact value, as
+# a Fraction product would give, without a gcd per step. Factors like
+# (s)_n and x^n/n! leave the float range long before the terms do, so they
+# are never rounded alone.
 
-def _dyadic(q: int) -> tuple[int, int]:
-    """(odd, k) with q = odd 2^k, for q > 0."""
-    k = (q & -q).bit_length() - 1
-    return q >> k, k
-
-
-def _newton_terms(coeffs: Iterable[tuple[int, int]], u: int, q: int) -> Iterator[float]:
-    """(s)_n c/d for s = u/q and the n-th pair (c, d) of coeffs, d > 0 and not
-    necessarily in lowest terms: U = prod_{j<n} (u - j q), D 2^e = q^n."""
-    odd, k = _dyadic(q)
-    U, D, e = 1, 1, 0
-    for n, (c, d) in enumerate(coeffs):
-        yield U * c / ((D * d) << e)
-        U *= u - n * q
-        D *= odd
-        e += k
-
-
-def _egf_terms(sample: Callable[[int], Scalar], u: int, q: int,
-               what: str) -> Iterator[float]:
-    """sample(n) x^n / n! for x = u/q: U = u^n, D 2^e = q^n n!."""
-    odd, k = _dyadic(q)
-    U, D, e = 1, 1, 0
-    for n in count():
-        c, d = _input(sample, n, what)
+def _ratio_terms(pairs: Iterable[tuple[int, int]], muls: Iterable[int], u: int, q: int,
+                 step: int) -> Iterator[float]:
+    """Term n = U c / (Q d) for the n-th pair (c, d) of pairs, d > 0 and not
+    necessarily in lowest terms: U = prod_{j<n} (u + step j q) and
+    Q = q^n m_0 ... m_(n-1) for the elements m_j of muls. The Newton sum
+    passes step -1 and 1s, for (s)_n; the EGF series step 0 and 1, 2, ...,
+    for x^n/n!; the zeta series step 1 and 2, 3, ..., for
+    s^(rising n)/(n+1)!. A pair is read only when its term is."""
+    k = (q & -q).bit_length() - 1  # q = odd 2^k
+    odd, U, D, e, du = q >> k, 1, 1, 0, step * q
+    for (c, d), m in zip(pairs, muls):
         yield U * c / ((D * d) << e)
         U *= u
-        D *= odd * (n + 1)
+        u += du
+        D *= odd * m
         e += k
 
 
@@ -493,7 +484,7 @@ def fft_fn(coeff: Callable[[int], Scalar], s: float,
 def _newton_sum(coeffs: Iterable[tuple[int, int]], s: float, cfg: NumericConfig,
                 what: str) -> NumericResult:
     """fft_fn on (numerator, denominator) pairs; its errors name what."""
-    terms = _newton_terms(coeffs, *_argument_ratio(s, what))
+    terms = _ratio_terms(coeffs, repeat(1), *_argument_ratio(s, what), -1)
     val, est = _sum_with_policy(terms, cfg, accelerate=True, what=what)
     return NumericResult(val, est)
 
@@ -505,7 +496,8 @@ def _egf_series(sample: Callable[[int], Scalar], x: float, cfg: NumericConfig,
     The error estimate is the magnitude of the first omitted weighted term
     (meaningful for eventually monotone decaying terms).
     """
-    terms = _egf_terms(sample, *_argument_ratio(x, what), what)
+    samples = map(_input, repeat(sample), count(), repeat(what))
+    terms = _ratio_terms(samples, count(1), *_argument_ratio(x, what), 0)
     val, est = _sum_with_policy(terms, cfg, accelerate=False, what=what)
     try:
         damp = math.exp(-x)
@@ -778,19 +770,15 @@ def zeta_formal_series(s: Scalar, N: int) -> tuple[float, list[float]]:
     if s == 1:
         raise ValueError("pole at s = 1")
     u, q = _argument_ratio(s, "zeta_formal_series")
-    terms = []
-    # s^(rising n) / (n+1)! = rise / scale, both integers
-    rise, scale = 1, 1
-    for n in range(N):
-        scale *= n + 1
-        b = bernoulli(n + 1)
-        try:
-            terms.append((-1) ** (n + 1) * b.numerator * rise / (b.denominator * scale))
-        except OverflowError:
-            raise NonConvergenceError(f"zeta_formal_series: term {n} at s = {s} overflows "
-                                      f"a float") from None
-        rise *= u + n * q
-        scale *= q
+    pairs = (((-1) ** (n + 1) * b.numerator, b.denominator)
+             for n, b in enumerate(map(bernoulli, count(1))))
+    terms: list[float] = []
+    try:
+        for t in islice(_ratio_terms(pairs, count(2), u, q, 1), N):
+            terms.append(t)
+    except OverflowError:
+        raise NonConvergenceError(f"zeta_formal_series: term {len(terms)} at s = {s} "
+                                  f"overflows a float") from None
     try:
         return -1.0 / (s - 1.0) + math.fsum(terms), terms
     except OverflowError:

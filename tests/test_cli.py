@@ -360,6 +360,24 @@ def test_missing_flag_is_usage_error(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["special", "--family", "touchard", "--n", "-1"], "argument --n: needs an int >= 0, got -1"),
+    (["special", "--family", "stirling2", "--n", "3", "--k", "-1"],
+     "argument --k: needs an int >= 0, got -1"),
+    (["zeta", "--s", "2", "--terms", "-1"], "argument --terms: needs an int >= 1, got -1"),
+    (["transform", "--numeric", "--op", "fft", "--source", "exp(1)", "--at", "0.5",
+      "--truncation", "0"], "argument --truncation: needs an int >= 1, got 0"),
+    (["fractional", "--kind", "difference", "--order", "0.5", "--source", "exp(1)",
+      "--truncation", "0"], "argument --truncation: needs an int >= 1, got 0"),
+])
+def test_out_of_range_int_flag_is_usage_error(capsys, argv, message):
+    """An int flag below its range is refused by argparse: exit 2, with the
+    flag named on stderr and nothing on stdout."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: {message}\n")
+
+
 def test_console_entry_point_importable():
     from ftcalc import cli
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.functions.combinatorial import factorials as sp_factorials
 from sympy.functions.combinatorial import numbers as sp_numbers
@@ -81,18 +81,38 @@ def test_binomial_general_is_falling_over_factorial(x, n):
     assert binomial_general(x, n) == falling_factorial(x, n) / math.factorial(n)
 
 
-@given(st.floats(min_value=-40, max_value=40), st.integers(min_value=0, max_value=40))
-def test_binomial_general_rounds_the_exact_value_once(x, n):
-    """At a float, binom(x, n) is the exact value at x's dyadic value, rounded once."""
-    v = binomial_general(x, n)
+@given(st.sampled_from([binomial_general, falling_factorial, rising_factorial]),
+       st.floats(min_value=-40, max_value=40), st.integers(min_value=-12, max_value=40))
+def test_binomial_general_rounds_the_exact_value_once(fn, x, n):
+    """At a float, binom(x, n), (x)_n and x^(rising n) are the exact value at
+    x's dyadic value, rounded once; a vanishing factor of a negative-index
+    factorial raises as it does at the exact value."""
+    assume(n >= 0 or fn is not binomial_general)
+    try:
+        exact = fn(Fraction(x), n)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError, match="vanishing factor"):
+            fn(x, n)
+        return
+    v = fn(x, n)
     assert type(v) is float
-    assert v.hex() == float(binomial_general(Fraction(x), n)).hex()
+    assert v.hex() == float(exact).hex()
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_binomial_general_refuses_a_non_finite_argument(x):
-    with pytest.raises(ValueError, match="^binomial_general needs a finite argument"):
-        binomial_general(x, 3)
+    for fn in (binomial_general, falling_factorial, rising_factorial):
+        with pytest.raises(ValueError, match=f"^{fn.__name__} needs a finite argument"):
+            fn(x, 3)
+
+
+@pytest.mark.parametrize("fn,x", [(falling_factorial, -1e300), (rising_factorial, 1e300),
+                                  (falling_factorial, 400.5)])
+def test_float_factorial_past_the_float_range_overflows(fn, x):
+    """A float factorial whose exact value leaves the float range raises
+    OverflowError, as BasisPolynomial.eval does, instead of returning inf."""
+    with pytest.raises(OverflowError):
+        fn(x, 300)
 
 
 def test_stirling_second_table():
