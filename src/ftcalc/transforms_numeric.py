@@ -10,13 +10,18 @@ samples n -> f(n) (ifft_fn), or the values t -> f(t) (irft_fn, rft_fn,
 fractional_difference).
 
 Numeric policy: a series stops once three successive terms fall below the
-NumericConfig tolerance relative to its partial sum. When direct
-summation misses the stop criterion within truncation_N, the Newton-sum
-evaluator applies Wynn's epsilon extrapolation to the partial sums before
-giving up; slowly converging Newton series (binom(s,n) tails decay only like
-n^(-s-1)) are routine and direct summation alone cannot reach practical
-tolerances. The returned error estimate is then the extrapolation's internal
-agreement, otherwise the magnitude of the first omitted weighted term.
+NumericConfig tolerance relative to its partial sum, with the last nonzero
+one of them as its error estimate. Slowly converging Newton series
+(binom(s,n) tails decay only like n^(-s-1)) and divergent ones summable in
+Borel's sense are routine, and direct summation cannot reach practical
+tolerances on them: the Newton sums also run Levin's u transformation, in
+34-digit decimal, when their count of nonzero terms reaches 32, 64, 128,
+and so on, and return the order whose estimate is least, if it meets the
+tolerance. That estimate adds the change between orders to the change that
+rounding can make, first the terms' own and, for the fractional operators,
+that of their inputs, each taken to within 2^-53 of its magnitude and
+carried through the exact preparation. A sum that Levin's u stops at its
+first checkpoint reads 32 nonzero terms, whatever its truncation_N.
 The Newton sum, the EGF series and zeta_formal_series take their terms
 from one stream, _ratio_terms, which forms each term exactly and rounds
 it once; they differ only in the data they pass it. One reader, _input,
@@ -328,7 +333,8 @@ def wynn_epsilon(partial_sums: Sequence[float]) -> tuple[float, float]:
     roundoff, that column's last entry is returned with their distance: the
     next odd column would divide by roundoff, and the even columns after it
     are noise whose diagonal entries can agree with each other more closely
-    than correct ones do.
+    than correct ones do. No Newton sum calls it: they use Levin's u
+    transformation (_levin_u).
     """
     cur = [float(s) for s in partial_sums]
     if not cur:
@@ -368,24 +374,147 @@ def wynn_epsilon(partial_sums: Sequence[float]) -> tuple[float, float]:
 
 
 _CONSECUTIVE_SMALL = 3
+# Levin's u runs when the count of nonzero terms reaches 32, 64, 128, ...,
+# and at the last term the truncation reads, on the orders k of
+# _levin_orders.
+_CHECKPOINT = 32
+# The least order k that Levin's u is tried at. Below it the differences
+# between orders can agree by chance: at k = 7, on the 8 nonzero terms of
+# sin(1) with truncation_N = 16, they put 7e-11 on an error of 3e-10.
+_MIN_ORDER = 11
+# A float term is its exact value correctly rounded, within 2^-53 of its
+# magnitude; the fractional operators take each input to be known as well.
+_ROUNDING = 2.0 ** -53
+# Levin's arithmetic, 34 digits: the cancellation in its weighted sums
+# costs L_k about k 10^-34 times the stability index of _levin_u times the
+# partial sums, below a float's rounding while that index stays under 10^15.
+_LEVIN = Context(prec=34, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])
 
 
-def _sum_with_policy(terms: Iterator[float], cfg: NumericConfig,
-                     accelerate: bool, what: str) -> tuple[float, float]:
+def _levin_u(terms: Sequence[float], at: Sequence[int],
+             noise: Optional[Callable[[list[float]], float]],
+             tolerance: float) -> Callable[[int], tuple[float, float, float]]:
+    """Levin's u transformation of the series of terms a_0, a_1, ...:
+
+        L_k = sum_(j<=k) c_j s_j / w_j / sum_(j<=k) c_j / w_j,
+        c_j = (-1)^j binom(k, j) (j + 1)^(k-1),  w_j = (j + 1) a_j,
+
+    s_j the partial sums (Levin 1973; Weniger 1989, sections 7-8). a_j is
+    term at[j] of the series the policy reads, whose other terms are 0.
+    Returns the function k -> (L_k, estimate, geometric estimate), k >= 4,
+    each costing O(k); an estimate whose truncation part alone exceeds
+    tolerance * max(1, |L_k|) is returned as inf.
+
+    Both estimates add a truncation part and a noise part. The noise part
+    is the change in L_k that rounding can make, to first order: with
+    W_j = (c_j / w_j) / sum c / w, a change in a_j moves L_k by
+    sum_(i>=j) W_i through the partial sums, less W_j (s_j - L_k) / a_j
+    through w_j. That derivative times the rounding of a_j, 2^-53 |a_j|,
+    summed in magnitude, is the part from the terms' own rounding; noise,
+    if given, maps the derivatives for all the terms read, 0 past at[k],
+    to the part from the rounding of the inputs they are computed from.
+    Where the W_j cancel little, this is the stability index sum |W_j|
+    (Sidi 2003) times the rounding.
+
+    With d_i = |L_i - L_(i-1)|, the truncation part of the estimate is
+    max(d_k, d_(k-1)): d_k alone is about the error of L_(k-1), and misses
+    that of an L_k that lands near the limit by chance as the L_i
+    oscillate about it. Where the differences shrink steadily, at a ratio
+    q <= 1/2 from d_(k-2) to d_(k-1) and from d_(k-1) to d_k, the
+    geometric estimate's truncation part is their tail d_k q / (1 - q);
+    elsewhere it is infinite. An order that does not transform gives
+    (nan, inf, inf): where the terms keep one sign and w_k does not fall,
+    the series diverges and L_k is an antilimit, such as the analytic
+    continuation of a divergent power series, not a sum.
+    """
+    with localcontext(_LEVIN):
+        a = list(map(Decimal, terms))
+        s = list(accumulate(a))
+        # c_j / w_j is _levin_weights(k)[j] / a_j
+        h = [1 / x for x in a]
+        hs = list(map(operator.mul, h, s))
+        rounding = Decimal(_ROUNDING)
+
+    def at_order(k: int) -> tuple[float, float, float]:
+        if ((terms[k - 1] > 0) == (terms[k] > 0)
+                and abs((k + 1) * terms[k]) >= abs(k * terms[k - 1])):
+            return math.nan, math.inf, math.inf
+        weights = list(map(_levin_weights, range(k, k - 4, -1)))
+        with localcontext(_LEVIN):
+            dens = [sum(map(operator.mul, c, h)) for c in weights]
+            if not all(dens):
+                return math.nan, math.inf, math.inf
+            L, *earlier = (sum(map(operator.mul, c, hs)) / den for c, den in zip(weights, dens))
+            d1, d2, d3 = (abs(x - y) for x, y in zip([L] + earlier, earlier))
+            q = max(d1 / d2, d2 / d3) if 0 < 2 * d1 <= d2 and 2 * d2 <= d3 else 1
+            truncation = [float(max(d1, d2)), float(d1 * q / (1 - q)) if q < 1 else math.inf]
+            limit = tolerance * max(1.0, abs(float(L)))
+            if min(truncation) > limit:
+                return float(L), math.inf, math.inf
+            W = [x * y / dens[0] for x, y in zip(weights[0], h)]
+            V = list(accumulate(reversed(W)))[::-1]
+            d = [v - w * (y - L) / x for v, w, y, x in zip(V, W, s, a)]
+            spread = float(rounding * sum(abs(x * y) for x, y in zip(d, a)))
+        if noise:
+            # a zero term between a_(j-1) and a_j enters s_j, ..., s_k
+            full: list[float] = []
+            for j, i in enumerate(at[:k + 1]):
+                full += [float(V[j])] * (i - len(full)) + [float(d[j])]
+            spread += noise(full)
+        return (float(L), *(x + spread if x <= limit else math.inf for x in truncation))
+
+    return at_order
+
+
+@functools.lru_cache(maxsize=64)
+def _levin_weights(k: int) -> list[Decimal]:
+    """c_j / (j + 1) = (-1)^j binom(k, j) (j + 1)^(k-2) for j <= k, kept for
+    the 64 most recent orders k: the orders that _levin_orders tries recur
+    from sum to sum."""
+    with localcontext(_LEVIN):
+        return list(map(operator.mul, accumulate(range(k), lambda b, j: -b * (k - j) // (j + 1),
+                                                 initial=1),
+                        (Decimal(j) ** (k - 2) for j in range(1, k + 2))))
+
+
+def _levin_orders(top: int, below: int, checkpoint: int) -> list[int]:
+    """The orders Levin's u tries at a checkpoint where the highest order is
+    top: top, then from checkpoint - 1 down in steps of checkpoint / 8 those
+    below top, above below (the highest order of the last checkpoint) and
+    from _MIN_ORDER on. L_k reads only the terms through k, so no order is
+    tried twice."""
+    step = checkpoint // 8
+    return [top] + [k for k in range(checkpoint - 1, max(below, _MIN_ORDER - 1), -step)
+                    if k < top]
+
+
+def _sum_with_policy(terms: Iterator[float], cfg: NumericConfig, accelerate: bool, what: str,
+                     noise: Optional[Callable[[list[float]], float]] = None
+                     ) -> tuple[float, float]:
     """Sum the terms, in order, under cfg; returns (sum, error_estimate).
 
     Stops after _CONSECUTIVE_SMALL successive terms fall below
-    tolerance * max(1, |partial sum|) within truncation_N terms. When the
-    stop criterion is unmet and accelerate is set, epsilon extrapolation of
-    the partial sums, then of those through the smallest term, is attempted
-    before raising NonConvergenceError, which is also raised for a term or
-    partial sum outside the float range.
+    tolerance * max(1, |partial sum|) within truncation_N terms; the
+    estimate is then the last nonzero term among them, 0 if all are 0.
+
+    With accelerate set, Levin's u transformation (_levin_u) runs on the
+    nonzero terms, which skips the structural zeros, when their count
+    reaches 32, 64, 128, ..., and at the last term read if there are 12 or
+    more. At each such checkpoint it tries the orders of _levin_orders from
+    the highest down, and stops going down once an order after one within
+    the tolerance does not halve the least estimate. It returns the L_k of
+    least estimate within tolerance * max(1, |L_k|), or if there is none,
+    of least geometric estimate within it. The estimates carry the terms'
+    rounding and, through noise(d) if given, the rounding of the inputs
+    the terms are computed from. NonConvergenceError is raised when no stop
+    is met, and for a term or partial sum outside the float range.
     """
     N = cfg.truncation_N
     acc = 0.0
     small = 0
-    nonzero_sums: list[float] = []
-    least, least_at = math.inf, 0  # smallest |term|, and the sums through it
+    nonzero: list[float] = []
+    at: list[int] = []  # the index of each nonzero term
+    checkpoint, below = _CHECKPOINT, 0
     for n in range(N):
         try:
             t = next(terms)
@@ -395,29 +524,36 @@ def _sum_with_policy(terms: Iterator[float], cfg: NumericConfig,
         if not math.isfinite(acc):
             raise NonConvergenceError(f"{what}: term {n} or the sum through it is not finite")
         if t != 0.0:
-            nonzero_sums.append(acc)
-            if abs(t) < least:
-                least, least_at = abs(t), len(nonzero_sums)
-        if nonzero_sums and abs(t) <= cfg.tolerance * max(1.0, abs(acc)):
+            nonzero.append(t)
+            at.append(n)
+        if nonzero and abs(t) <= cfg.tolerance * max(1.0, abs(acc)):
             small += 1
             if small >= _CONSECUTIVE_SMALL:
-                return acc, abs(t)
+                return acc, abs(nonzero[-1]) if at[-1] > n - small else 0.0
         else:
             small = 0
-    if not nonzero_sums:
+        if not (accelerate and (len(nonzero) == checkpoint or n == N - 1)):
+            continue
+        top = len(nonzero) - 1
+        if top >= _MIN_ORDER and top > below:
+            levin = _levin_u(nonzero, at, noise, cfg.tolerance)
+            best: list = [None, None]  # the least (estimate, L_k) of each kind
+            for k in _levin_orders(top, below, checkpoint):
+                val, *estimates = levin(k)
+                if best[0] and not estimates[0] < best[0][0] / 2:
+                    break
+                for i, est in enumerate(estimates):
+                    if (est <= cfg.tolerance * max(1.0, abs(val))
+                            and not (best[i] and best[i][0] <= est)):
+                        best[i] = est, val
+            if best[0] or best[1]:
+                est, val = best[0] or best[1]
+                return val, est
+            if top + 1 == checkpoint:
+                checkpoint *= 2
+            below = top
+    if not nonzero:
         return 0.0, 0.0
-    if accelerate and len(nonzero_sums) >= 8:
-        best, agree = wynn_epsilon(nonzero_sums)
-        if agree <= cfg.tolerance * max(1.0, abs(best)):
-            return best, agree
-        # Past its smallest term a series may show its inputs' rounding noise,
-        # amplified, instead of its sum: retry on the sums through that term,
-        # accepted when it agrees with itself and with epsilon on all sums.
-        if 8 <= least_at < len(nonzero_sums):
-            cut, cut_agree = wynn_epsilon(nonzero_sums[:least_at])
-            gap = max(cut_agree, abs(cut - best))
-            if gap <= cfg.tolerance * max(1.0, abs(cut)):
-                return cut, gap
     raise NonConvergenceError(
         f"{what}: tail policy unmet after {N} terms (last |term| = {abs(t):.3e})"
     )
@@ -482,10 +618,12 @@ def fft_fn(coeff: Callable[[int], Scalar], s: float,
 
 
 def _newton_sum(coeffs: Iterable[tuple[int, int]], s: float, cfg: NumericConfig,
-                what: str) -> NumericResult:
-    """fft_fn on (numerator, denominator) pairs; its errors name what."""
+                what: str, noise: Optional[Callable[[list[float]], float]] = None
+                ) -> NumericResult:
+    """fft_fn on (numerator, denominator) pairs; noise, if given, is the
+    noise function of _sum_with_policy. Its errors name what."""
     terms = _ratio_terms(coeffs, repeat(1), *_argument_ratio(s, what), -1)
-    val, est = _sum_with_policy(terms, cfg, accelerate=True, what=what)
+    val, est = _sum_with_policy(terms, cfg, True, what, noise)
     return NumericResult(val, est)
 
 
@@ -658,18 +796,72 @@ def _exact_inputs(value_at: Callable[[int], Scalar], m: int,
     return _integers(Fraction(*_input(value_at, n, what)) for n in range(m))
 
 
+def _shifted(c: list[float], r: float) -> Iterator[float]:
+    """The coefficients of sum_i c_i (x + r)^i, in floats, by Horner's
+    shift: after pass i coefficient i is final, and is yielded."""
+    c = c[:]
+    for i in range(len(c)):
+        if r:
+            for j in range(len(c) - 2, i - 1, -1):
+                c[j] += r * c[j + 1]
+        yield c[i]
+
+
 def _damped_newton_sum(egf: Iterable[int], den: int, rate: int, order: float,
-                       cfg: NumericConfig, what: str) -> NumericResult:
+                       cfg: NumericConfig, what: str, rounding: Iterable[float]) -> NumericResult:
     """fft_fn at s = order of e^{-rate x} g(x), g given by at least
     truncation_N + 1 EGF coefficients, the numerators egf over den.
 
     The product is the difference table against (-rate)^n on the
     numerators, fed one numerator per Taylor coefficient the Newton sum
     reads; coefficient k is then h_k / (k! den), handed to the Newton terms
-    unreduced. Errors name what.
+    unreduced. rounding bounds the noise of each EGF coefficient from the
+    rounding of the inputs, read as _input_noise reads it. Errors name what.
     """
     dens = accumulate(range(1, cfg.truncation_N + 1), operator.mul, initial=den)
-    return _newton_sum(zip(_pascal(egf, -rate), dens), order, cfg, what)
+    return _newton_sum(zip(_pascal(egf, -rate), dens), order, cfg, what,
+                       _input_noise(rounding, rate, order))
+
+
+def _input_noise(rounding: Iterable[float], rate: int,
+                 order: float) -> Callable[[list[float]], float]:
+    """The noise function of _sum_with_policy for the Newton sum at
+    s = order of e^{-rate x} g(x), the EGF coefficients of g having the
+    noise bounds rounding, read only as far as a call needs them.
+
+    Term k is binom(s, k) h_k, so a change in EGF coefficient n moves a
+    result with derivatives d_k in the terms by G_n = sum_k d_k binom(s, k)
+    binom(k, n) (-rate)^(k-n), the coefficients of
+    sum_k d_k binom(s, k) (x - rate)^k; the bound is sum_n |G_n| rounding_n.
+    """
+    bounds: list[float] = []
+    rounding = iter(rounding)
+    s = float(order)
+
+    def noise(d: list[float]) -> float:
+        bounds.extend(islice(rounding, max(0, len(d) - len(bounds))))
+        binomials = accumulate(range(len(d)), lambda b, k: b * (s - k) / (k + 1), initial=1.0)
+        G = _shifted(list(map(operator.mul, d, binomials)), -rate)
+        return sum(abs(x * y) for x, y in zip(G, bounds))
+
+    return noise
+
+
+def _magnitude(num: int, den: int) -> float:
+    """|num / den| as a float, inf past the float range."""
+    try:
+        return abs(num) / den
+    except OverflowError:
+        return math.inf
+
+
+def _egf_rounding(jet_rounding: Iterable[float], t: float) -> Iterator[float]:
+    """Bounds on the noise of the EGF coefficients of f(x + t), from those
+    on f's Taylor coefficients, read when the first bound is: through the
+    shift by |t|, then times n! for EGF coefficient n."""
+    factorials = accumulate(count(1), operator.mul, initial=1.0)
+    for x, f in zip(_shifted(list(jet_rounding), abs(t)), factorials):
+        yield x * f if x else 0.0
 
 
 def fractional_derivative(coeff: Callable[[int], Scalar], order: float, t: Scalar = 0,
@@ -678,7 +870,10 @@ def fractional_derivative(coeff: Callable[[int], Scalar], order: float, t: Scala
     Taylor coefficient of x^n is coeff(n).
 
     Realized as the falling transform of e^{-x} f(x + t): shift the Taylor
-    coefficients to t, multiply by e^{-x}, Newton-sum at s = order.
+    coefficients to t, multiply by e^{-x}, Newton-sum at s = order. Each
+    Taylor coefficient is taken to be known to 2^-53 of its magnitude, as a
+    float input is, whatever its type, for the noise part of the estimate
+    of Levin's u.
 
     Cost: the series is prepared only as far as the Newton sum reads it.
     The jet of M = N + 33 Taylor coefficients, N = truncation_N, is read
@@ -696,7 +891,9 @@ def fractional_derivative(coeff: Callable[[int], Scalar], order: float, t: Scala
     jet, den = _exact_inputs(coeff, cfg.truncation_N + 1 + _JET_EXTRA, what)
     shifted, factor = _taylor_shift(at, jet)
     egf = map(operator.mul, shifted, accumulate(count(1), operator.mul, initial=1))
-    return _damped_newton_sum(egf, den * factor, 1, order, cfg, what)
+    rounding = map(operator.mul, repeat(_ROUNDING), map(_magnitude, jet, repeat(den)))
+    return _damped_newton_sum(egf, den * factor, 1, order, cfg, what,
+                              _egf_rounding(rounding, _magnitude(at.numerator, at.denominator)))
 
 
 def fractional_difference(f: Callable[[float], float], order: float, t: float = 0.0,
@@ -706,11 +903,14 @@ def fractional_difference(f: Callable[[float], float], order: float, t: float = 
     Chain: the samples n -> f(n + t) are the EGF coefficients of
     FFT^{-1}(f(x+t)) e^{x}; multiplying by e^{-2x} realizes
     e^{-x} FFT^{-1}(f(x+t)), and the Newton sum at s = order finishes BT^{-1}.
+    Each sample is taken to be known to 2^-53 of its magnitude, as a float
+    is, whatever its type, for the noise part of the estimate of Levin's u.
     """
     what = "fractional_difference"
     _argument_ratio(t, what)
     egf, den = _exact_inputs(lambda n: f(t + n), cfg.truncation_N + 1, what)
-    return _damped_newton_sum(egf, den, 2, order, cfg, what)
+    rounding = map(operator.mul, repeat(_ROUNDING), map(_magnitude, egf, repeat(den)))
+    return _damped_newton_sum(egf, den, 2, order, cfg, what, rounding)
 
 
 def gamma_support(x: float) -> float:

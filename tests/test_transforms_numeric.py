@@ -450,7 +450,7 @@ def _prepared(monkeypatch, operator, *args):
     sum, as (numerator, denominator) pairs of ints, read as Fractions."""
     seen = []
     monkeypatch.setattr(transforms_numeric, "_newton_sum",
-                        lambda a, s, cfg, what: seen.append((a, cfg.truncation_N)))
+                        lambda a, s, cfg, what, noise: seen.append((a, cfg.truncation_N)))
     operator(*args)
     a, N = seen[0]
     pairs = list(islice(a, N + 1))
@@ -631,11 +631,12 @@ def test_divergent_newton_sum_raises():
         fft_fn(lambda n: 1.0, 2.5, NumericConfig(truncation_N=48, tolerance=1e-12))
 
 
-def test_newton_sum_retries_epsilon_up_to_its_smallest_term():
-    """e^{-x} times the float jet of e^{2x}: the rounding of the jet, amplified
-    about 3x per term, makes the Newton terms at s = 1.5 grow again past term
-    35, and epsilon on all 64 partial sums disagrees by 6e-5. On the sums
-    through the smallest term it gives 2^1.5, as epsilon on all sums does."""
+def test_newton_sum_of_a_rounded_jet_stops_before_its_noise():
+    """e^{-x} times the float jet of e^{2x}, given as exact Fractions: the
+    rounding of the jet, amplified about 3x per term, makes the Newton terms
+    at s = 1.5 grow again past term 35. Levin's u at the orders before that
+    noise gives 2^1.5, and the differences between orders, which the noise
+    moves, keep the estimate at the error's size."""
     jet = [Fraction(2.0 ** n / math.factorial(n)) for n in range(65)]
     damped = _ref_exp_neg_convolve(jet)
     r = fft_fn(damped.__getitem__, 1.5)
@@ -645,12 +646,70 @@ def test_newton_sum_retries_epsilon_up_to_its_smallest_term():
 
 def test_newton_sum_retry_needs_agreement_with_all_sums():
     """The order-2.7 derivative series of cos(u/2) at -3/2 is a binomial series
-    outside its radius. Epsilon on the sums through its smallest term (57)
-    agrees with itself to 6e-11 but is 5.7e-9 off, 5e-9 from epsilon on all
-    64 sums: the retry is refused."""
+    outside its radius: e^{-x} cos((x - 3/2)/2) has the ratio -1 +- i/2, of
+    modulus above 1, whose two oscillating modes Levin's u does not model.
+    No order meets the tolerance, so it raises; a value it returned would
+    have to match (1/2)^2.7 cos(-3/4 + 2.7 pi/2) within its estimate."""
     coeff = NamedSource("cos(1/2)").taylor()
-    with pytest.raises(NonConvergenceError, match="tail policy unmet"):
-        fractional_derivative(coeff, 2.7, Fraction(-3, 2))
+    try:
+        r = fractional_derivative(coeff, 2.7, Fraction(-3, 2))
+    except NonConvergenceError as exc:
+        assert "tail policy unmet" in str(exc)
+    else:
+        assert abs(r - 0.5 ** 2.7 * math.cos(-0.75 + 2.7 * math.pi / 2)) <= r.error_estimate
+
+
+def _borel_geometric(r, s):
+    """The Borel sum e^{1/r} r^s Gamma(s + 1, 1/r) of sum_n (s)_n r^n, r > 0."""
+    r = mp.mpf(r)
+    return float(mp.e ** (1 / r) * r ** s * mp.gammainc(s + 1, 1 / r))
+
+
+@pytest.mark.parametrize("source,s,cfg,closed_form", [
+    # divergent, summed by Levin's u before the terms' rounding swamps it
+    ("geometric(1/2)", 0.3, NumericConfig(truncation_N=256), lambda: _borel_geometric(0.5, 0.3)),
+    ("geometric(1/3)", 2.7, NumericConfig(), lambda: _borel_geometric(1 / 3, 2.7)),
+    # the rounding of terms that grow like 2^n n! leaves about 5e-10
+    ("geometric(2)", 0.3, NumericConfig(tolerance=1e-8), lambda: _borel_geometric(2, 0.3)),
+    # binom(0.3, n) falls like n^-1.3: the direct stop needs far more terms
+    ("exp(1)", 0.3, NumericConfig(truncation_N=256), lambda: 2.0 ** 0.3),
+    # the direct stop on a structural zero
+    ("sin(1/2)", 0.5, NumericConfig(), lambda: ((1 + 0.5j) ** 0.5).imag),
+])
+def test_newton_sum_within_its_estimate_of_closed_form(source, s, cfg, closed_form):
+    """Each value is within its error estimate, plus 4 ulp, of its closed
+    form, and each estimate is positive."""
+    r = fft_fn(NamedSource(source).taylor(), s, cfg)
+    want = closed_form()
+    assert abs(r - want) <= r.error_estimate + 4 * math.ulp(want)
+    assert r.error_estimate > 0
+
+
+def test_newton_sum_not_borel_summable_raises():
+    """sum_n (0.3)_n (-1/2)^n keeps one sign and grows like n!: its Borel
+    transform has a singularity on [0, inf), and Levin's u does not settle."""
+    with pytest.raises(NonConvergenceError):
+        fft_fn(NamedSource("geometric(-1/2)").taylor(), 0.3, NumericConfig(truncation_N=256))
+
+
+def test_logarithmic_newton_sum_returns_within_its_estimate():
+    """exp(-1) at s = 1.5 is (1 - 1)^1.5 = 0, a sum of terms of one sign that
+    fall like n^-2.5: a value must lie within its estimate of 0."""
+    try:
+        r = fft_fn(NamedSource("exp(-1)").taylor(), 1.5, NumericConfig(truncation_N=256))
+    except NonConvergenceError:
+        return
+    assert abs(r) <= r.error_estimate
+
+
+def test_newton_sum_reads_to_its_first_checkpoint():
+    """fft_fn of e^t at s = 0.3 stops at 32 nonzero terms with truncation
+    256: it reads at most 64 Taylor coefficients, not all 256."""
+    reads = []
+    coeff = NamedSource("exp(1)").taylor()
+    r = fft_fn(lambda n: reads.append(n) or coeff(n), 0.3, NumericConfig(truncation_N=256))
+    assert abs(r - 2.0 ** 0.3) <= r.error_estimate + 4 * math.ulp(2.0 ** 0.3)
+    assert len(reads) <= 64
 
 
 def test_ifft_outside_radius_raises():
@@ -669,9 +728,10 @@ def test_numeric_result_shape():
 
 # ---- the series term route
 
-def _ref_fft_fn(coeff, s, cfg=NumericConfig(), what="fft_fn Newton sum"):
+def _ref_fft_fn(coeff, s, cfg=NumericConfig(), what="fft_fn Newton sum", noise=None):
     """The Fraction route for the Newton sum: (s)_n as a cached Fraction
-    product, each term rounded once by float(Fraction)."""
+    product, each term rounded once by float(Fraction), summed under the
+    same policy with the same input noise."""
     s_frac = Fraction(s)
     ff = [Fraction(1)]
 
@@ -680,7 +740,7 @@ def _ref_fft_fn(coeff, s, cfg=NumericConfig(), what="fft_fn Newton sum"):
             ff.append(ff[-1] * (s_frac - (len(ff) - 1)))
         return float(ff[n] * Fraction(coeff(n)))
 
-    val, est = transforms_numeric._sum_with_policy(map(term, count()), cfg, True, what)
+    val, est = transforms_numeric._sum_with_policy(map(term, count()), cfg, True, what, noise)
     return NumericResult(val, est)
 
 
@@ -761,11 +821,11 @@ _FRACTIONAL_PROVIDERS = {
 }
 
 
-def _ref_newton_sum(coeffs, s, cfg, what):
+def _ref_newton_sum(coeffs, s, cfg, what, noise=None):
     """The Fraction route over the (numerator, denominator) pairs the
     fractional operators prepare."""
     pairs = list(coeffs)
-    return _ref_fft_fn(lambda n: Fraction(*pairs[n]), s, cfg, what)
+    return _ref_fft_fn(lambda n: Fraction(*pairs[n]), s, cfg, what, noise)
 
 
 @pytest.mark.parametrize("order", _ARGUMENTS)
@@ -775,21 +835,33 @@ def test_fractional_derivative_matches_fraction_route(monkeypatch, kind, order):
     got = _outcome(lambda: fractional_derivative(coeff, order))
     monkeypatch.setattr(transforms_numeric, "_newton_sum", _ref_newton_sum)
     assert got == _outcome(lambda: fractional_derivative(coeff, order))
-    assert (got[0] == "NonConvergenceError") == (kind == "int")
+    # the int jet's terms fall like n^(-order): its series diverges up to
+    # order 1 and converges to 0 past it
+    assert (got[0] == "NonConvergenceError") == (kind == "int" and order <= 1)
+    if kind == "int" and order > 1:
+        r = fractional_derivative(coeff, order)
+        assert abs(r) <= r.error_estimate
 
 
-def _ref_prepared_outcome(value_at, m, what, pairs_of, s, cfg):
+def _ref_prepared_outcome(value_at, m, what, pairs_of, rounding_of, rate, s, cfg):
     """The reference route's outcome on eagerly prepared pairs: the inputs
     value_at(0..m-1) read as Fractions, an overflowing one named as the
     fractional operators name it, then pairs_of(inputs) summed by
-    _ref_newton_sum."""
+    _ref_newton_sum with the input noise of rounding_of(inputs)."""
     inputs = []
     for n in range(m):
         try:
             inputs.append(Fraction(value_at(n)))
         except OverflowError:
             return "NonConvergenceError", f"{what}: input {n} overflows a float"
-    return _outcome(lambda: _ref_newton_sum(pairs_of(inputs), s, cfg, what))
+    noise = transforms_numeric._input_noise(rounding_of(inputs), rate, s)
+    return _outcome(lambda: _ref_newton_sum(pairs_of(inputs), s, cfg, what, noise))
+
+
+def _rounding_of(values):
+    """Each input known to 2^-53 of its magnitude, as the fractional
+    operators take it."""
+    return [2.0 ** -53 * abs(float(v)) for v in values]
 
 
 def _ref_damped_pairs(egf, den, rate, count):
@@ -836,7 +908,9 @@ def test_fractional_operators_match_eager_preparation(N, t):
     for kind, provider in sorted(_FRACTIONAL_PROVIDERS.items()):
         got = _outcome(lambda: fractional_derivative(provider, 0.5, t, cfg))
         want = _ref_prepared_outcome(provider, count + 32, "fractional_derivative",
-                                     lambda jet: _ref_derivative_pairs(jet, t, count), 0.5, cfg)
+                                     lambda jet: _ref_derivative_pairs(jet, t, count),
+                                     lambda jet: transforms_numeric._egf_rounding(
+                                         _rounding_of(jet), abs(float(t))), 1, 0.5, cfg)
         assert got == want, kind
         if kind == "fraction" and N == 64:
             assert got[0] != "NonConvergenceError"
@@ -845,19 +919,21 @@ def test_fractional_operators_match_eager_preparation(N, t):
         got = _outcome(lambda: fractional_difference(f, 0.5, t, cfg))
         want = _ref_prepared_outcome(lambda n: f(t + n), count, "fractional_difference",
                                      lambda samples: _ref_difference_pairs(samples, count),
-                                     0.5, cfg)
+                                     _rounding_of, 2, 0.5, cfg)
         assert got == want, kind
         if N == 64:
             assert got[0] != "NonConvergenceError"
 
 
 def test_known_overflow_cases_raise_nonconvergence():
-    """A Newton sum whose terms leave the float range, and an EGF series whose
-    partial sums do before the damping brings them back, raise the documented
-    error naming the term instead of a raw OverflowError."""
+    """A Newton sum whose terms would leave the float range at term 199 is
+    summed by Levin's u first, to its Borel sum; an EGF series whose partial
+    sums leave the float range before the damping brings them back raises
+    the documented error naming the term instead of a raw OverflowError."""
     half = Fraction(1, 2)
-    with pytest.raises(NonConvergenceError, match="term 199 overflows"):
-        fft_fn(lambda n: half ** n, 0.3, NumericConfig(truncation_N=256))
+    r = fft_fn(lambda n: half ** n, 0.3, NumericConfig(truncation_N=256))
+    want = _borel_geometric(0.5, 0.3)
+    assert abs(r - want) <= r.error_estimate + 4 * math.ulp(want)
     with pytest.raises(NonConvergenceError, match="term 458"):
         ifft_fn(lambda n: 1, 800.0, NumericConfig(truncation_N=512))
 
