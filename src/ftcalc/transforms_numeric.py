@@ -203,103 +203,103 @@ _HALLEY_STEPS = 50
 _TINY = 1e-300
 
 
-def _laguerre_rule(n: int, alpha: float):
-    """Nodes and weights of the n-point Gauss rule for x^alpha e^(-x) on [0, inf).
+def _laguerre_rule(n: int, s: float):
+    """Nodes and weights of the n-point Gauss rule for the Gamma(s, 1)
+    probability measure t^(s-1) e^(-t) dt / Gamma(s) on [0, inf), every
+    recurrence quantity formed from s itself.
 
-    Each node is polished by Halley steps on L_n^(alpha), taking L_n / L_n'
+    Each node is polished by Halley steps on L_n^(s-1), taking L_n / L_n'
     from the ratio form of the monic three-term recurrence and L'' from the
-    Laguerre ODE x y'' = (x - alpha - 1) y' - n y. Zero suppression (dividing
-    out the nodes already found) keeps each search off them, so the n nodes
-    are distinct. Starting guesses: the `gaulag` formula (Press et al.,
-    Numerical Recipes, 4.5) for the first node when alpha <= 1, else the
-    left turning point of the Laguerre ODE plus the first Airy zero; each
-    later node lies one WKB half-wave past the previous one.
+    Laguerre ODE x y'' = (x - s) y' - n y, with the nodes already found
+    divided out so the n nodes are distinct. Starting guesses: the `gaulag`
+    formula (Press et al., Numerical Recipes, 4.5) for the first node when
+    s <= 2, else the left turning point of the Laguerre ODE plus the first
+    Airy zero; each later node lies one WKB half-wave past the previous one.
 
-    The weights are the Christoffel numbers Gamma(alpha+1) / sum_{j<n} h_j(x)^2
-    of the normalized polynomials h_j = L_j^(alpha) / sqrt(C(j+alpha, j))
-    (Gautschi, Orthogonal Polynomials, 2004). Each step of their recurrence
-    is scaled by e^(-x/(2n)), which keeps the values in range. Raises
-    QuadratureError unless alpha > -1, where the weight is integrable, and the
-    nodes come out finite, converged and distinct.
+    The weights are the Christoffel numbers 1 / sum_{j<n} h_j(x)^2 of the
+    orthonormal h_j = L_j^(s-1) / sqrt(C(j+s-1, j)) (Gautschi, Orthogonal
+    Polynomials, 2004), each recurrence step scaled by e^(-x/(2n)) to stay
+    in range. Raises QuadratureError naming n and s when a float step fails
+    or the rule lacks distinct positive nodes, sum w = 1 or sum w x = s to
+    1e-12, which the 80- and 160-node rules meet within 5e-14 from s =
+    4.1e-53 to 333.6; just below, only the first moment shows the failure.
     """
-    if not alpha > -1:  # as rft_fn's s - 1 is for s below 2^-53
-        raise QuadratureError(f"Gauss-Laguerre rule n={n} needs alpha > -1, got {alpha}")
-    monic = [(2 * j + alpha + 1, j * (j + alpha)) for j in range(n)]
-    normal = [(a, math.sqrt(b2), 1.0 / math.sqrt((j + 1) * (j + 1 + alpha)))
-              for j, (a, b2) in enumerate(monic)]
-    log_gamma = math.lgamma(alpha + 1.0)
-    kappa, mu = 2 * n + alpha + 1, 1 - alpha * alpha
-
-    def wave(x: float) -> float:
-        """Squared local frequency of x^((alpha+1)/2) e^(-x/2) L_n(x)."""
-        return kappa / (2 * x) + mu / (4 * x * x) - 0.25
-
-    def newton_step(z: float) -> float:
-        """L_n / L_n' at z, from r_j = p_j / p_(j-1) of the monic p_j."""
-        r = 1.0
-        for a, b2 in monic:
-            r = z - a - b2 / r or _TINY
-        return z * r / (n * (r + n + alpha))
-
-    def weight(z: float) -> float:
-        c = math.exp(-z / (2 * n))
-        c2 = c * c
-        h, hp, t = 1.0, 0.0, 0.0
-        for a, b, ib in normal:
-            t = t * c2 + h * h
-            h, hp = ((a - z) * h - b * hp) * ib * c, h * c
-        return math.exp(log_gamma - math.log(t) + 2 * (n - 1) * math.log(c))
-
-    if alpha > 1:
-        turn = -mu / (kappa + math.sqrt(kappa * kappa + mu))
-        # turn + |a_1| / wave'(turn)^(1/3), with a_1 = -2.338 the first Airy zero
-        z = turn + 2.338 * (2 * turn * turn / (kappa - turn)) ** (1 / 3)
-    else:
-        z = (1 + alpha) * (3 + 0.92 * alpha) / (1 + 2.4 * n + 1.8 * alpha)
-    nodes: list[float] = []
-    for i in range(n):
-        if i:
-            z = nodes[-1]
-            half = math.pi / math.sqrt(wave(z))
-            q = wave(z + half / 2)
-            z += math.pi / math.sqrt(q) if q > 0 else half
-        for _ in range(_HALLEY_STEPS):
-            u = newton_step(z)
-            r = (z - alpha - 1 - n * u) / z  # L'' / L'
-            # Halley's step on L_n / prod_j (z - x_j) over the nodes found,
-            # with s1, s2 the sums of 1/(z - x_j) and 1/(z - x_j)^2.
-            s1 = s2 = 0.0
-            for x in nodes:
-                e = 1.0 / (z - x)
-                s1 += e
-                s2 += e * e
-            d = 1.0 - u * s1
-            delta = 2 * u * d / (d * d - u * r + 1 - u * u * s2)
-            z -= delta
-            # Halley triples the correct digits: after a step this small
-            # the node is at roundoff.
-            if abs(delta) <= 1e-8 * z:
-                break
-        else:
-            raise QuadratureError(f"Gauss-Laguerre node {i} of n={n}, alpha={alpha} "
-                                  f"did not converge in {_HALLEY_STEPS} Halley steps")
-        nodes.append(z)
-    xs = tuple(sorted(nodes))
     try:
+        monic = [(2 * j + s, j * (j - 1 + s)) for j in range(n)]
+        normal = [(a, math.sqrt(b2), 1.0 / math.sqrt((j + 1) * (j + s)))
+                  for j, (a, b2) in enumerate(monic)]
+        kappa, mu = 2 * n + s, s * (2 - s)
+
+        def wave(x: float) -> float:
+            """Squared local frequency of x^(s/2) e^(-x/2) L_n(x)."""
+            return kappa / (2 * x) + mu / (4 * x * x) - 0.25
+
+        def newton_step(z: float) -> float:
+            """L_n / L_n' at z, from r_j = p_j / p_(j-1) of the monic p_j."""
+            r = 1.0
+            for a, b2 in monic:
+                r = z - a - b2 / r or _TINY
+            return z * r / (n * (r + (n - 1) + s))
+
+        def weight(z: float) -> float:
+            c = math.exp(-z / (2 * n))
+            c2 = c * c
+            h, hp, t = 1.0, 0.0, 0.0
+            for a, b, ib in normal:
+                t = t * c2 + h * h
+                h, hp = ((a - z) * h - b * hp) * ib * c, h * c
+            return math.exp(2 * (n - 1) * math.log(c) - math.log(t))
+
+        if s > 2:
+            turn = -mu / (kappa + math.sqrt(kappa * kappa + mu))
+            # turn + |a_1| / wave'(turn)^(1/3), with a_1 = -2.338 the first Airy zero
+            z = turn + 2.338 * (2 * turn * turn / (kappa - turn)) ** (1 / 3)
+        else:
+            z = s * (2.08 + 0.92 * s) / (2.4 * n - 0.8 + 1.8 * s)
+        nodes: list[float] = []
+        for i in range(n):
+            if i:
+                z = nodes[-1]
+                half = math.pi / math.sqrt(wave(z))
+                q = wave(z + half / 2)
+                z += math.pi / math.sqrt(q) if q > 0 else half
+            for _ in range(_HALLEY_STEPS):
+                u = newton_step(z)
+                r = (z - s - n * u) / z  # L'' / L'
+                # Halley's step on L_n / prod_j (z - x_j) over the nodes found,
+                # with s1, s2 the sums of 1/(z - x_j) and 1/(z - x_j)^2.
+                s1 = s2 = 0.0
+                for x in nodes:
+                    e = 1.0 / (z - x)
+                    s1 += e
+                    s2 += e * e
+                d = 1.0 - u * s1
+                delta = 2 * u * d / (d * d - u * r + 1 - u * u * s2)
+                z -= delta
+                # Halley triples the correct digits: after a step this small
+                # the node is at roundoff.
+                if abs(delta) <= 1e-8 * z:
+                    break
+            else:
+                raise QuadratureError(f"node {i} did not converge in {_HALLEY_STEPS} "
+                                      "Halley steps")
+            nodes.append(z)
+        xs = tuple(sorted(nodes))
         ws = tuple(map(weight, xs))
-    except OverflowError:
-        # the weights sum to Gamma(alpha + 1), which overflows past alpha = 170.6
-        raise QuadratureError(f"Gauss-Laguerre rule n={n}, alpha={alpha}: a weight "
-                              "overflows a float") from None
-    if not (all(map(math.isfinite, xs + ws)) and xs[0] > 0 and min(ws) >= 0
-            and all(a < b for a, b in zip(xs, xs[1:]))):
-        raise QuadratureError(f"Gauss-Laguerre rule n={n}, alpha={alpha} came out "
-                              "non-finite or with repeated nodes")
+        # a node or weight that is not finite leaves a moment that is not, and fails
+        m0, m1 = math.fsum(ws), math.fsum(map(operator.mul, ws, xs))
+        if not (xs[0] > 0 and min(ws) >= 0 and all(a < b for a, b in zip(xs, xs[1:]))
+                and abs(m0 - 1) <= 1e-12 and abs(m1 - s) <= 1e-12 * s):
+            raise QuadratureError(f"came out with repeated nodes or moments {m0!r} and "
+                                  f"{m1!r}, not 1 and s")
+    except (ArithmeticError, ValueError) as exc:  # QuadratureError is an ArithmeticError
+        why = exc if isinstance(exc, QuadratureError) else f"{type(exc).__name__} in a float step"
+        raise QuadratureError(f"Gauss-Laguerre rule n={n}, s={s}: {why}") from None
     return xs, ws
 
 
-# rft_fn's rules, kept per (n, alpha) for the 32 most recent values of s, as
-# each s needs an 80- and a 160-node rule; a rule that raises is not kept
+# rft_fn's rules, kept per (n, s) for the 32 most recent values of the float
+# s, as each s needs an 80- and a 160-node rule; a rule that raises is not kept
 _gauss_laguerre_rule = functools.lru_cache(maxsize=64)(_laguerre_rule)
 
 
@@ -310,8 +310,8 @@ def _tanh_sinh_table(s_ratio: tuple[int, int]) -> dict:
     integrand there that do not depend on f. rft_fn fills it only from the
     second call for its s on, as mpmath's own node cache does, since one
     verify pass uses most values of s once. A table holds about 362 nodes
-    (90 KB), and up to 1442 (0.42 MB) for an integrand that is slow to
-    converge."""
+    (90 KB), up to 1442 (0.42 MB) for an integrand that is slow to converge,
+    and about 4100 (1 MB) for cos past s = 50, where the tail is split."""
     return {}
 
 
@@ -674,34 +674,34 @@ def rft_fn(f: Callable[[float], float], s: float,
     """Rising transform (1/Gamma(s)) * integral_0^inf f(t) t^(s-1) e^(-t) dt.
 
     Schemes: 'gauss_laguerre' (the default) sums f over an 80-node and a
-    160-node Gauss-Laguerre rule for the weight t^alpha e^(-t), alpha =
-    s - 1.0, and divides by Gamma(alpha + 1); the fine sum gives the value
-    and its change from the coarse one the error estimate. Below s = 0.5,
-    alpha + 1 is s rounded to a multiple of 2^-53, so the value is the
-    transform there, within about 2^-53 times its derivative in s.
-    'tanh_sinh' is mpmath double-exponential quadrature at 25 digits with
-    mpmath's error estimate; it is required when the weighted integrand has
-    an algebraically heavy tail that defeats Gauss-Laguerre, at the cost of
-    needing an mpmath-safe callable. Below s = 1 it integrates the head t in
-    [0, 1] in u = t^s, which takes the branch point of t^(s-1) at 0 out of
-    the integrand (Takahasi & Mori 1974; Davis & Rabinowitz 1984, 2.12), so
-    s down to 2^-53 returns for f smooth at 0. The tail t >= 1, and from
-    s = 1 on the whole range, is integrated in t, where an algebraic tail
-    such as t^(s-2) still converges slowly. The part of the integrand that
-    does not depend on f, t and its weight at each mpmath node, is kept per s
-    in _tanh_sinh_table from the second call for that s on; the values and
-    estimates are those of computing it at every call, to the bit. A
-    Fraction s is read exactly, on both schemes.
+    160-node Gauss-Laguerre rule of the Gamma(s, 1) probability measure,
+    kept per (n, s) with s rounded once to a float; the fine sum gives the
+    value and its change from the coarse one the error estimate. The pair
+    is built from s = 4.1e-53 to 333.6. 'tanh_sinh' is mpmath
+    double-exponential quadrature at 25 digits with mpmath's error
+    estimate; it is required when the weighted integrand has an
+    algebraically heavy tail that defeats Gauss-Laguerre, at the cost of
+    needing an mpmath-safe callable, and reads a Fraction s exactly. Below
+    s = 1 it integrates the head t in [0, 1] in u = t^s, which takes the
+    branch point of t^(s-1) at 0 out of the integrand (Takahasi & Mori
+    1974; Davis & Rabinowitz 1984, 2.12), so s down to 2^-53 returns for f
+    smooth at 0. The tail t >= 1, and from s = 1 on the whole range, is
+    integrated in t, where an algebraic tail such as t^(s-2) still
+    converges slowly; past s = 2 it is split at the weight's peak s - 1 and
+    3 sqrt(s) on either side. The part of the integrand that does not depend
+    on f, t and its weight at each mpmath node, is kept per s in
+    _tanh_sinh_table from the second call for that s on; the values and
+    estimates are those of computing it at every call, to the bit.
 
     One check accepts either scheme's result: the value is finite and its
     error estimate is at most 1e-7 * max(1, |value|). Raises QuadratureError
-    when a result fails it, a NaN from f included, or a float overflows in a
-    rule or its integrand, or f returns a value that is not real, such as a
+    when a result fails it, a NaN from f included, or a float overflows in
+    the integrand, or f returns a value that is not real, such as a
     complex, or the integrand divides by zero (for s < 1 tanh_sinh evaluates
-    f down to t = 1e-29^(1/s), where a pole of f at 0 shows), or below
-    s = 2^-53 on 'gauss_laguerre', where alpha rounds to -1; and ValueError
-    for an unknown scheme, for s not finite and positive, or past s = 171.62
-    on 'gauss_laguerre', which normalizes by a float Gamma(s).
+    f down to t = 1e-29^(1/s), where a pole of f at 0 shows), or a
+    Gauss-Laguerre rule fails for s, naming n and s; and ValueError for an
+    unknown scheme, or for s not finite and positive, or past the float
+    range on 'gauss_laguerre'.
     """
     if scheme == "adaptive_fallback":
         scheme = "gauss_laguerre"
@@ -721,7 +721,10 @@ def rft_fn(f: Callable[[float], float], s: float,
             # f(t) e^(-t) / s with t = u^(1/s), smooth at u = 0 when f is;
             # the tail t > 1 stays in t. From s = 1 on, the integrand is the
             # plain one throughout. One quad over [0, 1, inf] sums both parts
-            # and their estimates; none of its nodes at 25 digits is 1.
+            # and their estimates; none of its nodes at 25 digits is 1. Past
+            # s = 2 the tail also splits at the weight's peak, of width ~sqrt(s).
+            split = (ss - 1 + k * mp.sqrt(ss) for k in (-3, 0, 3)) if s > 2 else ()
+            points = [0, 1, *(t for t in split if t > 1), mp.inf]
             p = 1 / ss
             # a lookup that hits finds s seen before: this call fills the table
             hits = _tanh_sinh_table.cache_info().hits
@@ -743,7 +746,7 @@ def rft_fn(f: Callable[[float], float], s: float,
                 return f(t) * w * p if head else f(t) * w
 
             try:
-                val, err = mp.quad(integrand, [0, 1, mp.inf], error=True)
+                val, err = mp.quad(integrand, points, error=True)
             except OverflowError:
                 raise QuadratureError(f"tanh_sinh: the integrand overflows a float "
                                       f"for s = {s}") from None
@@ -756,15 +759,13 @@ def rft_fn(f: Callable[[float], float], s: float,
             val, err = float(val / gamma_s), float(abs(err) / gamma_s)
     else:
         try:
-            math.gamma(s)  # the range check: Gamma(alpha + 1) below is Gamma(s) from 0.5 on
+            s_float = u / q  # the rules are kept per float s
         except OverflowError:
-            raise ValueError(f"rft_fn scheme 'gauss_laguerre' needs Gamma(s) to fit a float, "
-                             f"s <= 171.62, got s = {s}; use 'tanh_sinh'") from None
-        alpha = s - 1.0
+            raise ValueError("rft_fn: gauss_laguerre needs s within the float range") from None
 
         def node_sum(m: int) -> float:
             """sum_i w_i f(x_i) over the m-node rule, skipping w_i = 0."""
-            xs, ws = _gauss_laguerre_rule(m, alpha)
+            xs, ws = _gauss_laguerre_rule(m, s_float)
             try:
                 terms = [w * f(x) for x, w in zip(xs, ws) if w > 0]
                 try:
@@ -777,9 +778,7 @@ def rft_fn(f: Callable[[float], float], s: float,
                                       f"{m}-node rule for s = {s}") from None
 
         coarse, fine = node_sum(_NODES), node_sum(2 * _NODES)
-        # the rules' weights sum to Gamma(alpha + 1), not Gamma(s), below s = 0.5
-        gamma_a = math.gamma(alpha + 1.0)
-        val, err = fine / gamma_a, abs(fine - coarse) / gamma_a
+        val, err = fine, abs(fine - coarse)
     if not (math.isfinite(val) and err <= _RFT_TOLERANCE * max(1.0, abs(val))):
         raise QuadratureError(f"{scheme} unconverged for s = {s}: value {val!r}, "
                               f"error estimate {err:.3e}")

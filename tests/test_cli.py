@@ -109,13 +109,19 @@ def test_transform_numeric_rft_scheme_flag(capsys):
 
 
 def test_transform_numeric_rft_past_gamma_range_is_error(capsys):
-    """Gamma(200) overflows a float: a named limit, not a bare math range error."""
+    """Gamma(200) overflows a float, yet the rules of the probability measure
+    return 1.5^-200; past the rules' range the error names Gauss-Laguerre,
+    not a bare math domain error."""
     code, out, err = run(capsys, "transform", "--numeric", "--op", "rft",
                          "--source", "exp(-1/2)", "--at", "200")
+    assert code == 0
+    assert abs(json.loads(out)["value"] - 1.5 ** -200) <= 1e-12 * 1.5 ** -200
+    code, out, err = run(capsys, "transform", "--numeric", "--op", "rft",
+                         "--source", "exp(-1/2)", "--at", "400")
     assert code == 1
     assert out == ""
-    assert "math range error" not in err
-    assert "171.62" in err
+    assert "Gauss-Laguerre rule" in err
+    assert "math domain error" not in err
 
 
 def test_transform_numeric_rft_divergent_integrand_is_error(capsys):

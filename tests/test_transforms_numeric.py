@@ -137,36 +137,61 @@ def test_rft_fn_unknown_scheme():
         rft_fn(lambda t: 1.0, 1.0, "simpson")
 
 
+# alpha is the exponent of mpmath's glaguerre weight t^alpha e^(-t); the rule
+# under test is that of the probability measure of s = alpha + 1.
 @pytest.mark.parametrize("n,alpha", [*product((8, 32), (0.0, -0.5, -0.99, 1.7, 49.0)), (64, -0.5)])
 def test_laguerre_rule_matches_mpmath(n, alpha):
-    """Nodes and weights agree with mpmath's 30-digit generalized Gauss-Laguerre rule."""
-    xs, ws = _laguerre_rule(n, alpha)
+    """Nodes and weights agree with mpmath's 30-digit generalized Gauss-Laguerre
+    rule for the weight t^(s-1) e^(-t), its weights divided by Gamma(s)."""
+    s = alpha + 1
+    xs, ws = _laguerre_rule(n, s)
     with mp.workdps(30):
-        want_x, want_w = mp.gauss_quadrature(n, "glaguerre", alpha=alpha)
+        want_x, want_w = mp.gauss_quadrature(n, "glaguerre", alpha=mp.mpf(s) - 1)
         assert max(abs(x - wx) / wx for x, wx in zip(xs, want_x)) <= 1e-13
-        assert max(abs(w - ww) / ww for w, ww in zip(ws, want_w)) <= 2e-13
+        assert max(abs(w - ww / mp.gamma(s)) / (ww / mp.gamma(s))
+                   for w, ww in zip(ws, want_w)) <= 2e-13
 
 
 @pytest.mark.parametrize("n", [2, 80, 160, 256])
 @pytest.mark.parametrize("alpha", [-0.99, -0.7, 0.0, 2.7, 19.0, 99.0])
 def test_laguerre_rule_integrates_moments(n, alpha):
-    """n finite, strictly increasing nodes; weights positive unless they
-    underflow past x = 700; sum w x^k = Gamma(alpha+k+1) for k < min(17, 2n)."""
-    xs, ws = _laguerre_rule(n, alpha)
+    """At s = alpha + 1: n finite, strictly increasing nodes; weights positive
+    unless they underflow past x = 700; sum w x^k is the k-th moment of the
+    Gamma(s, 1) law, the rising factorial s^(k), for k < min(17, 2n)."""
+    s = alpha + 1
+    xs, ws = _laguerre_rule(n, s)
     assert len(xs) == len(ws) == n
     assert all(map(math.isfinite, xs + ws))
     assert all(a < b for a, b in zip(xs, xs[1:]))
     assert all(w > 0 or (w == 0 and x > 700) for x, w in zip(xs, ws))
     for k in range(min(17, 2 * n)):
-        want = mp.gamma(alpha + k + 1)
+        want = mp.rf(s, k)
         got = math.fsum(w * x ** k for x, w in zip(xs, ws))
         assert abs(got - want) <= 1e-13 * want
 
 
 def test_laguerre_rule_refuses_unconverged_nodes(monkeypatch):
     monkeypatch.setattr(transforms_numeric, "_HALLEY_STEPS", 0)
-    with pytest.raises(QuadratureError, match="did not converge"):
-        _laguerre_rule(4, 0.5)
+    with pytest.raises(QuadratureError, match=r"^Gauss-Laguerre rule n=4, s=1\.5: node 0 did not "
+                                              "converge"):
+        _laguerre_rule(4, 1.5)
+
+
+@pytest.mark.parametrize("s,n", [(2e-53, 160), (340.0, 160), (1e6, 80)])
+def test_laguerre_rules_outside_their_range_raise_naming_n_and_s(s, n):
+    """rft_fn's 80- and 160-node pair holds its moments from s = 4.1e-53 to
+    333.6. Just below, the first moment comes out wrong with no float error,
+    and the rule's own moment check refuses it; above, a float step fails.
+    Each raises QuadratureError naming the rule and s, never a bare
+    ZeroDivisionError, ValueError or OverflowError."""
+    with pytest.raises(QuadratureError, match=rf"^Gauss-Laguerre rule n={n}, s={s!r}: "):
+        rft_fn(math.cos, s)
+
+
+def test_rft_fn_s_past_the_float_range_is_documented_error():
+    """An int s too large for a float raises, not a raw OverflowError."""
+    with pytest.raises((QuadratureError, ValueError), match="float range"):
+        rft_fn(math.cos, 10 ** 400)
 
 
 @pytest.mark.parametrize("s", [0.01, 20.0, 100.0, 150.0])
@@ -177,27 +202,15 @@ def test_rft_fn_monomials_at_far_arguments(s):
         assert abs(rft_fn(lambda t: t ** n, s) - want) <= 1e-12 * want
 
 
-# (scheme, s) -> what rft_fn of e^(-t/2) gives at large s and past the float
-# range of Gamma(s) = Gamma(171.62...): tanh_sinh normalizes in mpmath and
-# returns 1.5^(-s); gauss_laguerre raises a documented error.
-_LARGE_S = {
-    ("tanh_sinh", 115): None, ("tanh_sinh", 171): None,
-    ("tanh_sinh", 172): None, ("tanh_sinh", 200): None,
-    ("gauss_laguerre", 115): None, ("gauss_laguerre", 171): None,
-    ("gauss_laguerre", 172): ValueError, ("gauss_laguerre", 200): ValueError,
-}
-
-
-@pytest.mark.parametrize("scheme,s", sorted(_LARGE_S))
+@pytest.mark.parametrize("scheme,s", product(("gauss_laguerre", "tanh_sinh"),
+                                             (115, 171, 172, 200, 333.6)))
 def test_rft_fn_large_s_returns_or_raises_documented_error(scheme, s):
-    f = lambda t: math.exp(-t / 2)
-    error = _LARGE_S[scheme, s]
-    if error is None:
-        want = 1.5 ** -s
-        assert abs(rft_fn(f, s, scheme) - want) <= 1e-12 * want
-    else:
-        with pytest.raises(error, match="171.62"):
-            rft_fn(f, s, scheme)
+    """Past the float range of Gamma(s) = Gamma(171.62...) both schemes return
+    1.5^(-s) for e^(-t/2), up to the top of the Gauss-Laguerre pair's range:
+    tanh_sinh normalizes in mpmath, and the Gauss-Laguerre rules are those of
+    the probability measure, whose weights sum to 1."""
+    want = 1.5 ** -s
+    assert abs(rft_fn(lambda t: math.exp(-t / 2), s, scheme) - want) <= 1e-12 * want
 
 
 def test_gauss_laguerre_reports_integrand_overflow():
@@ -224,25 +237,31 @@ def test_tanh_sinh_rejects_divergent_and_nan_integrands(f, match, scheme):
 
 
 def test_rft_fn_below_float_resolution_of_s_is_documented_error():
-    """Below s = 2^-53, s - 1 rounds to -1, where the rule's weight is not integrable."""
-    with pytest.raises(QuadratureError, match="alpha > -1"):
+    """Far below the rules' range, at s = 1e-300, a float step of the rule
+    divides by zero, and QuadratureError names the rule and s."""
+    with pytest.raises(QuadratureError, match=r"^Gauss-Laguerre rule n=80, s=1e-300: "):
         rft_fn(math.cos, 1e-300)
 
 
-@pytest.mark.parametrize("s", [2 ** -53, 1e-14, 1e-10, 1e-6, 0.1, 0.49, 0.5, Fraction(99, 100)])
+@pytest.mark.parametrize("s", [2 ** -53, 1e-14, 1e-10, 1e-6, 0.1, 0.49, 0.5, Fraction(99, 100),
+                               1e-15, 1e-12, 1e-8, 4.1e-53])
 def test_gauss_laguerre_near_zero_matches_closed_form(s):
-    """Below s = 0.5, s - 1.0 rounds away the bits of s under 2^-53, so the
-    rules are built for alpha + 1 and not s; normalizing by Gamma(alpha + 1)
-    keeps the transform of cos at 2^(-s/2) cos(s pi/4) to near roundoff, on
-    both sides of s = 0.5, from where s - 1.0 is exact."""
-    assert abs(rft_fn(math.cos, s) - 2 ** (-s / 2) * math.cos(s * math.pi / 4)) <= 1e-13
+    """The rules are built from s itself, so no bit of a small s is lost:
+    cos is within 1e-13 of 2^(-s/2) cos(s pi/4), and sin, t and t^2, whose
+    transforms are about s, are within 1e-13 relative of 2^(-s/2) sin(s pi/4),
+    s and s(s + 1), down to the bottom of the pair's range at 4.1e-53.
+    Rules built for fl(s - 1) + 1 put sin 8.0e-4 off at s = 1e-15."""
+    x = float(s)
+    assert abs(rft_fn(math.cos, s) - 2 ** (-x / 2) * math.cos(x * math.pi / 4)) <= 1e-13
+    for f, want in ((math.sin, 2 ** (-x / 2) * math.sin(x * math.pi / 4)),
+                    (lambda t: t, x), (lambda t: t * t, x * (x + 1))):
+        assert abs(rft_fn(f, s) - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("a", [1.0, 0.5])
 @pytest.mark.parametrize("s", [2 ** -53, 1e-14, 1e-10, 1e-6])
 def test_gauss_laguerre_near_zero_matches_exponential_closed_form(a, s):
-    """The same normalization on e^(-at), whose transform is (1 + a)^(-s):
-    dividing by Gamma(s) instead put it off by 8e-4 at s = 1e-14."""
+    """The same on e^(-at), whose transform is (1 + a)^(-s)."""
     assert abs(rft_fn(lambda t: math.exp(-a * t), s) - (1 + a) ** -s) <= 1e-13
 
 
@@ -261,14 +280,18 @@ def test_tanh_sinh_small_s_matches_closed_form(f, s, want):
 @pytest.mark.parametrize("s", [1, 1.5, 2, 3.2, 115])
 def test_tanh_sinh_from_s_1_is_the_plain_integral(f, s):
     """From s = 1 on, the head is not mapped: value and estimate are those of
-    one 25-digit quad of f(t) t^(s-1) e^(-t) over [0, 1, inf], to the bit.
-    Where that fails the acceptance check (the zeta integrand diverges at
-    s = 1), the rejection names the same value and estimate. Each case runs
-    twice, so the second call reads the node table the first left."""
+    one 25-digit quad of f(t) t^(s-1) e^(-t) over [0, 1, inf], to the bit;
+    past s = 2 the tail is split further at s - 1 - 3 sqrt(s), s - 1 and
+    s - 1 + 3 sqrt(s), those of them above 1. Where that fails the acceptance
+    check (the zeta integrand diverges at s = 1), the rejection names the
+    same value and estimate. Each case runs twice, so the second call reads
+    the node table the first left."""
     with mp.workdps(25):
         ss = mp.mpf(s)
-        val, err = mp.quad(lambda t: f(t) * mp.exp((ss - 1) * mp.ln(t) - t), [0, 1, mp.inf],
-                           error=True)
+        peak, width = ss - 1, 3 * mp.sqrt(ss)
+        split = [t for t in (peak - width, peak, peak + width) if t > 1] if s > 2 else []
+        val, err = mp.quad(lambda t: f(t) * mp.exp((ss - 1) * mp.ln(t) - t),
+                           [0, 1, *split, mp.inf], error=True)
         val, err = float(val / mp.gamma(ss)), float(abs(err) / mp.gamma(ss))
     for _ in range(2):
         if err <= 1e-7 * max(1.0, abs(val)):
@@ -278,6 +301,15 @@ def test_tanh_sinh_from_s_1_is_the_plain_integral(f, s):
             message = f"value {val!r}, error estimate {err:.3e}"
             with pytest.raises(QuadratureError, match=re.escape(message)):
                 rft_fn(f, s, "tanh_sinh")
+
+
+@pytest.mark.parametrize("s", [50, 100, 200])
+def test_tanh_sinh_large_s_matches_closed_form(s):
+    """Past s = 2 the weight t^(s-1) e^(-t) peaks at t = s - 1, and the quad
+    splits there: cos is within 1e-12 of 2^(-s/2) cos(s pi/4), where one
+    interval over the peak put it 1.6e-2 off at s = 100."""
+    want = 2 ** (-s / 2) * math.cos(s * math.pi / 4)
+    assert abs(rft_fn(mp.cos, s, "tanh_sinh") - want) <= 1e-12
 
 
 def test_tanh_sinh_reports_a_pole_of_f_at_zero():
@@ -378,12 +410,6 @@ def test_gauss_laguerre_rule_cache_is_bounded(monkeypatch):
     again = [rft_fn(lambda t: t * t, s) for s in sweep[:3]]
     assert ([(float(r).hex(), r.error_estimate.hex()) for r in again]
             == [(float(r).hex(), r.error_estimate.hex()) for r in first[:3]])
-
-
-def test_laguerre_rule_refuses_overflowing_weights():
-    """The weights sum to Gamma(alpha + 1), past the float range at alpha = 175."""
-    with pytest.raises(QuadratureError, match="overflows"):
-        _laguerre_rule(8, 175.0)
 
 
 @pytest.mark.parametrize("a,x", [(0.5, 0.7), (0.25, 1.3), (-1.0, 0.4)])
