@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", default="0", help="expansion/evaluation point")
     p.add_argument("--source", required=True,
                    help="exp(a) | sin(w) | cos(w) | geometric(r)")
-    p.add_argument("--truncation", type=_int_flag(1), default=64)
+    p.add_argument("--truncation", type=_int_flag(1), default=64, help="series truncation bound")
     p.set_defaults(fn=_cmd_fractional)
 
     p = sub.add_parser("zeta", help="formal zeta series terms (informational)")

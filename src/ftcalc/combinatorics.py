@@ -198,25 +198,36 @@ def _integers(values: Iterable) -> tuple[list[int], int]:
     return [r.numerator * (den // r.denominator) for r in rs], den
 
 
-def _pascal(v: Iterable[int], r: int) -> Iterator[int]:
-    """h_k = sum_n binom(k,n) r^(k-n) v_n on integers, yielded once v_k is
-    read: the EGF of v times e^{rx}.
+def _pascal(v: Iterable[tuple[int, int]], r: int) -> Iterator[tuple[int, int]]:
+    """h_k = sum_n binom(k,n) r^(k-n) v_n for the rationals v_n given as
+    (numerator, positive denominator) pairs, yielded once v_k is read as the
+    pair (numerator, D_k) over D_k = lcm(d_0, ..., d_k): the EGF of v times
+    e^{rx}.
 
     h_k = ((E + r)^k v)_0 for the shift (E v)_n = v_(n+1), the corner of a
     difference table row_(i+1) = E row_i + r row_i with row_0 = v (Knuth,
     TAOCP Vol. 2, 4.6.4, tabulating by differences). The table is built one
     antidiagonal at a time: v_k starts the next one, whose entries are the
     prefix sums b_(i+1) = b_i + r a_i over the last one, a, and whose end is
-    h_k. The first m outputs take m^2/2 steps, an addition or a subtraction
-    for r = +-1 and else also a product with the small r, and read only
-    v_0..v_(m-1).
+    h_k. Its entries are numerators over the one denominator D_k; where d_k
+    does not divide D_(k-1), the last antidiagonal is rescaled to D_k first.
+    The first m outputs take m^2/2 steps, an addition or a subtraction for
+    r = +-1 and else also a product with the small r, and read only
+    v_0..v_(m-1); integer v, over 1, is never rescaled.
     """
     step = operator.sub if r == -1 else operator.add
     diagonal: list[int] = []
-    for a in v:
+    den = 1
+    for a, d in v:
+        if d != den:
+            if den % d:
+                grow = d // math.gcd(den, d)
+                den *= grow
+                diagonal = list(map(operator.mul, diagonal, repeat(grow)))
+            a *= den // d
         diagonal = list(accumulate(diagonal if abs(r) == 1 else
                                    map(operator.mul, diagonal, repeat(r)), step, initial=a))
-        yield diagonal[-1]
+        yield diagonal[-1], den
 
 
 def _taylor_shift(a: Fraction, nums: Sequence[int]) -> tuple[Iterator[int], int]:

@@ -371,7 +371,7 @@ def _times_exp(v: Iterable[int], r: int, m: int) -> list[int]:
     """h_k for k < m of the EGF of v times e^{rx}: the first m outputs of the
     difference table, reading v only that far; v may stop early, its missing
     terms are zero."""
-    return list(islice(_pascal(chain(v, repeat(0)), r), m))
+    return [h for h, _ in islice(_pascal(zip(chain(v, repeat(0)), repeat(1)), r), m)]
 
 
 def _falling_samples(nums: Iterable[int], m: int) -> list[int]:

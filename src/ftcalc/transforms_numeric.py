@@ -35,7 +35,10 @@ and fft_fn's Newton sum reads each Taylor coefficient as an unreduced
 (numerator, denominator) pair, which its int true division rounds
 correctly without a gcd. The shift and the table each compute one
 coefficient per coefficient the Newton sum reads, so a sum that stops
-early prepares no more. NamedSource defines the named sources of the
+early prepares no more. The table takes its inputs as pairs over a
+common denominator that grows as they arrive, so the difference, and the
+derivative at t = 0, where the shift is the identity, read no input past
+the last term the sum reads. NamedSource defines the named sources of the
 command line, which the check suite builds from the same specs.
 """
 
@@ -49,10 +52,10 @@ import threading
 from collections import namedtuple
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, count, islice, repeat, tee
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .combinatorics import Scalar, _argument_ratio, _integers, _pascal, _taylor_shift, bernoulli
+from .combinatorics import Scalar, _argument_ratio, _pascal, _taylor_shift, bernoulli
 
 
 class NonConvergenceError(ArithmeticError):
@@ -574,6 +577,11 @@ def _input(provider: Callable[[int], Scalar], n: int, what: str) -> tuple[int, i
         raise NonConvergenceError(f"{what}: input {n} is {v!r}, not a finite number") from None
 
 
+def _inputs(provider: Callable[[int], Scalar], what: str) -> Iterator[tuple[int, int]]:
+    """provider(0), provider(1), ..., each read by _input when it is."""
+    return map(_input, repeat(provider), count(), repeat(what))
+
+
 # Every series below forms term n as one exact rational U*c / (D*d 2^e): c/d
 # is the coefficient, sample or Bernoulli number, and U/(D 2^e) is the
 # argument's factor, kept as running ints over the argument's ratio u/q. The
@@ -614,7 +622,7 @@ def fft_fn(coeff: Callable[[int], Scalar], s: float,
     numeric differentiation of a black-box callable is ill-conditioned.
     """
     what = "fft_fn Newton sum"
-    return _newton_sum(map(_input, repeat(coeff), count(), repeat(what)), s, cfg, what)
+    return _newton_sum(_inputs(coeff, what), s, cfg, what)
 
 
 def _newton_sum(coeffs: Iterable[tuple[int, int]], s: float, cfg: NumericConfig,
@@ -634,8 +642,7 @@ def _egf_series(sample: Callable[[int], Scalar], x: float, cfg: NumericConfig,
     The error estimate is the magnitude of the first omitted weighted term
     (meaningful for eventually monotone decaying terms).
     """
-    samples = map(_input, repeat(sample), count(), repeat(what))
-    terms = _ratio_terms(samples, count(1), *_argument_ratio(x, what), 0)
+    terms = _ratio_terms(_inputs(sample, what), count(1), *_argument_ratio(x, what), 0)
     val, est = _sum_with_policy(terms, cfg, accelerate=False, what=what)
     try:
         damp = math.exp(-x)
@@ -785,14 +792,9 @@ def rft_fn(f: Callable[[float], float], s: float,
     return NumericResult(val, err)
 
 
-_JET_EXTRA = 32  # Taylor coefficients read past the truncation for the shift to t
-
-
-def _exact_inputs(value_at: Callable[[int], Scalar], m: int,
-                  what: str) -> tuple[list[int], int]:
-    """value_at(0), ..., value_at(m-1), each read by _input, as numerators
-    over one denominator."""
-    return _integers(Fraction(*_input(value_at, n, what)) for n in range(m))
+# Taylor coefficients read past the truncation for the shift to a t other
+# than 0; at t = 0 the jet is read only as far as the Newton sum reads it.
+_JET_EXTRA = 32
 
 
 def _shifted(c: list[float], r: float) -> Iterator[float]:
@@ -800,26 +802,26 @@ def _shifted(c: list[float], r: float) -> Iterator[float]:
     shift: after pass i coefficient i is final, and is yielded."""
     c = c[:]
     for i in range(len(c)):
-        if r:
-            for j in range(len(c) - 2, i - 1, -1):
-                c[j] += r * c[j + 1]
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += r * c[j + 1]
         yield c[i]
 
 
-def _damped_newton_sum(egf: Iterable[int], den: int, rate: int, order: float,
+def _damped_newton_sum(egf: Iterable[tuple[int, int]], rate: int, order: float,
                        cfg: NumericConfig, what: str, rounding: Iterable[float]) -> NumericResult:
-    """fft_fn at s = order of e^{-rate x} g(x), g given by at least
-    truncation_N + 1 EGF coefficients, the numerators egf over den.
+    """fft_fn at s = order of e^{-rate x} g(x), g given by its EGF
+    coefficients as (numerator, denominator) pairs, read one per Taylor
+    coefficient the Newton sum reads.
 
-    The product is the difference table against (-rate)^n on the
-    numerators, fed one numerator per Taylor coefficient the Newton sum
-    reads; coefficient k is then h_k / (k! den), handed to the Newton terms
+    The product is the difference table against (-rate)^n, whose
+    coefficient k is h_k over D_k, the lcm of the first k + 1 denominators;
+    Taylor coefficient k is then h_k / (k! D_k), handed to the Newton terms
     unreduced. rounding bounds the noise of each EGF coefficient from the
     rounding of the inputs, read as _input_noise reads it. Errors name what.
     """
-    dens = accumulate(range(1, cfg.truncation_N + 1), operator.mul, initial=den)
-    return _newton_sum(zip(_pascal(egf, -rate), dens), order, cfg, what,
-                       _input_noise(rounding, rate, order))
+    factorials = accumulate(count(1), operator.mul, initial=1)
+    pairs = ((h, den * f) for (h, den), f in zip(_pascal(egf, -rate), factorials))
+    return _newton_sum(pairs, order, cfg, what, _input_noise(rounding, rate, order))
 
 
 def _input_noise(rounding: Iterable[float], rate: int,
@@ -854,12 +856,20 @@ def _magnitude(num: int, den: int) -> float:
         return math.inf
 
 
+def _input_rounding(inputs: Iterable[tuple[int, int]]) -> Iterator[float]:
+    """2^-53 times the magnitude of each (numerator, denominator) input."""
+    return (_ROUNDING * _magnitude(c, d) for c, d in inputs)
+
+
 def _egf_rounding(jet_rounding: Iterable[float], t: float) -> Iterator[float]:
     """Bounds on the noise of the EGF coefficients of f(x + t), from those
-    on f's Taylor coefficients, read when the first bound is: through the
-    shift by |t|, then times n! for EGF coefficient n."""
+    on f's Taylor coefficients: through the shift by |t|, which reads every
+    bound when the first is read, then times n! for EGF coefficient n. At
+    t = 0 there is no shift, and bound n is read when EGF bound n is."""
+    if t:
+        jet_rounding = _shifted(list(jet_rounding), abs(t))
     factorials = accumulate(count(1), operator.mul, initial=1.0)
-    for x, f in zip(_shifted(list(jet_rounding), abs(t)), factorials):
+    for x, f in zip(jet_rounding, factorials):
         yield x * f if x else 0.0
 
 
@@ -875,24 +885,35 @@ def fractional_derivative(coeff: Callable[[int], Scalar], order: float, t: Scala
     of Levin's u.
 
     Cost: the series is prepared only as far as the Newton sum reads it.
-    The jet of M = N + 33 Taylor coefficients, N = truncation_N, is read
-    and scaled in full, as shifted coefficient 0 depends on every jet term;
-    then each of the K coefficients the sum reads costs one pass of about
-    M additions for the shift to t and one of k for the e^{-x} product,
-    about K M + K^2/2 integer additions in all. Their numerators share one
-    denominator, with about M (b + log2 M) bits beyond the inputs' own, b
-    the bits of t's denominator. For exp(7/8) at order 0.5, where K is
-    about 12, on a 2-core VM a float t = 1/3 (b = 54) takes about 20 ms at
-    N = 256 and 70 ms at N = 512.
+    At t = 0 the shift is the identity, and each Taylor coefficient is read
+    only when the sum reaches it: K coefficients for a sum of K terms, and
+    about K^2/2 integer additions for the e^{-x} product, on numerators over
+    the lcm of the denominators read so far. At any other t the jet of
+    M = N + 33 Taylor coefficients, N = truncation_N, is read and scaled in
+    full, as shifted coefficient 0 depends on every jet term; then each of
+    the K coefficients the sum reads costs one pass of about M additions for
+    the shift and one of k for the e^{-x} product, about K M + K^2/2 integer
+    additions in all. Their numerators share one denominator, with about
+    M (b + log2 M) bits beyond the inputs' own, b the bits of t's
+    denominator. For exp(7/8) at order 0.5, where K is about 12, on a
+    2-core VM a float t = 1/3 (b = 54) takes about 13 ms at N = 256 and
+    52 ms at N = 512, and t = 0 about 0.08 ms at either.
     """
     what = "fractional_derivative"
     at = Fraction(*_argument_ratio(t, what))
-    jet, den = _exact_inputs(coeff, cfg.truncation_N + 1 + _JET_EXTRA, what)
-    shifted, factor = _taylor_shift(at, jet)
-    egf = map(operator.mul, shifted, accumulate(count(1), operator.mul, initial=1))
-    rounding = map(operator.mul, repeat(_ROUNDING), map(_magnitude, jet, repeat(den)))
-    return _damped_newton_sum(egf, den * factor, 1, order, cfg, what,
-                              _egf_rounding(rounding, _magnitude(at.numerator, at.denominator)))
+    jet = _inputs(coeff, what)
+    if at:
+        jet = list(islice(jet, cfg.truncation_N + 1 + _JET_EXTRA))
+        den = math.lcm(*(d for _, d in jet))
+        shifted, factor = _taylor_shift(at, [c * (den // d) for c, d in jet])
+        taylor = zip(shifted, repeat(den * factor))
+    else:
+        jet, taylor = tee(jet)
+    factorials = accumulate(count(1), operator.mul, initial=1)
+    egf = ((c * f, d) for (c, d), f in zip(taylor, factorials))
+    return _damped_newton_sum(egf, 1, order, cfg, what,
+                              _egf_rounding(_input_rounding(jet),
+                                            _magnitude(at.numerator, at.denominator)))
 
 
 def fractional_difference(f: Callable[[float], float], order: float, t: float = 0.0,
@@ -904,12 +925,16 @@ def fractional_difference(f: Callable[[float], float], order: float, t: float = 
     e^{-x} FFT^{-1}(f(x+t)), and the Newton sum at s = order finishes BT^{-1}.
     Each sample is taken to be known to 2^-53 of its magnitude, as a float
     is, whatever its type, for the noise part of the estimate of Levin's u.
+
+    Cost: sample n is read only when the Newton sum reaches term n, so a
+    sum of K terms reads K samples and takes about K^2/2 integer additions
+    for the e^{-2x} product, on numerators over the lcm of the denominators
+    read so far.
     """
     what = "fractional_difference"
     _argument_ratio(t, what)
-    egf, den = _exact_inputs(lambda n: f(t + n), cfg.truncation_N + 1, what)
-    rounding = map(operator.mul, repeat(_ROUNDING), map(_magnitude, egf, repeat(den)))
-    return _damped_newton_sum(egf, den, 2, order, cfg, what, rounding)
+    samples, read = tee(_inputs(lambda n: f(t + n), what))
+    return _damped_newton_sum(samples, 2, order, cfg, what, _input_rounding(read))
 
 
 def gamma_support(x: float) -> float:

@@ -849,9 +849,10 @@ _FRACTIONAL_PROVIDERS = {
 
 def _ref_newton_sum(coeffs, s, cfg, what, noise=None):
     """The Fraction route over the (numerator, denominator) pairs the
-    fractional operators prepare."""
-    pairs = list(coeffs)
-    return _ref_fft_fn(lambda n: Fraction(*pairs[n]), s, cfg, what, noise)
+    fractional operators prepare, each read when its term is: the terms are
+    formed in order, n = 0, 1, 2, ..."""
+    pairs = iter(coeffs)
+    return _ref_fft_fn(lambda n: Fraction(*next(pairs)), s, cfg, what, noise)
 
 
 @pytest.mark.parametrize("order", _ARGUMENTS)
@@ -869,19 +870,31 @@ def test_fractional_derivative_matches_fraction_route(monkeypatch, kind, order):
         assert abs(r) <= r.error_estimate
 
 
-def _ref_prepared_outcome(value_at, m, what, pairs_of, rounding_of, rate, s, cfg):
+def _ref_prepared_outcome(value_at, m, what, pairs_of, rounding_of, rate, s, cfg, lazy):
     """The reference route's outcome on eagerly prepared pairs: the inputs
-    value_at(0..m-1) read as Fractions, an overflowing one named as the
-    fractional operators name it, then pairs_of(inputs) summed by
-    _ref_newton_sum with the input noise of rounding_of(inputs)."""
+    value_at(0..m-1) read as Fractions, then pairs_of(inputs) summed by
+    _ref_newton_sum with the input noise of rounding_of(inputs). An input
+    that overflows is named as the fractional operators name it: at once,
+    or with lazy set, only when the sum reaches its pair, the inputs before
+    it prepared in full."""
     inputs = []
+    fault = None
     for n in range(m):
         try:
             inputs.append(Fraction(value_at(n)))
         except OverflowError:
-            return "NonConvergenceError", f"{what}: input {n} overflows a float"
+            fault = f"{what}: input {n} overflows a float"
+            if not lazy:
+                return "NonConvergenceError", fault
+            break
     noise = transforms_numeric._input_noise(rounding_of(inputs), rate, s)
-    return _outcome(lambda: _ref_newton_sum(pairs_of(inputs), s, cfg, what, noise))
+
+    def pairs():
+        yield from pairs_of(inputs)
+        if fault:
+            raise NonConvergenceError(fault)
+
+    return _outcome(lambda: _ref_newton_sum(pairs(), s, cfg, what, noise))
 
 
 def _rounding_of(values):
@@ -921,22 +934,25 @@ _DIFFERENCE_FUNCTIONS = {
 
 
 @pytest.mark.parametrize("N", [1, 2, 64, 256])
-@pytest.mark.parametrize("t", [1 / 3, Fraction(1, 3), Fraction(-2, 5)], ids=repr)
+@pytest.mark.parametrize("t", [0, 0.0, Fraction(0), 1 / 3, Fraction(1, 3), Fraction(-2, 5)],
+                         ids=repr)
 def test_fractional_operators_match_eager_preparation(N, t):
     """Both fractional operators prepare only the Taylor coefficients their
-    Newton sum reads. At every t and N, value and estimate, or the error
-    text, equal the reference route's on pairs prepared in full beforehand:
-    for the derivative the whole jet shifted by the public shift, for the
-    difference its samples, each multiplied by e^{-rate x} through the
-    direct binomial sum."""
+    Newton sum reads, and at t = 0 read only those inputs. At every t and N,
+    value and estimate, or the error text, equal the reference route's on
+    pairs prepared in full beforehand: for the derivative the whole jet
+    shifted by the public shift, for the difference its samples, each
+    multiplied by e^{-rate x} through the direct binomial sum."""
     cfg = NumericConfig(truncation_N=N)
     count = N + 1
     for kind, provider in sorted(_FRACTIONAL_PROVIDERS.items()):
         got = _outcome(lambda: fractional_derivative(provider, 0.5, t, cfg))
         want = _ref_prepared_outcome(provider, count + 32, "fractional_derivative",
-                                     lambda jet: _ref_derivative_pairs(jet, t, count),
+                                     lambda jet: _ref_derivative_pairs(jet, t,
+                                                                       min(count, len(jet))),
                                      lambda jet: transforms_numeric._egf_rounding(
-                                         _rounding_of(jet), abs(float(t))), 1, 0.5, cfg)
+                                         _rounding_of(jet), abs(float(t))), 1, 0.5, cfg,
+                                     lazy=not t)
         assert got == want, kind
         if kind == "fraction" and N == 64:
             assert got[0] != "NonConvergenceError"
@@ -944,11 +960,59 @@ def test_fractional_operators_match_eager_preparation(N, t):
         f = function_at(t)
         got = _outcome(lambda: fractional_difference(f, 0.5, t, cfg))
         want = _ref_prepared_outcome(lambda n: f(t + n), count, "fractional_difference",
-                                     lambda samples: _ref_difference_pairs(samples, count),
-                                     _rounding_of, 2, 0.5, cfg)
+                                     lambda samples: _ref_difference_pairs(samples,
+                                                                           len(samples)),
+                                     _rounding_of, 2, 0.5, cfg, lazy=True)
         assert got == want, kind
         if N == 64:
             assert got[0] != "NonConvergenceError"
+
+
+def _reads(monkeypatch, operator, provider, *args):
+    """(inputs read, terms summed) by one call of a fractional operator:
+    the provider's calls, and the terms the Newton sum drew from
+    _ratio_terms."""
+    calls, terms = [], []
+    ratio_terms = transforms_numeric._ratio_terms
+
+    def counted(*data):
+        for term in ratio_terms(*data):
+            terms.append(term)
+            yield term
+
+    monkeypatch.setattr(transforms_numeric, "_ratio_terms", counted)
+    operator(lambda n: calls.append(n) or provider(n), *args)
+    return len(calls), len(terms)
+
+
+def test_fractional_operators_read_only_the_inputs_their_sum_uses(monkeypatch):
+    """At t = 0 and N = 512 each operator reads at most one input past the
+    last term its Newton sum reads, where eager preparation read all 545
+    Taylor coefficients, or all 513 samples, before the first term."""
+    cfg = NumericConfig(truncation_N=512)
+    coeff = NamedSource("exp(1/2)").taylor()
+    read, summed = _reads(monkeypatch, fractional_derivative, coeff, 0.5, 0, cfg)
+    assert read <= summed + 1 and summed < 64
+    read, summed = _reads(monkeypatch, fractional_difference, lambda u: math.exp(u / 3),
+                          0.5, 0, cfg)
+    assert read <= summed + 1 and summed < 64
+
+
+def test_fault_past_the_last_input_read_is_not_raised():
+    """A NaN at input 100 that the Newton sum never reaches, at N = 512 and
+    t = 0, leaves the result as it is on a clean provider, as fft_fn and
+    ifft_fn leave theirs; a NaN within the inputs read is still named."""
+    cfg = NumericConfig(truncation_N=512)
+    coeff = NamedSource("exp(1/2)").taylor()
+    f = lambda u: math.exp(u / 3)
+    for operator, clean in ((fractional_derivative, coeff), (fractional_difference, f)):
+        want = _outcome(lambda: operator(clean, 0.5, 0, cfg))
+        assert want[0] != "NonConvergenceError"
+        named = ("NonConvergenceError",
+                 f"{operator.__name__}: input 5 is nan, not a finite number")
+        for at, expected in ((100, want), (5, named)):
+            faulty = lambda n: math.nan if n == at else clean(n)
+            assert _outcome(lambda: operator(faulty, 0.5, 0, cfg)) == expected
 
 
 def test_known_overflow_cases_raise_nonconvergence():
