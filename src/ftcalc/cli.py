@@ -16,16 +16,17 @@ laguerre and charlier families and verify load the polynomial layer. The
 numeric transform, fractional and zeta load only the numeric layer and the
 combinatorial tables under it, and the stirling1, stirling2 and bernoulli
 numbers only the tables. Only tanh-sinh quadrature and the
-five checks that call mpmath (eq8_mellin_consistency, eq24_summation_integral,
-eq67_laplace_rft with its informational twin, table2_row1_power_shift and
-eq90_91_zeta_info) load mpmath. A --source spec is read by the numeric
-layer's NamedSource, imported with it.
+six checks that need it (eq8_mellin_consistency, eq24_summation_integral,
+eq67_laplace_rft and eq67_last_argument_info, which reads its values,
+table2_row1_power_shift and eq90_91_zeta_info) load mpmath. A --source spec
+is read by the numeric layer's NamedSource, imported with it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -196,7 +197,11 @@ def _cmd_verify(args) -> int:
     print(verify_suite.render_text(reports))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump([r.to_dict() for r in reports], fh, indent=2)
+            rows = [r.to_dict() for r in reports]
+            for row in rows:  # strict JSON has no inf (an error report) or NaN (a NaN gap)
+                if not math.isfinite(row["max_abs_error"]):
+                    row["max_abs_error"] = None
+            json.dump(rows, fh, indent=2, allow_nan=False)
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 

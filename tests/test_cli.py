@@ -342,6 +342,26 @@ def test_verify_json_report(capsys, tmp_path):
     assert all(r["status"] == "pass" for r in blob)
 
 
+def test_verify_json_report_is_strict_json(capsys, tmp_path, monkeypatch):
+    """An error report's infinite max_abs_error is written as null, not Infinity."""
+    from ftcalc import verify_suite
+
+    spec = verify_suite.CheckSpec(name="boom_check", layer="exact",
+                                  config={"tolerance": 0.0}, description="raises")
+
+    def boom(rng, cfg):
+        raise ArithmeticError("synthetic blowup")
+
+    monkeypatch.setitem(verify_suite._REGISTRY, "boom_check",
+                        (spec, boom, lambda cfg: [()], None))
+    path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify", "--filter", "boom_check", "--json", str(path))
+    assert code == 1
+    assert "err=inf" in out
+    [report] = loads(path.read_text(encoding="utf-8"))
+    assert report["status"] == "error" and report["max_abs_error"] is None
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "transform", X_SQUARED, "--op", "laplace")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
@@ -452,6 +472,7 @@ def test_numeric_subcommands_load_no_polynomial_layer():
     (["zeta", "--s", "2", "--terms", "3"], "[]"),
     (["verify", "--filter", "table3_monomial_row"], "[]"),
     (["verify", "--filter", "eq67_laplace_rft"], "['mpmath']"),
+    (["verify", "--filter", "eq67_last_argument_info"], "['mpmath']"),
 ])
 def test_numeric_subcommands_load_no_scipy(argv, loaded):
     """Numeric subcommands never load scipy or numpy; only the checks that

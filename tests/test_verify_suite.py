@@ -47,6 +47,27 @@ def test_every_coverage_entry_is_registered():
             assert name in registered, f"{item} names unknown check {name}"
 
 
+def test_coverage_is_derived_from_the_check_names():
+    """Each name says what it covers; four cross-links say what no name can."""
+    assert len(COVERAGE) == 89
+    assert COVERAGE["eq12"] == COVERAGE["eq13"] == ["eq12_13_linearity"]
+    assert COVERAGE["eq91"] == ["eq91_bernoulli_structure", "eq90_91_zeta_info"]
+    assert COVERAGE["table2_row1"] == ["table2_row1_power_shift"]
+    assert COVERAGE["table3_gamma"] == ["table3_gamma_row"]
+    assert COVERAGE["table3_gamma_y"] == ["table3_gamma_y_row"]
+    assert COVERAGE["eq6"] == ["eq6_ifft_series", "table3_gamma_row"]
+    assert COVERAGE["eq49"] == ["eq48_53_conv_egf_product"]
+    assert COVERAGE["eq54"] == ["eq55_scaling"]
+    assert COVERAGE["table3_complex_exp"] == ["table3_sin_row", "table3_cos_row"]
+
+
+def test_register_refuses_a_name_that_covers_nothing():
+    with pytest.raises(ValueError, match="covers no source item"):
+        verify_suite._register("foo_check", "exact", "covers nothing", 0.0)(
+            lambda rng, cfg: [])
+    assert "foo_check" not in verify_suite._REGISTRY
+
+
 def test_layers_are_known():
     assert {s.layer for s in list_checks()} <= {"exact", "numeric"}
 
@@ -123,11 +144,12 @@ def test_eq67_rows_share_their_quadratures(monkeypatch):
     assert len(calls) == 3
 
 
-def _run_synthetic(monkeypatch, layer, tolerance, lhs, rhs):
-    """Register a one-trial row whose sides are lhs and rhs, and run it."""
+def _run_synthetic(monkeypatch, layer, tolerance, lhs, rhs, before=()):
+    """Register a one-trial row whose sides are lhs and rhs, after the pairs
+    before, and run it."""
     spec = CheckSpec(name="synthetic_row", layer=layer, config={"tolerance": tolerance},
                      description="synthetic disagreement")
-    body = lambda rng, cfg: [(lhs, rhs)]
+    body = lambda rng, cfg: [*before, (lhs, rhs)]
     monkeypatch.setitem(verify_suite._REGISTRY, "synthetic_row",
                         (spec, body, lambda cfg: [()], None))
     return run_check("synthetic_row")
@@ -157,6 +179,15 @@ def test_numeric_row_over_tolerance_fails(monkeypatch):
     assert r.tolerance == 1e-9
     assert abs(r.max_abs_error - 1e-6) < 1e-12
     assert _run_synthetic(monkeypatch, "numeric", 1e-9, 1.0, 1.0).status == "pass"
+
+
+def test_numeric_row_with_a_nan_gap_fails(monkeypatch):
+    """max(0, nan) is 0: a NaN gap must fail the row, not vanish from it."""
+    for pairs in ([(math.nan, 1.0)], [(1.0, 1.0), (math.nan, 1.0)],
+                  [(math.nan, 1.0), (1.0, 1.0)]):
+        r = _run_synthetic(monkeypatch, "numeric", 1e-9, *pairs[-1], pairs[:-1])
+        assert r.status == "fail"
+        assert math.isnan(r.max_abs_error)
 
 
 def test_informational_checks_never_fail():
