@@ -15,11 +15,11 @@ operation reduces once, when it builds its result. A conversion is one pass
 over a triangle of Stirling numbers to or from the monomial basis, and of
 Lah numbers between the factorial bases; the triangles are unimodular, so a
 conversion keeps the denominator and lowest terms. A product converts
-neither factor: on x^n it is one integer convolution, from a dozen terms on
-one big-int product by Kronecker substitution; on (x)_n it multiplies the
-factors' samples at 0..m-1, read off the difference table, and takes the
-product's Newton series from the table again; on x^(rising n) it is the
-falling product mirrored by x -> -x.
+neither factor: on x^n it is one integer convolution, from 10 to 24 terms
+on, by the entries' width, one big-int product by Kronecker substitution;
+on (x)_n it multiplies the factors' samples at 0..m-1, read off the
+difference table, and takes the product's Newton series from the table
+again; on x^(rising n) it is the falling product mirrored by x -> -x.
 
 Each basis is the basic sequence of its own lowering operator, L b_n =
 n b_(n-1): d on x^n, the forward difference D on (x)_n and the backward
@@ -328,33 +328,41 @@ def multiply(p: BasisPolynomial, q: BasisPolynomial) -> BasisPolynomial:
     return _reduced(p.basis, nums, p.den * q.den * den)
 
 
-# Kronecker substitution pays from this many terms on: in-process on a
-# 2-core Xeon VM with Python 3.11, against the schoolbook loop on n x n
-# products of random signed entries, it breaks even at n = 8-10 for entries
-# of 12-128 bits (0.72-0.88 of the loop's time at n = 12, 0.5-0.6 at
-# n = 20), at n = 16 for 256 bits and at n = 24 for 1000 bits.
-_KRONECKER_MIN = 12
+# Kronecker substitution pays from _KRONECKER_MIN terms on, plus one term
+# per _KRONECKER_BYTES bytes of its digit, and at any width from
+# _KRONECKER_MAX terms on: in-process on a 2-core Xeon VM with Python 3.11,
+# against the schoolbook loop on n x n products of random signed entries, it
+# breaks even at n = 8-10 for entries of up to 128 bits (digits of 3-33
+# bytes), at n = 14-16 for 256 bits (65 bytes), at n = 22-26 for 1000 bits
+# (251 bytes) and at n = 18-24 for 1500-3000 bits, where CPython's
+# Karatsuba multiplication speeds up the entry products of both kernels.
+_KRONECKER_MIN = 10
+_KRONECKER_BYTES = 16
+_KRONECKER_MAX = 24
 
 
 def _convolve(pn: Sequence[int], qn: Sequence[int]) -> list[int]:
     """The product's coefficients out_k = sum_i pn_i qn_(k-i).
 
-    From _KRONECKER_MIN terms on, by Kronecker substitution (Harvey,
-    "Faster polynomial multiplication via multipoint Kronecker
-    substitution", JSC 44, 2009): each vector is the integer sum_i v_i 2^(bi)
-    for a b with |out_k| < 2^(b-1), so one big-int product holds every
-    out_k as a balanced digit. With b = 8w, adding 2^(b-1) to every digit
-    makes the digits w plain bytes each, packed and unpacked in one pass.
+    From min(_KRONECKER_MIN + w // _KRONECKER_BYTES, _KRONECKER_MAX) terms
+    on, by Kronecker substitution (Harvey, "Faster polynomial multiplication via multipoint
+    Kronecker substitution", JSC 44, 2009): each vector is the integer
+    sum_i v_i 2^(bi) for a b with |out_k| < 2^(b-1), so one big-int product
+    holds every out_k as a balanced digit. With b = 8w, adding 2^(b-1) to
+    every digit makes the digits w plain bytes each, packed and unpacked in
+    one pass.
     """
     # the loop's cost is one slice product per nonzero entry of pn
-    if min(len(pn) - pn.count(0), len(qn)) < _KRONECKER_MIN:
+    terms, w = min(len(pn) - pn.count(0), len(qn)), 0
+    if terms >= _KRONECKER_MIN:
+        top = [max(map(abs, v)) or 1 for v in (pn, qn)]
+        w = (top[0] * top[1] * min(len(pn), len(qn))).bit_length() // 8 + 1  # bytes per digit
+    if terms < min(_KRONECKER_MIN + w // _KRONECKER_BYTES, _KRONECKER_MAX):
         out = [0] * (len(pn) + len(qn) - 1)
         for i, a in enumerate(pn):
             if a:
                 out[i:i + len(qn)] = map(operator.add, out[i:], map(operator.mul, qn, repeat(a)))
         return out
-    top = [max(map(abs, v)) or 1 for v in (pn, qn)]
-    w = (top[0] * top[1] * min(len(pn), len(qn))).bit_length() // 8 + 1  # bytes per digit
     half, m = 1 << (8 * w - 1), len(pn) + len(qn) - 1
     unit = half.to_bytes(w, "little")
 

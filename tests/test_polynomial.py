@@ -27,6 +27,8 @@ from ftcalc.polynomial import (
     BasisPolynomial,
     OperatorExpr,
     OperatorKind,
+    _KRONECKER_BYTES,
+    _KRONECKER_MAX,
     _KRONECKER_MIN,
     _apply_weights,
     _convolve,
@@ -542,7 +544,7 @@ _BIG = 2 ** 2000 - 1
 # sides of the Kronecker crossover
 convolve_vectors = st.lists(
     st.one_of(st.just(0), st.integers(-9, 9), st.integers(-_BIG, _BIG)),
-    min_size=1, max_size=2 * _KRONECKER_MIN + 4)
+    min_size=1, max_size=2 * _KRONECKER_MAX + 4)
 
 
 @settings(deadline=None)
@@ -550,10 +552,28 @@ convolve_vectors = st.lists(
 @example([7], [-3])
 @example([0] * (_KRONECKER_MIN - 1) + [1], list(range(-20, 20)))
 @example(list(range(1, _KRONECKER_MIN + 1)), [0] * _KRONECKER_MIN)
-@example([-_BIG] * _KRONECKER_MIN, [_BIG] * (_KRONECKER_MIN + 5))  # |out_k| at the bound
-@example([_BIG, 0, -_BIG] * _KRONECKER_MIN, [0, 1, -1] * 9 + [_BIG])
+@example([-_BIG] * _KRONECKER_MAX, [_BIG] * (_KRONECKER_MAX + 5))  # |out_k| at the bound
+@example([_BIG, 0, -_BIG] * _KRONECKER_MAX, [0, 1, -1] * 9 + [_BIG])
 def test_convolve_matches_schoolbook(a, b):
     assert _convolve(a, b) == _ref_convolve(a, b)
+
+
+@pytest.mark.parametrize("bits", [32, 256, 512, 1000])
+def test_convolve_matches_schoolbook_across_the_width_crossover(bits):
+    """n x n products one term below and at the crossover for entries of
+    this width, where wider digits move it to more terms, up to a cap."""
+    top = 2 ** bits - 1
+    n = _KRONECKER_MIN
+    while n < min(_KRONECKER_MIN + ((top * top * n).bit_length() // 8 + 1) // _KRONECKER_BYTES,
+                  _KRONECKER_MAX):
+        n += 1
+    rng = Random(bits)
+    for m in (n - 1, n):
+        # each random vector holds +-top, so its digit width is the bound's
+        a = [top] + [rng.randint(-top, top) for _ in range(m - 1)]
+        b = [rng.randint(-top, top) for _ in range(m - 1)] + [-top]
+        for p, q in ((a, b), ([-top] * m, [top] * m)):
+            assert _convolve(p, q) == _ref_convolve(p, q)
 
 
 @given(coeff_lists, st.integers(min_value=0, max_value=12))

@@ -8,11 +8,14 @@ never-raise error channel, filtering and rendering.
 import json
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ftcalc import verify_suite
-from ftcalc.polynomial import monomial
+from ftcalc.polynomial import Basis, convert_basis, monomial, poly
 from ftcalc.verify_suite import (
     COVERAGE,
     CheckReport,
@@ -164,6 +167,27 @@ def test_exact_row_with_a_gap_fails(monkeypatch):
     assert r.trials == 1
 
 
+def _ref_gap(p, q):
+    """max |difference| of the monomial coefficients, 0 for none."""
+    a, b = (convert_basis(x, Basis.MONOMIAL) for x in (p, q))
+    return max((abs(a.coeff(k) - b.coeff(k)) for k in range(max(a.degree, b.degree) + 1)),
+               default=Fraction(0))
+
+
+gap_coeffs = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9), max_size=8)
+
+
+@pytest.mark.parametrize("p_basis, q_basis", list(product(Basis, Basis)))
+@given(a=gap_coeffs, b=gap_coeffs, equal=st.booleans())
+def test_poly_gap_is_the_monomial_gap(p_basis, q_basis, a, b, equal):
+    """The canonical-form shortcut gives the gap of the monomial forms, for
+    equal pairs and for pairs that differ, in every ordered pair of bases."""
+    p = poly(p_basis, a)
+    q = convert_basis(p, q_basis) if equal else poly(q_basis, b)
+    gap = verify_suite._poly_gap(p, q)
+    assert gap == _ref_gap(p, q) and isinstance(gap, Fraction)
+
+
 def test_exact_verdict_uses_the_exact_gap(monkeypatch):
     """A gap whose float is 0.0 still fails: the verdict reads the Fraction."""
     tiny = Fraction(1, 10 ** 400)
@@ -188,6 +212,21 @@ def test_numeric_row_with_a_nan_gap_fails(monkeypatch):
         r = _run_synthetic(monkeypatch, "numeric", 1e-9, *pairs[-1], pairs[:-1])
         assert r.status == "fail"
         assert math.isnan(r.max_abs_error)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_eq89_terms_past_45_round_away(monkeypatch, seed):
+    """For x <= 2 the shifted pairs past k = 45 are below half an ulp of
+    either sum, so 90 pairs report what the row's 45 do."""
+    name = "eq89_expansion_info"
+    spec, body, cases, note = verify_suite._REGISTRY[name]
+    assert spec.config["terms"] == 45
+    at_45 = run_check(name, seed)
+    monkeypatch.setitem(verify_suite._REGISTRY, name,
+                        (spec._replace(config={**spec.config, "terms": 90}), body, cases, note))
+    at_90 = run_check(name, seed)
+    assert at_45.status == at_90.status == "pass"
+    assert at_45.detail == at_90.detail
 
 
 def test_informational_checks_never_fail():
