@@ -137,7 +137,9 @@ def bernoulli(n: int) -> Fraction:
 
 def _argument_ratio(x: Scalar, what: str) -> tuple[int, int]:
     """x as an exact (numerator, denominator > 0) pair, a float as its dyadic
-    value; both layers read arguments here, and name what on NaN or inf."""
+    value, another type through Fraction(). Every scalar a caller hands either
+    layer (argument, parameter, coefficient or sequence value) becomes a ratio
+    here and only here; NaN or inf raises ValueError naming the function what."""
     try:
         return (x if isinstance(x, (int, float, Fraction)) else Fraction(x)).as_integer_ratio()
     except (OverflowError, ValueError):
@@ -187,15 +189,16 @@ def _factorial_product(x: Scalar, n: int, step: int, what: str) -> Scalar:
     return num / den if isinstance(x, float) else Fraction(num, den)
 
 
-def _integers(values: Iterable) -> tuple[list[int], int]:
-    """Numerators of rationals over their lcm denominator, and that denominator.
+def _integers(values: Iterable, what: str) -> tuple[list[int], int]:
+    """_over_lcm of the values, each read by _argument_ratio for the function what."""
+    return _over_lcm([_argument_ratio(v, what) for v in values])
 
-    An int or Fraction is read as it is, anything else through Fraction(),
-    a float as its dyadic value.
-    """
-    rs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    den = math.lcm(*(r.denominator for r in rs))
-    return [r.numerator * (den // r.denominator) for r in rs], den
+
+def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """Numerators of (numerator, positive denominator) pairs over their lcm
+    denominator, and that denominator."""
+    den = math.lcm(*(d for _, d in pairs))
+    return [c * (den // d) for c, d in pairs], den
 
 
 def _pascal(v: Iterable[tuple[int, int]], r: int) -> Iterator[tuple[int, int]]:
@@ -230,13 +233,13 @@ def _pascal(v: Iterable[tuple[int, int]], r: int) -> Iterator[tuple[int, int]]:
         yield diagonal[-1], den
 
 
-def _taylor_shift(a: Fraction, nums: Sequence[int]) -> tuple[Iterator[int], int]:
-    """e^{aL} for the Fraction a on numerators in a basis with L b_n = n b_(n-1):
+def _taylor_shift(u: int, q: int, nums: Sequence[int]) -> tuple[Iterator[int], int]:
+    """e^{aL} for a = u/q, q > 0, on numerators in a basis with L b_n = n b_(n-1):
     out_i = sum_j binom(i+j, j) a^j c_(i+j), the coefficients of p(x + a)
     for p = sum_j c_j x^j. Returns the out_i numerators, computed one at a
     time as they are read, and their common denominator.
 
-    For a = u/q, p(x + a) q^(n-1) = sum_j r_j (y + u)^j at y = q x, with
+    Then p(x + a) q^(n-1) = sum_j r_j (y + u)^j at y = q x, with
     r_j = c_j q^(n-1-j). In the form of Shaw & Traub ("On the number of
     multiplications for the evaluation of a polynomial and some of its
     derivatives", J. ACM 21, 1974), the shift by u is the shift by 1 of the
@@ -248,7 +251,6 @@ def _taylor_shift(a: Fraction, nums: Sequence[int]) -> tuple[Iterator[int], int]
     additions and one exact division, the whole vector n^2/2 additions and
     no product in the loop. The result r_i q^i is over q^(n-1).
     """
-    u, q = a.numerator, a.denominator
     if not (u and nums):
         return iter(nums), 1
     n = len(nums)

@@ -85,7 +85,7 @@ class BasisPolynomial:
 
     def __init__(self, basis: Basis | str, coeffs: Iterable):
         # numerators of reduced fractions over their lcm are in lowest terms
-        nums, den = _integers(coeffs)
+        nums, den = _integers(coeffs, "BasisPolynomial")
         while nums and not nums[-1]:
             nums.pop()
         _init(self, Basis(basis), nums, den)
@@ -149,9 +149,8 @@ class BasisPolynomial:
         return self + other.scale(-1)
 
     def scale(self, c: Scalar) -> "BasisPolynomial":
-        c = Fraction(c)
-        return _reduced(self.basis, [c.numerator * a for a in self.nums],
-                        c.denominator * self.den)
+        u, q = _argument_ratio(c, "scale")
+        return _reduced(self.basis, [u * a for a in self.nums], q * self.den)
 
     def to_json(self) -> dict:
         return {"basis": self.basis.value, "coeffs": [str(c) for c in self.coeffs]}
@@ -291,17 +290,17 @@ def shift(p: BasisPolynomial, a: Scalar) -> BasisPolynomial:
     return apply_operator(shift_op(a), p)
 
 
-def _scale_coeffs(p: BasisPolynomial, basis: Basis, a: Fraction) -> BasisPolynomial:
-    # the n-th coefficient of p in basis times a^n = u^n q^(deg-n) / q^deg,
+def _scale_coeffs(p: BasisPolynomial, basis: Basis, u: int, q: int) -> BasisPolynomial:
+    # the n-th coefficient of p in basis times (u/q)^n = u^n q^(deg-n) / q^deg,
     # returned in the basis of p
-    u, q, deg = a.numerator, a.denominator, max(p.degree, 0)
+    deg = max(p.degree, 0)
     scaled = [c * u ** n * q ** (deg - n) for n, c in enumerate(_convert(p.nums, p.basis, basis))]
     return _reduced(p.basis, _convert(scaled, basis, p.basis), p.den * q ** deg)
 
 
 def scale_argument(p: BasisPolynomial, a: Scalar) -> BasisPolynomial:
     """q with q(x) = p(a*x), returned in the basis of p."""
-    return _scale_coeffs(p, Basis.MONOMIAL, Fraction(a))
+    return _scale_coeffs(p, Basis.MONOMIAL, *_argument_ratio(a, "scale_argument"))
 
 
 def multiply(p: BasisPolynomial, q: BasisPolynomial) -> BasisPolynomial:
@@ -442,7 +441,7 @@ class OperatorExpr(namedtuple("OperatorExpr", "kind k a")):
                 raise ValueError(f"{kind.value} requires parameter a")
             if k != 1:
                 raise ValueError(f"{kind.value} takes no power; fold it into a")
-            a = Fraction(a)
+            a = Fraction(*_argument_ratio(a, kind.value))
         return super().__new__(cls, kind, k, a)
 
 
@@ -459,7 +458,7 @@ def backward_difference(k: int = 1) -> OperatorExpr:
 
 
 def shift_op(a: Scalar) -> OperatorExpr:
-    return OperatorExpr(OperatorKind.SHIFT, a=Fraction(a))
+    return OperatorExpr(OperatorKind.SHIFT, a=a)
 
 
 def log1p_derivative(k: int = 1) -> OperatorExpr:
@@ -471,15 +470,15 @@ def expdiff_minus1(k: int = 1) -> OperatorExpr:
 
 
 def binom_shift(a: Scalar) -> OperatorExpr:
-    return OperatorExpr(OperatorKind.BINOM_SHIFT, a=Fraction(a))
+    return OperatorExpr(OperatorKind.BINOM_SHIFT, a=a)
 
 
 def exp_shift(a: Scalar) -> OperatorExpr:
-    return OperatorExpr(OperatorKind.EXP_SHIFT, a=Fraction(a))
+    return OperatorExpr(OperatorKind.EXP_SHIFT, a=a)
 
 
 def scale_op(a: Scalar) -> OperatorExpr:
-    return OperatorExpr(OperatorKind.SCALE_OP, a=Fraction(a))
+    return OperatorExpr(OperatorKind.SCALE_OP, a=a)
 
 
 def _apply_weights(nums: Sequence[int], weights: Sequence[int]) -> list[int]:
@@ -558,14 +557,14 @@ def apply_operator(op: OperatorExpr, p: BasisPolynomial) -> BasisPolynomial:
     """Apply op to p exactly; the result is returned in the basis of p."""
     if op.kind is OperatorKind.SCALE_OP:
         # x nabla (x)_n = n (x)_n, so a^{x nabla} scales (x)_n by a^n
-        return _scale_coeffs(p, Basis.FALLING, op.a)
+        return _scale_coeffs(p, Basis.FALLING, *op.a.as_integer_ratio())
     rows = _SERIES[op.kind]
     if rows.get(p.basis) is _GEOMETRIC:
-        shifted, factor = _taylor_shift(op.a, p.nums)
+        shifted, factor = _taylor_shift(*op.a.as_integer_ratio(), p.nums)
         nums = list(shifted)
     elif op.k == 1 and (op.kind, p.basis) in _SHIFT_MINUS_ONE:
         a = _SHIFT_MINUS_ONE[op.kind, p.basis]
-        shifted, factor = _taylor_shift(Fraction(a), p.nums)
+        shifted, factor = _taylor_shift(a, 1, p.nums)
         nums = [a * (v - c) for v, c in zip(shifted, p.nums)]
     else:
         basis = p.basis if p.basis in rows else next(iter(rows))
@@ -622,4 +621,5 @@ def log1p_derivative_inverse(p: BasisPolynomial) -> BasisPolynomial:
 def expdiff_minus1_inverse(p: BasisPolynomial) -> BasisPolynomial:
     """(e^D - 1)^{-1} p, normalized to zero constant term."""
     # t/(e^t - 1) = sum_j B_j t^j / j!
-    return _series_inverse(p, Basis.FALLING, lambda n: _integers(map(bernoulli, range(n))))
+    return _series_inverse(p, Basis.FALLING,
+                           lambda n: _integers(map(bernoulli, range(n)), "expdiff_minus1_inverse"))

@@ -40,8 +40,7 @@ def laguerre(n: int, alpha: Scalar) -> BasisPolynomial:
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    alpha = Fraction(alpha)
-    p, q = alpha.numerator, alpha.denominator
+    p, q = _argument_ratio(alpha, "laguerre")
     # binom(n+alpha, n-k)/k! = binom(n,k) q^k P_k / (n! q^n), with
     # P_k = prod_{k<j<=n} (p + j q), stepped down from P_n = 1
     nums, P, qk = [], 1, q ** n
@@ -74,7 +73,8 @@ def charlier(n: int, x: Scalar, a: Scalar) -> Scalar:
 
 
 def charlier_orthogonality_sum(n: int, m: int, a: float, K: int) -> float:
-    """Partial sum over k < K of a^k/k! * c_n(k,a) c_m(k,a) (Poisson weight)."""
+    """Partial sum over k < K of a^k/k! * c_n(k,a) c_m(k,a) (Poisson weight);
+    OverflowError when the sum leaves the float range."""
     if K < 1:
         raise ValueError("truncation K must be >= 1")
     if not 0 < a < math.inf:
@@ -86,4 +86,6 @@ def charlier_orthogonality_sum(n: int, m: int, a: float, K: int) -> float:
         if k > 0:
             w *= a / k
         acc += w * cn.eval(float(k)) * cm.eval(float(k))
+    if not math.isfinite(acc):
+        raise OverflowError(f"charlier_orthogonality_sum: the sum at a = {a!r} is {acc!r}")
     return acc

@@ -77,15 +77,15 @@ def _binomial(u: Sequence[int], v: Sequence[int], ks: Iterable[int]) -> list[int
     return out
 
 
-def _samples(f: SequenceSource, m: int) -> tuple[list[int], int]:
+def _samples(f: SequenceSource, m: int, what: str) -> tuple[list[int], int]:
     """f(0), ..., f(m-1) as numerators over one denominator, evaluating the
-    source once per index.
+    source once per index; NaN or inf raises ValueError naming the function what.
 
     A polynomial is read from its falling coefficients c as
     p(n) = sum_j binom(n,j) j! c_j.
     """
     if not isinstance(f, BasisPolynomial):
-        return _integers(map(f, range(m)))
+        return _integers(map(f, range(m)), what)
     c = convert_basis(f, Basis.FALLING)
     return _falling_samples(c.nums, m), c.den
 
@@ -109,7 +109,7 @@ def binomial_convolution(f: SequenceSource, g: SequenceSource, x: int) -> Fracti
     """conv(f,g)(x) = sum_{n=0}^{x} binom(x,n) f(x-n) g(n); commutative."""
     if x < 0:
         raise ValueError("argument must be a nonnegative integer")
-    (u, du), (v, dv) = _samples(f, x + 1), _samples(g, x + 1)
+    (u, du), (v, dv) = (_samples(h, x + 1, "binomial_convolution") for h in (f, g))
     return Fraction(_binomial(u, v, [x])[0], du * dv)
 
 
@@ -120,7 +120,7 @@ def egf_product_coeffs(F: SequenceSource, G: SequenceSource, K: int) -> list[Fra
     """
     if K < 1:
         raise ValueError("order K must be >= 1")
-    (u, du), (v, dv) = _samples(F, K), _samples(G, K)
+    (u, du), (v, dv) = (_samples(H, K, "egf_product_coeffs") for H in (F, G))
     return [Fraction(h, du * dv) for h in _binomial(u, v, range(K))]
 
 
@@ -149,7 +149,7 @@ def coefficient_extract(f: SequenceSource, n: int) -> Fraction:
         mono = convert_basis(f, Basis.MONOMIAL)
         a, d = mono.nums[:n + 1], mono.den
     else:
-        a, d = _samples(f, n + 1)
+        a, d = _samples(f, n + 1, "coefficient_extract")
     egf = [math.factorial(j) * c for j, c in enumerate(a)]
     weighted = _times_exp(egf, -1, n + 1)
     return Fraction(_binomial([1] * (n + 1), weighted, [n])[0], d * math.factorial(n))
@@ -164,6 +164,6 @@ def newton_from_samples(f: SequenceSource, degree: int) -> BasisPolynomial:
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    v, d = _samples(f, degree + 1)
+    v, d = _samples(f, degree + 1, "newton_from_samples")
     nums, den = _newton(v)
     return _reduced(Basis.FALLING, nums, d * den)

@@ -25,9 +25,10 @@ first checkpoint reads 32 nonzero terms, whatever its truncation_N.
 The Newton sum, the EGF series and zeta_formal_series take their terms
 from one stream, _ratio_terms, which forms each term exactly and rounds
 it once; they differ only in the data they pass it. One reader, _input,
-reads every Taylor coefficient, sample or point value exactly, a float as
-its dyadic value; a call that overflows or a value that is not a finite
-number raises NonConvergenceError naming the evaluator and the input. The
+reads every Taylor coefficient, sample or point value exactly through
+_argument_ratio, the reader of every scalar in both layers; a call that
+overflows or a value that reader refuses, NaN or inf, raises
+NonConvergenceError naming the evaluator and the input. The
 fractional operators prepare their series on one integer vector: the
 inputs become numerators over one denominator, the derivative
 Taylor-shifts them to t, the difference table multiplies by e^{-rate x},
@@ -55,7 +56,7 @@ from fractions import Fraction
 from itertools import accumulate, count, islice, repeat, tee
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .combinatorics import Scalar, _argument_ratio, _pascal, _taylor_shift, bernoulli
+from .combinatorics import Scalar, _argument_ratio, _over_lcm, _pascal, _taylor_shift, bernoulli
 
 
 class NonConvergenceError(ArithmeticError):
@@ -196,6 +197,10 @@ _NODES = 80
 # so concurrent callers cannot corrupt each other's precision context. The
 # lock also guards the node tables of _tanh_sinh_table.
 _mp_lock = threading.Lock()
+
+# mpmath decimal digits of the tanh_sinh scheme. mpmath keeps one node table
+# per precision, so a quad run at this precision elsewhere shares its tables.
+_TANH_SINH_DPS = 25
 
 # Halley steps allowed per node. From the starting guesses in
 # _laguerre_rule a node takes two, rarely three or four; the cap only ends a
@@ -563,17 +568,17 @@ def _sum_with_policy(terms: Iterator[float], cfg: NumericConfig, accelerate: boo
 
 
 def _input(provider: Callable[[int], Scalar], n: int, what: str) -> tuple[int, int]:
-    """provider(n) as an exact (numerator, positive denominator) pair, a type
-    other than int, float and Fraction read through Fraction(). A call that
-    overflows, or a value without an exact ratio such as NaN or inf, raises
-    NonConvergenceError naming input n; the provider's ValueError propagates."""
+    """provider(n) as an exact (numerator, positive denominator) pair, read by
+    _argument_ratio. A call that overflows, or a value that the reader
+    refuses, NaN or inf, raises NonConvergenceError naming input n; the
+    provider's own ValueError propagates."""
     try:
         v = provider(n)
     except OverflowError:
         raise NonConvergenceError(f"{what}: input {n} overflows a float") from None
     try:
-        return (v if isinstance(v, (int, float, Fraction)) else Fraction(v)).as_integer_ratio()
-    except (OverflowError, ValueError):
+        return _argument_ratio(v, what)
+    except ValueError:
         raise NonConvergenceError(f"{what}: input {n} is {v!r}, not a finite number") from None
 
 
@@ -721,7 +726,7 @@ def rft_fn(f: Callable[[float], float], s: float,
     if scheme == "tanh_sinh":
         import mpmath as mp
 
-        with _mp_lock, mp.workdps(25):
+        with _mp_lock, mp.workdps(_TANH_SINH_DPS):
             ss = mp.mpf(u) / q  # exact for a float s
             # Below s = 1, t^(s-1) has a branch point at 0. The head t < 1 is
             # then integrated in u = t^s, where t^(s-1) dt = du / s leaves
@@ -900,20 +905,19 @@ def fractional_derivative(coeff: Callable[[int], Scalar], order: float, t: Scala
     52 ms at N = 512, and t = 0 about 0.08 ms at either.
     """
     what = "fractional_derivative"
-    at = Fraction(*_argument_ratio(t, what))
+    u, q = _argument_ratio(t, what)
     jet = _inputs(coeff, what)
-    if at:
+    if u:
         jet = list(islice(jet, cfg.truncation_N + 1 + _JET_EXTRA))
-        den = math.lcm(*(d for _, d in jet))
-        shifted, factor = _taylor_shift(at, [c * (den // d) for c, d in jet])
+        nums, den = _over_lcm(jet)
+        shifted, factor = _taylor_shift(u, q, nums)
         taylor = zip(shifted, repeat(den * factor))
     else:
         jet, taylor = tee(jet)
     factorials = accumulate(count(1), operator.mul, initial=1)
     egf = ((c * f, d) for (c, d), f in zip(taylor, factorials))
     return _damped_newton_sum(egf, 1, order, cfg, what,
-                              _egf_rounding(_input_rounding(jet),
-                                            _magnitude(at.numerator, at.denominator)))
+                              _egf_rounding(_input_rounding(jet), _magnitude(u, q)))
 
 
 def fractional_difference(f: Callable[[float], float], order: float, t: float = 0.0,

@@ -244,7 +244,7 @@ def test_apply_weights_matches_defining_sum(coeffs, weights):
     egf = [math.factorial(j) * wj for j, wj in enumerate(w)]
     want = [sum((w[j] * math.perm(i + j, j) * c[i + j] for j in range(len(c) - i)),
                 Fraction(0)) for i in range(len(c))]
-    nums, q = _integers(egf)
+    nums, q = _integers(egf, "_apply_weights")
     got = [Fraction(h, p.den * q) for h in _apply_weights(p.nums, nums)]
     assert poly(Basis.MONOMIAL, got) == poly(Basis.MONOMIAL, want)
 

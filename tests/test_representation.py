@@ -156,3 +156,57 @@ def test_float_eval_of_a_power_in_a_factorial_basis(basis, d, x):
 def test_eval_refuses_a_non_finite_argument(x):
     with pytest.raises(ValueError, match=f"^eval needs a finite argument, got {x!r}$"):
         poly("falling", [1, 2]).eval(x)
+
+
+_P = poly("monomial", [1, Fraction(-2, 3), 5])
+
+
+def _source(read):
+    """read's call on a sequence source that is x at n = 1."""
+    return lambda x: read(lambda n: x if n == 1 else n + 1)
+
+
+# public entry point -> (the name its error gives, its call on one scalar);
+# binomial_transform reads its source through binomial_convolution
+_SCALAR_READERS = {
+    "BasisPolynomial": ("BasisPolynomial", lambda x: BasisPolynomial("falling", [1, x])),
+    "poly": ("BasisPolynomial", lambda x: poly("rising", [x, 2])),
+    "monomial": ("BasisPolynomial", lambda x: P.monomial([0, x])),
+    "scale": ("scale", lambda x: _P.scale(x)),
+    "shift": ("shift", lambda x: P.shift(_P, x)),
+    "scale_argument": ("scale_argument", lambda x: P.scale_argument(_P, x)),
+    "OperatorExpr": ("exp_shift", lambda x: P.OperatorExpr("exp_shift", a=x)),
+    "shift_op": ("shift", P.shift_op),
+    "binom_shift": ("binom_shift", P.binom_shift),
+    "exp_shift": ("exp_shift", P.exp_shift),
+    "scale_op": ("scale_op", P.scale_op),
+    "laguerre": ("laguerre", lambda x: S.laguerre(3, x)),
+    "binomial_transform": ("binomial_convolution",
+                           _source(lambda f: T.binomial_transform(f, 3))),
+    "binomial_convolution": ("binomial_convolution",
+                             _source(lambda f: T.binomial_convolution(lambda n: 1, f, 3))),
+    "egf_product_coeffs": ("egf_product_coeffs",
+                           _source(lambda f: T.egf_product_coeffs(f, lambda n: 1, 3))),
+    "coefficient_extract": ("coefficient_extract",
+                            _source(lambda f: T.coefficient_extract(f, 3))),
+    "newton_from_samples": ("newton_from_samples",
+                            _source(lambda f: T.newton_from_samples(f, 3))),
+}
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("entry", sorted(_SCALAR_READERS))
+def test_every_scalar_reader_refuses_a_non_finite_value(entry, x):
+    """Every public entry point that reads a caller's scalar reads it through
+    the one reader, which raises ValueError naming the function for NaN and
+    +-inf, never the OverflowError of Fraction's own conversion."""
+    name, call = _SCALAR_READERS[entry]
+    with pytest.raises(ValueError, match=f"^{name} needs a finite argument, got {x!r}$"):
+        call(x)
+
+
+@pytest.mark.parametrize("x", [0.1, -2.75, 1e-5, 3.0], ids=str)
+@pytest.mark.parametrize("entry", sorted(_SCALAR_READERS))
+def test_a_float_scalar_reads_as_its_dyadic_fraction(entry, x):
+    """A float gives the same result as the Fraction of its exact value."""
+    _, call = _SCALAR_READERS[entry]
+    assert call(x) == call(Fraction(x))

@@ -159,3 +159,13 @@ def test_negative_degree_rejected():
         laguerre(-2, 0)
     with pytest.raises(ValueError):
         charlier(-1, Fraction(1), Fraction(1))
+
+
+def test_charlier_orthogonality_sum_past_the_float_range_overflows():
+    """A sum past the float range raises OverflowError naming the function, as
+    the float results of the exact families do, instead of returning inf: at
+    a = 1e308 the weight a^k/k! overflows at k = 2; at a = 1e-300 eval does."""
+    with pytest.raises(OverflowError, match="^charlier_orthogonality_sum: "):
+        charlier_orthogonality_sum(2, 2, 1e308, 10)
+    with pytest.raises(OverflowError):
+        charlier_orthogonality_sum(2, 2, 1e-300, 10)
