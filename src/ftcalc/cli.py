@@ -261,6 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # the process prints and parses exact values whole, past the
+        # 4300-digit int <-> str cap of CPython 3.10.7+ and 3.11
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

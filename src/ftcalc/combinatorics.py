@@ -139,11 +139,18 @@ def _argument_ratio(x: Scalar, what: str) -> tuple[int, int]:
     """x as an exact (numerator, denominator > 0) pair, a float as its dyadic
     value, another type through Fraction(). Every scalar a caller hands either
     layer (argument, parameter, coefficient or sequence value) becomes a ratio
-    here and only here; NaN or inf raises ValueError naming the function what."""
+    here and only here. Its ValueError names the function what: "needs a
+    finite argument" for NaN or inf, "needs a number" for a value that does
+    not parse as one, such as "abc" or "1/0"."""
     try:
         return (x if isinstance(x, (int, float, Fraction)) else Fraction(x)).as_integer_ratio()
-    except (OverflowError, ValueError):
-        raise ValueError(f"{what} needs a finite argument, got {x!r}") from None
+    except (OverflowError, ValueError, ZeroDivisionError):
+        pass
+    try:
+        nonfinite = not math.isfinite(float(x))
+    except ValueError:
+        nonfinite = False
+    raise ValueError(f"{what} needs {'a finite argument' if nonfinite else 'a number'}, got {x!r}")
 
 
 def binomial_general(x: Scalar, n: int) -> Scalar:

@@ -253,6 +253,50 @@ def test_special_stirling_and_bernoulli(capsys):
     assert loads(out)["value"] == "-691/2730"
 
 
+def _digits(value):
+    return len(value.split("/")[0].lstrip("-"))
+
+
+def test_special_prints_a_bernoulli_number_past_4300_digits(capsys):
+    """CPython caps int -> str at 4300 digits; the CLI prints B_3000 whole."""
+    code, out, _ = run(capsys, "special", "--family", "bernoulli", "--n", "3000")
+    assert code == 0
+    assert _digits(loads(out)["value"]) > 4300
+
+
+@pytest.fixture
+def whole_ints():
+    """Lift CPython's int <-> str digit cap for the test, as main() does."""
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
+    yield
+    if cap is not None:
+        sys.set_int_max_str_digits(cap)
+
+
+def test_special_prints_a_stirling_number_past_4300_digits(whole_ints):
+    """s(2000, 1) = -1999! has 5733 digits. It runs in its own interpreter:
+    the table it grows holds about 2 GB that the test process should not keep."""
+    src = os.path.dirname(os.path.dirname(ftcalc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "ftcalc.cli", "special", "--family", "stirling1",
+                           "--n", "2000", "--k", "1"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    value = loads(proc.stdout)["value"]
+    assert _digits(value) == 5733
+    assert value == str(-math.factorial(1999))
+
+
+def test_convert_reads_a_coefficient_past_4300_digits(capsys):
+    """CPython caps str -> int at 4300 digits; the CLI reads 4400 and prints them back."""
+    big = "9" * 4400
+    code, out, _ = run(capsys, "convert", json.dumps({"basis": "monomial", "coeffs": [big]}),
+                       "--to", "falling")
+    assert code == 0
+    assert loads(out) == {"basis": "falling", "coeffs": [big]}
+
+
 def test_special_unknown_family_is_usage_error(capsys):
     code, _, _ = run(capsys, "special", "--family", "hermite", "--n", "2")
     assert code == 2

@@ -27,11 +27,13 @@ from ftcalc.polynomial import (
     BasisPolynomial,
     OperatorExpr,
     OperatorKind,
+    _HORNER_MIN,
     _KRONECKER_BYTES,
     _KRONECKER_MAX,
     _KRONECKER_MIN,
     _apply_weights,
     _convolve,
+    _scaled_weights,
     _translate,
     antiderivative,
     apply_operator,
@@ -233,7 +235,31 @@ def test_operator_powers_iterate(coeffs, basis, k, factory):
     assert apply_operator(factory(k), p) == q
 
 
+def _egf_rows(n: int) -> dict[str, list[Fraction]]:
+    """Weight rows w_j = W_j / j! of three denominator types: log-type
+    W_j = +-(j-1)!, binomial-type W_j = (a)_j q^(n-1) for a = -7/3, and
+    1/j!-type W_j = 1, whose denominators are factorial."""
+    return {"log": [Fraction(0)] + [Fraction((-1) ** (j + 1), j) for j in range(1, n)],
+            "binomial": [falling_factorial(Fraction(-7, 3), j) * 3 ** (n - 1) / math.factorial(j)
+                         for j in range(n)],
+            "factorial": [Fraction(1, math.factorial(j)) for j in range(n)]}
+
+
+_LONG_COEFFS = [Fraction((-1) ** n * (n * n + 1), n % 7 + 1) for n in range(_HORNER_MIN + 20)]
+_LONG_ROWS = [(_LONG_COEFFS[:n], row) for n in (_HORNER_MIN - 1, _HORNER_MIN, _HORNER_MIN + 20)
+              for row in _egf_rows(n).values()]
+
+
 @given(coeff_lists, coeff_lists)
+@example(*_LONG_ROWS[0])
+@example(*_LONG_ROWS[1])
+@example(*_LONG_ROWS[2])
+@example(*_LONG_ROWS[3])
+@example(*_LONG_ROWS[4])
+@example(*_LONG_ROWS[5])
+@example(*_LONG_ROWS[6])
+@example(*_LONG_ROWS[7])
+@example(*_LONG_ROWS[8])
 def test_apply_weights_matches_defining_sum(coeffs, weights):
     """The integer kernel behind every operator row equals its defining sum
     out_i = sum_j W_j / j! (i+j)!/i! c_(i+j), with EGF weights W_j = j! w_j,
@@ -247,6 +273,18 @@ def test_apply_weights_matches_defining_sum(coeffs, weights):
     nums, q = _integers(egf, "_apply_weights")
     got = [Fraction(h, p.den * q) for h in _apply_weights(p.nums, nums)]
     assert poly(Basis.MONOMIAL, got) == poly(Basis.MONOMIAL, want)
+
+
+@pytest.mark.parametrize("n", [_HORNER_MIN + 20, 100])
+@pytest.mark.parametrize("kind", ["log", "binomial", "factorial"])
+def test_apply_weights_runs_horner_unless_the_denominators_are_factorial(kind, n):
+    """Past _HORNER_MIN weights, the kernel scales the log-type and
+    binomial-type rows for Horner's rule and leaves the 1/j!-type to the rows.
+    A log-type row passes the size test from about 55 weights on, where
+    lcm(1..n) falls below the cube root of n!."""
+    w, _ = _integers([math.factorial(j) * e for j, e in enumerate(_egf_rows(n)[kind])], "test")
+    lo = 1 if kind == "log" else 0
+    assert (_scaled_weights(w, lo, n) is None) == (kind == "factorial")
 
 
 _ROWS = [OperatorExpr(kind, k=k) for kind in ("derivative", "forward_difference",
@@ -488,6 +526,32 @@ def test_every_pair_matches_route_through_row_basis(kind, basis):
             got = apply_operator(op, p)
             assert got.basis is basis
             assert got == _via_row_basis(op, p), (op, d)
+
+
+_HIGH_OPS = {kind: OperatorExpr(kind, k=1) for kind in ("derivative", "log1p_derivative",
+                                                         "expdiff_minus1")}
+_HIGH_OPS.update({kind: OperatorExpr(kind, a=Fraction(-7, 5)) for kind in ("binom_shift", "shift")})
+
+
+@pytest.mark.parametrize("d", [150, 300])
+@pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
+@pytest.mark.parametrize("kind", list(_HIGH_OPS))
+def test_high_degree_pairs_match_route_through_row_basis(kind, basis, d):
+    """The dense rows past the kernel's Horner switch, on both of its
+    branches, equal the route through the row's basis."""
+    p = _kernel_poly(basis, d)
+    assert apply_operator(_HIGH_OPS[kind], p) == _via_row_basis(_HIGH_OPS[kind], p)
+
+
+@pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
+@pytest.mark.parametrize("inverse,op", [(log1p_derivative_inverse, log1p_derivative()),
+                                        (expdiff_minus1_inverse, expdiff_minus1())],
+                         ids=["log1p", "expdiff"])
+def test_high_degree_series_inverse_matches_route_through_row_basis(inverse, op, basis):
+    """At d150 the operator, applied through its row's basis, takes each
+    series inverse back to its input."""
+    p = _kernel_poly(basis, 150)
+    assert _via_row_basis(op, inverse(p)) == p
 
 
 @pytest.mark.parametrize("source,target", [(s, t) for s in Basis for t in Basis if s is not t],

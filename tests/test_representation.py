@@ -204,6 +204,17 @@ def test_every_scalar_reader_refuses_a_non_finite_value(entry, x):
         call(x)
 
 
+@pytest.mark.parametrize("x", ["abc", "1/0"])
+@pytest.mark.parametrize("entry", sorted(_SCALAR_READERS) + ["eval"])
+def test_every_scalar_reader_refuses_a_non_number(entry, x):
+    """A value that does not parse as a number, a zero denominator included,
+    is refused as not a number, neither as a non-finite one nor by a raw
+    ZeroDivisionError."""
+    name, call = _SCALAR_READERS.get(entry, ("eval", poly("falling", [1]).eval))
+    with pytest.raises(ValueError, match=f"^{name} needs a number, got {x!r}$"):
+        call(x)
+
+
 @pytest.mark.parametrize("x", [0.1, -2.75, 1e-5, 3.0], ids=str)
 @pytest.mark.parametrize("entry", sorted(_SCALAR_READERS))
 def test_a_float_scalar_reads_as_its_dyadic_fraction(entry, x):
