@@ -55,10 +55,30 @@ def _emit(obj) -> None:
 
 def _rational_flag(text: str, flag: str) -> Fraction:
     """The exact value of a rational or decimal flag; the error names the flag."""
+    from .combinatorics import _argument_ratio
+
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return Fraction(*_argument_ratio(text, flag))
+    except ValueError:
         raise ValueError(f"{flag} needs a rational or decimal, got {text!r}") from None
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each token that reads as a negative number, such as -1/2 or
+    -1e-3, joined to the --flag before it as --flag=value: argparse takes it for a flag."""
+    out: list[str] = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if flag[:2] == "--" and len(flag) > 2 and "=" not in flag and token[:1] == "-":
+            try:
+                _rational_flag(token, flag)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{flag}={token}"
+                continue
+        out.append(token)
+    return out
 
 
 def _float_flag(text: str, flag: str) -> float:
@@ -267,7 +287,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -137,18 +137,17 @@ def bernoulli(n: int) -> Fraction:
 
 def _argument_ratio(x: Scalar, what: str) -> tuple[int, int]:
     """x as an exact (numerator, denominator > 0) pair, a float as its dyadic
-    value, another type through Fraction(). Every scalar a caller hands either
-    layer (argument, parameter, coefficient or sequence value) becomes a ratio
-    here and only here. Its ValueError names the function what: "needs a
-    finite argument" for NaN or inf, "needs a number" for a value that does
-    not parse as one, such as "abc" or "1/0"."""
+    value, another type, such as a Decimal or "-1/2", through Fraction(). Every
+    value that enters either layer is read here only, and computed with as that
+    ratio or its rounded float. Its ValueError names the function what: "needs a
+    finite argument" for NaN or inf, "needs a number" for "abc", "1/0", 1j or None."""
     try:
         return (x if isinstance(x, (int, float, Fraction)) else Fraction(x)).as_integer_ratio()
-    except (OverflowError, ValueError, ZeroDivisionError):
+    except (OverflowError, TypeError, ValueError, ZeroDivisionError):
         pass
     try:
         nonfinite = not math.isfinite(float(x))
-    except ValueError:
+    except (TypeError, ValueError):
         nonfinite = False
     raise ValueError(f"{what} needs {'a finite argument' if nonfinite else 'a number'}, got {x!r}")
 

@@ -51,15 +51,14 @@ def laguerre(n: int, alpha: Scalar) -> BasisPolynomial:
     return _reduced(Basis.MONOMIAL, nums[::-1], math.factorial(n) * q ** n)
 
 
-def _charlier_polynomial(n: int, a: Scalar) -> BasisPolynomial:
-    """c_n(., a) in the falling basis, a read exactly; a must be nonzero."""
+def _charlier_polynomial(n: int, p: int, q: int) -> BasisPolynomial:
+    """c_n(., a) in the falling basis at a = p/q, read exactly; a must be nonzero."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if a == 0:
+    if not p:
         raise ValueError("Charlier parameter a must be nonzero")
     # sum_k binom(n,k) r^k (x)_k over v^n, for r = -1/a = u/v
-    r = -1 / Fraction(*_argument_ratio(a, "charlier"))
-    u, v = r.numerator, r.denominator
+    u, v = (-q, p) if p > 0 else (q, -p)
     nums = [math.comb(n, k) * u ** k * v ** (n - k) for k in range(n + 1)]
     return _reduced(Basis.FALLING, nums, v ** n)
 
@@ -68,23 +67,28 @@ def charlier(n: int, x: Scalar, a: Scalar) -> Scalar:
     """Charlier value c_n(x, a) = sum_k binom(n,k) binom(x,k) k! (-a)^(-k), exact
     for rational inputs; when x or a is a float, the exact value rounded once.
     Raises ValueError for a = 0 or a NaN or infinite x or a."""
-    v = _charlier_polynomial(n, a).eval(Fraction(*_argument_ratio(x, "charlier")))
+    v = _charlier_polynomial(n, *_argument_ratio(a, "charlier")).eval(
+        Fraction(*_argument_ratio(x, "charlier")))
     return float(v) if isinstance(x, float) or isinstance(a, float) else v
 
 
-def charlier_orthogonality_sum(n: int, m: int, a: float, K: int) -> float:
+def charlier_orthogonality_sum(n: int, m: int, a: Scalar, K: int) -> float:
     """Partial sum over k < K of a^k/k! * c_n(k,a) c_m(k,a) (Poisson weight);
     OverflowError when the sum leaves the float range."""
     if K < 1:
         raise ValueError("truncation K must be >= 1")
-    if not 0 < a < math.inf:
+    try:
+        u, q = _argument_ratio(a, "charlier_orthogonality_sum")
+    except ValueError:
+        u = 0  # refused below with the weight's own text
+    if u <= 0:
         raise ValueError(f"weight parameter a must be finite and positive, got {a!r}")
-    cn, cm = _charlier_polynomial(n, a), _charlier_polynomial(m, a)
+    cn, cm = _charlier_polynomial(n, u, q), _charlier_polynomial(m, u, q)
     acc = 0.0
     w = 1.0  # a^k / k!
     for k in range(K):
         if k > 0:
-            w *= a / k
+            w *= u / (q * k)
         acc += w * cn.eval(float(k)) * cm.eval(float(k))
     if not math.isfinite(acc):
         raise OverflowError(f"charlier_orthogonality_sum: the sum at a = {a!r} is {acc!r}")

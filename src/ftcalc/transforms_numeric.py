@@ -10,35 +10,39 @@ samples n -> f(n) (ifft_fn), or the values t -> f(t) (irft_fn, rft_fn,
 fractional_difference).
 
 Numeric policy: a series stops once three successive terms fall below the
-NumericConfig tolerance relative to its partial sum, with the last nonzero
-one of them as its error estimate. Slowly converging Newton series
-(binom(s,n) tails decay only like n^(-s-1)) and divergent ones summable in
-Borel's sense are routine, and direct summation cannot reach practical
-tolerances on them: the Newton sums also run Levin's u transformation, in
-34-digit decimal, when their count of nonzero terms reaches 32, 64, 128,
-and so on, and return the order whose estimate is least, if it meets the
-tolerance. That estimate adds the change between orders to the change that
-rounding can make, first the terms' own and, for the fractional operators,
-that of their inputs, each taken to within 2^-53 of its magnitude and
-carried through the exact preparation. A sum that Levin's u stops at its
-first checkpoint reads 32 nonzero terms, whatever its truncation_N.
+NumericConfig tolerance relative to its partial sum, one of them nonzero,
+with the last nonzero one as its error estimate. A run of exact zeros
+alone, such as a gap between a polynomial's terms, stops it only where
+the truncation ends it, with estimate 0; a Newton sum at an integer
+s >= 0, whose (s)_n vanishes past n = s, is truncated at s + 4 terms.
+Slowly converging Newton series (binom(s,n) tails decay only like
+n^(-s-1)) and divergent ones summable in Borel's sense are routine, and
+direct summation cannot reach practical tolerances on them: the Newton
+sums also run Levin's u transformation, in 34-digit decimal, when their
+count of nonzero terms reaches 32, 64, 128, and so on, and return the
+order whose estimate is least, if it meets the tolerance. That estimate
+adds the change between orders to the change that rounding can make,
+first the terms' own and, for the fractional operators, that of their
+inputs, each taken to within 2^-53 of its magnitude and carried through
+the exact preparation. A sum that Levin's u stops at its first
+checkpoint reads 32 nonzero terms, whatever its truncation_N.
 The Newton sum, the EGF series and zeta_formal_series take their terms
 from one stream, _ratio_terms, which forms each term exactly and rounds
-it once; they differ only in the data they pass it. One reader, _input,
-reads every Taylor coefficient, sample or point value exactly through
-_argument_ratio, the reader of every scalar in both layers; a call that
-overflows or a value that reader refuses, NaN or inf, raises
-NonConvergenceError naming the evaluator and the input. The
-fractional operators prepare their series on one integer vector: the
-inputs become numerators over one denominator, the derivative
-Taylor-shifts them to t, the difference table multiplies by e^{-rate x},
-and fft_fn's Newton sum reads each Taylor coefficient as an unreduced
-(numerator, denominator) pair, which its int true division rounds
-correctly without a gcd. The shift and the table each compute one
-coefficient per coefficient the Newton sum reads, so a sum that stops
-early prepares no more. The table takes its inputs as pairs over a
-common denominator that grows as they arrive, so the difference, and the
-derivative at t = 0, where the shift is the identity, read no input past
+it once; they differ only in the data they pass it. _argument_ratio, the
+reader of every scalar in both layers, reads each evaluator's arguments
+once, to be computed with as that ratio or its rounded float, and, through
+_input, every Taylor coefficient, sample or point value: a call that
+overflows or a value it refuses, NaN, inf, a complex or None, raises
+NonConvergenceError naming the evaluator and the input. The fractional
+operators prepare their series on one integer vector: the inputs become
+numerators over one denominator, the derivative Taylor-shifts them to t, the
+difference table multiplies by e^{-rate x}, and fft_fn's Newton sum reads
+each Taylor coefficient as an unreduced (numerator, denominator) pair, which
+its int true division rounds correctly without a gcd. The shift and the
+table each compute one coefficient per coefficient the Newton sum reads, so
+a sum that stops early prepares no more. The table takes its inputs as pairs
+over a common denominator that grows as they arrive, so the difference, and
+the derivative at t = 0, where the shift is the identity, read no input past
 the last term the sum reads. NamedSource defines the named sources of the
 command line, which the check suite builds from the same specs.
 """
@@ -84,13 +88,6 @@ class NumericResult(float):
 _SOURCE_RE = re.compile(r"^(exp|sin|cos|geometric)\(([^)]+)\)$")
 
 
-def _parse_param(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"cannot parse source parameter {text!r} as a rational")
-
-
 class NamedSource:
     """A builtin source usable as Taylor coefficients, integer samples, or a
     callable, depending on the operation that consumes it.
@@ -106,9 +103,10 @@ class NamedSource:
         m = _SOURCE_RE.match(spec.strip())
         if m:
             self.kind = m.group(1)
-            self.param: Optional[Fraction] = _parse_param(m.group(2))
+            u, q = _argument_ratio(m.group(2), f"source {spec!r}")
+            self.param: Optional[Fraction] = Fraction(u, q)
             try:
-                self._float_param: Optional[float] = float(self.param)
+                self._float_param: Optional[float] = u / q
             except OverflowError:
                 raise ValueError(f"source {spec!r} has a parameter outside the float "
                                  "range") from None
@@ -502,8 +500,11 @@ def _sum_with_policy(terms: Iterator[float], cfg: NumericConfig, accelerate: boo
     """Sum the terms, in order, under cfg; returns (sum, error_estimate).
 
     Stops after _CONSECUTIVE_SMALL successive terms fall below
-    tolerance * max(1, |partial sum|) within truncation_N terms; the
-    estimate is then the last nonzero term among them, 0 if all are 0.
+    tolerance * max(1, |partial sum|) within truncation_N terms, one of
+    them nonzero; the estimate is then the last nonzero term among them.
+    A run of exact zeros alone stops the sum only at the last term the
+    truncation reads, with estimate 0, before Levin's u is tried there, so
+    a finite series is summed as it is.
 
     With accelerate set, Levin's u transformation (_levin_u) runs on the
     nonzero terms, which skips the structural zeros, when their count
@@ -536,7 +537,8 @@ def _sum_with_policy(terms: Iterator[float], cfg: NumericConfig, accelerate: boo
             at.append(n)
         if nonzero and abs(t) <= cfg.tolerance * max(1.0, abs(acc)):
             small += 1
-            if small >= _CONSECUTIVE_SMALL:
+            # a run of exact zeros alone stops the sum only at its last term
+            if small >= _CONSECUTIVE_SMALL and (at[-1] > n - small or n == N - 1):
                 return acc, abs(nonzero[-1]) if at[-1] > n - small else 0.0
         else:
             small = 0
@@ -569,9 +571,9 @@ def _sum_with_policy(terms: Iterator[float], cfg: NumericConfig, accelerate: boo
 
 def _input(provider: Callable[[int], Scalar], n: int, what: str) -> tuple[int, int]:
     """provider(n) as an exact (numerator, positive denominator) pair, read by
-    _argument_ratio. A call that overflows, or a value that the reader
-    refuses, NaN or inf, raises NonConvergenceError naming input n; the
-    provider's own ValueError propagates."""
+    _argument_ratio. A call that overflows, or a value the reader refuses,
+    NaN, inf, a complex or None, raises NonConvergenceError naming input n;
+    the provider's own ValueError propagates."""
     try:
         v = provider(n)
     except OverflowError:
@@ -617,7 +619,7 @@ def _ratio_terms(pairs: Iterable[tuple[int, int]], muls: Iterable[int], u: int, 
         e += k
 
 
-def fft_fn(coeff: Callable[[int], Scalar], s: float,
+def fft_fn(coeff: Callable[[int], Scalar], s: Scalar,
            cfg: NumericConfig = NumericConfig()) -> NumericResult:
     """Newton-sum falling transform at s of the function whose Taylor
     coefficient of x^n is coeff(n).
@@ -627,53 +629,59 @@ def fft_fn(coeff: Callable[[int], Scalar], s: float,
     numeric differentiation of a black-box callable is ill-conditioned.
     """
     what = "fft_fn Newton sum"
-    return _newton_sum(_inputs(coeff, what), s, cfg, what)
+    return _newton_sum(_inputs(coeff, what), Fraction(*_argument_ratio(s, what)), cfg, what)
 
 
-def _newton_sum(coeffs: Iterable[tuple[int, int]], s: float, cfg: NumericConfig,
+def _newton_sum(coeffs: Iterable[tuple[int, int]], s: Fraction, cfg: NumericConfig,
                 what: str, noise: Optional[Callable[[list[float]], float]] = None
                 ) -> NumericResult:
     """fft_fn on (numerator, denominator) pairs; noise, if given, is the
-    noise function of _sum_with_policy. Its errors name what."""
-    terms = _ratio_terms(coeffs, repeat(1), *_argument_ratio(s, what), -1)
-    val, est = _sum_with_policy(terms, cfg, True, what, noise)
+    noise function of _sum_with_policy. Its errors name what. At an integer
+    s >= 0, (s)_n vanishes past n = s: the sum reads s + 4 terms."""
+    u, q = s.as_integer_ratio()
+    if q == 1 and 0 <= u < cfg.truncation_N - 4:
+        cfg = cfg._replace(truncation_N=u + 4)
+    val, est = _sum_with_policy(_ratio_terms(coeffs, repeat(1), u, q, -1), cfg, True, what, noise)
     return NumericResult(val, est)
 
 
-def _egf_series(sample: Callable[[int], Scalar], x: float, cfg: NumericConfig,
+def _egf_series(sample: Callable[[int], Scalar], u: int, q: int, cfg: NumericConfig,
                 what: str) -> NumericResult:
-    """e^{-x} sum_n sample(n) x^n / n!, with the damping applied to the sum.
+    """e^{-x} sum_n sample(n) x^n / n! at x = u/q, the damping applied to the sum.
 
     The error estimate is the magnitude of the first omitted weighted term
     (meaningful for eventually monotone decaying terms).
     """
-    terms = _ratio_terms(_inputs(sample, what), count(1), *_argument_ratio(x, what), 0)
+    terms = _ratio_terms(_inputs(sample, what), count(1), u, q, 0)
     val, est = _sum_with_policy(terms, cfg, accelerate=False, what=what)
     try:
-        damp = math.exp(-x)
+        damp = math.exp(-u / q)
     except OverflowError:
         damp = math.inf
     if not math.isfinite(damp * val):
         raise NonConvergenceError(f"{what}: e^(-x) times the sum {val:.3e} leaves the "
-                                  f"float range at x = {x}")
+                                  f"float range at x = {Fraction(u, q)}")
     return NumericResult(damp * val, damp * est)
 
 
-def ifft_fn(sample: Callable[[int], Scalar], x: float,
+def ifft_fn(sample: Callable[[int], Scalar], x: Scalar,
             cfg: NumericConfig = NumericConfig()) -> NumericResult:
     """Inverse falling transform e^{-x} sum_n f(n) x^n / n! of the integer
     samples f(n) = sample(n)."""
-    return _egf_series(sample, x, cfg, "ifft_fn EGF series")
+    what = "ifft_fn EGF series"
+    return _egf_series(sample, *_argument_ratio(x, what), cfg, what)
 
 
-def irft_fn(f: Callable[[float], Scalar], x: float,
+def irft_fn(f: Callable[[float], Scalar], x: Scalar,
             cfg: NumericConfig = NumericConfig()) -> NumericResult:
     """Inverse rising transform e^{x} sum_n (-1)^n f(-n) x^n / n!.
 
     This is the EGF series of the reflected samples n -> f(-n) at -x, so f
     is read at the nonpositive integers -n.
     """
-    return _egf_series(lambda n: f(-n), -x, cfg, "irft_fn EGF series")
+    what = "irft_fn EGF series"
+    u, q = _argument_ratio(x, what)
+    return _egf_series(lambda n: f(-n), -u, q, cfg, what)
 
 
 # rft_fn accepts a value when its error estimate is at most this times
@@ -681,7 +689,7 @@ def irft_fn(f: Callable[[float], Scalar], x: float,
 _RFT_TOLERANCE = 1e-7
 
 
-def rft_fn(f: Callable[[float], float], s: float,
+def rft_fn(f: Callable[[float], float], s: Scalar,
            scheme: str = "gauss_laguerre") -> NumericResult:
     """Rising transform (1/Gamma(s)) * integral_0^inf f(t) t^(s-1) e^(-t) dt.
 
@@ -720,7 +728,7 @@ def rft_fn(f: Callable[[float], float], s: float,
     elif scheme not in ("gauss_laguerre", "tanh_sinh"):
         raise ValueError(f"unknown quadrature scheme {scheme!r}")
     u, q = _argument_ratio(s, "rft_fn")
-    if not (s > 0):
+    if u <= 0:
         raise ValueError("rft_fn requires s > 0")
 
     if scheme == "tanh_sinh":
@@ -735,7 +743,7 @@ def rft_fn(f: Callable[[float], float], s: float,
             # plain one throughout. One quad over [0, 1, inf] sums both parts
             # and their estimates; none of its nodes at 25 digits is 1. Past
             # s = 2 the tail also splits at the weight's peak, of width ~sqrt(s).
-            split = (ss - 1 + k * mp.sqrt(ss) for k in (-3, 0, 3)) if s > 2 else ()
+            split = (ss - 1 + k * mp.sqrt(ss) for k in (-3, 0, 3)) if u > 2 * q else ()
             points = [0, 1, *(t for t in split if t > 1), mp.inf]
             p = 1 / ss
             # a lookup that hits finds s seen before: this call fills the table
@@ -747,7 +755,7 @@ def rft_fn(f: Callable[[float], float], s: float,
                 # (t, w, head) at node x: the integrand is f(t) w, times p in the head
                 entry = table.get(x._mpf_)
                 if entry is None:
-                    if s < 1 and x < 1:
+                    if u < q and x < 1:
                         t = x ** p
                         entry = t, mp.exp(-t), True
                     else:
@@ -812,7 +820,7 @@ def _shifted(c: list[float], r: float) -> Iterator[float]:
         yield c[i]
 
 
-def _damped_newton_sum(egf: Iterable[tuple[int, int]], rate: int, order: float,
+def _damped_newton_sum(egf: Iterable[tuple[int, int]], rate: int, order: Fraction,
                        cfg: NumericConfig, what: str, rounding: Iterable[float]) -> NumericResult:
     """fft_fn at s = order of e^{-rate x} g(x), g given by its EGF
     coefficients as (numerator, denominator) pairs, read one per Taylor
@@ -830,7 +838,7 @@ def _damped_newton_sum(egf: Iterable[tuple[int, int]], rate: int, order: float,
 
 
 def _input_noise(rounding: Iterable[float], rate: int,
-                 order: float) -> Callable[[list[float]], float]:
+                 order: Scalar) -> Callable[[list[float]], float]:
     """The noise function of _sum_with_policy for the Newton sum at
     s = order of e^{-rate x} g(x), the EGF coefficients of g having the
     noise bounds rounding, read only as far as a call needs them.
@@ -878,7 +886,7 @@ def _egf_rounding(jet_rounding: Iterable[float], t: float) -> Iterator[float]:
         yield x * f if x else 0.0
 
 
-def fractional_derivative(coeff: Callable[[int], Scalar], order: float, t: Scalar = 0,
+def fractional_derivative(coeff: Callable[[int], Scalar], order: Scalar, t: Scalar = 0,
                           cfg: NumericConfig = NumericConfig()) -> NumericResult:
     """Liouville-type fractional derivative at t of the function f whose
     Taylor coefficient of x^n is coeff(n).
@@ -905,7 +913,7 @@ def fractional_derivative(coeff: Callable[[int], Scalar], order: float, t: Scala
     52 ms at N = 512, and t = 0 about 0.08 ms at either.
     """
     what = "fractional_derivative"
-    u, q = _argument_ratio(t, what)
+    (u, q), order = _argument_ratio(t, what), Fraction(*_argument_ratio(order, what))
     jet = _inputs(coeff, what)
     if u:
         jet = list(islice(jet, cfg.truncation_N + 1 + _JET_EXTRA))
@@ -920,7 +928,7 @@ def fractional_derivative(coeff: Callable[[int], Scalar], order: float, t: Scala
                               _egf_rounding(_input_rounding(jet), _magnitude(u, q)))
 
 
-def fractional_difference(f: Callable[[float], float], order: float, t: float = 0.0,
+def fractional_difference(f: Callable[[float], float], order: Scalar, t: Scalar = 0.0,
                           cfg: NumericConfig = NumericConfig()) -> NumericResult:
     """Fractional forward difference of f at t via the inverse-BT chain.
 
@@ -936,17 +944,19 @@ def fractional_difference(f: Callable[[float], float], order: float, t: float = 
     read so far.
     """
     what = "fractional_difference"
-    _argument_ratio(t, what)
+    (u, q), order = _argument_ratio(t, what), Fraction(*_argument_ratio(order, what))
+    # f is called at t + n, t as given if an int, float or Fraction, else as read
+    t = t if isinstance(t, (int, float, Fraction)) else Fraction(u, q)
     samples, read = tee(_inputs(lambda n: f(t + n), what))
     return _damped_newton_sum(samples, 2, order, cfg, what, _input_rounding(read))
 
 
-def gamma_support(x: float) -> float:
-    """Gamma(x) for real x (libm gamma); raises ValueError at a pole, for a
-    non-finite x and where Gamma(x) overflows a float."""
-    _argument_ratio(x, "gamma_support")
+def gamma_support(x: Scalar) -> float:
+    """Gamma(x) for real x (libm gamma at x rounded once); raises ValueError
+    at a pole, for a non-finite x and where Gamma(x) overflows a float."""
+    u, q = _argument_ratio(x, "gamma_support")
     try:
-        return math.gamma(x)
+        return math.gamma(u / q)
     except ValueError:
         raise ValueError(f"gamma pole at x = {x}") from None
     except OverflowError:
@@ -991,13 +1001,13 @@ def zeta_formal_series(s: Scalar, N: int) -> tuple[float, list[float]]:
     formed exactly over s's ratio u/q, a float s read as its dyadic value,
     and rounded once. Raises NonConvergenceError naming the first term that
     overflows a float, or when the partial sum does, and ValueError for s = 1
-    or s not finite.
+    or s not finite. -1/(s-1) is formed at s's correctly rounded float.
     """
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"zeta_formal_series needs an int N >= 1, got {N!r}")
-    if s == 1:
-        raise ValueError("pole at s = 1")
     u, q = _argument_ratio(s, "zeta_formal_series")
+    if u == q:
+        raise ValueError("pole at s = 1")
     pairs = (((-1) ** (n + 1) * b.numerator, b.denominator)
              for n, b in enumerate(map(bernoulli, count(1))))
     terms: list[float] = []
@@ -1008,7 +1018,7 @@ def zeta_formal_series(s: Scalar, N: int) -> tuple[float, list[float]]:
         raise NonConvergenceError(f"zeta_formal_series: term {len(terms)} at s = {s} "
                                   f"overflows a float") from None
     try:
-        return -1.0 / (s - 1.0) + math.fsum(terms), terms
+        return -1.0 / (u / q - 1.0) + math.fsum(terms), terms
     except OverflowError:
         raise NonConvergenceError(f"zeta_formal_series: the partial sum at s = {s} "
                                   f"overflows a float") from None

@@ -302,6 +302,32 @@ def test_special_unknown_family_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("zeta", "--s", "-1/2", "--terms", "8"),
+    ("special", "--family", "laguerre", "--n", "2", "--alpha", "-1/2"),
+    ("special", "--family", "charlier", "--n", "2", "--x", "3", "--a", "-1/2"),
+    ("special", "--family", "charlier", "--n", "2", "--x", "-1/2", "--a", "1"),
+    ("transform", "--numeric", "--op", "fft", "--source", "exp(1)", "--at", "-1e-3"),
+    ("fractional", "--kind", "derivative", "--order", "-1/2", "--source", "exp(2)"),
+], ids=lambda argv: next(f for f, v in zip(argv, argv[1:]) if v.startswith("-")))
+def test_a_negative_fraction_or_exponent_is_the_flag_value(capsys, argv):
+    """A negative value that is not a plain -digits or -digits.digits, which
+    argparse would take for a flag, is the value of the flag before it, as
+    in the --flag=value form."""
+    i = next(i for i, v in enumerate(argv) if v[:1] == "-" and v[1:2] != "-")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv[:i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1:]) == (0, out, "")
+    if argv[2] == "laguerre":
+        assert loads(out) == {"basis": "monomial", "coeffs": ["3/8", "-3/2", "1/2"]}
+
+
+def test_a_negative_token_that_is_not_a_number_stays_a_flag(capsys):
+    code, _, err = run(capsys, "zeta", "--s", "-x")
+    assert code == 2
+    assert "expected one argument" in err
+
+
 def test_fractional_derivative_sqrt2(capsys):
     code, out, _ = run(capsys, "fractional", "--kind", "derivative",
                        "--order", "1/2", "--source", "exp(2)")

@@ -10,7 +10,10 @@ import copy
 import dataclasses
 import math
 import pickle
+from decimal import Decimal
 from fractions import Fraction
+
+import mpmath as mp
 
 import pytest
 from hypothesis import given
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 from ftcalc import polynomial as P
 from ftcalc import special_polynomials as S
 from ftcalc import transforms_exact as T
+from ftcalc import transforms_numeric as N
 from ftcalc.polynomial import Basis, BasisPolynomial, convert_basis, poly
 
 coeff_lists = st.lists(
@@ -221,3 +225,119 @@ def test_a_float_scalar_reads_as_its_dyadic_fraction(entry, x):
     """A float gives the same result as the Fraction of its exact value."""
     _, call = _SCALAR_READERS[entry]
     assert call(x) == call(Fraction(x))
+
+
+_EXP_HALF = N.NamedSource("exp(1/2)")
+
+
+def _exp_half_mp(t):
+    """e^(t/2) at tanh_sinh's mpmath nodes."""
+    return mp.exp(t / 2)
+
+
+# numeric entry point -> (the name its error gives, its call on one scalar)
+_NUMERIC_READERS = {
+    "fft_fn": ("fft_fn Newton sum", lambda x: N.fft_fn(_EXP_HALF.taylor(), x)),
+    "ifft_fn": ("ifft_fn EGF series", lambda x: N.ifft_fn(_EXP_HALF.samples(), x)),
+    "irft_fn": ("irft_fn EGF series", lambda x: N.irft_fn(_EXP_HALF.callable(), x)),
+    "rft_fn gauss_laguerre": ("rft_fn", lambda x: N.rft_fn(_EXP_HALF.callable(), x)),
+    "rft_fn tanh_sinh": ("rft_fn", lambda x: N.rft_fn(_exp_half_mp, x, "tanh_sinh")),
+    "fractional_derivative order": ("fractional_derivative", lambda x: N.fractional_derivative(
+        _EXP_HALF.taylor(), x)),
+    "fractional_derivative t": ("fractional_derivative", lambda x: N.fractional_derivative(
+        _EXP_HALF.taylor(), 0.5, x)),
+    "fractional_difference order": ("fractional_difference", lambda x: N.fractional_difference(
+        _EXP_HALF.callable(), x)),
+    "fractional_difference t": ("fractional_difference", lambda x: N.fractional_difference(
+        _EXP_HALF.callable(), 0.5, x)),
+    "gamma_support": ("gamma_support", N.gamma_support),
+    "incomplete_gamma_upper": ("incomplete_gamma_upper",
+                               lambda x: N.incomplete_gamma_upper(3, x)),
+    "zeta_formal_series": ("zeta_formal_series", lambda x: N.zeta_formal_series(x, 8)),
+}
+
+
+# operator parameters whose a = None is the parameter left out
+_OPTIONAL_PARAMETERS = {"OperatorExpr", "binom_shift", "exp_shift", "scale_op", "shift", "shift_op"}
+
+
+@pytest.mark.parametrize("x", [1j, None], ids=repr)
+@pytest.mark.parametrize("entry", sorted(_SCALAR_READERS) + ["eval"] + sorted(_NUMERIC_READERS))
+def test_every_scalar_reader_refuses_a_complex_or_none(entry, x):
+    """A complex or None is refused by the reader as not a number, never by
+    a raw TypeError from Fraction() or float(); an operator's a = None is
+    refused as left out."""
+    name, call = {**_SCALAR_READERS, **_NUMERIC_READERS}.get(
+        entry, ("eval", poly("falling", [1]).eval))
+    why = ("requires parameter a" if x is None and entry in _OPTIONAL_PARAMETERS
+           else f"needs a number, got {x!r}")
+    with pytest.raises(ValueError, match=f"^{name} {why}$"):
+        call(x)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("entry", sorted(_NUMERIC_READERS))
+def test_every_numeric_reader_refuses_a_non_finite_value(entry, x):
+    name, call = _NUMERIC_READERS[entry]
+    with pytest.raises(ValueError, match=f"^{name} needs a finite argument, got {x!r}$"):
+        call(x)
+
+
+def _bits(r):
+    """A float result and its error estimate as float.hex, or a list of them
+    for zeta_formal_series' (sum, terms)."""
+    if isinstance(r, float):
+        return float(r).hex(), getattr(r, "error_estimate", 0.0).hex()
+    return [_bits(x) for x in r]
+
+
+@pytest.mark.parametrize("x", [Decimal("0.25"), "1/2", "2.5", Decimal("1.5"), " 7/4 "], ids=repr)
+@pytest.mark.parametrize("entry", sorted(_NUMERIC_READERS))
+def test_a_decimal_or_string_scalar_reads_as_its_fraction(entry, x):
+    """A numeric entry point computes with the value it read: a Decimal or a
+    string gives the bits, value and estimate, of its Fraction twin. The
+    arguments lie below 1 and above 2, both sides of rft_fn's tests on s."""
+    _, call = _NUMERIC_READERS[entry]
+    assert _bits(call(x)) == _bits(call(Fraction(x.strip() if isinstance(x, str) else x)))
+
+
+@pytest.mark.parametrize("value", [1j, None], ids=repr)
+@pytest.mark.parametrize("name, call", [
+    ("fft_fn Newton sum", lambda f: N.fft_fn(f, 0.5)),
+    ("ifft_fn EGF series", lambda f: N.ifft_fn(f, 0.5)),
+    ("irft_fn EGF series", lambda f: N.irft_fn(f, 0.5)),
+    ("fractional_derivative", lambda f: N.fractional_derivative(f, 0.5)),
+    ("fractional_difference", lambda f: N.fractional_difference(f, 0.5)),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_a_provider_value_that_is_not_a_number_names_the_input(name, call, value):
+    """A provider's complex or None is refused by the reader, and the
+    evaluator names the input in a NonConvergenceError."""
+    with pytest.raises(N.NonConvergenceError,
+                       match=f"^{name}: input 0 is {value!r}, not a finite number$"):
+        call(lambda n: value)
+
+
+def test_source_parameter_and_json_coefficient_are_read_by_the_reader():
+    """The text of a named source's parameter and of a polynomial JSON
+    coefficient goes through the one reader, whose error names the source
+    or the constructor."""
+    with pytest.raises(ValueError, match=r"^source 'exp\(abc\)' needs a number, got 'abc'$"):
+        N.NamedSource("exp(abc)")
+    with pytest.raises(ValueError, match="^BasisPolynomial needs a number, got 'abc'$"):
+        BasisPolynomial.from_json({"basis": "monomial", "coeffs": ["1", "abc"]})
+    assert BasisPolynomial.from_json({"basis": "monomial", "coeffs": ["-1/2", "0.25", "3e-2"]}) \
+        == poly("monomial", [Fraction(-1, 2), Fraction(1, 4), Fraction(3, 100)])
+
+
+@pytest.mark.parametrize("x", [Decimal("0.25"), "1/2", "2.5"], ids=repr)
+def test_charlier_orthogonality_sum_reads_its_weight(x):
+    """The Poisson weight is read once: a Decimal or a string gives the bits
+    of its Fraction twin, and a value that is not a number is refused with
+    the weight's own text."""
+    twin = Fraction(x)
+    assert (S.charlier_orthogonality_sum(2, 1, x, 20).hex()
+            == S.charlier_orthogonality_sum(2, 1, twin, 20).hex())
+    for bad in (1j, None, "abc"):
+        with pytest.raises(ValueError, match=f"^weight parameter a must be finite and positive, "
+                                             f"got {bad!r}$"):
+            S.charlier_orthogonality_sum(2, 1, bad, 20)

@@ -738,6 +738,33 @@ def test_newton_sum_reads_to_its_first_checkpoint():
     assert len(reads) <= 64
 
 
+@pytest.mark.parametrize("s, want", [(5, 121.0), (0.5, 0.0625), (3, 1.0)])
+def test_zero_coefficients_between_terms_do_not_end_the_newton_sum(s, want):
+    """1 + x^4 has three zero coefficients between its terms, and its Newton
+    sum is the finite (s)_0 + (s)_4: 1 + 120 at s = 5, 1 - 15/16 at s = 1/2,
+    and 1 at s = 3, where (3)_4 = 0."""
+    r = fft_fn(lambda n: 1 if n in (0, 4) else 0, s)
+    assert (float(r), r.error_estimate) == (want, 0.0)
+
+
+def test_zero_samples_between_terms_do_not_end_the_egf_series():
+    """Samples (n-1)(n-2)(n-3) vanish at n = 1, 2, 3; the inverse transform
+    is x^3 - 3x^2 + 6x - 6, -3.625 at x = 1/2."""
+    r = ifft_fn(lambda n: (n - 1) * (n - 2) * (n - 3), 0.5)
+    assert abs(r + 3.625) <= r.error_estimate
+
+
+@pytest.mark.parametrize("s", [0, 3, 3.0, Fraction(20)])
+def test_newton_sum_at_an_integer_s_reads_s_plus_4_terms(s):
+    """At an integer s >= 0, (s)_n vanishes past n = s: the sum of the
+    (s)_n / n! of e^t reads s + 4 coefficients and is 2^s exactly."""
+    reads = []
+    coeff = NamedSource("exp(1)").taylor()
+    r = fft_fn(lambda n: reads.append(n) or coeff(n), s, NumericConfig(truncation_N=256))
+    assert (float(r), r.error_estimate) == (2.0 ** s, 0.0)
+    assert reads == list(range(int(s) + 4))
+
+
 def test_ifft_outside_radius_raises():
     with pytest.raises(NonConvergenceError):
         ifft_fn(lambda n: float(math.factorial(n)), 1.5, NumericConfig(truncation_N=64, tolerance=1e-10))

@@ -111,6 +111,13 @@ def test_run_check_seed_changes_samples_not_verdict():
         assert run_check("eq2_ifft_roundtrip", seed=seed).status == "pass"
 
 
+@pytest.mark.parametrize("seed", [27, 108, 147, 199, 226])
+def test_eq5_passes_on_a_source_with_a_run_of_zero_coefficients(seed):
+    """These seeds draw a source with three zero coefficients in a row after
+    a nonzero one, which once ended the Newton sum early."""
+    assert run_check("eq5_newton_sum_duality", seed=seed).status == "pass"
+
+
 def test_run_check_routes_exceptions_to_error_status(monkeypatch):
     """Math failures inside a check surface as reports, never as raises."""
     spec = CheckSpec(name="boom_check", layer="exact", config={"tolerance": 0.0},
