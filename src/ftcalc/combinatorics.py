@@ -1,7 +1,10 @@
-"""Exact combinatorial kernel: Stirling, Lah and Bernoulli numbers, factorials.
+"""Exact combinatorial kernel: Stirling and Bernoulli numbers, factorials.
 
-All values are exact (Python ints / fractions.Fraction), memoized in
-row-complete tables so concurrent readers never observe a torn row.
+All values are exact (Python ints / fractions.Fraction). The Bernoulli
+numbers are memoized in a table that is replaced only whole, so concurrent
+readers never observe a torn one. Stirling numbers are not stored: a row is
+one change of basis, run by the recurrence b_(n+1) = b_n (x + sigma n) that
+the exact layer's conversions run too (_rebase), on a unit vector.
 
 Conventions:
   * Bernoulli numbers use B_1 = -1/2 (the x/(e^x - 1) generating function).
@@ -23,41 +26,45 @@ import math
 import operator
 import threading
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, count, repeat
 from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[Fraction, int, float]
 
 _lock = threading.Lock()
 
-# Row-complete triangular caches; a row is appended only once fully built.
-_stirling1_rows: list[list[int]] = [[1]]
-_stirling2_rows: list[list[int]] = [[1]]
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
 
 
-def _grow(rows: list[list[int]], n: int, first_kind: bool) -> None:
-    # c(m+1, k) = c(m, k-1) + m c(m, k) and S(m+1, k) = S(m, k-1) + k S(m, k)
-    with _lock:
-        while len(rows) <= n:
-            m = len(rows) - 1
-            prev = rows[m] + [0]
-            rows.append([(prev[k - 1] if k else 0) + (m if first_kind else k) * prev[k]
-                         for k in range(m + 2)])
+def _rebase(nums: Sequence[int], sigma: int, tau: int) -> list[int]:
+    """The coefficients of sum_n nums[n] b_n in the basis b', where
+    b_(n+1) = b_n (x + sigma n) and b'_(k+1) = b'_k (x + tau k): sigma and
+    tau are 0, -1 or 1 for x^n, (x)_n or x^(rising n).
+
+    Horner's rule in b (Knuth, TAOCP Vol. 2, 4.6.4), acc = nums[n] +
+    (x + sigma n) acc from the top down, with acc held in b' and each product
+    by x + a taken there as (x + a) b'_k = b'_(k+1) + (a - tau k) b'_k. The
+    bases are monic, so the output has the input's length and denominator.
+    n^2/2 products, each of an entry by a small integer.
+    """
+    out = list(nums[-1:])
+    for n in reversed(range(len(nums) - 1)):
+        a = sigma * n
+        # entry k of nums[n] + (x + a) acc: out[k-1] + (a - tau k) out[k], nums[n] added at k = 0
+        out = [nums[n] + a * out[0],
+               *map(operator.add, out, map(operator.mul, out[1:], count(a - tau, -tau))), out[-1]]
+    return out
 
 
 def stirling_row(first_kind: bool, n: int) -> list[int]:
-    """Row n, k = 0..n, of the unsigned first-kind table c(n, k) or, with
-    first_kind False, of the second-kind table S(n, k).
-
-    The row is the cached list itself: read it, never mutate it.
+    """Row n, k = 0..n, of the unsigned first-kind numbers c(n, k), the
+    coefficients of x^(rising n) in x^k, or, with first_kind False, of the
+    second-kind numbers S(n, k), those of x^n in (x)_k: _rebase of the unit
+    vector, a new list on every call.
     """
     if n < 0:
         raise ValueError("indices must be nonnegative")
-    rows = _stirling1_rows if first_kind else _stirling2_rows
-    if n >= len(rows):
-        _grow(rows, n, first_kind)
-    return rows[n]
+    return _rebase([0] * n + [1], *((1, 0) if first_kind else (0, -1)))
 
 
 def stirling_first_unsigned(n: int, k: int) -> int:
@@ -66,10 +73,9 @@ def stirling_first_unsigned(n: int, k: int) -> int:
     Counts permutations of n elements with k cycles; satisfies
     c(n+1, k) = c(n, k-1) + n*c(n, k) with c(0, 0) = 1.
     """
-    if k < 0:
+    if k < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
-    row = stirling_row(True, n)
-    return row[k] if k <= n else 0
+    return stirling_row(True, n)[k] if k <= n else 0
 
 
 def stirling_first_signed(n: int, k: int) -> int:
@@ -83,28 +89,9 @@ def stirling_second(n: int, k: int) -> int:
 
     Satisfies S(n+1, k) = k*S(n, k) + S(n, k-1) with S(0, 0) = 1.
     """
-    if k < 0:
+    if k < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
-    row = stirling_row(False, n)
-    return row[k] if k <= n else 0
-
-
-def lah_terms(n: int) -> Iterator[int]:
-    """L(n,0), ..., L(n,n), the unsigned Lah numbers L(n,k) = C(n-1,k-1) n!/k!,
-    the coefficients of x^(rising n) = sum_k L(n,k) (x)_k.
-
-    Each term is computed upward from L(n,1) = n! as it is read, so a reader
-    that stops after k terms pays for k of them.
-    """
-    if not n:
-        yield 1
-        return
-    yield 0
-    term = math.factorial(n)
-    for k in range(1, n + 1):
-        yield term
-        # L(n,k+1) = L(n,k) (n-k) / (k(k+1)), an exact division
-        term = term * (n - k) // (k * (k + 1))
+    return stirling_row(False, n)[k] if k <= n else 0
 
 
 def _bernoulli_numbers(n: int) -> list[Fraction]:

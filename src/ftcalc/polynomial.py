@@ -11,10 +11,12 @@ over the denominator its caller tracks, and hands the numerators to the
 next kernel. The kernels it shares with the numeric layer, the difference
 table that multiplies an EGF by e^{rx}, one output per input read, and the
 Taylor shift, come from combinatorics. A public
-operation reduces once, when it builds its result. A conversion is one pass
-over a triangle of Stirling numbers to or from the monomial basis, and of
-Lah numbers between the factorial bases; the triangles are unimodular, so a
-conversion keeps the denominator and lowest terms. A product converts
+operation reduces once, when it builds its result. Each basis has
+b_(n+1) = b_n (x + sigma n), sigma = 0, -1, 1, and a conversion is Horner's
+rule in the source basis with each step by x + sigma n taken in the target
+basis, n^2/2 products of an entry by a small integer (combinatorics._rebase);
+the change of basis is integer and unitriangular, so a conversion keeps the
+denominator and lowest terms. A product converts
 neither factor: on x^n it is one integer convolution, from 10 to 24 terms
 on, by the entries' width, one big-int product by Kronecker substitution;
 on (x)_n it multiplies the factors' samples at 0..m-1, read off the
@@ -28,7 +30,7 @@ with shifts, hence is a power series in each of them (Rota, Kahaner &
 Odlyzko, "Finite operator calculus", 1973), and is one row of a table: its
 EGF weights W, read as sum_j W_j L^j / j!, in one basis or more. One
 kernel applies them in the input's own basis; for a basis the row lacks,
-the weights are translated there through the triangle a conversion reads,
+the weights are translated there by the conversion's step read transposed,
 and the input is never converted. The kernel runs a single weight, and a
 dense span of 40 or more whose W_j / j! share a small denominator F (d^k,
 log(1+d) and E^a in their own bases, d and E^a in the factorial ones), by
@@ -56,7 +58,7 @@ from itertools import accumulate, chain, count, islice, repeat, zip_longest
 from typing import Callable, Iterable, Sequence
 
 from .combinatorics import (
-    Scalar, _argument_ratio, _integers, _pascal, _taylor_shift, bernoulli, lah_terms, stirling_row,
+    Scalar, _argument_ratio, _integers, _pascal, _rebase, _taylor_shift, bernoulli,
 )
 
 
@@ -223,42 +225,32 @@ def falling_unit(n: int) -> BasisPolynomial:
     return _canonical(Basis.FALLING, [0] * n + [1], 1)
 
 
-def _triangle(source: Basis, target: Basis) -> tuple[Callable[[int], Iterable[int]], int]:
-    """Rows of T and the sign s in b_n = sum_k s^(n-k) T(n,k) b'_k, which
-    expands the source's elements in the target's: T is S(n,k) for x^n in
-    either factorial basis, c(n,k) for either factorial in x^k and Lah L(n,k)
-    for x^(rising n) in (x)_k; s = -1 when the source falls or the target rises."""
-    row = (partial(stirling_row, False) if source is Basis.MONOMIAL
-           else partial(stirling_row, True) if target is Basis.MONOMIAL else lah_terms)
-    return row, -1 if source is Basis.FALLING or target is Basis.RISING else 1
-
-
 def _convert(nums: Sequence[int], source: Basis, target: Basis) -> Sequence[int]:
     """Numerators of the same polynomial in the target basis, same denominator."""
-    if source is target:
-        return nums
-    row, sign = _triangle(source, target)
-    # (-1)^(n-k) = (-1)^n (-1)^k: sign the input by n, the output by k
-    out = [0] * len(nums)
-    for n, a in enumerate(nums):
-        if a:
-            out[:n + 1] = map(operator.add, out, map(operator.mul, row(n), repeat(a * sign ** n)))
-    return out if sign == 1 else _flip(out)
+    return nums if source is target else _rebase(nums, _STEP[source], _STEP[target])
 
 
 def _translate(weights: Sequence[int], source: Basis, target: Basis) -> Sequence[int]:
-    """The same operator's EGF weights in the target basis, same denominator:
-    a shift-invariant T has W_j = [T b_j](0) in a basic sequence b (Rota,
-    Kahaner & Odlyzko 1973), so b'_j = sum_k M(j,k) b_k gives W'_j =
-    sum_k M(j,k) W_k, for M the triangle converting target to source."""
+    """The same operator's EGF weights in the target basis, same denominator.
+
+    A shift-invariant T has W_j = [T b_j](0) in a basic sequence b (Rota,
+    Kahaner & Odlyzko 1973). For v_j[k] = [T b_k b'_j](0), v_0 = W, W'_j =
+    v_j[0], and the step of _rebase read transposed (Bostan, Lecerf & Schost,
+    "Tellegen's principle into practice", ISSAC 2003) gives
+    v_(j+1)[k] = v_j[k+1] + (tau j - sigma k) v_j[k]. v is kept to the span
+    of W and, at step j, to the first n - j entries that W'_j.. still read.
+    """
     if source is target:
         return weights
-    row, sign = _triangle(target, source)
-    weights = weights if sign == 1 else _flip(weights)
-    # map stops at the last nonzero weight, so each row is read only that far
-    span = weights[:max((k + 1 for k, w in enumerate(weights) if w), default=0)]
-    out = [sum(map(operator.mul, row(j), span)) for j in range(len(weights))]
-    return out if sign == 1 else _flip(out)
+    sigma, tau, n = _STEP[source], _STEP[target], len(weights)
+    v = list(weights[:max((k + 1 for k, w in enumerate(weights) if w), default=0)])
+    out = []
+    for j in range(n):
+        del v[n - j:]
+        out.append(v[0] if v else 0)
+        v.append(0)
+        v = list(map(operator.add, v[1:], map(operator.mul, v, count(tau * j, -sigma))))
+    return out
 
 
 def _flip(nums: Sequence[int]) -> list[int]:
@@ -270,7 +262,7 @@ def convert_basis(p: BasisPolynomial, target: Basis | str) -> BasisPolynomial:
     target = Basis(target)
     if p.basis is target:
         return p
-    # a unimodular triangle keeps the vector in lowest terms
+    # an integer unitriangular change of basis keeps the vector in lowest terms
     return _canonical(target, _convert(p.nums, p.basis, target), p.den)
 
 

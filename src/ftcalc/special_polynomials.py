@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .combinatorics import Scalar, _argument_ratio, stirling_first_signed, stirling_second
+from .combinatorics import Scalar, _argument_ratio, stirling_row
 from .polynomial import Basis, BasisPolynomial, _canonical, _reduced
 
 
@@ -22,14 +22,15 @@ def touchard(n: int) -> BasisPolynomial:
     """T_n(x) = sum_k S(n,k) x^k in the monomial basis; T_0 = 1."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return _canonical(Basis.MONOMIAL, [stirling_second(n, k) for k in range(n + 1)], 1)
+    return _canonical(Basis.MONOMIAL, stirling_row(False, n), 1)
 
 
 def z_poly(n: int) -> BasisPolynomial:
     """Z_n = sum_k s(n,k) (x)_k in the falling basis (signed Stirling-first)."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return _canonical(Basis.FALLING, [stirling_first_signed(n, k) for k in range(n + 1)], 1)
+    return _canonical(Basis.FALLING, [-c if (n - k) % 2 else c
+                                      for k, c in enumerate(stirling_row(True, n))], 1)
 
 
 def laguerre(n: int, alpha: Scalar) -> BasisPolynomial:
@@ -74,14 +75,16 @@ def charlier(n: int, x: Scalar, a: Scalar) -> Scalar:
 
 def charlier_orthogonality_sum(n: int, m: int, a: Scalar, K: int) -> float:
     """Partial sum over k < K of a^k/k! * c_n(k,a) c_m(k,a) (Poisson weight);
+    ValueError for an a that is not positive or whose float is 0 or inf,
     OverflowError when the sum leaves the float range."""
     if K < 1:
         raise ValueError("truncation K must be >= 1")
     try:
         u, q = _argument_ratio(a, "charlier_orthogonality_sum")
-    except ValueError:
-        u = 0  # refused below with the weight's own text
-    if u <= 0:
+        positive = u > 0 and u / q > 0  # u / q raises OverflowError past the float range
+    except (ValueError, OverflowError):
+        positive = False  # refused below with the weight's own text
+    if not positive:
         raise ValueError(f"weight parameter a must be finite and positive, got {a!r}")
     cn, cm = _charlier_polynomial(n, u, q), _charlier_polynomial(m, u, q)
     acc = 0.0

@@ -834,11 +834,11 @@ def _damped_newton_sum(egf: Iterable[tuple[int, int]], rate: int, order: Fractio
     """
     factorials = accumulate(count(1), operator.mul, initial=1)
     pairs = ((h, den * f) for (h, den), f in zip(_pascal(egf, -rate), factorials))
-    return _newton_sum(pairs, order, cfg, what, _input_noise(rounding, rate, order))
+    return _newton_sum(pairs, order, cfg, what, _input_noise(rounding, rate, order, what))
 
 
-def _input_noise(rounding: Iterable[float], rate: int,
-                 order: Scalar) -> Callable[[list[float]], float]:
+def _input_noise(rounding: Iterable[float], rate: int, order: Scalar,
+                 what: str) -> Callable[[list[float]], float]:
     """The noise function of _sum_with_policy for the Newton sum at
     s = order of e^{-rate x} g(x), the EGF coefficients of g having the
     noise bounds rounding, read only as far as a call needs them.
@@ -847,10 +847,16 @@ def _input_noise(rounding: Iterable[float], rate: int,
     result with derivatives d_k in the terms by G_n = sum_k d_k binom(s, k)
     binom(k, n) (-rate)^(k-n), the coefficients of
     sum_k d_k binom(s, k) (x - rate)^k; the bound is sum_n |G_n| rounding_n.
+    s is the order rounded once; an order past the float range raises a
+    ValueError naming what.
     """
     bounds: list[float] = []
     rounding = iter(rounding)
-    s = float(order)
+    u, q = _argument_ratio(order, what)
+    try:
+        s = u / q
+    except OverflowError:
+        raise ValueError(f"{what} needs an order within the float range, got {order}") from None
 
     def noise(d: list[float]) -> float:
         bounds.extend(islice(rounding, max(0, len(d) - len(bounds))))
@@ -1001,7 +1007,7 @@ def zeta_formal_series(s: Scalar, N: int) -> tuple[float, list[float]]:
     formed exactly over s's ratio u/q, a float s read as its dyadic value,
     and rounded once. Raises NonConvergenceError naming the first term that
     overflows a float, or when the partial sum does, and ValueError for s = 1
-    or s not finite. -1/(s-1) is formed at s's correctly rounded float.
+    or s not finite. -1/(s-1) is formed exactly, -q/(u - q), and rounded once.
     """
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"zeta_formal_series needs an int N >= 1, got {N!r}")
@@ -1018,7 +1024,7 @@ def zeta_formal_series(s: Scalar, N: int) -> tuple[float, list[float]]:
         raise NonConvergenceError(f"zeta_formal_series: term {len(terms)} at s = {s} "
                                   f"overflows a float") from None
     try:
-        return -1.0 / (u / q - 1.0) + math.fsum(terms), terms
+        return -q / (u - q) + math.fsum(terms), terms
     except OverflowError:
         raise NonConvergenceError(f"zeta_formal_series: the partial sum at s = {s} "
                                   f"overflows a float") from None

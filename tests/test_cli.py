@@ -8,6 +8,7 @@ verification failure, 2 usage error.
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -276,12 +277,15 @@ def whole_ints():
 
 
 def test_special_prints_a_stirling_number_past_4300_digits(whole_ints):
-    """s(2000, 1) = -1999! has 5733 digits. It runs in its own interpreter:
-    the table it grows holds about 2 GB that the test process should not keep."""
+    """s(2000, 1) = -1999! has 5733 digits. It runs in its own interpreter,
+    capped at 256 MB of address space: the row is computed alone, and a
+    table of every row up to 2000 would not fit."""
     src = os.path.dirname(os.path.dirname(ftcalc.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cap = 256 * 2 ** 20
     proc = subprocess.run([sys.executable, "-m", "ftcalc.cli", "special", "--family", "stirling1",
-                           "--n", "2000", "--k", "1"], env=env, capture_output=True, text=True)
+                           "--n", "2000", "--k", "1"], env=env, capture_output=True, text=True,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
     assert proc.returncode == 0, proc.stderr
     value = loads(proc.stdout)["value"]
     assert _digits(value) == 5733

@@ -20,12 +20,12 @@ from ftcalc.combinatorics import (
     bernoulli,
     binomial_general,
     falling_factorial,
-    lah_terms,
     rising_factorial,
     stirling_first_signed,
     stirling_first_unsigned,
     stirling_second,
 )
+from ftcalc.polynomial import Basis, convert_basis, poly
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 small_n = st.integers(min_value=0, max_value=12)
@@ -226,8 +226,10 @@ def test_factorials_match_sympy(x, n):
 
 
 def test_lah_rows_match_closed_form():
-    """L(n,k) = C(n-1,k-1) n!/k!, with L(0,0) = 1 and L(n,0) = 0 for n > 0."""
+    """x^(rising n) = sum_k L(n,k) (x)_k with the Lah numbers L(n,k) =
+    C(n-1,k-1) n!/k!, L(0,0) = 1 and L(n,0) = 0 for n > 0."""
     for n in range(61):
         want = [int(n == 0)] + [math.comb(n - 1, k - 1) * math.factorial(n) // math.factorial(k)
                                 for k in range(1, n + 1)]
-        assert list(lah_terms(n)) == want
+        unit = poly(Basis.RISING, [0] * n + [1])
+        assert list(convert_basis(unit, Basis.FALLING).coeffs) == want

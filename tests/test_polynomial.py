@@ -13,14 +13,9 @@ from random import Random
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy.functions.combinatorial.numbers import stirling
 
-from ftcalc.combinatorics import (
-    _integers,
-    falling_factorial,
-    stirling_first_signed,
-    stirling_first_unsigned,
-    stirling_second,
-)
+from ftcalc.combinatorics import _integers, falling_factorial
 from ftcalc.polynomial import (
     Basis,
     BasisMismatchError,
@@ -385,12 +380,12 @@ def test_indefinite_sum_inverts_forward_difference(coeffs, x):
 
 
 def _ref_to_monomial(p: BasisPolynomial) -> list[Fraction]:
-    # (x)_n = sum_k s(n,k) x^k and x^(rising n) = sum_k c(n,k) x^k
-    stirling = stirling_first_signed if p.basis is Basis.FALLING else stirling_first_unsigned
+    # (x)_n = sum_k s(n,k) x^k and x^(rising n) = sum_k c(n,k) x^k, from sympy
+    signed = p.basis is Basis.FALLING
     out = [Fraction(0)] * len(p.coeffs)
     for n, a in enumerate(p.coeffs):
         for k in range(n + 1):
-            out[k] += a * stirling(n, k)
+            out[k] += a * int(stirling(n, k, kind=1, signed=signed))
     return out
 
 
@@ -400,7 +395,7 @@ def _ref_from_monomial(coeffs: list[Fraction], target: Basis) -> list[Fraction]:
     for n, a in enumerate(coeffs):
         for k in range(n + 1):
             sign = -1 if target is Basis.RISING and (n - k) % 2 else 1
-            out[k] += a * sign * stirling_second(n, k)
+            out[k] += a * sign * int(stirling(n, k, kind=2))
     return out
 
 
@@ -480,13 +475,13 @@ _ROW_BASIS = {"derivative": Basis.MONOMIAL, "forward_difference": Basis.FALLING,
 
 
 def _row_weights(op: OperatorExpr, n: int) -> list[Fraction]:
-    """EGF weights of op in its row's basis, from the combinatorics tables:
+    """EGF weights of op in its row's basis, with sympy's Stirling numbers:
     k! delta, k! s(j,k) for log(1+d)^k, k! S(j,k) for (e^D-1)^k, a^j, (a)_j."""
     k, kind = op.k, op.kind.value
     if kind == "log1p_derivative":
-        return [math.factorial(k) * stirling_first_signed(j, k) for j in range(n)]
+        return [math.factorial(k) * int(stirling(j, k, kind=1, signed=True)) for j in range(n)]
     if kind == "expdiff_minus1":
-        return [math.factorial(k) * stirling_second(j, k) for j in range(n)]
+        return [math.factorial(k) * int(stirling(j, k, kind=2)) for j in range(n)]
     if kind in ("shift", "exp_shift"):
         return [op.a ** j for j in range(n)]
     if kind == "binom_shift":

@@ -10,6 +10,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -281,6 +282,39 @@ def test_every_numeric_reader_refuses_a_non_finite_value(entry, x):
     name, call = _NUMERIC_READERS[entry]
     with pytest.raises(ValueError, match=f"^{name} needs a finite argument, got {x!r}$"):
         call(x)
+
+
+_PAST_FLOAT_RANGE = {"1e400": 10 ** 400, "-1e400": -10 ** 400, "2^1100": 2 ** 1100,
+                     "-2^1100": -2 ** 1100}
+_FLOAT_ZERO_OR_INF = {"1e-400": Fraction(1, 10 ** 400), "1e400": 10 ** 400, "2^1100": 2 ** 1100}
+
+
+def _charlier_sum(a):
+    return S.charlier_orthogonality_sum(2, 1, a, 20)
+
+
+@pytest.mark.parametrize("call,x,refusal", [
+    *[pytest.param(_NUMERIC_READERS[f"{name} order"][1], x,
+                   f"^{name} needs an order within the float range, got {x}$", id=f"{name}-{xid}")
+      for name in ("fractional_derivative", "fractional_difference")
+      for xid, x in _PAST_FLOAT_RANGE.items()],
+    *[pytest.param(_charlier_sum, x, re.escape(f"weight parameter a must be finite and positive, "
+                                               f"got {x!r}"), id=f"charlier_orthogonality_sum-{xid}")
+      for xid, x in _FLOAT_ZERO_OR_INF.items()],
+    pytest.param(_NUMERIC_READERS["zeta_formal_series"][1], 1 + Fraction(1, 10 ** 30), None,
+                 id="zeta_formal_series-1+1e-30"),
+])
+def test_a_value_whose_float_is_zero_or_out_of_range_leaks_no_raw_error(call, x, refusal):
+    """An order past the float range is refused by name, not by a raw
+    OverflowError from its float; so is a Poisson weight whose float is 0
+    or inf. The zeta series forms its pole term -1/(s-1) exactly and rounds
+    it once, so s = 1 + 10^-30, whose float is 1, returns."""
+    if refusal is None:
+        value, terms = call(x)
+        assert value == -1e30 + math.fsum(terms)
+    else:
+        with pytest.raises(ValueError, match=refusal):
+            call(x)
 
 
 def _bits(r):

@@ -914,7 +914,7 @@ def _ref_prepared_outcome(value_at, m, what, pairs_of, rounding_of, rate, s, cfg
             if not lazy:
                 return "NonConvergenceError", fault
             break
-    noise = transforms_numeric._input_noise(rounding_of(inputs), rate, s)
+    noise = transforms_numeric._input_noise(rounding_of(inputs), rate, s, what)
 
     def pairs():
         yield from pairs_of(inputs)
